@@ -5,7 +5,7 @@ dense structure-constant tensors; every theorem-shaped statement in the
 package is checked by exhaustive evaluation or exact linear algebra.
 """
 
-from .scalars import Rational, Scalar, parse_scalar, root_of_unity, scalar_add, scalar_inv, scalar_mul
+from .scalars import Scalar, parse_scalar, root_of_unity
 from .linalg import Subspace
 from .braided_space import (
     Bicharacter,

@@ -99,8 +99,6 @@ class GenericBraiding:
     def braid_pair(self, i: Atom, j: Atom) -> PairVec:
         return self.rows.get((i, j), {})
 
-    apply_pair = braid_pair
-
     @staticmethod
     def flip(dim: int) -> "GenericBraiding":
         rows = {(i, j): {(j, i): ONE} for i in range(dim) for j in range(dim)}
@@ -115,32 +113,6 @@ class GenericBraiding:
                 if not q[i][j].is_zero():
                     rows[(i, j)] = {(j, i): q[i][j]}
         return GenericBraiding(d, rows)
-
-    @staticmethod
-    def from_dense(tensor) -> "GenericBraiding":
-        d = len(tensor)
-        rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
-        for i in range(d):
-            for j in range(d):
-                entry = {}
-                for k in range(d):
-                    for l in range(d):
-                        c = tensor[i][j][k][l]
-                        if not c.is_zero():
-                            entry[(k, l)] = c
-                if entry:
-                    rows[(i, j)] = entry
-        return GenericBraiding(d, rows)
-
-    def to_dense(self) -> list:
-        from .scalars import ZERO
-
-        d = self.dim
-        out = [[[[ZERO for _ in range(d)] for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        for (i, j), entry in self.rows.items():
-            for (k, l), c in entry.items():
-                out[i][j][k][l] = c
-        return out
 
     def diagonal_coefficients(self) -> list[list[Scalar]] | None:
         """The q-matrix when every row is a scalar multiple of the flip, else None."""

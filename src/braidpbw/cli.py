@@ -23,8 +23,9 @@ from .braided_space import diagonal_braiding
 from .corpus import corpus_entries
 from .coinvariants import CoinvariantsError, compute_R
 from .filtration import FiltrationError, associated_graded, hopf_filtration
-from .pbw import pbw_basis, pbw_verdict, compute_Q
+from .pbw import pbw_document, pbw_verdict
 from .pipeline import PipelineError, check_report, compare_expectations, flat_summary, run_pipeline
+from .scalars import ONE
 from .serialize import (
     InputError,
     bialgebra_from_json,
@@ -182,18 +183,12 @@ def cmd_commutator(args) -> int:
     braiding = diagonal_braiding(chi, basis)
     alg = TensorAlgebra(braiding, list(basis.names))
     try:
-        left = {tuple(alg.names.index(t) for t in args.left.split()):_one()}
-        right = {tuple(alg.names.index(t) for t in args.right.split()): _one()}
+        left = {tuple(alg.names.index(t) for t in args.left.split()): ONE}
+        right = {tuple(alg.names.index(t) for t in args.right.split()): ONE}
     except ValueError as exc:
         raise InputError(f"unknown generator in word: {exc}") from exc
     print(alg.render(alg.commutator(left, right)))
     return EXIT_OK
-
-
-def _one():
-    from .scalars import ONE
-
-    return ONE
 
 
 def cmd_hilbert(args) -> int:
@@ -227,13 +222,9 @@ def cmd_coinv(args) -> int:
 def cmd_pbw(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     report = pbw_verdict(h, args.degree)
-    basis = pbw_basis(compute_Q(h), report)
-    doc = report.to_json()
-    doc["basis"] = basis.monomials
-    doc["refusal"] = basis.refusal
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(doc))
+            fh.write(dumps_canonical(pbw_document(report)))
     print(f"verdict: {report.verdict}")
     print("dims (target, symmetric):", report.degreewise_dims)
     if report.first_failure_degree is not None:

@@ -13,9 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided_space import GenericBraiding, braid_check
-from .filtration import _dedupe_names, coradical_filtration_connected
+from .filtration import FiltrationError, coradical_filtration_connected, transported_bialgebra
 from .findim_hopf import StructureBialgebra, Vec, render_tensor
-from .linalg import Subspace, dense_of, left_nullspace, matrix_kernel, rank, sparse_of, zero_row
+from .linalg import (
+    Coordinates,
+    SpanError,
+    Subspace,
+    dense_of,
+    left_nullspace,
+    matrix_kernel,
+    rank,
+    sparse_of,
+    zero_row,
+)
 from .multilinear import (
     braid_at,
     lift,
@@ -43,10 +53,6 @@ def _require_graded(gr: StructureBialgebra) -> None:
 def degree_zero_indices(gr: StructureBialgebra) -> list[int]:
     _require_graded(gr)
     return gr.degree_indices(0)
-
-
-def _gate(gr: StructureBialgebra, vec: Vec) -> int:
-    return max((gr.gate_degree(i) for i in vec), default=0)
 
 
 def projection_pi(gr: StructureBialgebra) -> tuple[list[Vec], ValidationReport]:
@@ -119,12 +125,6 @@ class CoinvariantAlgebra:
     kernel_is_left_ideal: bool
     coradical_matches_grading: bool
 
-    def r_coords(self, vec: Vec) -> Vec:
-        coords = self.inclusion.coords(dense_of(vec, self.parent.dim))
-        if coords is None:
-            raise CoinvariantsError("vector is outside the coinvariant subspace")
-        return {t: c for t, c in enumerate(coords) if not c.is_zero()}
-
 
 def ad_eval(gr: StructureBialgebra, kvec: Vec, rvec: Vec) -> Vec:
     """Braided conjugation: multiply the first coproduct leg of k, braid the
@@ -190,64 +190,40 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         degrees.append(degs.pop())
     if degrees != sorted(degrees):
         raise CoinvariantsError("parent basis is not sorted by degree")
+    basis = Coordinates(d, reps)
+    try:
+        r_alg, action, coaction = _induced_structure(gr, basis, degrees, k_indices)
+    except SpanError as exc:
+        raise CoinvariantsError("induced operation left the coinvariant subspace") from exc
+
+    return CoinvariantAlgebra(
+        parent=gr,
+        algebra=r_alg,
+        inclusion=r_sub,
+        reps=reps,
+        k_indices=k_indices,
+        action=action,
+        coaction=coaction,
+        kernel_is_left_ideal=kernel_is_left_ideal,
+        coradical_matches_grading=_degree_filtration_is_coradical(r_alg),
+    )
+
+
+def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list[int],
+                       k_indices: tuple[int, ...]):
+    """R's coproduct through pi_map, its K-action and K-coaction, and the
+    braiding assembled from the three, over the coinvariant basis; returns
+    the transported algebra R with the action and coaction."""
+    reps = basis.vectors
     rdim = len(reps)
-
-    def r_coords(vec: Vec) -> Vec:
-        coords = r_sub.coords(dense_of(vec, d))
-        if coords is None:
-            raise CoinvariantsError("induced operation left the coinvariant subspace")
-        return {t: c for t, c in enumerate(coords) if not c.is_zero()}
-
-    def r_coords_pair(w: dict) -> dict:
-        """Express an ambient 2-tensor in R (x) R coordinates, legwise."""
-        by_right: dict = {}
-        for (i, j), c in w.items():
-            by_right.setdefault(j, {})
-            vadd_into(by_right[j], {i: c})
-        half: dict = {}
-        for j, legvec in by_right.items():
-            for ra, ca in r_coords(legvec).items():
-                vadd_into(half, {(ra, j): ca})
-        by_left: dict = {}
-        for (ra, j), c in half.items():
-            by_left.setdefault(ra, {})
-            vadd_into(by_left[ra], {j: c})
-        out: dict = {}
-        for ra, legvec in by_left.items():
-            for rb, cb in r_coords(legvec).items():
-                vadd_into(out, {(ra, rb): cb})
-        return out
-
-    names = []
-    for r, vec in enumerate(reps):
-        if len(vec) == 1:
-            (i, c), = vec.items()
-            if c.is_one():
-                names.append(gr.names[i])
-                continue
-        names.append(f"r{degrees[r]}_{r}")
-    names = _dedupe_names(names)
-
-    mult_rows = []
-    for a in range(rdim):
-        row = []
-        for b in range(rdim):
-            if gr.truncation is not None and _gate(gr, reps[a]) + _gate(gr, reps[b]) > gr.truncation:
-                row.append({})
-                continue
-            row.append(r_coords(gr.multiply(reps[a], reps[b])))
-        mult_rows.append(tuple(row))
-
     comult = []
     for a in range(rdim):
         w = slot_split(lift(reps[a]), 0, gr.comul_atom)
         w = slot_apply(w, 0, lambda i: pi_map(gr, {i: ONE}))
-        comult.append(r_coords_pair(w))
-
-    counit = tuple(gr.counit_of(reps[a]) for a in range(rdim))
+        comult.append(basis.coords_pair(w))
 
     action = tuple(
-        tuple(r_coords(ad_eval(gr, {k: ONE}, reps[b])) for b in range(rdim))
+        tuple(basis.coords(ad_eval(gr, {k: ONE}, reps[b])) for b in range(rdim))
         for k in k_indices
     )
 
@@ -262,7 +238,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
                 vadd_into(by_left[i], {j: c})
         entry: dict = {}
         for i, legvec in by_left.items():
-            for rr, cr in r_coords(legvec).items():
+            for rr, cr in basis.coords(legvec).items():
                 vadd_into(entry, {(k_pos[i], rr): cr})
         coaction.append(entry)
     for a in range(rdim):
@@ -283,46 +259,22 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
                     acted = ad_eval(gr, kvec, {u: ONE})
                     for au, ca in acted.items():
                         vadd_into(ambient, {(au, v): c * s * ca})
-            entry = r_coords_pair(ambient)
+            entry = basis.coords_pair(ambient)
             if entry:
                 braid_rows[(a, b)] = entry
     braiding_r = GenericBraiding(rdim, braid_rows)
     if not braid_check(braiding_r):
         raise CoinvariantsError("induced braiding fails the braid equation")
 
-    r_alg = StructureBialgebra(
-        names=tuple(names),
-        unit=r_coords(gr.unit_vec()),
-        mult=tuple(mult_rows),
-        counit=counit,
-        comult=tuple(comult),
-        braiding=braiding_r,
-        antipode=None,
-        grading=tuple(degrees),
-        truncation=gr.truncation,
-        trunc_grading=tuple(_gate(gr, v) for v in reps) if gr.truncation is not None else None,
-    )
-
-    coinv = CoinvariantAlgebra(
-        parent=gr,
-        algebra=r_alg,
-        inclusion=r_sub,
-        reps=reps,
-        k_indices=k_indices,
-        action=action,
-        coaction=tuple(coaction),
-        kernel_is_left_ideal=kernel_is_left_ideal,
-        coradical_matches_grading=False,
-    )
-    coinv.coradical_matches_grading = _degree_filtration_is_coradical(r_alg)
-    return coinv
+    r_alg = transported_bialgebra(gr, basis, degrees, "r", comult, braiding_r, None)
+    return r_alg, action, tuple(coaction)
 
 
 def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
     """The filtration induced by the grading of R is its coradical filtration."""
     try:
         ladder = coradical_filtration_connected(r_alg)
-    except Exception:
+    except FiltrationError:
         return False
     if not ladder.exhaustive:
         return False
@@ -360,7 +312,7 @@ def is_central(b: StructureBialgebra, f_rows: list[Vec]) -> bool:
         if not u:
             continue
         for j in range(b.dim):
-            if b.truncation is not None and _gate(b, u) + b.gate_degree(j) > b.truncation:
+            if b.truncation is not None and b.gate_of(u) + b.gate_degree(j) > b.truncation:
                 continue
             ev = b.basis_vec(j)
             if not vec_equal(b.multiply(u, ev), b.opposite_multiply(u, ev)):
@@ -478,7 +430,7 @@ def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:
             for r in range(r_alg.dim):
                 if r_alg.degree(r) != n:
                     continue
-                if gr.truncation is not None and gr.gate_degree(k) + _gate(gr, coinv.reps[r]) > gr.truncation:
+                if gr.truncation is not None and gr.gate_degree(k) + gr.gate_of(coinv.reps[r]) > gr.truncation:
                     continue
                 prod = gr.multiply(gr.basis_vec(k), coinv.reps[r])
                 row = [ZERO] * len(cols)

@@ -10,13 +10,14 @@ complements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .findim_hopf import StructureBialgebra, Vec, render_tensor
 from .braided_space import GenericBraiding, is_categorical
 from .linalg import (
+    Coordinates,
     Subspace,
     dense_of,
-    invert_matrix,
     kron_rows,
     matrix_kernel,
     sparse_of,
@@ -46,6 +47,11 @@ class FiltrationLadder:
     @property
     def top(self) -> Subspace:
         return self.steps[-1]
+
+    @cached_property
+    def adapted(self) -> "AdaptedBasis":
+        """The adapted basis of an exhaustive ladder, built on first use."""
+        return AdaptedBasis.from_ladder(self)
 
 
 def subspace_from_indices(h: StructureBialgebra, indices) -> Subspace:
@@ -211,80 +217,49 @@ def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace) -> Filtra
 
 @dataclass
 class AdaptedBasis:
-    """Canonical complements along a ladder: representatives and the change
-    of basis between the ambient coordinates and the adapted ones."""
+    """Canonical complements along a ladder: the new-pivot rows of each step
+    as representatives, their filtration and truncation degrees, and
+    coordinates over them."""
 
-    h: StructureBialgebra
-    reps: list[list[Scalar]]
+    basis: Coordinates
     fil_degrees: list[int]
-    inverse: list[list[Scalar]]
     gate_degrees: list[int]
 
     @staticmethod
-    def from_ladder(h: StructureBialgebra, ladder: FiltrationLadder) -> "AdaptedBasis":
+    def from_ladder(ladder: FiltrationLadder) -> "AdaptedBasis":
         if not ladder.exhaustive:
             raise FiltrationError("filtration does not exhaust the bialgebra; "
                                   "the associated graded object is not defined on all of H")
-        entries: list[tuple[int, int, list[Scalar]]] = []
+        h = ladder.bialgebra
+        entries: list[tuple[int, int, Vec]] = []
         seen: set[int] = set()
         for n, step in enumerate(ladder.steps):
             for j, p in enumerate(step.pivots):
                 if p not in seen:
                     seen.add(p)
-                    entries.append((n, p, list(step.rows[j])))
+                    entries.append((n, p, sparse_of(step.rows[j])))
         entries.sort(key=lambda e: (e[0], e[1]))
         reps = [e[2] for e in entries]
-        degrees = [e[0] for e in entries]
-        inverse = invert_matrix(reps)
-        gate = []
-        for r in reps:
-            if h.trunc_grading is not None:
-                gate.append(max(h.gate_degree(i) for i, c in enumerate(r) if not c.is_zero()))
-            else:
-                gate.append(0)
-        return AdaptedBasis(h, reps, degrees, inverse, gate)
+        return AdaptedBasis(Coordinates(h.dim, reps), [e[0] for e in entries],
+                            [h.gate_of(r) for r in reps])
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
-
-    def expand(self, vec: Vec) -> dict[int, Scalar]:
-        """Coordinates of an ambient sparse vector over the representatives."""
-        out: dict[int, Scalar] = {}
-        for i, c in vec.items():
-            row = self.inverse[i]
-            for r, m in enumerate(row):
-                if not m.is_zero():
-                    vadd_into(out, {r: c * m})
-        return out
-
-    def expand_pair(self, vec) -> dict[tuple[int, int], Scalar]:
-        out: dict[tuple[int, int], Scalar] = {}
-        for (i, j), c in vec.items():
-            rowi = self.inverse[i]
-            rowj = self.inverse[j]
-            for r, mi in enumerate(rowi):
-                if mi.is_zero():
-                    continue
-                for s, mj in enumerate(rowj):
-                    if not mj.is_zero():
-                        vadd_into(out, {(r, s): c * mi * mj})
-        return out
+        return self.basis.dim
 
     def rep_vec(self, r: int) -> Vec:
-        return sparse_of(self.reps[r])
+        return self.basis.vectors[r]
 
 
-def validate_bialgebra_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
-                                  adapted: AdaptedBasis | None = None) -> ValidationReport:
+def validate_bialgebra_filtration(h: StructureBialgebra, ladder: FiltrationLadder) -> ValidationReport:
     """Products land in the summed step, coproducts respect the ladder
     degreewise, the antipode preserves steps, and steps are categorical."""
     report = ValidationReport("bialgebra filtration")
-    ab = adapted or AdaptedBasis.from_ladder(h, ladder)
+    ab = ladder.adapted
     top = len(ladder.steps) - 1
     report.checked += 1
     zero_reps = [r for r in range(ab.dim) if ab.fil_degrees[r] == 0]
-    unit_exp = ab.expand(h.unit)
+    unit_exp = ab.basis.coords(h.unit)
     if any(r not in zero_reps for r in unit_exp):
         report.record("unit-degree", (), "unit", "in bottom step")
     t_cap = h.truncation
@@ -295,18 +270,18 @@ def validate_bialgebra_filtration(h: StructureBialgebra, ladder: FiltrationLadde
                 continue
             report.checked += 1
             target = min(ab.fil_degrees[a] + ab.fil_degrees[b], top)
-            prod = ab.expand(h.multiply(ab.rep_vec(a), ab.rep_vec(b)))
+            prod = ab.basis.coords(h.multiply(ab.rep_vec(a), ab.rep_vec(b)))
             if any(ab.fil_degrees[r] > target for r in prod):
                 report.record("product-degree", (a, b), "deg product", f"<= {target}")
     for a in range(ab.dim):
         report.checked += 1
         n = ab.fil_degrees[a]
-        cop = ab.expand_pair(h.comultiply(ab.rep_vec(a)))
+        cop = ab.basis.coords_pair(h.comultiply(ab.rep_vec(a)))
         if any(ab.fil_degrees[r] + ab.fil_degrees[s] > n for (r, s) in cop):
             report.record("coproduct-degree", (a,), "split degrees", f"sum <= {n}")
         if h.antipode is not None:
             report.checked += 1
-            sv = ab.expand(h.apply_antipode(ab.rep_vec(a)))
+            sv = ab.basis.coords(h.apply_antipode(ab.rep_vec(a)))
             if any(ab.fil_degrees[r] > n for r in sv):
                 report.record("antipode-degree", (a,), "deg S", f"<= {n}")
     report.checked += 1
@@ -315,23 +290,61 @@ def validate_bialgebra_filtration(h: StructureBialgebra, ladder: FiltrationLadde
     return report
 
 
-def _dedupe_names(names: list[str]) -> list[str]:
+def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: list[int],
+                          prefix: str, comult: list, braiding: GenericBraiding,
+                          antipode: tuple | None) -> StructureBialgebra:
+    """The graded bialgebra on ``basis.vectors`` with the given coproduct,
+    braiding and antipode.  Names, unit, counit and product are transported
+    from h: a representative that is a basis vector of h keeps its name,
+    the counit and each product keep their degree-homogeneous parts, and
+    truncation degrees are those of the representatives in h."""
+    reps = basis.vectors
+    names: list[str] = []
     seen: dict[str, int] = {}
-    out = []
-    for nm in names:
-        if nm in seen:
-            seen[nm] += 1
-            out.append(f"{nm}'{seen[nm]}")
+    for r, vec in enumerate(reps):
+        name = f"{prefix}{degrees[r]}_{r}"
+        if len(vec) == 1:
+            (i, c), = vec.items()
+            if c.is_one():
+                name = h.names[i]
+        if name in seen:
+            seen[name] += 1
+            name = f"{name}'{seen[name]}"
         else:
-            seen[nm] = 0
-            out.append(nm)
-    return out
+            seen[name] = 0
+        names.append(name)
+
+    gates = [h.gate_of(v) for v in reps]
+    t_cap = h.truncation
+    mult_rows = []
+    for a, u in enumerate(reps):
+        row = []
+        for b, v in enumerate(reps):
+            if t_cap is not None and gates[a] + gates[b] > t_cap:
+                row.append({})
+                continue
+            target = degrees[a] + degrees[b]
+            prod = basis.coords(h.multiply(u, v))
+            row.append({r: c for r, c in prod.items() if degrees[r] == target})
+        mult_rows.append(tuple(row))
+
+    return StructureBialgebra(
+        names=tuple(names),
+        unit=basis.coords(h.unit),
+        mult=tuple(mult_rows),
+        counit=tuple(h.counit_of(v) if degrees[r] == 0 else ZERO for r, v in enumerate(reps)),
+        comult=tuple(comult),
+        braiding=braiding,
+        antipode=antipode,
+        grading=tuple(degrees),
+        truncation=t_cap,
+        trunc_grading=tuple(gates) if t_cap is not None else None,
+    )
 
 
 @dataclass
 class AssociatedGraded:
     algebra: StructureBialgebra
-    adapted: AdaptedBasis
     ladder: FiltrationLadder
 
 
@@ -342,44 +355,17 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
     tensor is the degree-homogeneous part of the expansion of the parent
     operation in the adapted basis.
     """
-    ab = AdaptedBasis.from_ladder(h, ladder)
-    report = validate_bialgebra_filtration(h, ladder, ab)
+    report = validate_bialgebra_filtration(h, ladder)
     if not report.ok:
         raise FiltrationError("not a bialgebra filtration:\n" + report.summary())
+    ab = ladder.adapted
     d = ab.dim
     degrees = ab.fil_degrees
-    t_cap = h.truncation
-
-    names = []
-    for r in range(d):
-        vec = ab.rep_vec(r)
-        if len(vec) == 1:
-            (i, c), = vec.items()
-            if c.is_one():
-                names.append(h.names[i])
-                continue
-        names.append(f"f{degrees[r]}_{r}")
-    names = _dedupe_names(names)
-
-    mult_rows = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            if t_cap is not None and ab.gate_degrees[a] + ab.gate_degrees[b] > t_cap:
-                row.append({})
-                continue
-            target = degrees[a] + degrees[b]
-            if target > len(ladder.steps) - 1:
-                row.append({})
-                continue
-            prod = ab.expand(h.multiply(ab.rep_vec(a), ab.rep_vec(b)))
-            row.append({r: c for r, c in prod.items() if degrees[r] == target})
-        mult_rows.append(tuple(row))
 
     comult = []
     for a in range(d):
         n = degrees[a]
-        cop = ab.expand_pair(h.comultiply(ab.rep_vec(a)))
+        cop = ab.basis.coords_pair(h.comultiply(ab.rep_vec(a)))
         comult.append({(r, s): c for (r, s), c in cop.items()
                        if degrees[r] + degrees[s] == n})
 
@@ -391,36 +377,23 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
                 for j, cj in ab.rep_vec(b).items():
                     for (x, y), s in h.braid_pair(i, j).items():
                         vadd_into(w, {(x, y): ci * cj * s})
-            exp = ab.expand_pair(w)
+            exp = ab.basis.coords_pair(w)
             entry = {(r, s): c for (r, s), c in exp.items()
                      if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
             if entry:
                 braid_rows[(a, b)] = entry
 
-    unit = {r: c for r, c in ab.expand(h.unit).items()}
-    counit = tuple(h.counit_of(ab.rep_vec(r)) if degrees[r] == 0 else ZERO for r in range(d))
-
     antipode = None
     if h.antipode is not None:
         antipode = []
         for a in range(d):
-            sv = ab.expand(h.apply_antipode(ab.rep_vec(a)))
+            sv = ab.basis.coords(h.apply_antipode(ab.rep_vec(a)))
             antipode.append({r: c for r, c in sv.items() if degrees[r] == degrees[a]})
         antipode = tuple(antipode)
 
-    gr = StructureBialgebra(
-        names=tuple(names),
-        unit=unit,
-        mult=tuple(mult_rows),
-        counit=counit,
-        comult=tuple(comult),
-        braiding=GenericBraiding(d, braid_rows),
-        antipode=antipode,
-        grading=tuple(degrees),
-        truncation=t_cap,
-        trunc_grading=tuple(ab.gate_degrees) if t_cap is not None else None,
-    )
-    return AssociatedGraded(algebra=gr, adapted=ab, ladder=ladder)
+    gr = transported_bialgebra(h, ab.basis, degrees, "f", comult,
+                               GenericBraiding(d, braid_rows), antipode)
+    return AssociatedGraded(algebra=gr, ladder=ladder)
 
 
 def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder) -> ValidationReport:
@@ -432,7 +405,7 @@ def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder)
     if not is_symmetric(h.braiding):
         report.record("symmetric-braiding", (), "braiding", "symmetric")
         return report
-    ab = AdaptedBasis.from_ladder(h, ladder)
+    ab = ladder.adapted
     top = len(ladder.steps) - 1
     t_cap = h.truncation
     for a in range(ab.dim):
@@ -443,7 +416,7 @@ def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder)
             report.checked += 1
             m, n = ab.fil_degrees[a], ab.fil_degrees[b]
             target = min(m + n - 1, top)
-            comm = ab.expand(h.commutator(ab.rep_vec(a), ab.rep_vec(b)))
+            comm = ab.basis.coords(h.commutator(ab.rep_vec(a), ab.rep_vec(b)))
             if any(ab.fil_degrees[r] > target for r in comm):
                 report.record("commutator-level", (m, n),
                               render_tensor(h, {(k,): v for k, v in h.commutator(ab.rep_vec(a), ab.rep_vec(b)).items()}),

@@ -79,6 +79,10 @@ class StructureBialgebra:
             return True
         return sum(self.gate_degree(i) for i in indices) <= self.truncation
 
+    def gate_of(self, vec: Vec) -> int:
+        """Largest truncation degree in the support of a sparse vector."""
+        return max((self.gate_degree(i) for i in vec), default=0)
+
     # -- pair interface -------------------------------------------------------
 
     def unit_vec(self) -> Vec:

@@ -1,18 +1,29 @@
-"""Exact dense linear algebra over cyclotomic scalars.
+"""Exact linear algebra over cyclotomic scalars.
 
 Canonical reduced row echelon forms are the backbone of every subspace
 computation: pivots ascend, pivot entries are 1 and are the only nonzero
 entries in their columns, zero rows are dropped.  Two subspaces are equal
 iff their canonical forms agree entry by entry.
+
+Every change of basis goes through one :class:`Coordinates` object: built
+from independent sparse vectors, it expresses a sparse vector, or a
+2-tensor leg by leg, over them, and raises :class:`SpanError` for a vector
+outside their span.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
 Row = list[Scalar]
+SparseVec = dict[int, Scalar]
+
+
+class SpanError(ValueError):
+    """A vector lies outside the span of a coordinate basis."""
 
 
 def zero_row(n: int) -> Row:
@@ -159,17 +170,27 @@ class Subspace:
     def contains_vector(self, vector: Sequence[Scalar]) -> bool:
         return all(c.is_zero() for c in self.reduce(vector))
 
-    def coords(self, vector: Sequence[Scalar]) -> Row | None:
-        """Coefficients over the RREF rows, or None if the vector is outside."""
-        v = list(vector)
-        out: Row = []
+    @cached_property
+    def sparse_rows(self) -> list[SparseVec]:
+        return [sparse_of(r) for r in self.rows]
+
+    def coords(self, vector: SparseVec) -> SparseVec | None:
+        """Nonzero coefficients of a sparse vector over the RREF rows, or None
+        if the vector is outside."""
+        v = dict(vector)
+        out: SparseVec = {}
         for j, p in enumerate(self.pivots):
-            c = v[p]
-            out.append(c)
-            if not c.is_zero():
-                row = self.rows[j]
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(not c.is_zero() for c in v):
+            c = v.get(p)
+            if c is None or c.is_zero():
+                continue
+            out[j] = c
+            for i, b in self.sparse_rows[j].items():
+                s = v.get(i, ZERO) - c * b
+                if s.is_zero():
+                    v.pop(i, None)
+                else:
+                    v[i] = s
+        if any(not c.is_zero() for c in v.values()):
             return None
         return out
 
@@ -218,3 +239,56 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+class Coordinates:
+    """Coordinates over a list of linearly independent sparse vectors.
+
+    The basis is reduced once, with the change of basis from its canonical
+    RREF rows back to the given vectors; a vector is then eliminated
+    against the RREF rows and its coefficients carried back.
+    """
+
+    def __init__(self, ambient_dim: int, vectors: Sequence[SparseVec]):
+        self.vectors = list(vectors)
+        n = len(self.vectors)
+        augmented = [dense_of(v, ambient_dim) + [ONE if i == j else ZERO for j in range(n)]
+                     for i, v in enumerate(self.vectors)]
+        red, pivots = rref(augmented)
+        if pivots and pivots[-1] >= ambient_dim:
+            raise SpanError("coordinate basis vectors are linearly dependent")
+        self.span = Subspace(ambient_dim, tuple(tuple(r[:ambient_dim]) for r in red),
+                             tuple(pivots))
+        self._back = [sparse_of(r[ambient_dim:]) for r in red]
+
+    @property
+    def dim(self) -> int:
+        return len(self.vectors)
+
+    def coords(self, vec: SparseVec) -> SparseVec:
+        """Coefficients of a sparse vector over the basis; SpanError if it is
+        outside the span."""
+        over_rref = self.span.coords(vec)
+        if over_rref is None:
+            raise SpanError("vector is outside the span of the coordinate basis")
+        out: SparseVec = {}
+        for j, c in over_rref.items():
+            for r, t in self._back[j].items():
+                s = out.get(r, ZERO) + c * t
+                if s.is_zero():
+                    out.pop(r, None)
+                else:
+                    out[r] = s
+        return out
+
+    def coords_pair(self, w: dict) -> dict:
+        """Coefficients of a sparse 2-tensor over pairs of basis vectors,
+        computed leg by leg."""
+        by_right: dict[int, SparseVec] = {}
+        for (i, j), c in w.items():
+            by_right.setdefault(j, {})[i] = c
+        by_left: dict[int, SparseVec] = {}
+        for j, leg in by_right.items():
+            for a, c in self.coords(leg).items():
+                by_left.setdefault(a, {})[j] = c
+        return {(a, b): c for a, leg in by_left.items() for b, c in self.coords(leg).items()}

@@ -49,10 +49,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return out
 
 
-def vneg(vec: Vec) -> Vec:
-    return {k: -c for k, c in vec.items()}
-
-
 def vec_equal(a: Vec, b: Vec) -> bool:
     for k, c in a.items():
         d = b.get(k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .braided_space import GenericBraiding, braid_check, is_symmetric
 from .coinvariants import CoinvariantAlgebra
 from .findim_hopf import StructureBialgebra, Vec
-from .linalg import Subspace, dense_of, rank
+from .linalg import Coordinates, Subspace, dense_of, rank, sparse_of
 from .multilinear import braid_at, lift, tensor, vadd_into, vec_equal
 from .scalars import ONE, ZERO, Scalar
 from .symmetric_algebra import tensor_ideal_complement, weighted_words
@@ -116,29 +116,23 @@ def compute_Q(target) -> QSpace:
     square = Subspace.span(d, square_rows, ambient=h)
     pivset = set(square.pivots)
     q_indices = [i for i in positive if i not in pivset]
-    q_index_set = set(q_indices)
-
-    def project(vec: Vec) -> Vec:
-        vec = {i: c for i, c in vec.items() if h.degree(i) > 0}
-        residual = square.reduce(dense_of(vec, d))
-        return {i: c for i, c in enumerate(residual)
-                if not c.is_zero() and i in q_index_set}
+    # coordinates over the square's RREF rows followed by e_q; the e_q part
+    # is the class modulo the square
+    basis = Coordinates(d, [sparse_of(r) for r in square.rows] + [{i: ONE} for i in q_indices])
+    first_q = square.dim
 
     reps = [h.basis_vec(i) for i in q_indices]
     degrees = [h.degree(i) for i in q_indices]
     names = [h.names[i] for i in q_indices]
-    pos = {i: t for t, i in enumerate(q_indices)}
 
     rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     for a, ia in enumerate(q_indices):
         for b, ib in enumerate(q_indices):
-            entry: dict = {}
-            for (u, v), s in h.braid_pair(ia, ib).items():
-                pu = project({u: ONE})
-                pv = project({v: ONE})
-                for x, cx in pu.items():
-                    for y, cy in pv.items():
-                        vadd_into(entry, {(pos[x], pos[y]): s * cx * cy})
+            positive_part = {(u, v): s for (u, v), s in h.braid_pair(ia, ib).items()
+                             if h.degree(u) > 0 and h.degree(v) > 0}
+            entry = {(x - first_q, y - first_q): c
+                     for (x, y), c in basis.coords_pair(positive_part).items()
+                     if x >= first_q and y >= first_q}
             if entry:
                 rows[(a, b)] = entry
     braiding = GenericBraiding(len(q_indices), rows)
@@ -290,16 +284,24 @@ def _monomial_basis_strings(q: QSpace, qmat, n_max: int) -> list[str]:
     return out
 
 
-def pbw_basis(q: QSpace, report: PBWReport) -> PBWBasisResult:
-    """Monomial basis for a positive verdict with diagonal symmetric braiding
-    on the generators; an explicit refusal otherwise."""
+def pbw_basis(report: PBWReport) -> PBWBasisResult:
+    """The verdict's monomial basis for a positive verdict with diagonal
+    symmetric braiding on the generators; an explicit refusal otherwise."""
     if report.verdict != PBW_TYPE_TRUE:
         return PBWBasisResult(None, f"verdict is {report.verdict}; no basis is claimed")
-    qmat = q.braiding.diagonal_coefficients()
-    if qmat is None:
+    if not report.braiding_diagonal:
         return PBWBasisResult(None, "braiding on the generator space is not diagonal "
                                     "in the declared basis; no monomial basis is guaranteed")
-    if not is_symmetric(q.braiding):
+    if not report.braiding_symmetric:
         return PBWBasisResult(None, "braiding on the generator space is not symmetric; "
                                     "no monomial basis is guaranteed")
-    return PBWBasisResult(_monomial_basis_strings(q, qmat, report.verified_degree), None)
+    return PBWBasisResult(report.monomial_basis, None)
+
+
+def pbw_document(report: PBWReport) -> dict:
+    """The report document with the basis or the refusal."""
+    basis = pbw_basis(report)
+    doc = report.to_json()
+    doc["basis"] = basis.monomials
+    doc["refusal"] = basis.refusal
+    return doc

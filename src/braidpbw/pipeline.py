@@ -22,7 +22,7 @@ from .findim_hopf import (
 )
 from .braided_space import is_symmetric
 from .linalg import Subspace
-from .pbw import pbw_basis, pbw_verdict, compute_Q
+from .pbw import pbw_document, pbw_verdict
 from .scalars import ZERO
 
 
@@ -117,12 +117,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     bos_ok, bos_degrees = bosonization_check(coinv)
     report["bosonization"] = {"bijective": bos_ok, "degrees": bos_degrees}
 
-    pbw = pbw_verdict(coinv, degree)
-    basis = pbw_basis(compute_Q(coinv), pbw)
-    doc = pbw.to_json()
-    doc["basis"] = basis.monomials
-    doc["refusal"] = basis.refusal
-    report["pbw"] = doc
+    report["pbw"] = pbw_document(pbw_verdict(coinv, degree))
     return report
 
 
@@ -156,10 +151,7 @@ def compare_expectations(expect: dict, summary: dict) -> list[str]:
     """Expected key/value pairs that the summary misses."""
     mismatches = []
     for key, want in expect.items():
-        if key == "axioms":
-            got = summary.get("axioms")
-        else:
-            got = summary.get(key)
+        got = summary.get(key)
         if got != want:
             mismatches.append(f"{key}: expected {want!r}, got {got!r}")
     return mismatches

@@ -31,11 +31,6 @@ class ValidationReport:
     def record(self, axiom: str, witness: tuple, lhs: str, rhs: str) -> None:
         self.violations.append(Violation(axiom, witness, lhs, rhs))
 
-    def merge(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-        self.checked += other.checked
-        self.skipped += other.skipped
-
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
         extra = f", skipped {self.skipped} above degree cap" if self.skipped else ""

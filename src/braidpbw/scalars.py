@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -212,9 +210,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.conductor == 1 and self.coeffs[0] == 1
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"not rational: {self}")
@@ -345,18 +340,6 @@ def root_of_unity(n: int, k: int = 1) -> Scalar:
         raise ValueError("conductor must be >= 1")
     k %= n
     return Scalar.from_poly(n, [0] * k + [1])
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_inv(a: Scalar) -> Scalar:
-    return a.inverse()
 
 
 def as_scalar(x) -> Scalar:

@@ -68,21 +68,6 @@ class TensorAlgebra:
 
     # -- word-level operations ----------------------------------------------
 
-    def word(self, *names_or_indices) -> Word:
-        out = []
-        for x in names_or_indices:
-            if isinstance(x, int):
-                out.append(x)
-            else:
-                out.append(self.names.index(x))
-        return tuple(out)
-
-    def element(self, terms) -> Element:
-        out: Element = {}
-        for w, c in terms:
-            vadd_into(out, {tuple(w): c})
-        return out
-
     def apply_ci(self, elem: Element, i: int) -> Element:
         """Apply the braiding at letter slots (i, i+1), 1-indexed."""
         out: Element = {}

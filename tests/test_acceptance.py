@@ -4,6 +4,7 @@ Each test prints a single PASS line on success; tolerances are exact
 (zero) except for the two wall-clock budgets, which are asserted as
 stated.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
+import hashlib
 import random
 import time
 
@@ -193,6 +194,19 @@ def test_braiding_collapse_cases():
     _announce("braiding collapse: confirmed for trivial and central K, recorded for Sweedler")
 
 
+# sha256 of the default `braidpbw corpus --report` document (the same under
+# any PYTHONHASHSEED); a different digest is a change in the engine's answers
+CORPUS_REPORT_SHA256 = "3353f5e896bc07144c73e243d6300bdd697e49d44e4973b9db3dc4741f952590"
+
+# sha256 of dumps_canonical(run_pipeline(poly_plane(T), span(1), T)), the
+# plane_ladder references of the benchmark
+PLANE_PIPELINE_SHA256 = {
+    1: "de67e6464163eeca8b7c76e1cda55854a0a69213029f214e4f0d040401288e18",
+    2: "0a02774ec56ecd3593ef0304839455aceec6ec9bde26a45633a60d4b72101c1c",
+    3: "0e8e24e82a4ac03fd4b3c6afe2f06edc4223caee6f59715f0b1266abd301298f",
+}
+
+
 def test_corpus_reports_byte_deterministic(tmp_path):
     from braidpbw.cli import main
 
@@ -202,4 +216,16 @@ def test_corpus_reports_byte_deterministic(tmp_path):
     b1 = open(p1, "rb").read()
     b2 = open(p2, "rb").read()
     assert b1 == b2 and len(b1) > 0
-    _announce("corpus reports byte-identical across consecutive runs")
+    assert hashlib.sha256(b1).hexdigest() == CORPUS_REPORT_SHA256
+    _announce("corpus reports byte-identical across consecutive runs and to the recorded digest")
+
+
+def test_poly_plane_pipeline_report_digests():
+    from braidpbw.corpus import poly_plane
+    from braidpbw.serialize import dumps_canonical
+
+    for t, digest in PLANE_PIPELINE_SHA256.items():
+        h = poly_plane(t)
+        text = dumps_canonical(run_pipeline(h, subspace_from_indices(h, (0,)), t))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, f"T={t}"
+    _announce("poly_plane pipeline reports match the recorded digests, T=1..3")

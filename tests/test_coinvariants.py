@@ -259,3 +259,25 @@ def test_compute_R_requires_antipode(coinv_h4):
     r = coinv_h4.algebra  # has no antipode stored
     with pytest.raises(CoinvariantsError):
         compute_R(r)
+
+
+def test_coradical_check_lets_engine_errors_through(coinv_h4, monkeypatch):
+    import braidpbw.coinvariants as coinvariants
+
+    def broken(r_alg):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(coinvariants, "coradical_filtration_connected", broken)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        coinvariants._degree_filtration_is_coradical(coinv_h4.algebra)
+
+
+def test_coradical_check_is_false_on_filtration_error(coinv_h4, monkeypatch):
+    import braidpbw.coinvariants as coinvariants
+    from braidpbw.filtration import FiltrationError
+
+    def not_connected(r_alg):
+        raise FiltrationError("not connected")
+
+    monkeypatch.setattr(coinvariants, "coradical_filtration_connected", not_connected)
+    assert coinvariants._degree_filtration_is_coradical(coinv_h4.algebra) is False

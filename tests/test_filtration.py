@@ -1,7 +1,6 @@
 import pytest
 
 from braidpbw.filtration import (
-    AdaptedBasis,
     FiltrationError,
     associated_graded,
     check_commutator_filtration,
@@ -241,15 +240,15 @@ def test_ladder_steps_categorical_and_antipode_stable(corpus, h4, taft):
 
 def test_adapted_basis_expansion_roundtrip(h4):
     ladder = hopf_filtration(h4, subspace_from_indices(h4, (0, 1)))
-    ab = AdaptedBasis.from_ladder(h4, ladder)
+    basis = ladder.adapted.basis
+    assert ladder.adapted is ladder.adapted  # built once per ladder
     from braidpbw.scalars import ZERO
 
     for i in range(h4.dim):
-        coords = ab.expand({i: ONE})
+        coords = basis.coords({i: ONE})
         rebuilt = {}
         for r, c in coords.items():
-            for t, val in enumerate(ab.reps[r]):
-                if not val.is_zero():
-                    rebuilt[t] = rebuilt.get(t, ZERO) + val * c
+            for t, val in basis.vectors[r].items():
+                rebuilt[t] = rebuilt.get(t, ZERO) + val * c
         rebuilt = {k: v for k, v in rebuilt.items() if not v.is_zero()}
         assert vec_equal(rebuilt, {i: ONE})

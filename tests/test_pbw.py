@@ -159,31 +159,27 @@ def test_pbw_dims_match_symmetric_algebra_oracles(corpus):
 
 def test_pbw_basis_polynomial(corpus):
     gr = gr_of(corpus["poly_plane"])
-    report = pbw_verdict(gr, 3)
-    q = compute_Q(gr)
-    result = pbw_basis(q, report)
+    result = pbw_basis(pbw_verdict(gr, 3))
     assert result.refusal is None
     assert result.monomials[:6] == ["1", "x", "y", "x^2", "x*y", "y^2"]
 
 
 def test_pbw_basis_h4(h4):
     coinv = relative_R(h4, (0, 1))
-    report = pbw_verdict(coinv, 2)
-    result = pbw_basis(compute_Q(coinv), report)
+    result = pbw_basis(pbw_verdict(coinv, 2))
     assert result.monomials == ["1", "x"]
 
 
 def test_pbw_basis_refuses_on_false(taft):
     coinv = relative_R(taft, (0, 1, 2))
-    report = pbw_verdict(coinv, 3)
-    result = pbw_basis(compute_Q(coinv), report)
+    result = pbw_basis(pbw_verdict(coinv, 3))
     assert result.monomials is None
     assert "PBW_TYPE_FALSE" in result.refusal
 
 
 def test_pbw_basis_refuses_non_diagonal():
     # conjugate the super braiding by a shear: still symmetric, not diagonal
-    from braidpbw.pbw import QSpace, PBWReport
+    from braidpbw.pbw import PBWReport
 
     base = [[ONE, ONE], [ONE, MINUS_ONE]]
     # c'(i,j) entries of (P (x) P) c (P^-1 (x) P^-1) with P = [[1,1],[0,1]]
@@ -215,9 +211,10 @@ def test_pbw_basis_refuses_non_diagonal():
     assert braid_check(twisted)
     assert is_symmetric(twisted)
     assert twisted.diagonal_coefficients() is None
-    q = QSpace(reps=[{1: ONE}, {2: ONE}], degrees=[1, 1], names=["a", "b"], braiding=twisted)
     report = PBWReport(verdict=PBW_TYPE_TRUE, degreewise_dims=[(1, 1)],
-                       requested_degree=1, verified_degree=1)
-    result = pbw_basis(q, report)
+                       requested_degree=1, verified_degree=1,
+                       braiding_diagonal=twisted.diagonal_coefficients() is not None,
+                       braiding_symmetric=is_symmetric(twisted))
+    result = pbw_basis(report)
     assert result.monomials is None
     assert "not diagonal" in result.refusal
