@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .linalg import Subspace, sparse_of
-from .multilinear import braid_at, vec_equal
+from .linalg import Subspace
+from .multilinear import braid_at, contract, vadd_into, vec_equal
 from .reporting import ValidationReport
 from .scalars import ONE, Scalar
 
@@ -184,37 +184,14 @@ def is_symmetric(c: GenericBraiding) -> bool:
 
 def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
     """True iff c(X x V) lies in V x X and c(V x X) lies in X x V, exactly."""
-    funcs = [sparse_of(f) for f in x.functionals()]
-    d = c.dim
-    xrows = [sparse_of(r) for r in x.rows]
-    for xv in xrows:
-        for i in range(d):
-            left = {}
-            right = {}
+    funcs = x.functionals()
+    for xv in x.rows:
+        for i in range(c.dim):
+            left: dict = {}
+            right: dict = {}
             for a, ca in xv.items():
-                for (k, l), s in c.braid_pair(a, i).items():
-                    key = (k, l)
-                    prev = left.get(key)
-                    val = ca * s if prev is None else prev + ca * s
-                    left[key] = val
-                for (k, l), s in c.braid_pair(i, a).items():
-                    key = (k, l)
-                    prev = right.get(key)
-                    val = ca * s if prev is None else prev + ca * s
-                    right[key] = val
-            for f in funcs:
-                acc_left = None
-                for (k, l), v in left.items():
-                    fl = f.get(l)
-                    if fl is not None:
-                        acc_left = v * fl if acc_left is None else acc_left + v * fl
-                if acc_left is not None and not acc_left.is_zero():
-                    return False
-                acc_right = None
-                for (k, l), v in right.items():
-                    fk = f.get(k)
-                    if fk is not None:
-                        acc_right = v * fk if acc_right is None else acc_right + v * fk
-                if acc_right is not None and not acc_right.is_zero():
-                    return False
+                vadd_into(left, c.braid_pair(a, i), ca)
+                vadd_into(right, c.braid_pair(i, a), ca)
+            if any(contract(left, 1, f) or contract(right, 0, f) for f in funcs):
+                return False
     return True

@@ -14,19 +14,10 @@ from dataclasses import dataclass
 
 from .braided_space import GenericBraiding, braid_check
 from .filtration import FiltrationError, coradical_filtration_connected, transported_bialgebra
-from .findim_hopf import StructureBialgebra, Vec, render_tensor
-from .linalg import (
-    Coordinates,
-    SpanError,
-    Subspace,
-    dense_of,
-    left_nullspace,
-    matrix_kernel,
-    rank,
-    sparse_of,
-    zero_row,
-)
+from .findim_hopf import StructureBialgebra, render_tensor
+from .linalg import Coordinates, SpanError, Subspace, echelon, kernel
 from .multilinear import (
+    Vec,
     braid_at,
     lift,
     mul_at,
@@ -38,7 +29,7 @@ from .multilinear import (
     vec_equal,
 )
 from .reporting import ValidationReport
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 class CoinvariantsError(ValueError):
@@ -55,11 +46,10 @@ def degree_zero_indices(gr: StructureBialgebra) -> list[int]:
     return gr.degree_indices(0)
 
 
-def projection_pi(gr: StructureBialgebra) -> tuple[list[Vec], ValidationReport]:
+def projection_pi(gr: StructureBialgebra) -> ValidationReport:
     """Projection onto the degree-zero part along positive degrees, verified
     to be a morphism of bialgebras onto its image."""
     _require_graded(gr)
-    rows: list[Vec] = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
     report = ValidationReport("degree-zero projection morphism")
 
     def proj(vec: Vec) -> Vec:
@@ -89,7 +79,7 @@ def projection_pi(gr: StructureBialgebra) -> tuple[list[Vec], ValidationReport]:
     report.checked += 1
     if not vec_equal(proj(gr.unit_vec()), gr.unit_vec()):
         report.record("projection-unit", (), "pi(1)", "1")
-    return rows, report
+    return report
 
 
 def pi_map(gr: StructureBialgebra, vec: Vec) -> Vec:
@@ -152,16 +142,9 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         raise CoinvariantsError("the graded bialgebra needs an antipode")
     d = gr.dim
 
-    image_rows = [dense_of(pi_map(gr, gr.basis_vec(i)), d) for i in range(d)]
-    r_image = Subspace.span(d, image_rows, ambient=gr)
-
-    defect_rows = []
-    for i in range(d):
-        row = zero_row(d * d)
-        for (a, b), c in coinvariance_defect(gr, gr.basis_vec(i)).items():
-            row[a * d + b] = row[a * d + b] + c
-        defect_rows.append(row)
-    r_kernel = Subspace.span(d, left_nullspace(defect_rows, d * d), ambient=gr)
+    images = [pi_map(gr, gr.basis_vec(i)) for i in range(d)]
+    r_image = Subspace.span(d, images, ambient=gr)
+    r_kernel = kernel([coinvariance_defect(gr, gr.basis_vec(i)) for i in range(d)], ambient=gr)
 
     if r_image != r_kernel:
         raise CoinvariantsError(
@@ -169,19 +152,16 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
             f"image dim {r_image.dim}, kernel dim {r_kernel.dim}")
     r_sub = r_image
 
-    pi_kernel = Subspace.span(d, left_nullspace(image_rows, d))
+    pi_kernel = kernel(images)
     k_indices = tuple(degree_zero_indices(gr))
-    kplus_rows = matrix_kernel([[gr.counit[i] for i in k_indices]], len(k_indices))
-    ideal_rows = []
-    for kv in kplus_rows:
-        kvec = {k_indices[t]: c for t, c in enumerate(kv) if not c.is_zero()}
-        for j in range(d):
-            ideal_rows.append(dense_of(gr.multiply(gr.basis_vec(j), kvec), d))
+    kplus = kernel([{0: gr.counit[k]} for k in k_indices])
+    ideal_rows = [gr.multiply(gr.basis_vec(j), {k_indices[t]: c for t, c in kv.items()})
+                  for kv in kplus.rows for j in range(d)]
     kernel_is_left_ideal = pi_kernel == Subspace.span(d, ideal_rows)
 
     # the ambient basis is degree-sorted, so RREF rows are homogeneous and
     # pivot order is already (degree, pivot) order
-    reps: list[Vec] = [sparse_of(row) for row in r_sub.rows]
+    reps: list[Vec] = list(r_sub.rows)
     degrees: list[int] = []
     for vec in reps:
         degs = {gr.degree(i) for i in vec}
@@ -423,7 +403,6 @@ def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:
     ok = True
     for n in range(gr.max_degree() + 1):
         cols = gr.degree_indices(n)
-        col_pos = {i: t for t, i in enumerate(cols)}
         rows = []
         escaped = False
         for k in coinv.k_indices:
@@ -433,14 +412,9 @@ def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:
                 if gr.truncation is not None and gr.gate_degree(k) + gr.gate_of(coinv.reps[r]) > gr.truncation:
                     continue
                 prod = gr.multiply(gr.basis_vec(k), coinv.reps[r])
-                row = [ZERO] * len(cols)
-                for i, c in prod.items():
-                    if i not in col_pos:
-                        escaped = True
-                        break
-                    row[col_pos[i]] = c
-                rows.append(row)
-        rk = rank(rows) if rows else 0
+                escaped = escaped or any(gr.degree(i) != n for i in prod)
+                rows.append(prod)
+        rk = len(echelon(rows)[0])
         bij = (not escaped) and rk == len(cols) and len(rows) == len(cols)
         per_degree.append({"degree": n, "rows": len(rows), "dim": len(cols),
                            "rank": rk, "bijective": bij})

@@ -20,8 +20,8 @@ from .braided_space import (
     GenericBraiding,
     GradedBasis,
 )
-from .findim_hopf import StructureBialgebra, Vec
-from .multilinear import vadd_into
+from .findim_hopf import StructureBialgebra
+from .multilinear import Vec, vadd_into
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, root_of_unity
 from .symmetric_algebra import SymmetricAlgebra
 

@@ -12,18 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .findim_hopf import StructureBialgebra, Vec, render_tensor
-from .braided_space import GenericBraiding, is_categorical
-from .linalg import (
-    Coordinates,
-    Subspace,
-    dense_of,
-    kron_rows,
-    matrix_kernel,
-    sparse_of,
-    zero_row,
-)
-from .multilinear import vadd_into
+from .findim_hopf import StructureBialgebra, render_tensor
+from .braided_space import GenericBraiding, is_categorical, is_symmetric
+from .linalg import Coordinates, Subspace, kernel
+from .multilinear import Vec, contract, vadd_into
 from .reporting import ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -55,57 +47,38 @@ class FiltrationLadder:
 
 
 def subspace_from_indices(h: StructureBialgebra, indices) -> Subspace:
-    rows = []
-    for i in indices:
-        row = zero_row(h.dim)
-        row[i] = ONE
-        rows.append(row)
-    return Subspace.span(h.dim, rows, ambient=h)
+    return Subspace.span(h.dim, ({i: ONE} for i in indices), ambient=h)
 
 
 def wedge(k: Subspace, w: Subspace) -> Subspace:
     """Preimage under the coproduct of K (x) H + H (x) W, exactly.
 
-    Coordinate subspaces short-circuit to sparse support constraints;
-    the general case eliminates against the kron row space.
+    The annihilator of K (x) H + H (x) W is spanned by f (x) g for f in the
+    annihilator of K and g in that of W, so the preimage is the kernel of
+    the map sending e_i to its constraints sum_{a,b} c^i_{ab} f(a) g(b).
+    For coordinate subspaces each f and g is a single basis functional and
+    the constraints are the coproduct entries outside the allowed support.
     """
     h: StructureBialgebra = k.ambient or w.ambient
     if h is None:
         raise ValueError("wedge needs subspaces attached to a bialgebra")
-    d = h.dim
-    kcols = k.coordinate_columns()
-    wcols = w.coordinate_columns()
-    if kcols is not None and wcols is not None:
-        constraints: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for i in range(d):
-            for (a, b), c in h.comult[i].items():
-                if a in kcols or b in wcols:
-                    continue
-                constraints.setdefault((a, b), {})[i] = c
-        rows = [dense_of(row, d) for row in constraints.values()]
-        kernel = matrix_kernel(rows, d)
-        return Subspace.span(d, kernel, ambient=h)
-    eye = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
-    big = kron_rows([list(r) for r in k.rows], eye) + kron_rows(eye, [list(r) for r in w.rows])
-    allowed = Subspace.span(d * d, big)
-    funcs = allowed.functionals()
-    rows = []
-    for f in funcs:
-        row = zero_row(d)
-        touched = False
-        for i in range(d):
-            acc = ZERO
-            for (a, b), c in h.comult[i].items():
-                fv = f[a * d + b]
-                if not fv.is_zero():
-                    acc = acc + c * fv
-            if not acc.is_zero():
-                row[i] = acc
-                touched = True
-        if touched:
-            rows.append(row)
-    kernel = matrix_kernel(rows, d)
-    return Subspace.span(d, kernel, ambient=h)
+    k_at: dict[int, list] = {}  # column -> (functional index, value)
+    for t, f in enumerate(k.functionals()):
+        for a, fa in f.items():
+            k_at.setdefault(a, []).append((t, fa))
+    w_at: dict[int, list] = {}
+    for t, g in enumerate(w.functionals()):
+        for b, gb in g.items():
+            w_at.setdefault(b, []).append((t, gb))
+    images = []
+    for i in range(h.dim):
+        img: Vec = {}
+        for (a, b), c in h.comult[i].items():
+            for s, fa in k_at.get(a, ()):
+                for t, gb in w_at.get(b, ()):
+                    vadd_into(img, {(s, t): c * fa * gb})
+        images.append(img)
+    return kernel(images, ambient=h)
 
 
 def validate_hopf_subalgebra(h: StructureBialgebra, k: Subspace) -> ValidationReport:
@@ -113,50 +86,22 @@ def validate_hopf_subalgebra(h: StructureBialgebra, k: Subspace) -> ValidationRe
     unit, and be compatible with the braiding."""
     report = ValidationReport("braided Hopf subalgebra")
     report.checked += 1
-    if not k.contains_vector(dense_of(h.unit, h.dim)):
+    if not k.contains_vector(h.unit):
         report.record("unit-membership", (), "unit", "in K")
-    rows = [sparse_of(r) for r in k.rows]
-    funcs = [sparse_of(f) for f in k.functionals()]
-
-    def in_k(vec: Vec) -> bool:
-        for f in funcs:
-            acc = ZERO
-            for i, c in vec.items():
-                fv = f.get(i)
-                if fv is not None:
-                    acc = acc + c * fv
-            if not acc.is_zero():
-                return False
-        return True
-
-    for a, u in enumerate(rows):
-        for b, v in enumerate(rows):
+    funcs = k.functionals()
+    for a, u in enumerate(k.rows):
+        for b, v in enumerate(k.rows):
             report.checked += 1
-            if not in_k(h.multiply(u, v)):
+            if not k.contains_vector(h.multiply(u, v)):
                 report.record("product-closure", (a, b), "K.K", "in K")
-    for a, u in enumerate(rows):
+    for a, u in enumerate(k.rows):
         cu = h.comultiply(u)
         report.checked += 1
-        left_ok = right_ok = True
-        for f in funcs:
-            lacc: dict[int, Scalar] = {}
-            racc: dict[int, Scalar] = {}
-            for (i, j), c in cu.items():
-                fi = f.get(i)
-                if fi is not None:
-                    vadd_into(racc, {j: c * fi})
-                fj = f.get(j)
-                if fj is not None:
-                    vadd_into(lacc, {i: c * fj})
-            if lacc:
-                left_ok = False
-            if racc:
-                right_ok = False
-        if not (left_ok and right_ok):
+        if any(contract(cu, 0, f) or contract(cu, 1, f) for f in funcs):
             report.record("coproduct-closure", (a,), "Delta(K)", "in K(x)K")
         if h.antipode is not None:
             report.checked += 1
-            if not in_k(h.apply_antipode(u)):
+            if not k.contains_vector(h.apply_antipode(u)):
                 report.record("antipode-closure", (a,), "S(K)", "in K")
     report.checked += 1
     if not is_categorical(h.braiding, k):
@@ -182,8 +127,8 @@ def coradical_filtration_connected(h: StructureBialgebra) -> FiltrationLadder:
     if len(zero_indices) != 1:
         raise FiltrationError(
             f"not connected: degree-0 component has dimension {len(zero_indices)}")
-    base = Subspace.span(h.dim, [dense_of(h.unit, h.dim)], ambient=h)
-    if not base.contains_vector(dense_of({zero_indices[0]: ONE}, h.dim)):
+    base = Subspace.span(h.dim, [h.unit], ambient=h)
+    if not base.contains_vector({zero_indices[0]: ONE}):
         raise FiltrationError("not connected: degree-0 component differs from the unit line")
     return _wedge_ladder(h, base, base)
 
@@ -204,7 +149,7 @@ def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace) -> Filtra
     if h.antipode is not None:
         for s in steps:
             for r in s.rows:
-                if not s.contains_vector(dense_of(h.apply_antipode(sparse_of(r)), h.dim)):
+                if not s.contains_vector(h.apply_antipode(r)):
                     stable = False
     return FiltrationLadder(
         bialgebra=h,
@@ -237,7 +182,7 @@ class AdaptedBasis:
             for j, p in enumerate(step.pivots):
                 if p not in seen:
                     seen.add(p)
-                    entries.append((n, p, sparse_of(step.rows[j])))
+                    entries.append((n, p, step.rows[j]))
         entries.sort(key=lambda e: (e[0], e[1]))
         reps = [e[2] for e in entries]
         return AdaptedBasis(Coordinates(h.dim, reps), [e[0] for e in entries],
@@ -396,15 +341,14 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
     return AssociatedGraded(algebra=gr, ladder=ladder)
 
 
-def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder) -> ValidationReport:
+def check_commutator_filtration(h: StructureBialgebra,
+                                ladder: FiltrationLadder) -> ValidationReport | None:
     """Commutators drop one filtration level: the bottom-step hypothesis and
-    the general statement, verified on representative pairs by membership."""
-    from .braided_space import is_symmetric
-
-    report = ValidationReport("commutator filtration")
+    the general statement, verified on representative pairs by membership.
+    None when the braiding is not symmetric and the statement does not apply."""
     if not is_symmetric(h.braiding):
-        report.record("symmetric-braiding", (), "braiding", "symmetric")
-        return report
+        return None
+    report = ValidationReport("commutator filtration")
     ab = ladder.adapted
     top = len(ladder.steps) - 1
     t_cap = h.truncation

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided_space import GenericBraiding
+from .linalg import Subspace, kernel
 from .multilinear import (
+    Vec,
     braid_at,
     commutator,
     lift,
@@ -37,8 +39,6 @@ from .multilinear import (
 )
 from .reporting import ValidationReport
 from .scalars import ONE, ZERO, Scalar
-
-Vec = dict  # basis index -> Scalar
 
 
 @dataclass(eq=False)
@@ -366,8 +366,6 @@ def is_c_cocommutative(h: StructureBialgebra) -> bool:
     return True
 
 
-def kernel_of_counit_rows(h: StructureBialgebra) -> list[list[Scalar]]:
-    """Dense rows spanning the augmentation ideal."""
-    from .linalg import matrix_kernel
-
-    return matrix_kernel([list(h.counit)], h.dim)
+def augmentation_ideal(h: StructureBialgebra) -> Subspace:
+    """The kernel of the counit."""
+    return kernel([{0: c} for c in h.counit], ambient=h)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .scalars import Scalar
 
-Vec = dict
+Vec = dict  # the engine's one sparse vector type: key -> nonzero Scalar
 
 
 def vadd_into(acc: Vec, vec: Vec, factor: Scalar | None = None) -> Vec:
@@ -61,6 +61,17 @@ def vec_equal(a: Vec, b: Vec) -> bool:
         if k not in a and not d.is_zero():
             return False
     return True
+
+
+def contract(w: Vec, slot: int, f: Vec) -> Vec:
+    """Pair slot 0 or 1 of a 2-tensor with the functional f; the other leg
+    remains."""
+    out: Vec = {}
+    for key, c in w.items():
+        fv = f.get(key[slot])
+        if fv is not None:
+            vadd_into(out, {key[1 - slot]: c * fv})
+    return out
 
 
 def tensor(a: Vec, b: Vec) -> Vec:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .braided_space import GenericBraiding, braid_check, is_symmetric
 from .coinvariants import CoinvariantAlgebra
-from .findim_hopf import StructureBialgebra, Vec
-from .linalg import Coordinates, Subspace, dense_of, rank, sparse_of
-from .multilinear import braid_at, lift, tensor, vadd_into, vec_equal
+from .findim_hopf import StructureBialgebra
+from .linalg import Coordinates, Subspace, rank
+from .multilinear import Vec, braid_at, lift, tensor, vadd_into, vec_equal
 from .scalars import ONE, ZERO, Scalar
 from .symmetric_algebra import tensor_ideal_complement, weighted_words
 
@@ -112,13 +112,13 @@ def compute_Q(target) -> QSpace:
                 continue
             prod = h.multiply(h.basis_vec(i), h.basis_vec(j))
             if prod:
-                square_rows.append(dense_of(prod, d))
+                square_rows.append(prod)
     square = Subspace.span(d, square_rows, ambient=h)
     pivset = set(square.pivots)
     q_indices = [i for i in positive if i not in pivset]
     # coordinates over the square's RREF rows followed by e_q; the e_q part
     # is the class modulo the square
-    basis = Coordinates(d, [sparse_of(r) for r in square.rows] + [{i: ONE} for i in q_indices])
+    basis = Coordinates(d, list(square.rows) + [{i: ONE} for i in q_indices])
     first_q = square.dim
 
     reps = [h.basis_vec(i) for i in q_indices]

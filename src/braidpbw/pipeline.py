@@ -69,8 +69,8 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
                             "ladder stabilised before exhausting the bialgebra "
                             "(the subalgebra misses part of the coradical)")
 
-    if is_symmetric(h.braiding):
-        commfil = check_commutator_filtration(h, ladder)
+    commfil = check_commutator_filtration(h, ladder)
+    if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 
     try:
@@ -88,8 +88,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     if not gr_checks["all_ok"]:
         raise PipelineError("associated-graded", "graded output fails axiom checks")
 
-    _, pi_report = projection_pi(gr)
-    report["projection"] = pi_report.to_json()
+    report["projection"] = projection_pi(gr).to_json()
 
     try:
         coinv = compute_R(gr)

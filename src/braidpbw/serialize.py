@@ -15,8 +15,9 @@ from .braided_space import (
     GenericBraiding,
     GradedBasis,
 )
-from .findim_hopf import StructureBialgebra, Vec
+from .findim_hopf import StructureBialgebra
 from .linalg import Subspace
+from .multilinear import Vec
 from .scalars import ZERO, Scalar, parse_scalar
 
 
@@ -42,6 +43,16 @@ def _dense_to_vec(values) -> Vec:
         if not c.is_zero():
             out[i] = c
     return out
+
+
+def _require_shape(values, d: int, depth: int, what: str) -> None:
+    """values must nest lists of exactly d entries, depth levels deep."""
+    if not isinstance(values, list) or len(values) != d:
+        got = len(values) if isinstance(values, list) else type(values).__name__
+        raise InputError(f"{what}: expected a list of {d} entries, got {got}")
+    if depth > 1:
+        for v in values:
+            _require_shape(v, d, depth - 1, what)
 
 
 def bialgebra_to_json(h: StructureBialgebra) -> dict:
@@ -83,6 +94,12 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
         names = tuple(str(x) for x in doc["basis"])
         if len(names) != d:
             raise InputError("basis length does not match dim")
+        for key, depth in (("unit", 1), ("counit", 1), ("mult", 3), ("comult", 3),
+                           ("braiding", 4)):
+            _require_shape(doc[key], d, depth, key)
+        for key, depth in (("antipode", 2), ("grading", 1), ("trunc_grading", 1)):
+            if doc.get(key) is not None:
+                _require_shape(doc[key], d, depth, key)
         unit = _dense_to_vec(doc["unit"])
         mult = tuple(
             tuple(_dense_to_vec(doc["mult"][i][j]) for j in range(d)) for i in range(d)
@@ -137,17 +154,19 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
 def subspace_to_json(sub: Subspace) -> dict:
     return {
         "ambient_dim": sub.ambient_dim,
-        "rows": [[_s(c) for c in row] for row in sub.rows],
+        "rows": [_vec_to_dense(row, sub.ambient_dim) for row in sub.rows],
     }
 
 
 def subspace_from_json(doc: dict, h: StructureBialgebra | None = None) -> Subspace:
     try:
-        rows = [[parse_scalar(x) for x in row] for row in doc["rows"]]
+        rows = doc["rows"]
         ambient_dim = int(doc.get("ambient_dim") or (len(rows[0]) if rows else 0))
         if h is not None and ambient_dim != h.dim:
             raise InputError("subspace ambient dimension does not match the bialgebra")
-        return Subspace.span(ambient_dim, rows, ambient=h)
+        for row in rows:
+            _require_shape(row, ambient_dim, 1, "subspace row")
+        return Subspace.span(ambient_dim, [_dense_to_vec(row) for row in rows], ambient=h)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise

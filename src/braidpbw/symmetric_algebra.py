@@ -11,9 +11,9 @@ braidings, independently of the combinatorics.
 from __future__ import annotations
 
 from .braided_space import Bicharacter, GenericBraiding, GradedBasis
-from .linalg import rref
+from .linalg import echelon
 from .multilinear import vadd_into
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 from .tensor_algebra import degree_cap_default
 
 Word = tuple[int, ...]
@@ -176,13 +176,11 @@ def tensor_ideal_complement(braiding: GenericBraiding, weights: list[int], degre
     rows = []
     for w in words:
         for p in range(len(w) - 1):
-            row = [ZERO] * len(words)
-            row[index[w]] = row[index[w]] + ONE
+            row = {index[w]: ONE}
             for (k, l), s in braiding.braid_pair(w[p], w[p + 1]).items():
-                t = index[w[:p] + (k, l) + w[p + 2:]]
-                row[t] = row[t] - s
+                vadd_into(row, {index[w[:p] + (k, l) + w[p + 2:]]: -s})
             rows.append(row)
-    _, pivots = rref(rows)
+    _, pivots = echelon(rows)
     pivset = set(pivots)
     complement = sorted(words[t] for t in range(len(words)) if t not in pivset)
     return words, pivots, complement

@@ -16,7 +16,7 @@ from braidpbw.braided_space import (
     validate_bicharacter,
 )
 from braidpbw.linalg import Subspace
-from braidpbw.scalars import MINUS_ONE, ONE, ZERO, root_of_unity
+from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
 
 
 def super_bicharacter():
@@ -107,10 +107,7 @@ def test_is_symmetric_non_skew_diagonal():
 
 
 def _line(coefs, dim):
-    row = [ZERO] * dim
-    for i, v in coefs.items():
-        row[i] = v
-    return Subspace.span(dim, [row])
+    return Subspace.span(dim, [coefs])
 
 
 def test_is_categorical_whole_space_and_lines():
@@ -119,6 +116,16 @@ def test_is_categorical_whole_space_and_lines():
     assert is_categorical(c, Subspace.full(2))
     assert is_categorical(c, _line({0: ONE}, 2))
     assert is_categorical(c, _line({1: ONE}, 2))
+
+
+def test_is_categorical_checks_every_leg():
+    # c(e0 (x) e0) = e0 (x) e1 - e1 (x) e1 + e1 (x) e0 leaves both
+    # X (x) V and V (x) X for the line X through e0, although the
+    # components outside cancel when summed over the other leg
+    c = GenericBraiding(2, {(0, 0): {(0, 1): ONE, (1, 1): MINUS_ONE, (1, 0): ONE},
+                            (0, 1): {(1, 0): ONE}, (1, 0): {(0, 1): ONE},
+                            (1, 1): {(1, 1): ONE}})
+    assert not is_categorical(c, _line({0: ONE}, 2))
 
 
 def test_is_categorical_mixed_line_fails():

@@ -59,18 +59,7 @@ def gr_yline():
 
 def test_projection_is_morphism(gr_h4, gr_taft):
     for gr in (gr_h4, gr_taft):
-        rows, report = projection_pi(gr)
-        assert report.ok
-        assert rows[0] == {0: ONE}
-
-
-def test_projection_values(gr_h4):
-    i1 = gr_h4.names.index("1")
-    ig = gr_h4.names.index("g")
-    ix = gr_h4.names.index("x")
-    rows, _ = projection_pi(gr_h4)
-    assert rows[ig] == {ig: ONE}
-    assert rows[ix] == {}
+        assert projection_pi(gr).ok
 
 
 def test_pi_map_values(gr_h4):
@@ -122,13 +111,12 @@ def test_R_is_whole_gr_for_trivial_K(corpus):
 def test_q_lifts_generate_R_degreewise(h4, taft, corpus):
     # homogeneous representatives of the indecomposables generate R:
     # iterated products of the generators span every graded slice
-    from braidpbw.linalg import Subspace, dense_of
+    from braidpbw.linalg import Subspace
     from braidpbw.pbw import compute_Q
 
     def check(coinv):
         r = coinv.algebra
         q = compute_Q(coinv)
-        slices = {0: [dense_of(r.unit_vec(), r.dim)]}
         frontier = [r.unit_vec()]
         maxdeg = r.max_degree()
         for n in range(1, maxdeg + 1):
@@ -139,8 +127,7 @@ def test_q_lifts_generate_R_degreewise(h4, taft, corpus):
                     if prod:
                         new.append(prod)
             frontier = new
-            rows = [dense_of(v, r.dim) for v in frontier
-                    if all(r.degree(i) == n for i in v)]
+            rows = [v for v in frontier if all(r.degree(i) == n for i in v)]
             span = Subspace.span(r.dim, rows)
             assert span.dim == len(r.degree_indices(n)), n
 

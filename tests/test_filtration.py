@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from braidpbw.filtration import (
@@ -12,9 +15,46 @@ from braidpbw.filtration import (
     wedge,
 )
 from braidpbw.findim_hopf import is_c_commutative, run_all_checks
-from braidpbw.linalg import Subspace
+from braidpbw.linalg import Subspace, rref
 from braidpbw.multilinear import vec_equal
-from braidpbw.scalars import ONE
+from braidpbw.scalars import ONE, ZERO, Scalar, euler_phi
+
+
+def _dense(vec, n):
+    return [vec.get(i, ZERO) for i in range(n)]
+
+
+def _sparse(row):
+    return {i: c for i, c in enumerate(row) if not c.is_zero()}
+
+
+def _kron_rows(rows_a, rows_b):
+    """Dense Kronecker products u (x) w, entry (a, b) at a * len(w) + b."""
+    return [[x * y for x in u for y in w] for u in rows_a for w in rows_b]
+
+
+def _allowed_rows(h, k, w):
+    """Dense rows spanning K (x) H + H (x) W in the d^2 coordinates."""
+    d = h.dim
+    eye = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+    return (_kron_rows([_dense(r, d) for r in k.rows], eye)
+            + _kron_rows(eye, [_dense(r, d) for r in w.rows]))
+
+
+def kron_preimage(h, k, w):
+    """{x : Delta(x) in K (x) H + H (x) W}, independently of wedge: the x
+    parts of the relations sum_i x_i Delta(e_i) + sum_j y_j a_j = 0 over the
+    kron rows a_j, read off the dense RREF of [Delta; allowed | identity]."""
+    d = h.dim
+    delta = [[h.comult[i].get((a, b), ZERO) for a in range(d) for b in range(d)]
+             for i in range(d)]
+    stacked = delta + _allowed_rows(h, k, w)
+    n = len(stacked)
+    augmented = [row + [ONE if t == s else ZERO for t in range(n)]
+                 for s, row in enumerate(stacked)]
+    red, pivots = rref(augmented)
+    relations = [r[d * d:d * d + d] for r, p in zip(red, pivots) if p >= d * d]
+    return Subspace.span(d, [_sparse(x) for x in relations], ambient=h)
 
 
 def test_wedge_whole_space_is_everything(h4):
@@ -79,25 +119,50 @@ def test_wedge_non_coordinate_subspaces(corpus):
     # kC2 with the non-coordinate line through 1 + g: the wedge preimage is
     # the line through 1 - g (checked against direct membership of the
     # coproduct image in the allowed sum)
-    from braidpbw.linalg import kron_rows, identity_rows, dense_of
     from braidpbw.scalars import MINUS_ONE
 
     h = corpus["kc2"]
-    row = [ONE, ONE]
-    line = Subspace.span(2, [row], ambient=h)
+    line = Subspace.span(2, [{0: ONE, 1: ONE}], ambient=h)
     assert line.coordinate_columns() is None
     result = wedge(line, line)
-    expected = Subspace.span(2, [[ONE, MINUS_ONE]], ambient=h)
+    expected = Subspace.span(2, [{0: ONE, 1: MINUS_ONE}], ambient=h)
     assert result == expected
     # independent route: the coproduct of each result vector lies in the span
-    allowed = Subspace.span(4, kron_rows([row], identity_rows(2))
-                            + kron_rows(identity_rows(2), [row]))
+    allowed = Subspace.span(4, [_sparse(r) for r in _allowed_rows(h, line, line)])
     for r in result.rows:
-        image = h.comultiply({i: c for i, c in enumerate(r) if not c.is_zero()})
-        dense = [ONE - ONE] * 4
-        for (a, b), c in image.items():
-            dense[a * 2 + b] = dense[a * 2 + b] + c
-        assert allowed.contains_vector(dense)
+        image = h.comultiply(r)
+        assert allowed.contains_vector({a * 2 + b: c for (a, b), c in image.items()})
+    assert result == kron_preimage(h, line, line)
+
+
+def _random_scalar(rng, conductor):
+    if conductor == 1:
+        return Scalar.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return Scalar.from_poly(conductor, [rng.randint(-1, 1) for _ in range(euler_phi(conductor))])
+
+
+def _random_subspace(rng, h, conductor):
+    rows = []
+    for _ in range(rng.randint(1, h.dim - 1)):
+        vec = {i: _random_scalar(rng, conductor) for i in range(h.dim)}
+        rows.append({i: c for i, c in vec.items() if not c.is_zero()})
+    return Subspace.span(h.dim, rows, ambient=h)
+
+
+@pytest.mark.parametrize("conductor", [1, 12])
+@pytest.mark.parametrize("name", ["kc2", "sweedler_h4"])
+def test_wedge_random_subspaces_against_kron_oracle(corpus, name, conductor):
+    h = corpus[name]
+    rng = random.Random(f"{name}-{conductor}")
+    non_coordinate = 0
+    for _ in range(6):
+        k, w = _random_subspace(rng, h, conductor), _random_subspace(rng, h, conductor)
+        non_coordinate += k.coordinate_columns() is None or w.coordinate_columns() is None
+        assert wedge(k, w) == kron_preimage(h, k, w)
+    assert non_coordinate > 0
+    # coordinate subspaces go through the same path
+    k = subspace_from_indices(h, (0,))
+    assert wedge(k, k) == kron_preimage(h, k, k)
 
 
 def test_hopf_filtration_rejects_non_subalgebra(h4):

@@ -9,14 +9,10 @@ from braidpbw.linalg import (
     Coordinates,
     SpanError,
     Subspace,
-    dense_of,
-    invert_matrix,
-    kron_rows,
-    left_nullspace,
-    matrix_kernel,
+    echelon,
+    kernel,
     rank,
     rref,
-    sparse_of,
 )
 from braidpbw.multilinear import vadd_into, vec_equal
 from braidpbw.scalars import ZERO, Scalar, euler_phi
@@ -28,6 +24,22 @@ def S(x):
 
 def mat(rows):
     return [[S(x) for x in row] for row in rows]
+
+
+def sparse(row):
+    return {i: c for i, c in enumerate(row) if not c.is_zero()}
+
+
+def vecs(rows):
+    return [sparse(r) for r in mat(rows)]
+
+
+def dot(f, v):
+    acc = ZERO
+    for i, c in v.items():
+        if i in f:
+            acc = acc + f[i] * c
+    return acc
 
 
 small_matrices = st.lists(
@@ -58,58 +70,86 @@ def test_rref_idempotent_and_rank(rows):
     assert rank(m) == len(piv)
 
 
+def brute_kernel_check(images, n):
+    """Every kernel vector is annihilated, and dim = n - rank by dense rref."""
+    null = kernel(images)
+    for x in null.rows:
+        total = {}
+        for i, c in x.items():
+            vadd_into(total, images[i], c)
+        assert not total
+    keys = sorted({k for img in images for k in img})
+    dense = [[img.get(k, ZERO) for k in keys] for img in images]
+    assert null.dim == n - (rank(dense) if keys else 0)
+    assert null == Subspace.span(n, null.rows)  # already canonical
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_matrices)
 def test_kernel_annihilates(rows):
+    # the kernel of x |-> (row . x) for each row, as images of basis vectors
     m = mat(rows)
-    for vec in matrix_kernel(m, 3):
-        for row in m:
-            acc = ZERO
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-        assert acc.is_zero()
-    assert len(matrix_kernel(m, 3)) == 3 - rank(m)
+    brute_kernel_check([{r: row[i] for r, row in enumerate(m)} for i in range(3)], 3)
 
 
 def test_left_nullspace():
-    m = mat([[1, 0], [2, 0], [0, 1]])
-    null = left_nullspace(m, 2)
-    assert len(null) == 1
-    v = null[0]
-    assert [str(x) for x in v] == ["-2", "1", "0"]
+    # {v : sum_i v_i m[i] = 0} is the kernel of e_i |-> m[i]
+    null = kernel(vecs([[1, 0], [2, 0], [0, 1]]))
+    assert null.dim == 1
+    assert [str(null.rows[0].get(i, ZERO)) for i in range(3)] == ["1", "-1/2", "0"]
+    assert kernel([{}, {0: ZERO}]) == Subspace.full(2)
 
 
-def test_invert_matrix():
-    m = mat([[2, 1], [1, 1]])
-    inv = invert_matrix(m)
-    prod = [[sum((a * b for a, b in zip(row, col)), ZERO)
-             for col in zip(*inv)] for row in m]
-    assert prod[0][0].is_one() and prod[1][1].is_one()
-    assert prod[0][1].is_zero() and prod[1][0].is_zero()
+@pytest.mark.parametrize("conductor", [1, 12])
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_against_brute_force(conductor, seed):
+    rng = random.Random(seed)
+    n = 7
+    # images keyed by pairs, with dependencies forced by combining earlier images
+    images = []
+    for i in range(n):
+        if i >= 2 and rng.random() < 0.5:
+            img = {}
+            for j in rng.sample(range(i), 2):
+                vadd_into(img, images[j], random_scalar(rng, conductor))
+        else:
+            img = {(rng.randrange(3), rng.randrange(2)): random_scalar(rng, conductor)
+                   for _ in range(rng.randint(0, 3))}
+        images.append(img)
+    brute_kernel_check(images, n)
+
+
+def test_echelon_matches_dense_rref():
+    rng = random.Random(7)
+    for conductor in (1, 12):
+        for _ in range(5):
+            rows = [random_vector(rng, conductor, 5) for _ in range(4)]
+            red, piv = echelon(rows)
+            dense_red, dense_piv = rref([[r.get(i, ZERO) for i in range(5)] for r in rows])
+            assert piv == dense_piv
+            assert all(vec_equal(a, sparse(b)) for a, b in zip(red, dense_red))
 
 
 def test_subspace_membership_and_functionals():
-    sub = Subspace.span(3, mat([[1, 1, 0], [0, 0, 1]]))
+    sub = Subspace.span(3, vecs([[1, 1, 0], [0, 0, 1]]))
     assert sub.dim == 2
-    assert sub.contains_vector(mat([[2, 2, 5]])[0])
-    assert not sub.contains_vector(mat([[1, 0, 0]])[0])
+    assert sub.contains_vector({0: S(2), 1: S(2), 2: S(5)})
+    assert not sub.contains_vector({0: S(1)})
+    assert vec_equal(sub.reduce({0: S(1), 2: S(3)}), {1: S(-1)})
     for f in sub.functionals():
         for row in sub.rows:
-            acc = ZERO
-            for a, b in zip(f, row):
-                acc = acc + a * b
-            assert acc.is_zero()
+            assert dot(f, row).is_zero()
 
 
 def test_subspace_coords_roundtrip():
-    sub = Subspace.span(3, mat([[1, 2, 0], [0, 0, 3]]))
-    v = mat([[2, 4, 6]])[0]
-    coords = sub.coords(sparse_of(v))
+    sub = Subspace.span(3, vecs([[1, 2, 0], [0, 0, 3]]))
+    v = {0: S(2), 1: S(4), 2: S(6)}
+    coords = sub.coords(v)
     assert coords is not None
-    rebuilt = [ZERO] * 3
+    rebuilt = {}
     for j, c in coords.items():
-        rebuilt = [r + c * x for r, x in zip(rebuilt, sub.rows[j])]
-    assert all((a - b).is_zero() for a, b in zip(rebuilt, v))
+        vadd_into(rebuilt, sub.rows[j], c)
+    assert vec_equal(rebuilt, v)
     assert sub.coords({0: S(1)}) is None
 
 
@@ -130,17 +170,16 @@ def random_vector(rng, conductor, dim):
 
 def combine(terms, dim):
     """sum of c * vec over (c, vec) terms, as a sparse vector"""
-    out = [ZERO] * dim
+    out = {}
     for c, vec in terms:
-        for i, x in vec.items():
-            out[i] = out[i] + c * x
-    return sparse_of(out)
+        vadd_into(out, vec, c)
+    return out
 
 
 def independent_basis(rng, conductor, dim, size):
     while True:
         basis = [random_vector(rng, conductor, dim) for _ in range(size)]
-        if rank([dense_of(v, dim) for v in basis]) == size:
+        if len(echelon(basis)[0]) == size:
             return basis
 
 
@@ -168,7 +207,7 @@ def test_coordinates_against_rebuild_oracle(conductor, seed):
     # outside the span: rank goes up by one
     while True:
         outside = random_vector(rng, conductor, dim)
-        if rank([dense_of(v, dim) for v in basis + [outside]]) == size + 1:
+        if len(echelon(basis + [outside])[0]) == size + 1:
             break
     with pytest.raises(SpanError):
         coords.coords(outside)
@@ -182,18 +221,13 @@ def test_coordinates_reject_dependent_basis():
 
 
 def test_subspace_equality_and_sum():
-    a = Subspace.span(2, mat([[1, 1]]))
-    b = Subspace.span(2, mat([[2, 2]]))
+    a = Subspace.span(2, vecs([[1, 1]]))
+    b = Subspace.span(2, vecs([[2, 2]]))
     assert a == b
-    c = a.add(Subspace.span(2, mat([[1, 0]])))
+    c = a.add(Subspace.span(2, vecs([[1, 0]])))
     assert c.dim == 2
 
 
 def test_coordinate_columns():
-    assert Subspace.span(3, mat([[0, 1, 0], [1, 0, 0]])).coordinate_columns() == {0, 1}
-    assert Subspace.span(3, mat([[1, 1, 0]])).coordinate_columns() is None
-
-
-def test_kron_rows():
-    rows = kron_rows(mat([[1, 2]]), mat([[0, 3]]))
-    assert [[str(x) for x in r] for r in rows] == [["0", "3", "0", "6"]]
+    assert Subspace.span(3, vecs([[0, 1, 0], [1, 0, 0]])).coordinate_columns() == {0, 1}
+    assert Subspace.span(3, vecs([[1, 1, 0]])).coordinate_columns() is None

@@ -1,0 +1,59 @@
+"""The pipeline's work per run, and the entry points the benchmark traces."""
+import os
+import sys
+from collections import Counter
+
+from braidpbw import braided_space, cli, linalg  # noqa: F401  (cli: every module loaded)
+from braidpbw.corpus import poly_plane
+from braidpbw.filtration import subspace_from_indices
+from braidpbw.pipeline import run_pipeline
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _bindings(fn):
+    """(module, name) for every braidpbw module attribute bound to fn."""
+    return [(m, name) for mod_name, m in list(sys.modules.items())
+            if m is not None and mod_name.split(".")[0] == "braidpbw"
+            for name, value in list(vars(m).items()) if value is fn]
+
+
+def test_symmetry_checked_once_per_braiding(monkeypatch):
+    original = braided_space.is_symmetric
+    seen = Counter()
+
+    def counting(c):
+        seen[id(c)] += 1
+        return original(c)
+
+    for module, name in _bindings(original):
+        monkeypatch.setattr(module, name, counting)
+    h = poly_plane(1)
+    run_pipeline(h, subspace_from_indices(h, (0,)), 1)
+    assert seen[id(h.braiding)] == 1
+    assert set(seen.values()) == {1}
+
+
+def test_benchmark_tracer_records_linalg_entry_points():
+    saved_path = list(sys.path)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path[:] = saved_path
+    original_rref = linalg.rref
+    tracer = Tracer()
+    h = poly_plane(1)
+    k = subspace_from_indices(h, (0,))
+    tracer.install()
+    try:
+        run_pipeline(h, k, 1)
+    finally:
+        tracer.remove()
+    assert linalg.rref is original_rref
+    assert tracer.stats["linalg.rref"][0] > 0
+    assert tracer.stats["linalg.coords"][0] > 0
+    # the benchmark replays rref on the largest input it captured
+    rows = tracer.largest_rref[1]
+    red, pivots = linalg.rref(rows)
+    assert len(red) == len(pivots) == linalg.rank(rows)

@@ -221,3 +221,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "kc2" in proc.stdout
+
+
+def _grow(values):
+    values.append(values[0])
+
+
+def _shrink(values):
+    values.pop()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _grow(doc["unit"]),
+    lambda doc: _shrink(doc["unit"]),
+    lambda doc: _grow(doc["counit"]),
+    lambda doc: _grow(doc["mult"][0]),
+    lambda doc: _grow(doc["mult"][1][2]),
+    lambda doc: _shrink(doc["comult"][1][0]),
+    lambda doc: _grow(doc["braiding"][0][1][2]),
+    lambda doc: _grow(doc["antipode"][3]),
+    lambda doc: doc.update(grading=[0] * 3),
+    lambda doc: doc.update(truncation=2, trunc_grading=[0] * 5),
+], ids=["unit-long", "unit-short", "counit-long", "mult-row-long", "mult-entry-long",
+        "comult-short", "braiding-long", "antipode-long", "grading-short",
+        "trunc-grading-long"])
+def test_cli_check_wrong_length_arrays_exit_2(tmp_path, capsys, edit):
+    doc = bialgebra_to_json(sweedler_h4())  # dim 4
+    edit(doc)
+    path = _write(tmp_path, "bad.json", doc)
+    assert main(["check", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [_grow, _shrink], ids=["long", "short"])
+def test_cli_pipeline_wrong_length_subspace_rows_exit_2(tmp_path, capsys, edit):
+    h = sweedler_h4()
+    hpath = _write(tmp_path, "h4.json", bialgebra_to_json(h))
+    sub = subspace_to_json(subspace_from_indices(h, (0, 1)))
+    edit(sub["rows"][1])
+    kpath = _write(tmp_path, "k.json", sub)
+    assert main(["pipeline", "--input", hpath, "--sub", kpath, "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: subspace row") and err.count("\n") == 1
