@@ -5,6 +5,7 @@ dense structure-constant tensors; every theorem-shaped statement in the
 package is checked by exhaustive evaluation or exact linear algebra.
 """
 
+from .reporting import BraidpbwError, InputError
 from .scalars import Scalar, parse_scalar, root_of_unity
 from .linalg import Subspace
 from .braided_space import (

@@ -12,8 +12,8 @@ from math import gcd
 
 from .linalg import Subspace
 from .multilinear import braid_at, contract, vadd_into, vec_equal
-from .reporting import ValidationReport
-from .scalars import ONE, Scalar
+from .reporting import InputError, ValidationReport
+from .scalars import ONE, ZERO, Scalar
 
 Atom = int
 PairVec = dict
@@ -116,8 +116,6 @@ class GenericBraiding:
 
     def diagonal_coefficients(self) -> list[list[Scalar]] | None:
         """The q-matrix when every row is a scalar multiple of the flip, else None."""
-        from .scalars import ZERO
-
         q = [[ZERO for _ in range(self.dim)] for _ in range(self.dim)]
         for (i, j), entry in self.rows.items():
             for (k, l), c in entry.items():
@@ -151,7 +149,7 @@ def diagonal_braiding(chi: Bicharacter, basis: GradedBasis) -> GenericBraiding:
     """c(x_i x x_j) = chi(deg x_i, deg x_j) x_j x x_i as a structure tensor."""
     report = validate_bicharacter(chi)
     if not report.ok:
-        raise ValueError("invalid bicharacter:\n" + report.summary())
+        raise InputError("invalid bicharacter:\n" + report.summary())
     d = basis.dim
     q = [[chi.value(basis.degrees[i], basis.degrees[j]) for j in range(d)] for i in range(d)]
     return GenericBraiding.diagonal(q)

@@ -11,7 +11,9 @@ Subcommands:
   coinv       write the coinvariant algebra of a graded bialgebra
   pbw         PBW report for a connected graded bialgebra
 
-Exit codes: 0 success, 1 check or expectation failure, 2 malformed input.
+Exit codes: 0 success; 1 a check, an expectation or a named stage failed;
+2 malformed input, or an argument beyond a limit.  A traceback is an
+engine bug.
 """
 from __future__ import annotations
 
@@ -21,20 +23,22 @@ import sys
 
 from .braided_space import diagonal_braiding
 from .corpus import corpus_entries
-from .coinvariants import CoinvariantsError, compute_R
-from .filtration import FiltrationError, associated_graded, hopf_filtration
+from .coinvariants import compute_R
+from .filtration import associated_graded, hopf_filtration, subspace_from_indices
 from .pbw import pbw_document, pbw_verdict
-from .pipeline import PipelineError, check_report, compare_expectations, flat_summary, run_pipeline
+from .pipeline import check_report, compare_expectations, flat_summary, run_pipeline
+from .reporting import BraidpbwError, InputError
 from .scalars import ONE
 from .serialize import (
-    InputError,
     bialgebra_from_json,
     bialgebra_to_json,
     braided_basis_from_json,
     coinvariants_to_json,
     dumps_canonical,
     load_json_file,
+    malformed,
     subspace_from_json,
+    subspace_to_json,
 )
 from .symmetric_algebra import SymmetricAlgebra
 from .tensor_algebra import TensorAlgebra, degree_cap_default
@@ -84,17 +88,17 @@ def cmd_pipeline(args) -> int:
 def cmd_corpus(args) -> int:
     entries = corpus_entries()
     if args.dir:
-        docs = []
         names = sorted(os.listdir(args.dir)) if os.path.isdir(args.dir) else []
-        names = [n for n in names if n.endswith(".json")]
-        if not names:
+        paths = [os.path.join(args.dir, n) for n in names if n.endswith(".json")]
+        if not paths:
             print(f"no corpus entries found in {args.dir}", file=sys.stderr)
             return EXIT_INPUT
-        for fname in names:
-            docs.append(load_json_file(os.path.join(args.dir, fname)))
-        runs = [(doc["name"], bialgebra_from_json(doc["bialgebra"]),
-                 doc.get("sub"), doc.get("degree", 0), doc.get("expect", {}))
-                for doc in docs]
+        docs = [(path, load_json_file(path)) for path in paths]
+        runs = []
+        for path, doc in docs:
+            with malformed(f"malformed corpus entry {path}"):
+                runs.append((doc["name"], bialgebra_from_json(doc["bialgebra"]),
+                             doc.get("sub"), doc.get("degree", 0), doc.get("expect", {})))
     else:
         if args.entry and not any(e.name == args.entry for e in entries):
             print(f"unknown corpus entry {args.entry!r}", file=sys.stderr)
@@ -106,8 +110,6 @@ def cmd_corpus(args) -> int:
             h = entry.build()
             sub = None
             if entry.sub_indices is not None:
-                from .filtration import subspace_from_indices
-                from .serialize import subspace_to_json
                 sub = subspace_to_json(subspace_from_indices(h, entry.sub_indices))
             runs.append((entry.name, h, sub, entry.degree, dict(entry.expect)))
     results = {}
@@ -121,7 +123,7 @@ def cmd_corpus(args) -> int:
                 k = subspace_from_json(sub, h)
                 report = run_pipeline(h, k, degree)
                 summary = flat_summary(report)
-        except (PipelineError, FiltrationError, CoinvariantsError, InputError) as exc:
+        except BraidpbwError as exc:
             summary = {"error": str(exc)}
         mism = compare_expectations(expect, summary)
         ok = not mism
@@ -139,9 +141,6 @@ def cmd_corpus(args) -> int:
 
 
 def _write_corpus_dir(path: str, only: str | None = None) -> None:
-    from .filtration import subspace_from_indices
-    from .serialize import subspace_to_json
-
     os.makedirs(path, exist_ok=True)
     for entry in corpus_entries():
         if only and entry.name != only:
@@ -301,15 +300,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PipelineError, FiltrationError, CoinvariantsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except BraidpbwError as exc:
+        label = "input error" if isinstance(exc, InputError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

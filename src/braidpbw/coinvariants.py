@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided_space import GenericBraiding, braid_check
-from .filtration import FiltrationError, coradical_filtration_connected, transported_bialgebra
+from .filtration import coradical_filtration_connected, transported_bialgebra
 from .findim_hopf import StructureBialgebra, render_tensor
-from .linalg import Coordinates, SpanError, Subspace, echelon, kernel
+from .linalg import Coordinates, Subspace, echelon, kernel
 from .multilinear import (
     Vec,
     braid_at,
@@ -28,22 +28,13 @@ from .multilinear import (
     vadd_into,
     vec_equal,
 )
-from .reporting import ValidationReport
+from .reporting import CoinvariantsError, FiltrationError, SpanError, ValidationReport
 from .scalars import ONE, Scalar
-
-
-class CoinvariantsError(ValueError):
-    pass
 
 
 def _require_graded(gr: StructureBialgebra) -> None:
     if gr.grading is None:
         raise CoinvariantsError("input must be graded (an associated graded bialgebra)")
-
-
-def degree_zero_indices(gr: StructureBialgebra) -> list[int]:
-    _require_graded(gr)
-    return gr.degree_indices(0)
 
 
 def projection_pi(gr: StructureBialgebra) -> ValidationReport:
@@ -153,7 +144,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
     r_sub = r_image
 
     pi_kernel = kernel(images)
-    k_indices = tuple(degree_zero_indices(gr))
+    k_indices = tuple(gr.degree_indices(0))
     kplus = kernel([{0: gr.counit[k]} for k in k_indices])
     ideal_rows = [gr.multiply(gr.basis_vec(j), {k_indices[t]: c for t, c in kv.items()})
                   for kv in kplus.rows for j in range(d)]

@@ -16,12 +16,8 @@ from .findim_hopf import StructureBialgebra, render_tensor
 from .braided_space import GenericBraiding, is_categorical, is_symmetric
 from .linalg import Coordinates, Subspace, kernel
 from .multilinear import Vec, contract, vadd_into
-from .reporting import ValidationReport
+from .reporting import FiltrationError, ValidationReport
 from .scalars import ONE, ZERO, Scalar
-
-
-class FiltrationError(ValueError):
-    pass
 
 
 @dataclass

@@ -21,13 +21,10 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .multilinear import Vec, vadd_into, vec_equal
+from .reporting import SpanError
 from .scalars import ONE, ZERO, Scalar
 
 Row = list[Scalar]
-
-
-class SpanError(ValueError):
-    """A vector lies outside the span of a coordinate basis."""
 
 
 def echelon(rows: Iterable[Vec]) -> tuple[list[Vec], list]:

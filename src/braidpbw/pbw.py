@@ -18,8 +18,10 @@ from .coinvariants import CoinvariantAlgebra
 from .findim_hopf import StructureBialgebra
 from .linalg import Coordinates, Subspace, rank
 from .multilinear import Vec, braid_at, lift, tensor, vadd_into, vec_equal
+from .reporting import BraidpbwError, InputError
 from .scalars import ONE, ZERO, Scalar
-from .symmetric_algebra import tensor_ideal_complement, weighted_words
+from .symmetric_algebra import SymmetricAlgebra, tensor_ideal_complement, weighted_words
+from .tensor_algebra import require_degree
 
 PBW_TYPE_TRUE = "PBW_TYPE_TRUE"
 PBW_TYPE_FALSE = "PBW_TYPE_FALSE"
@@ -85,10 +87,10 @@ def _target_algebra(target) -> StructureBialgebra:
 
 def _require_connected_graded(h: StructureBialgebra) -> None:
     if h.grading is None:
-        raise ValueError("PBW analysis needs a graded bialgebra")
+        raise InputError("PBW analysis needs a graded bialgebra")
     zero = h.degree_indices(0)
     if len(zero) != 1 or not vec_equal(h.unit_vec(), {zero[0]: ONE}):
-        raise ValueError("PBW analysis needs a connected target "
+        raise InputError("PBW analysis needs a connected target "
                          "(degree-0 part spanned by the unit)")
 
 
@@ -103,7 +105,7 @@ def compute_Q(target) -> QSpace:
     d = h.dim
     for i in range(d):
         if h.degree(i) > 0 and not h.counit[i].is_zero():
-            raise ValueError("counit does not vanish in positive degree")
+            raise InputError("counit does not vanish in positive degree")
     positive = [i for i in range(d) if h.degree(i) > 0]
     square_rows = []
     for i in positive:
@@ -137,7 +139,7 @@ def compute_Q(target) -> QSpace:
                 rows[(a, b)] = entry
     braiding = GenericBraiding(len(q_indices), rows)
     if not braid_check(braiding):
-        raise ValueError("induced braiding on the generator space fails the braid equation")
+        raise BraidpbwError("induced braiding on the generator space fails the braid equation")
     return QSpace(reps=reps, degrees=degrees, names=names, braiding=braiding)
 
 
@@ -172,7 +174,7 @@ def canonical_map(q: QSpace, target, n_max: int):
             row = [ZERO] * len(cols)
             for i, c in vec.items():
                 if i not in col_pos:
-                    raise ValueError("product of representatives is not homogeneous")
+                    raise BraidpbwError("product of representatives is not homogeneous")
                 row[col_pos[i]] = c
             matrix.append(row)
         ideal_ok = True
@@ -216,6 +218,7 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
     """Is the target isomorphic, as a braided graded algebra, to the braided
     symmetric algebra on its indecomposables?  Verified degree by degree
     through the canonical map."""
+    require_degree(n_max)
     h = _target_algebra(target)
     q = compute_Q(target)
     qmat = q.braiding.diagonal_coefficients()
@@ -272,8 +275,6 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
 
 
 def _monomial_basis_strings(q: QSpace, qmat, n_max: int) -> list[str]:
-    from .symmetric_algebra import SymmetricAlgebra
-
     sym = SymmetricAlgebra(q.names, qmat)
     out = ["1"]
     for n in range(1, n_max + 1):

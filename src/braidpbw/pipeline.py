@@ -23,13 +23,9 @@ from .findim_hopf import (
 from .braided_space import is_symmetric
 from .linalg import Subspace
 from .pbw import pbw_document, pbw_verdict
+from .reporting import BraidpbwError, PipelineError
 from .scalars import ZERO
-
-
-class PipelineError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+from .tensor_algebra import require_degree
 
 
 def check_report(h: StructureBialgebra) -> dict:
@@ -42,8 +38,17 @@ def check_report(h: StructureBialgebra) -> dict:
     return doc
 
 
+def _stage(stage: str, fn, *args):
+    """fn(*args), with a deliberate failure reported as a failure of the stage."""
+    try:
+        return fn(*args)
+    except BraidpbwError as exc:
+        raise PipelineError(stage, str(exc)) from exc
+
+
 def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     """Chain the relative-filtration analysis for a bialgebra and subalgebra."""
+    require_degree(degree)
     report: dict = {}
 
     axioms = check_report(h)
@@ -54,10 +59,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     comm = check_commutator_coproduct_all(h)
     report["commutator_coproduct"] = comm.to_json()
 
-    try:
-        ladder = hopf_filtration(h, k_sub)
-    except Exception as exc:
-        raise PipelineError("filtration", str(exc)) from exc
+    ladder = _stage("filtration", hopf_filtration, h, k_sub)
     report["filtration"] = {
         "dims": ladder.dims,
         "exhaustive": ladder.exhaustive,
@@ -73,10 +75,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 
-    try:
-        grres = associated_graded(h, ladder)
-    except Exception as exc:
-        raise PipelineError("associated-graded", str(exc)) from exc
+    grres = _stage("associated-graded", associated_graded, h, ladder)
     gr = grres.algebra
     gr_checks = check_report(gr)
     report["gr"] = {
@@ -90,10 +89,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
 
     report["projection"] = projection_pi(gr).to_json()
 
-    try:
-        coinv = compute_R(gr)
-    except Exception as exc:
-        raise PipelineError("coinvariants", str(exc)) from exc
+    coinv = _stage("coinvariants", compute_R, gr)
     r_alg = coinv.algebra
     first_positive = next((r for r in range(r_alg.dim) if r_alg.degree(r) > 0), None)
     c_r_first = "0"

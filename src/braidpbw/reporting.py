@@ -1,7 +1,44 @@
-"""Violation records shared by the axiom checkers and validators."""
+"""The package's error classes, and the violation records shared by the
+axiom checkers and validators.  Every deliberate failure raises a
+:class:`BraidpbwError`, whose ``exit_code`` the command line returns; any
+other exception is an engine bug."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+class BraidpbwError(Exception):
+    """A check or a pipeline stage found the claim false."""
+    exit_code = 1
+
+
+class InputError(BraidpbwError, ValueError):
+    """Malformed input document or argument, or a value over a resource limit."""
+    exit_code = 2
+
+
+class DegreeCapExceeded(InputError):
+    """A free-algebra degree above the degree cap."""
+
+
+class SpanError(BraidpbwError):
+    """A vector lies outside the span of a coordinate basis."""
+
+
+class FiltrationError(BraidpbwError):
+    """A subspace ladder or filtration fails its defining property."""
+
+
+class CoinvariantsError(BraidpbwError):
+    """The coinvariants or their induced structure cannot be formed."""
+
+
+class PipelineError(BraidpbwError):
+    """A pipeline stage failed; the message names the stage."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
 
 
 @dataclass

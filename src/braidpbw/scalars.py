@@ -165,6 +165,8 @@ class Scalar:
     @staticmethod
     def from_poly(n: int, coeffs) -> "Scalar":
         """Reduce an arbitrary-length coefficient sequence in zeta_n."""
+        if n < 1:
+            raise ValueError(f"conductor must be >= 1, got {n}")
         phi = euler_phi(n)
         rows = _reduction_rows(n)
         out = [_F0] * phi
@@ -209,11 +211,6 @@ class Scalar:
 
     def is_one(self) -> bool:
         return self.conductor == 1 and self.coeffs[0] == 1
-
-    def rational_value(self) -> Fraction:
-        if self.conductor != 1:
-            raise ValueError(f"not rational: {self}")
-        return self.coeffs[0]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -336,20 +333,8 @@ MINUS_ONE = Scalar(1, (-_F1,))
 
 def root_of_unity(n: int, k: int = 1) -> Scalar:
     """zeta_n^k, canonically reduced."""
-    if n < 1:
-        raise ValueError("conductor must be >= 1")
-    k %= n
+    k %= max(n, 1)  # from_poly rejects n < 1
     return Scalar.from_poly(n, [0] * k + [1])
-
-
-def as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_rational(x)
-    if isinstance(x, str):
-        return parse_scalar(x)
-    raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
 def _poly_str(coeffs) -> str:

@@ -8,6 +8,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .braided_space import (
     Bicharacter,
@@ -18,11 +19,19 @@ from .braided_space import (
 from .findim_hopf import StructureBialgebra
 from .linalg import Subspace
 from .multilinear import Vec
+from .reporting import InputError
 from .scalars import ZERO, Scalar, parse_scalar
 
 
-class InputError(ValueError):
-    """Malformed input document."""
+@contextmanager
+def malformed(what: str):
+    """Lookup, type and value failures in the block become InputError(what: ...)."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def _s(x: Scalar) -> str:
@@ -89,7 +98,7 @@ def _braiding_dense(braiding: GenericBraiding) -> list:
 
 
 def bialgebra_from_json(doc: dict) -> StructureBialgebra:
-    try:
+    with malformed("malformed bialgebra document"):
         d = int(doc["dim"])
         names = tuple(str(x) for x in doc["basis"])
         if len(names) != d:
@@ -145,10 +154,6 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
             truncation=truncation,
             trunc_grading=trunc_grading,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed bialgebra document: {exc}") from exc
 
 
 def subspace_to_json(sub: Subspace) -> dict:
@@ -159,7 +164,7 @@ def subspace_to_json(sub: Subspace) -> dict:
 
 
 def subspace_from_json(doc: dict, h: StructureBialgebra | None = None) -> Subspace:
-    try:
+    with malformed("malformed subspace document"):
         rows = doc["rows"]
         ambient_dim = int(doc.get("ambient_dim") or (len(rows[0]) if rows else 0))
         if h is not None and ambient_dim != h.dim:
@@ -167,25 +172,17 @@ def subspace_from_json(doc: dict, h: StructureBialgebra | None = None) -> Subspa
         for row in rows:
             _require_shape(row, ambient_dim, 1, "subspace row")
         return Subspace.span(ambient_dim, [_dense_to_vec(row) for row in rows], ambient=h)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed subspace document: {exc}") from exc
 
 
 def braided_basis_from_json(doc: dict) -> tuple[FiniteAbelianGroup, Bicharacter, GradedBasis]:
     """{"group":{"factors":[...]}, "bichar":[[...]], "basis":[{"name":...,"deg":[...]}]}"""
-    try:
+    with malformed("malformed braided-basis document"):
         group = FiniteAbelianGroup(tuple(int(n) for n in doc["group"]["factors"]))
         table = tuple(tuple(parse_scalar(x) for x in row) for row in doc["bichar"])
         chi = Bicharacter(group, table)
         names = tuple(str(b["name"]) for b in doc["basis"])
         degrees = tuple(group.normalize(tuple(int(x) for x in b["deg"])) for b in doc["basis"])
         return group, chi, GradedBasis(names, degrees)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed braided-basis document: {exc}") from exc
 
 
 def coinvariants_to_json(coinv) -> dict:

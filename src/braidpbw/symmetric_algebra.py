@@ -13,8 +13,9 @@ from __future__ import annotations
 from .braided_space import Bicharacter, GenericBraiding, GradedBasis
 from .linalg import echelon
 from .multilinear import vadd_into
+from .reporting import DegreeCapExceeded, InputError
 from .scalars import ONE, Scalar
-from .tensor_algebra import degree_cap_default
+from .tensor_algebra import degree_cap_default, require_degree
 
 Word = tuple[int, ...]
 SymElement = dict  # straightened Word -> Scalar
@@ -30,7 +31,7 @@ class SymmetricAlgebra:
         for i in range(d):
             for j in range(d):
                 if not (q[i][j] * q[j][i]).is_one():
-                    raise ValueError(
+                    raise InputError(
                         "braiding is not symmetric (skew-symmetry fails at "
                         f"({names[i]}, {names[j]})); use the linear-algebra "
                         "dimension oracle for general braidings")
@@ -112,6 +113,7 @@ class SymmetricAlgebra:
         return result
 
     def hilbert_series(self, n_max: int) -> list[int]:
+        require_degree(n_max)
         return [len(self.basis_in_degree(n)) for n in range(n_max + 1)]
 
     def oracle_dimension(self, n: int, cap: int | None = None) -> int:
@@ -194,7 +196,7 @@ def oracle_dimension(braiding: GenericBraiding, n: int, cap: int | None = None) 
     """
     cap = cap if cap is not None else degree_cap_default()
     if n > cap:
-        raise ValueError(f"degree {n} exceeds cap {cap}")
+        raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
     if n == 0:
         return 1
     _, pivots, complement = tensor_ideal_complement(braiding, [1] * braiding.dim, n)

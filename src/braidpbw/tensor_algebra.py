@@ -15,6 +15,7 @@ import os
 
 from .braided_space import GenericBraiding
 from .multilinear import vadd_into, vsub
+from .reporting import DegreeCapExceeded, InputError
 from .scalars import ONE
 
 Word = tuple[int, ...]
@@ -28,8 +29,10 @@ def degree_cap_default() -> int:
     return int(value) if value else DEFAULT_DEGREE_CAP
 
 
-class DegreeCapExceeded(RuntimeError):
-    pass
+def require_degree(n: int) -> None:
+    """A requested top degree is a count of degrees: negative is malformed."""
+    if n < 0:
+        raise InputError(f"degree must be >= 0, got {n}")
 
 
 class TensorAlgebra:

@@ -115,6 +115,18 @@ def test_pipeline_reports_non_exhaustive_stage(h4):
         run_pipeline(h4, subspace_from_indices(h4, (0,)), 2)
 
 
+def test_pipeline_lets_engine_bugs_through(h4, monkeypatch):
+    import braidpbw.pipeline as pipeline
+
+    def broken(h, k):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(pipeline, "hopf_filtration", broken)
+    with pytest.raises(RuntimeError, match="engine bug") as info:
+        pipeline.run_pipeline(h4, subspace_from_indices(h4, (0, 1)), 2)
+    assert type(info.value) is RuntimeError
+
+
 def test_wedge_non_coordinate_subspaces(corpus):
     # kC2 with the non-coordinate line through 1 + g: the wedge preimage is
     # the line through 1 - g (checked against direct membership of the

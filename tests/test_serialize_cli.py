@@ -265,3 +265,125 @@ def test_cli_pipeline_wrong_length_subspace_rows_exit_2(tmp_path, capsys, edit):
     assert main(["pipeline", "--input", hpath, "--sub", kpath, "--degree", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: subspace row") and err.count("\n") == 1
+
+
+TWO_GENERATORS = {
+    "group": {"factors": [2]},
+    "bichar": [["1"]],
+    "basis": [{"name": "x", "deg": [0]}, {"name": "y", "deg": [1]}],
+}
+
+
+def _h4_doc(**changes):
+    doc = bialgebra_to_json(sweedler_h4())
+    doc.update(changes)
+    return doc
+
+
+def _corpus_dir(tmp_path, doc):
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    (cdir / "entry.json").write_text(json.dumps(doc))
+    return ["corpus", "--dir", str(cdir)]
+
+
+def _h4_pipeline(tmp_path, degree):
+    h = sweedler_h4()
+    hpath = _write(tmp_path, "h4.json", bialgebra_to_json(h))
+    kpath = _write(tmp_path, "k.json", subspace_to_json(subspace_from_indices(h, (0, 1))))
+    return ["pipeline", "--input", hpath, "--sub", kpath, "--degree", degree]
+
+
+def _h4_counit_conductor_zero():
+    doc = _h4_doc()
+    doc["counit"][0] = '{N:0, poly:"z"}'
+    return doc
+
+
+ERROR_PATHS = {
+    # id: (argv from tmp_path, exit code, start of stderr with {tmp} for tmp_path)
+    "commutator-over-degree-cap": (
+        lambda tmp: ["commutator", "--input", _write(tmp, "b.json", TWO_GENERATORS),
+                     "--left", "x x x x x", "--right", "y y y y y"],
+        2, "input error: product degree 10 exceeds cap 8"),
+    "corpus-entry-without-name": (
+        lambda tmp: _corpus_dir(tmp, {"bialgebra": _h4_doc()}),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: 'name'"),
+    "corpus-entry-is-a-list": (
+        lambda tmp: _corpus_dir(tmp, [1, 2]),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "),
+    "pbw-negative-degree": (
+        lambda tmp: ["pbw", "--input", _write(tmp, "h4.json", _h4_doc()), "--degree", "-2"],
+        2, "input error: degree must be >= 0, got -2"),
+    "pipeline-negative-degree": (
+        lambda tmp: _h4_pipeline(tmp, "-3"),
+        2, "input error: degree must be >= 0, got -3"),
+    "hilbert-negative-degree": (
+        lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", SUPER_BASIS), "--degree", "-1"],
+        2, "input error: degree must be >= 0, got -1"),
+    "conductor-zero": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_counit_conductor_zero())],
+        2, "input error: malformed bialgebra document: conductor must be >= 1, got 0"),
+    "nf-unknown-generator": (
+        lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "zz"],
+        2, "input error: unknown generator in word"),
+    "hilbert-non-symmetric": (
+        lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", dict(
+            SUPER_BASIS, bichar=[['{N:3, poly:"z"}']])), "--degree", "2"],
+        2, "input error: braiding is not symmetric"),
+    "commutator-invalid-bicharacter": (
+        lambda tmp: ["commutator", "--input", _write(tmp, "b.json", dict(
+            SUPER_BASIS, bichar=[['{N:3, poly:"z"}']])), "--left", "x", "--right", "th"],
+        2, "input error: invalid bicharacter:"),
+    "pbw-not-connected": (
+        lambda tmp: ["pbw", "--input", _write(tmp, "h4.json", _h4_doc()), "--degree", "2"],
+        2, "input error: PBW analysis needs a connected target"),
+    "coinv-ungraded": (
+        lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(grading=None)),
+                     "--out", str(tmp / "r.json")],
+        1, "error: input must be graded"),
+}
+
+
+MULTI_LINE = {"commutator-invalid-bicharacter"}  # carries the validation report
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_cli_error_paths(tmp_path, capsys, case):
+    argv, code, head = ERROR_PATHS[case]
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(head.format(tmp=tmp_path))
+    assert "Traceback" not in err
+    assert case in MULTI_LINE or err.count("\n") == 1
+
+
+def test_cli_braid_equation_failure_exits_1(tmp_path, capsys, monkeypatch):
+    import braidpbw.pbw as pbw
+    from braidpbw.corpus import poly_line
+
+    path = _write(tmp_path, "line.json", bialgebra_to_json(poly_line(2)))
+    monkeypatch.setattr(pbw, "braid_check", lambda c: False)
+    assert main(["pbw", "--input", path, "--degree", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: induced braiding on the generator space fails the braid equation\n")
+
+
+def test_every_exception_class_derives_from_one_base():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import braidpbw
+    from braidpbw.reporting import BraidpbwError
+
+    classes = set()
+    for info in pkgutil.iter_modules(braidpbw.__path__):
+        module = importlib.import_module(f"braidpbw.{info.name}")
+        classes |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(cls, BaseException) and cls.__module__.startswith("braidpbw")}
+    assert len(classes) >= 7
+    for cls in classes:
+        assert issubclass(cls, BraidpbwError), cls
+        assert cls.__module__ == "braidpbw.reporting", cls
+    assert issubclass(InputError, ValueError)
