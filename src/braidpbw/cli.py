@@ -97,8 +97,13 @@ def cmd_corpus(args) -> int:
         runs = []
         for path, doc in docs:
             with malformed(f"malformed corpus entry {path}"):
-                runs.append((doc["name"], bialgebra_from_json(doc["bialgebra"]),
-                             doc.get("sub"), doc.get("degree", 0), doc.get("expect", {})))
+                name, h = doc["name"], bialgebra_from_json(doc["bialgebra"])
+                degree, expect = doc.get("degree", 0), doc.get("expect", {})
+                if type(degree) is not int or degree < 0:
+                    raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+                if not isinstance(expect, dict):
+                    raise TypeError(f"expect must be an object, got {type(expect).__name__}")
+                runs.append((name, h, doc.get("sub"), degree, expect))
     else:
         if args.entry and not any(e.name == args.entry for e in entries):
             print(f"unknown corpus entry {args.entry!r}", file=sys.stderr)

@@ -1,11 +1,15 @@
 """Exact arithmetic over Q and the cyclotomic fields Q(zeta_N).
 
 Every coefficient in the engine is a :class:`Scalar`: an element of
-Q(zeta_N) stored as the canonical reduction of a polynomial in zeta_N
-modulo the N-th cyclotomic polynomial.  Equality is exact and decidable;
-scalars whose value is rational are renormalised to conductor 1 so they
-print as plain fractions.  Mixed-conductor arithmetic goes through the
-compositum Q(zeta_lcm).
+Q(zeta_N) in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), stored as
+integer coefficients ``num`` over one positive denominator ``den`` with
+gcd(den, *num) == 1.  Since Z[zeta_N] is the ring of integers of Q(zeta_N),
+``den`` is the least positive D with D*x in Z[zeta], whatever the field, and
+products reduce modulo the monic N-th cyclotomic polynomial through integer
+reduction rows, so the arithmetic builds no Fraction.  Equality is exact and
+decidable; scalars whose value is rational are renormalised to conductor 1
+so they print as plain fractions.  Mixed-conductor arithmetic goes through
+the compositum Q(zeta_lcm).
 """
 from __future__ import annotations
 
@@ -80,27 +84,39 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row k is x^k reduced modulo Phi_n, for 0 <= k <= max(n, 2 phi(n) - 2)."""
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k is x^k reduced modulo Phi_n, for 0 <= k <= max(n, 2 phi(n) - 2),
+    as the (index, coefficient) pairs of its nonzero integer coefficients."""
     phi = euler_phi(n)
     top = max(n, 2 * phi - 2)
     phin = cyclotomic_polynomial(n)
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(phi):
-        rows.append(tuple(_F1 if i == k else _F0 for i in range(phi)))
+    dense = [[1 if i == k else 0 for i in range(phi)] for k in range(phi)]
     for k in range(phi, top + 1):
-        prev = rows[k - 1]
+        prev = dense[k - 1]
         lead = prev[-1]
-        shifted = (_F0,) + prev[:-1]
-        if lead:
-            rows.append(tuple(shifted[i] - lead * phin[i] for i in range(phi)))
-        else:
-            rows.append(shifted)
-    return tuple(rows)
+        dense.append([(prev[i - 1] if i else 0) - lead * phin[i] for i in range(phi)])
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in dense)
+
+
+def _canonical(n: int, num, den: int) -> "Scalar":
+    """The Scalar num/den in Q(zeta_n): gcd-reduced, rational values at conductor 1."""
+    if n != 1 and not any(num[1:]):
+        n, num = 1, num[:1]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    return Scalar(n, tuple(num), den)
+
+
+def _rational(num: int, den: int) -> "Scalar":
+    g = gcd(num, den)
+    return Scalar(1, (num // g,), den // g)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Fraction (ascending coefficient lists)
+# polynomial helpers over Fraction (ascending coefficient lists), for inverse
 # ---------------------------------------------------------------------------
 
 def _pdeg(p: list[Fraction]) -> int:
@@ -145,141 +161,168 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list
 
 
 class Scalar:
-    """Element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial."""
+    """Element num/den of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.
 
-    __slots__ = ("conductor", "coeffs")
+    The constructor takes the canonical form as is: ``num`` a tuple of
+    phi(N) ints, ``den`` > 0 with gcd(den, *num) == 1, and conductor 1 when
+    the value is rational.  Build scalars with the ``from_*`` constructors,
+    :func:`root_of_unity` or :func:`parse_scalar`.
+    """
+
+    __slots__ = ("conductor", "num", "den")
     __hash__ = None  # semantic equality across conductors; do not hash
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        if conductor != 1 and not any(coeffs[1:]):
-            conductor, coeffs = 1, (coeffs[0],)
+    def __init__(self, conductor: int, num: tuple[int, ...], den: int):
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "Scalar":
-        return Scalar(1, (Fraction(q),))
+        q = Fraction(q)
+        return Scalar(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def from_poly(n: int, coeffs) -> "Scalar":
         """Reduce an arbitrary-length coefficient sequence in zeta_n."""
         if n < 1:
             raise ValueError(f"conductor must be >= 1, got {n}")
-        phi = euler_phi(n)
+        coeffs = [Fraction(c) for c in coeffs]
+        den = 1
+        for c in coeffs:
+            den = lcm(den, c.denominator)
         rows = _reduction_rows(n)
-        out = [_F0] * phi
+        out = [0] * euler_phi(n)
         for k, c in enumerate(coeffs):
             if c:
-                c = Fraction(c)
-                row = rows[k] if k < len(rows) else rows[k % n]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Scalar(n, tuple(out))
+                c = c.numerator * (den // c.denominator)
+                for t, r in rows[k] if k < len(rows) else rows[k % n]:
+                    out[t] += c * r
+        return _canonical(n, out, den)
 
-    def _coeffs_in(self, m: int) -> tuple[Fraction, ...]:
-        """Raw coefficient tuple of length phi(m) representing self in Q(zeta_m)."""
+    def _num_in(self, m: int) -> tuple[int, ...]:
+        """Integer coefficients of den*self in the power basis of Q(zeta_m)."""
         if m == self.conductor:
-            return self.coeffs
+            return self.num
         if m % self.conductor:
             raise ValueError(f"no embedding of Q(zeta_{self.conductor}) into Q(zeta_{m})")
         step = m // self.conductor
-        phi = euler_phi(m)
         rows = _reduction_rows(m)
-        out = [_F0] * phi
-        for i, c in enumerate(self.coeffs):
+        out = [0] * euler_phi(m)
+        for i, c in enumerate(self.num):
             if c:
-                k = i * step
-                row = rows[k] if k < len(rows) else rows[k % m]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += c * row[t]
+                for t, r in rows[i * step]:  # i * step < m <= len(rows) - 1
+                    out[t] += c * r
         return tuple(out)
 
     def in_conductor(self, m: int) -> "Scalar":
         """Embed into Q(zeta_m); requires conductor | m."""
         if m == self.conductor:
             return self
-        return Scalar(m, self._coeffs_in(m))
+        return _canonical(m, self._num_in(m), self.den)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.num[0] and self.conductor == 1
 
     def is_one(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 1
+        return self.conductor == 1 and self.num[0] == 1 and self.den == 1
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.num[0] != 0 or self.conductor != 1
 
     # -- arithmetic ---------------------------------------------------------
 
     def _unify(self, other: "Scalar"):
         if self.conductor == other.conductor:
-            return self.conductor, self.coeffs, other.coeffs
+            return self.conductor, self.num, other.num
         n = lcm(self.conductor, other.conductor)
-        return n, self._coeffs_in(n), other._coeffs_in(n)
+        return n, self._num_in(n), other._num_in(n)
+
+    def _combine(self, other: "Scalar", sign: int) -> "Scalar":
+        """self + sign * other when a conductor is above 1."""
+        n, a, b = self._unify(other)
+        p, q = self.den, other.den
+        if p == q:
+            return _canonical(n, [x + sign * y for x, y in zip(a, b)], p)
+        return _canonical(n, [x * q + sign * p * y for x, y in zip(a, b)], p * q)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        n, a, b = self._unify(other)
-        return Scalar(n, tuple(x + y for x, y in zip(a, b)))
+        if self.conductor == 1 == other.conductor:
+            p, q = self.den, other.den
+            if p == 1 == q:
+                return Scalar(1, (self.num[0] + other.num[0],), 1)
+            return _rational(self.num[0] * q + other.num[0] * p, p * q)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        n, a, b = self._unify(other)
-        return Scalar(n, tuple(x - y for x, y in zip(a, b)))
+        if self.conductor == 1 == other.conductor:
+            p, q = self.den, other.den
+            if p == 1 == q:
+                return Scalar(1, (self.num[0] - other.num[0],), 1)
+            return _rational(self.num[0] * q - other.num[0] * p, p * q)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.conductor, tuple(-x for x in self.coeffs))
+        return Scalar(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if self.conductor == 1:
-            c = self.coeffs[0]
+            c = self.num[0]
             if not c:
                 return ZERO
-            return Scalar(other.conductor, tuple(c * x for x in other.coeffs))
+            if other.conductor == 1:
+                d = other.num[0]
+                if not d:
+                    return ZERO
+                p, q = self.den, other.den
+                if p == 1 == q:
+                    return Scalar(1, (c * d,), 1)
+                return _rational(c * d, p * q)
+            return _canonical(other.conductor, [c * x for x in other.num], self.den * other.den)
         if other.conductor == 1:
-            c = other.coeffs[0]
+            c = other.num[0]
             if not c:
                 return ZERO
-            return Scalar(self.conductor, tuple(c * x for x in self.coeffs))
+            return _canonical(self.conductor, [c * x for x in self.num], self.den * other.den)
         n, a, b = self._unify(other)
         phi = len(a)
-        rows = _reduction_rows(n)
-        out = [_F0] * phi
+        prod = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
-                        k = i + j
-                        c = x * y
-                        if k < phi:
-                            out[k] += c
-                        else:
-                            row = rows[k]
-                            for t in range(phi):
-                                if row[t]:
-                                    out[t] += c * row[t]
-        return Scalar(n, tuple(out))
+                        prod[i + j] += x * y
+        out = prod[:phi]
+        rows = _reduction_rows(n)
+        for k in range(phi, 2 * phi - 1):
+            c = prod[k]
+            if c:
+                for t, r in rows[k]:
+                    out[t] += c * r
+        return _canonical(n, out, self.den * other.den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar 0 has no inverse")
         if self.conductor == 1:
-            return Scalar(1, (_F1 / self.coeffs[0],))
+            c = self.num[0]
+            return Scalar(1, (self.den,), c) if c > 0 else Scalar(1, (-self.den,), -c)
+        # (num/den)^-1 = den * num^-1, with num^-1 from the extended Euclid over Q
         n = self.conductor
         phin = [Fraction(c) for c in cyclotomic_polynomial(n)]
         r0, s0 = phin, [_F0]
-        r1, s1 = list(self.coeffs), [_F1]
+        r1, s1 = [Fraction(c) for c in self.num], [_F1]
         while _pdeg(r1) >= 0:
             q, rem = _pdivmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _psub(s0, _pmul(q, s1))
         c = r0[_pdeg(r0)]
         assert _pdeg(r0) == 0, "cyclotomic polynomial must be coprime to nonzero element"
-        return Scalar.from_poly(n, [x / c for x in s0])
+        return Scalar.from_poly(n, [x * self.den / c for x in s0])
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -301,8 +344,10 @@ class Scalar:
             other = Scalar.from_rational(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
+        if self.den != other.den:  # den does not depend on the field
+            return False
         if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
+            return self.num == other.num
         n, a, b = self._unify(other)
         return a == b
 
@@ -319,16 +364,17 @@ class Scalar:
 
     def __str__(self) -> str:
         if self.conductor == 1:
-            return str(self.coeffs[0])
-        return '{N:%d, poly:"%s"}' % (self.conductor, _poly_str(self.coeffs))
+            return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
+        return '{N:%d, poly:"%s"}' % (
+            self.conductor, _poly_str([Fraction(c, self.den) for c in self.num]))
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
-ZERO = Scalar(1, (_F0,))
-ONE = Scalar(1, (_F1,))
-MINUS_ONE = Scalar(1, (-_F1,))
+ZERO = Scalar(1, (0,), 1)
+ONE = Scalar(1, (1,), 1)
+MINUS_ONE = Scalar(1, (-1,), 1)
 
 
 def root_of_unity(n: int, k: int = 1) -> Scalar:
@@ -384,6 +430,8 @@ def _parse_poly(n: int, text: str) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
+    if not isinstance(text, str):
+        raise ValueError(f"malformed scalar string {text!r}")
     s = text.strip()
     if s.startswith("{"):
         m = _SCALAR_OBJ_RE.match(s)

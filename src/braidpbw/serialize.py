@@ -45,10 +45,18 @@ def _vec_to_dense(vec: Vec, n: int) -> list[str]:
     return out
 
 
-def _dense_to_vec(values) -> Vec:
+class _ParsedScalars(dict):
+    """One document's memo from scalar text to Scalar: each distinct string is parsed once."""
+
+    def __missing__(self, text):
+        value = self[text] = parse_scalar(text)
+        return value
+
+
+def _dense_to_vec(values, parsed: _ParsedScalars) -> Vec:
     out: Vec = {}
     for i, text in enumerate(values):
-        c = parse_scalar(text)
+        c = parsed[text]
         if not c.is_zero():
             out[i] = c
     return out
@@ -109,17 +117,18 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
         for key, depth in (("antipode", 2), ("grading", 1), ("trunc_grading", 1)):
             if doc.get(key) is not None:
                 _require_shape(doc[key], d, depth, key)
-        unit = _dense_to_vec(doc["unit"])
+        parsed = _ParsedScalars()
+        unit = _dense_to_vec(doc["unit"], parsed)
         mult = tuple(
-            tuple(_dense_to_vec(doc["mult"][i][j]) for j in range(d)) for i in range(d)
+            tuple(_dense_to_vec(doc["mult"][i][j], parsed) for j in range(d)) for i in range(d)
         )
-        counit = tuple(parse_scalar(x) for x in doc["counit"])
+        counit = tuple(parsed[x] for x in doc["counit"])
         comult = []
         for i in range(d):
             entry: dict = {}
             for j in range(d):
                 for k in range(d):
-                    c = parse_scalar(doc["comult"][i][j][k])
+                    c = parsed[doc["comult"][i][j][k]]
                     if not c.is_zero():
                         entry[(j, k)] = c
             comult.append(entry)
@@ -129,14 +138,14 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
                 entry = {}
                 for k in range(d):
                     for l in range(d):
-                        c = parse_scalar(doc["braiding"][i][j][k][l])
+                        c = parsed[doc["braiding"][i][j][k][l]]
                         if not c.is_zero():
                             entry[(k, l)] = c
                 if entry:
                     rows[(i, j)] = entry
         antipode = None
         if doc.get("antipode") is not None:
-            antipode = tuple(_dense_to_vec(doc["antipode"][i]) for i in range(d))
+            antipode = tuple(_dense_to_vec(doc["antipode"][i], parsed) for i in range(d))
         grading = tuple(int(x) for x in doc["grading"]) if doc.get("grading") is not None else None
         trunc_grading = None
         if doc.get("trunc_grading") is not None:
@@ -171,7 +180,9 @@ def subspace_from_json(doc: dict, h: StructureBialgebra | None = None) -> Subspa
             raise InputError("subspace ambient dimension does not match the bialgebra")
         for row in rows:
             _require_shape(row, ambient_dim, 1, "subspace row")
-        return Subspace.span(ambient_dim, [_dense_to_vec(row) for row in rows], ambient=h)
+        parsed = _ParsedScalars()
+        return Subspace.span(ambient_dim, [_dense_to_vec(row, parsed) for row in rows],
+                             ambient=h)
 
 
 def braided_basis_from_json(doc: dict) -> tuple[FiniteAbelianGroup, Bicharacter, GradedBasis]:

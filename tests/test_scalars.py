@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from braidpbw.scalars import (
     ONE,
     ZERO,
     Scalar,
+    _poly_str,
     cyclotomic_polynomial,
     euler_phi,
     parse_scalar,
@@ -137,3 +140,203 @@ def test_rational_values_print_as_fractions():
     z6 = root_of_unity(6)
     assert str(z6 ** 3) == "-1"
     assert str(z6 * z6 * z6 * z6 * z6 * z6) == "1"
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: Fraction polynomials reduced by long division mod Phi_n.
+# Nothing below reads engine arithmetic; the engine is compared against it.
+# ---------------------------------------------------------------------------
+
+def _ref_divmod(a, b):
+    rem = list(a)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 1)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] -= c * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
+
+
+@lru_cache(maxsize=None)
+def _ref_cyclotomic(n):
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _ref_divmod(poly, _ref_cyclotomic(d))[0]
+    return tuple(poly)
+
+
+def _ref_reduce(poly, n):
+    """Coefficients of poly(zeta_n) in the power basis, length deg Phi_n."""
+    phin = _ref_cyclotomic(n)
+    rem = _ref_divmod([Fraction(c) for c in poly], phin)[1]
+    return rem + [Fraction(0)] * (len(phin) - 1 - len(rem))
+
+
+def _ref_embed(coeffs, n, m):
+    step = m // n
+    poly = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    for k, c in enumerate(coeffs):
+        poly[k * step] = c
+    return _ref_reduce(poly, m)
+
+
+def _ref_mul(a, b, n):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, n)
+
+
+def _ref_str(coeffs, n):
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
+    return '{N:%d, poly:"%s"}' % (n, _poly_str(coeffs))
+
+
+def _coeffs_at(s, n):
+    """Fraction coefficients of the Scalar s, read at its own conductor or at 1."""
+    values = [Fraction(c, s.den) for c in s.num]
+    assert s.conductor in (1, n)
+    return values + [Fraction(0)] * (len(_ref_cyclotomic(n)) - 1 - len(values))
+
+
+mixed_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+all_conductors = st.integers(min_value=1, max_value=12)
+
+
+@st.composite
+def poly_operands(draw):
+    n = draw(all_conductors)
+    xs = draw(st.lists(mixed_rationals, min_size=1, max_size=6))
+    return n, xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_operands(), poly_operands())
+def test_arithmetic_against_fraction_oracle(pa, pb):
+    (n, xs), (m, ys) = pa, pb
+    a, b = Scalar.from_poly(n, xs), Scalar.from_poly(m, ys)
+    ra, rb = _ref_reduce(xs, n), _ref_reduce(ys, m)
+    assert _coeffs_at(a, n) == ra and _coeffs_at(b, m) == rb
+    assert str(a) == _ref_str(ra, n) and str(b) == _ref_str(rb, m)
+    # the operands live at their engine conductors (rationals at 1)
+    ra, rb = ra[:len(a.num)], rb[:len(b.num)]
+    k = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+    ea, eb = _ref_embed(ra, a.conductor, k), _ref_embed(rb, b.conductor, k)
+    for got, want in ((a * b, _ref_mul(ea, eb, k)),
+                      (a + b, [x + y for x, y in zip(ea, eb)]),
+                      (a - b, [x - y for x, y in zip(ea, eb)])):
+        assert _coeffs_at(got, k) == want
+        assert str(got) == _ref_str(want, k)
+
+
+def _assert_canonical(s):
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    assert all(type(c) is int for c in s.num) and type(s.den) is int
+    assert len(s.num) == euler_phi(s.conductor)
+    assert (s.conductor == 1) == (not any(s.num[1:]))  # rational values at conductor 1
+    if s.is_zero():
+        assert (s.conductor, s.num, s.den) == (1, (0,), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_operands(), poly_operands())
+def test_results_are_canonical(pa, pb):
+    a, b = Scalar.from_poly(*pa), Scalar.from_poly(*pb)
+    results = [a, b, a * b, a + b, a - b, -a, a - a, b * ZERO]
+    if not a.is_zero():
+        results += [a.inverse(), a * a.inverse(), b / a]
+    for s in results:
+        _assert_canonical(s)
+    assert (a - a).is_zero() and (a * ZERO).is_zero()
+    if not a.is_zero():
+        assert (a * a.inverse()).num == (1,) and (a * a.inverse()).conductor == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_operands(), st.integers(min_value=1, max_value=4))
+def test_denominator_does_not_depend_on_the_field(pa, mult):
+    """den is the least D with D*a integral, in Q(zeta_n) and in every Q(zeta_mn);
+    so unequal denominators prove unequal values across conductors."""
+    a = Scalar.from_poly(*pa)
+    n = a.conductor
+    for m in {n, n * mult, 2 * n, 3 * n}:
+        e = a.in_conductor(m)
+        _assert_canonical(e)
+        assert e == a and e.den == a.den
+        ref = _ref_embed([Fraction(c, a.den) for c in a.num], n, m)
+        least = 1
+        for c in ref:
+            least = least * c.denominator // gcd(least, c.denominator)
+        assert least == a.den
+        assert _coeffs_at(e, m) == ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_operands(), poly_operands())
+def test_cross_conductor_equality_against_oracle(pa, pb):
+    a, b = Scalar.from_poly(*pa), Scalar.from_poly(*pb)
+    k = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+    ea = _ref_embed([Fraction(c, a.den) for c in a.num], a.conductor, k)
+    eb = _ref_embed([Fraction(c, b.den) for c in b.num], b.conductor, k)
+    assert (a == b) == (ea == eb) == (a.in_conductor(k) == b.in_conductor(k))
+
+
+@pytest.mark.parametrize("n,xs,m", [(3, [Fraction(1, 2), Fraction(1, 3)], 12),
+                                    (4, [Fraction(-3, 4), Fraction(5, 6)], 12),
+                                    (5, [0, Fraction(1, 10), 0, Fraction(-7, 15)], 10),
+                                    (6, [Fraction(2, 9), Fraction(1, 6)], 12)])
+def test_cross_conductor_equality_with_denominators(n, xs, m):
+    a = Scalar.from_poly(n, xs)
+    e = a.in_conductor(m)
+    assert e.conductor == m and e.den == a.den > 1
+    assert e == a and a == e
+    assert e != a + Scalar.from_rational(Fraction(1, a.den))  # same den, other value
+    assert e != a * Scalar.from_rational(Fraction(1, 2))  # other den
+
+
+def test_equal_values_across_conductors():
+    assert root_of_unity(6, 2) == root_of_unity(3)
+    assert root_of_unity(12, 4) == root_of_unity(3) and root_of_unity(12, 3) == root_of_unity(4)
+    assert root_of_unity(3) + root_of_unity(3, 2) == -1  # collapses to conductor 1
+    assert (root_of_unity(3) + root_of_unity(3, 2)).conductor == 1
+    assert root_of_unity(3) != root_of_unity(4)
+    assert Scalar.from_poly(3, [Fraction(1, 2), Fraction(1, 2)]) != Scalar.from_poly(
+        4, [Fraction(1, 2), Fraction(1, 2)])
+
+
+CANONICAL_STRINGS = [
+    (lambda: Scalar.from_rational(Fraction(-7, 3)), "-7/3"),
+    (lambda: Scalar.from_rational(Fraction(6, 4)), "3/2"),
+    (lambda: Scalar.from_rational(-12), "-12"),
+    (lambda: ZERO, "0"),
+    (lambda: MINUS_ONE, "-1"),
+    (lambda: Scalar.from_poly(3, [Fraction(1, 2), Fraction(1, 3)]), '{N:3, poly:"1/2+1/3*z"}'),
+    (lambda: -root_of_unity(12, 3), '{N:12, poly:"-z^3"}'),
+    (lambda: root_of_unity(3) ** 2, '{N:3, poly:"-1-z"}'),
+    (lambda: root_of_unity(6, 2), '{N:6, poly:"-1+z"}'),
+    (lambda: root_of_unity(4) * Scalar.from_rational(Fraction(-3, 4)), '{N:4, poly:"-3/4*z"}'),
+    (lambda: Scalar.from_poly(12, [0, Fraction(2, 3), 0, Fraction(-5, 6)]),
+     '{N:12, poly:"2/3*z-5/6*z^3"}'),
+    (lambda: parse_scalar('{N:12, poly:"1/2*z^4"}'), '{N:12, poly:"-1/2+1/2*z^2"}'),
+    (lambda: (ONE + root_of_unity(3)).inverse(), '{N:3, poly:"-z"}'),
+    (lambda: Scalar.from_poly(5, [2, 1]).inverse(), '{N:5, poly:"5/11-3/11*z+1/11*z^2-1/11*z^3"}'),
+    (lambda: Scalar.from_rational(Fraction(2, 3)) * root_of_unity(3)
+        + Scalar.from_rational(Fraction(1, 6)), '{N:3, poly:"1/6+2/3*z"}'),
+]
+
+
+@pytest.mark.parametrize("make,text", CANONICAL_STRINGS)
+def test_canonical_strings(make, text):
+    s = make()
+    assert str(s) == text
+    _assert_canonical(s)
+    assert str(parse_scalar(text)) == text

@@ -294,10 +294,14 @@ def _h4_pipeline(tmp_path, degree):
     return ["pipeline", "--input", hpath, "--sub", kpath, "--degree", degree]
 
 
-def _h4_counit_conductor_zero():
+def _h4_counit(text):
     doc = _h4_doc()
-    doc["counit"][0] = '{N:0, poly:"z"}'
+    doc["counit"][0] = text
     return doc
+
+
+def _h4_entry(**fields):
+    return dict({"name": "h4", "bialgebra": _h4_doc()}, **fields)
 
 
 ERROR_PATHS = {
@@ -322,8 +326,29 @@ ERROR_PATHS = {
         lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", SUPER_BASIS), "--degree", "-1"],
         2, "input error: degree must be >= 0, got -1"),
     "conductor-zero": (
-        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_counit_conductor_zero())],
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_counit('{N:0, poly:"z"}'))],
         2, "input error: malformed bialgebra document: conductor must be >= 1, got 0"),
+    "malformed-scalar-string": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_counit("spam"))],
+        2, "input error: malformed bialgebra document: malformed scalar string 'spam'"),
+    "scalar-entry-is-a-number": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_counit(1))],
+        2, "input error: malformed bialgebra document: malformed scalar string 1"),
+    "scalar-entry-is-a-list": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_counit(["1"]))],
+        2, "input error: malformed bialgebra document: "),
+    "corpus-entry-expect-is-a-list": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(expect=[])),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "expect must be an object, got list"),
+    "corpus-entry-degree-is-a-string": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(degree="2")),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "degree must be an integer >= 0, got '2'"),
+    "corpus-entry-negative-degree": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(degree=-1)),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "degree must be an integer >= 0, got -1"),
     "nf-unknown-generator": (
         lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "zz"],
         2, "input error: unknown generator in word"),
@@ -387,3 +412,45 @@ def test_every_exception_class_derives_from_one_base():
         assert issubclass(cls, BraidpbwError), cls
         assert cls.__module__ == "braidpbw.reporting", cls
     assert issubclass(InputError, ValueError)
+
+
+def _scalar_strings(values):
+    if isinstance(values, list):
+        for v in values:
+            yield from _scalar_strings(v)
+    elif isinstance(values, str):
+        yield values
+
+
+def test_loaders_parse_each_distinct_scalar_once(monkeypatch):
+    import braidpbw.serialize as serialize
+
+    h = taft3()
+    doc = json.loads(json.dumps(bialgebra_to_json(h)))
+    sub = json.loads(json.dumps(subspace_to_json(subspace_from_indices(h, (0, 1, 2)))))
+    calls: list[str] = []
+    real = serialize.parse_scalar
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(serialize, "parse_scalar", counting)
+    memoised = bialgebra_from_json(doc)
+    texts = [t for key in ("unit", "mult", "counit", "comult", "braiding", "antipode")
+             for t in _scalar_strings(doc[key])]
+    assert sorted(calls) == sorted(set(texts)) and len(texts) > 10 * len(calls)
+    calls.clear()
+    k = subspace_from_json(sub, memoised)
+    assert sorted(calls) == sorted(set(_scalar_strings(sub["rows"])))
+
+    class Unmemoised(dict):
+        def __missing__(self, text):
+            return serialize.parse_scalar(text)
+
+    monkeypatch.setattr(serialize, "_ParsedScalars", Unmemoised)
+    calls.clear()
+    plain = bialgebra_from_json(doc)
+    assert len(calls) == len(texts)
+    assert dumps_canonical(bialgebra_to_json(memoised)) == dumps_canonical(bialgebra_to_json(plain))
+    assert subspace_from_json(sub, plain) == k
