@@ -28,7 +28,6 @@ from .findim_hopf import (
     check_braided_bialgebra,
     check_braided_coalgebra,
     check_commutator_coproduct,
-    is_c_cocommutative,
     is_c_commutative,
     run_all_checks,
 )

@@ -9,7 +9,11 @@ any object exposing the pair interface
     mul_pair(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
     braid_pair(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
 
-which is all the braided-commutator identities need.
+which is all the braided-commutator identities need.  The coinvariants,
+the PBW map, the braided commutator and opposite product of a
+structure-constant bialgebra, and the square-commutator identities use
+them.  The axiom checkers in ``findim_hopf`` and ``braided_space`` compose
+structure rows directly instead, with :func:`vsum` and :func:`vec_equal`.
 """
 from __future__ import annotations
 
@@ -19,15 +23,33 @@ Vec = dict  # the engine's one sparse vector type: key -> nonzero Scalar
 
 
 def vadd_into(acc: Vec, vec: Vec, factor: Scalar | None = None) -> Vec:
+    if factor is None:
+        for k, c in vec.items():
+            prev = acc.get(k)
+            s = c if prev is None else prev + c
+            if s.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+        return acc
     for k, c in vec.items():
-        if factor is not None:
-            c = factor * c
+        c = factor * c
         prev = acc.get(k)
         s = c if prev is None else prev + c
         if s.is_zero():
             acc.pop(k, None)
         else:
             acc[k] = s
+    return acc
+
+
+def vsum(terms) -> Vec:
+    """Sum (key, Scalar) terms into a sparse vector.  Exact zeros are kept, so
+    compare the result with :func:`vec_equal`."""
+    acc: Vec = {}
+    for k, c in terms:
+        prev = acc.get(k)
+        acc[k] = c if prev is None else prev + c
     return acc
 
 
@@ -50,6 +72,9 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vec_equal(a: Vec, b: Vec) -> bool:
+    """Exact equality of sparse vectors; an entry equal to zero counts as absent."""
+    if a == b:
+        return True
     for k, c in a.items():
         d = b.get(k)
         if d is None:

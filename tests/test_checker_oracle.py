@@ -1,0 +1,127 @@
+"""The axiom checkers against the slot-operation reference in
+``reference_checkers``: identical reports, counters, witnesses and verdicts on
+the corpus, on truncated and associated-graded inputs, and on mutants."""
+import inspect
+import random
+
+import pytest
+
+import reference_checkers as ref
+from braidpbw import braided_space, findim_hopf
+from braidpbw.braided_space import GenericBraiding
+from braidpbw.corpus import build_cached, corpus_entries, sweedler_h4, taft3
+from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
+from braidpbw.scalars import MINUS_ONE, ONE, Scalar, root_of_unity
+from test_findim_hopf import _mutate
+
+REPORTS = ("check_braided_algebra", "check_braided_coalgebra",
+           "check_braided_bialgebra", "check_antipode")
+
+
+def _fast_and_reference(h):
+    """{checker name: (fast result, reference result)} for every checker."""
+    out = {name: tuple((r.to_json(), r.note) for r in (getattr(findim_hopf, name)(h),
+                                                       getattr(ref, name)(h)))
+           for name in REPORTS if name != "check_antipode" or h.antipode is not None}
+    for name in ("braid_check", "is_symmetric"):
+        out[name] = (getattr(braided_space, name)(h.braiding), getattr(ref, name)(h.braiding))
+    out["is_c_commutative"] = (findim_hopf.is_c_commutative(h), ref.is_c_commutative(h))
+    return out
+
+
+def _assert_same(h, label):
+    for name, (fast, reference) in _fast_and_reference(h).items():
+        assert fast == reference, f"{label}/{name}"
+
+
+def _inputs():
+    """The corpus entries, the truncated ones also at T = 1..3, and the
+    associated graded of the entries with a subalgebra at T = 2.  Entries
+    that share a bialgebra (and differ in the subalgebra) give it once."""
+    builds = set()
+    for entry in corpus_entries():
+        if entry.build in builds:
+            continue
+        builds.add(entry.build)
+        yield entry.name, build_cached(entry.name)
+        if "truncation" in inspect.signature(entry.build).parameters:
+            for t in (1, 2, 3):
+                yield f"{entry.name}@T={t}", entry.build(t)
+    for name, build, sub in (("sweedler_h4", sweedler_h4, (0, 1)), ("taft3", taft3, (0, 1, 2))):
+        h = build()
+        yield f"gr {name}", associated_graded(h, hopf_filtration(
+            h, subspace_from_indices(h, sub))).algebra
+    for entry in corpus_entries():
+        if entry.sub_indices and "truncation" in inspect.signature(entry.build).parameters:
+            h = entry.build(2)
+            sub = [i for i in entry.sub_indices if i < h.dim]
+            yield f"gr {entry.name}@T=2", associated_graded(h, hopf_filtration(
+                h, subspace_from_indices(h, sub))).algebra
+
+
+def test_checkers_match_reference_on_corpus():
+    seen_skips = False
+    for label, h in _inputs():
+        _assert_same(h, label)
+        seen_skips |= findim_hopf.check_braided_algebra(h).skipped > 0
+    assert seen_skips
+
+
+# ---------------------------------------------------------------------------
+# mutants: one entry of mult, comult, braiding or antipode perturbed
+# ---------------------------------------------------------------------------
+
+DELTAS = (ONE, MINUS_ONE, Scalar.from_rational(2), Scalar.from_rational("1/2"),
+          root_of_unity(3))
+
+
+def _perturb(rng, row: dict, key):
+    """A copy of row with the coefficient at key changed by a nonzero delta;
+    an exact zero it leaves stays in the row."""
+    row = dict(row)
+    delta = rng.choice(DELTAS)
+    row[key] = row[key] + delta if key in row else delta
+    return row
+
+
+def _mutant(rng, h):
+    d = h.dim
+    kind = rng.choice(("mult", "comult", "braiding", "antipode"))
+    if kind == "mult":
+        i, j = rng.randrange(d), rng.randrange(d)
+        mult = [list(row) for row in h.mult]
+        mult[i][j] = _perturb(rng, mult[i][j], rng.randrange(d))
+        return kind, _mutate(h, mult=tuple(tuple(row) for row in mult))
+    if kind == "comult":
+        i = rng.randrange(d)
+        comult = list(h.comult)
+        comult[i] = _perturb(rng, comult[i], (rng.randrange(d), rng.randrange(d)))
+        return kind, _mutate(h, comult=tuple(comult))
+    if kind == "braiding":
+        i, j = rng.randrange(d), rng.randrange(d)
+        rows = dict(h.braiding.rows)
+        rows[(i, j)] = _perturb(rng, rows.get((i, j), {}), (rng.randrange(d), rng.randrange(d)))
+        return kind, _mutate(h, braiding=GenericBraiding(d, rows))
+    i = rng.randrange(d)
+    antipode = list(h.antipode)
+    antipode[i] = _perturb(rng, antipode[i], rng.randrange(d))
+    return kind, _mutate(h, antipode=tuple(antipode))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_checkers_match_reference_on_mutants(seed):
+    rng = random.Random(seed)
+    bases = [build_cached("sweedler_h4"), build_cached("taft3"), build_cached("kc2")]
+    bases += [entry.build(2) for entry in corpus_entries()
+              if entry.name in ("poly_plane", "super_line", "solvable_pair")]
+    failing = {name: 0 for name in REPORTS}
+    for n in range(12):
+        kind, h = _mutant(rng, bases[n % len(bases)])
+        results = _fast_and_reference(h)
+        for name, (fast, reference) in results.items():
+            assert fast == reference, f"seed {seed} mutant {n} ({kind})/{name}"
+        for name in REPORTS:
+            if name in results and not results[name][0][0]["ok"]:
+                failing[name] += 1
+    # the reports are compared with violations in them, witnesses and all
+    assert all(failing.values()), failing

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from braidpbw.braided_space import is_categorical
@@ -8,11 +10,11 @@ from braidpbw.findim_hopf import (
     check_braided_algebra,
     check_commutator_coproduct,
     check_commutator_coproduct_all,
-    is_c_cocommutative,
     is_c_commutative,
     run_all_checks,
 )
 from braidpbw.scalars import MINUS_ONE, ONE, Scalar
+from reference_checkers import is_c_cocommutative
 
 
 def test_corpus_passes_all_checkers(corpus):
@@ -102,6 +104,27 @@ def test_commutator_coproduct_identity_exhaustive(corpus):
     for name, h in corpus.items():
         report = check_commutator_coproduct_all(h)
         assert report.ok, f"{name}:\n{report.summary()}"
+
+
+def test_commutator_coproduct_witnesses_name_basis_tensors(h4):
+    # the skew-primitive coproduct of x swapped to x(x)g + 1(x)x, as above
+    comult = list(h4.comult)
+    i1, ig, ix = h4.names.index("1"), h4.names.index("g"), h4.names.index("x")
+    comult[ix] = {(ix, ig): ONE, (i1, ix): ONE}
+    report = check_commutator_coproduct_all(_mutate(h4, comult=tuple(comult)))
+    assert not report.ok
+    term = re.compile(r"(\(-?\d+\)\*)?(\w+)\(x\)(\w+)")
+    for v in report.violations:
+        assert v.lhs != v.rhs
+        for side in (v.lhs, v.rhs):
+            if side == "0":
+                continue
+            for part in side.split(" + "):
+                match = term.fullmatch(part)
+                assert match and {match[2], match[3]} <= set(h4.names), side
+    assert report.violations[0].witness == ("g", "x")
+    assert report.violations[0].lhs == "(2)*1(x)gx + (2)*gx(x)g"
+    assert report.violations[0].rhs == "(2)*g(x)gx + (2)*gx(x)1"
 
 
 def test_commutator_coproduct_single_pairs(h4, corpus):

@@ -3,8 +3,8 @@ import os
 import sys
 from collections import Counter
 
-from braidpbw import braided_space, cli, linalg  # noqa: F401  (cli: every module loaded)
-from braidpbw.corpus import poly_plane
+from braidpbw import braided_space, cli, findim_hopf, linalg, multilinear  # noqa: F401
+from braidpbw.corpus import poly_plane, taft3
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 
@@ -32,6 +32,27 @@ def test_symmetry_checked_once_per_braiding(monkeypatch):
     run_pipeline(h, subspace_from_indices(h, (0,)), 1)
     assert seen[id(h.braiding)] == 1
     assert set(seen.values()) == {1}
+
+
+def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
+    calls = Counter()
+    for name in ("slot_pair", "slot_merge", "slot_split", "slot_apply", "slot_scalar"):
+        original = getattr(multilinear, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module, attr in _bindings(original):
+            monkeypatch.setattr(module, attr, counting)
+    for h in (poly_plane(2), taft3()):
+        assert all(r.ok for r in findim_hopf.run_all_checks(h).values())
+        assert braided_space.braid_check(h.braiding)
+        braided_space.is_symmetric(h.braiding)
+    assert not calls
+    # the counting wrappers are live: a slot-operation caller is seen
+    h.opposite_multiply(h.basis_vec(1), h.basis_vec(1))
+    assert calls
 
 
 def test_benchmark_tracer_records_linalg_entry_points():
