@@ -27,7 +27,7 @@ from .findim_hopf import (
     check_braided_algebra,
     check_braided_bialgebra,
     check_braided_coalgebra,
-    check_commutator_coproduct,
+    check_commutator_coproduct_all,
     is_c_commutative,
     run_all_checks,
 )

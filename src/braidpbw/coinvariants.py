@@ -201,35 +201,49 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     k_pos = {k: t for t, k in enumerate(k_indices)}
     coaction = []
     for a in range(rdim):
-        cop = gr.comultiply(reps[a])
-        by_left: dict = {}
-        for (i, j), c in cop.items():
+        by_left: dict = {}  # the comultiply output has no zero entries
+        for (i, j), c in gr.comultiply(reps[a]).items():
             if gr.degree(i) == 0:
-                by_left.setdefault(i, {})
-                vadd_into(by_left[i], {j: c})
-        entry: dict = {}
-        for i, legvec in by_left.items():
-            for rr, cr in basis.coords(legvec).items():
-                vadd_into(entry, {(k_pos[i], rr): cr})
-        coaction.append(entry)
+                by_left.setdefault(i, {})[j] = c
+        coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
+                         for rr, cr in basis.coords(legvec).items()})
     for a in range(rdim):
         acc: Vec = {}
         for (kt, rr), c in coaction[a].items():
-            vadd_into(acc, {rr: c * gr.counit[k_indices[kt]]})
+            v = c * gr.counit[k_indices[kt]]
+            prev = acc.get(rr)
+            acc[rr] = v if prev is None else prev + v
         if not vec_equal(acc, {a: ONE}):
             raise CoinvariantsError("coaction fails counitality")
 
+    # the braided pair of representatives per (rr, b) and the action of a
+    # basis vector of K per (k, u), each evaluated once
+    braided: dict = {}
+    acted: dict = {}
     braid_rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     for a in range(rdim):
         for b in range(rdim):
             ambient: dict = {}
             for (kt, rr), c in coaction[a].items():
-                kvec = {k_indices[kt]: ONE}
-                braided = braid_at(gr, tensor(lift(reps[rr]), lift(reps[b])), 0)
-                for (u, v), s in braided.items():
-                    acted = ad_eval(gr, kvec, {u: ONE})
-                    for au, ca in acted.items():
-                        vadd_into(ambient, {(au, v): c * s * ca})
+                k = k_indices[kt]
+                pair = braided.get((rr, b))
+                if pair is None:
+                    pair = braided[(rr, b)] = braid_at(
+                        gr, tensor(lift(reps[rr]), lift(reps[b])), 0)
+                for (u, v), s in pair.items():
+                    ku = acted.get((k, u))
+                    if ku is None:
+                        ku = acted[(k, u)] = ad_eval(gr, {k: ONE}, {u: ONE})
+                    cs = c * s
+                    for au, ca in ku.items():
+                        key, x = (au, v), cs * ca
+                        prev = ambient.get(key)
+                        if prev is not None:
+                            x = prev + x
+                        if x.is_zero():
+                            ambient.pop(key, None)
+                        else:
+                            ambient[key] = x
             entry = basis.coords_pair(ambient)
             if entry:
                 braid_rows[(a, b)] = entry

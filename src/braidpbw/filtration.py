@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .findim_hopf import StructureBialgebra, render_tensor
+from .findim_hopf import StructureBialgebra, commutator_table, render_tensor
 from .braided_space import GenericBraiding, is_categorical, is_symmetric
 from .linalg import Coordinates, Subspace, kernel
 from .multilinear import Vec, contract, vadd_into
@@ -316,8 +316,16 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
             w: dict = {}
             for i, ci in ab.rep_vec(a).items():
                 for j, cj in ab.rep_vec(b).items():
-                    for (x, y), s in h.braid_pair(i, j).items():
-                        vadd_into(w, {(x, y): ci * cj * s})
+                    cij = ci * cj
+                    for xy, s in h.braid_pair(i, j).items():
+                        v = cij * s
+                        prev = w.get(xy)
+                        if prev is not None:
+                            v = prev + v
+                        if v.is_zero():
+                            w.pop(xy, None)
+                        else:
+                            w[xy] = v
             exp = ab.basis.coords_pair(w)
             entry = {(r, s): c for (r, s), c in exp.items()
                      if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
@@ -337,18 +345,23 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
     return AssociatedGraded(algebra=gr, ladder=ladder)
 
 
-def check_commutator_filtration(h: StructureBialgebra,
-                                ladder: FiltrationLadder) -> ValidationReport | None:
+def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
+                                comm: list[list[Vec]] | None = None) -> ValidationReport | None:
     """Commutators drop one filtration level: the bottom-step hypothesis and
     the general statement, verified on representative pairs by membership.
-    None when the braiding is not symmetric and the statement does not apply."""
+    Each commutator [u, v] is expanded bilinearly from the commutator table
+    ``comm`` of h (computed here when not given).  None when the braiding is
+    not symmetric and the statement does not apply."""
     if not is_symmetric(h.braiding):
         return None
+    if comm is None:
+        comm = commutator_table(h)
     report = ValidationReport("commutator filtration")
     ab = ladder.adapted
     top = len(ladder.steps) - 1
     t_cap = h.truncation
     for a in range(ab.dim):
+        u = ab.rep_vec(a)
         for b in range(ab.dim):
             if t_cap is not None and ab.gate_degrees[a] + ab.gate_degrees[b] > t_cap:
                 report.skipped += 1
@@ -356,9 +369,14 @@ def check_commutator_filtration(h: StructureBialgebra,
             report.checked += 1
             m, n = ab.fil_degrees[a], ab.fil_degrees[b]
             target = min(m + n - 1, top)
-            comm = ab.basis.coords(h.commutator(ab.rep_vec(a), ab.rep_vec(b)))
-            if any(ab.fil_degrees[r] > target for r in comm):
+            v = ab.rep_vec(b)
+            bracket: Vec = {}
+            for i, cu in u.items():
+                row = comm[i]
+                for j, cv in v.items():
+                    vadd_into(bracket, row[j], cu * cv)
+            if any(ab.fil_degrees[r] > target for r in ab.basis.coords(bracket)):
                 report.record("commutator-level", (m, n),
-                              render_tensor(h, {(k,): v for k, v in h.commutator(ab.rep_vec(a), ab.rep_vec(b)).items()}),
+                              render_tensor(h, {(k,): v for k, v in bracket.items()}),
                               f"inside step {target}")
     return report

@@ -12,7 +12,7 @@ vanished.  :func:`rref` is the adapter for callers holding a dense matrix.
 Every change of basis goes through one :class:`Coordinates` object: built
 from independent sparse vectors, it expresses a sparse vector, or a
 2-tensor leg by leg, over them, and raises :class:`SpanError` for a vector
-outside their span.
+outside their span.  A monomial basis skips the elimination.
 """
 from __future__ import annotations
 
@@ -179,13 +179,19 @@ def kernel(images: Sequence[Vec], ambient: object = None) -> Subspace:
 class Coordinates:
     """Coordinates over a list of linearly independent sparse vectors.
 
-    The basis is reduced once, with the change of basis from its canonical
-    RREF rows back to the given vectors; a vector is then eliminated
-    against the RREF rows and its coefficients carried back.
+    A monomial basis, each vector a nonzero multiple of a distinct standard
+    basis vector, needs no elimination: coordinates are a relabel and a
+    scale.  Any other basis is reduced once, with the change of basis from
+    its canonical RREF rows back to the given vectors; a vector is then
+    eliminated against the RREF rows and its coefficients carried back.
+    Both ways give the coefficients keyed in the same order.
     """
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Vec]):
         self.vectors = list(vectors)
+        self._monomial = _monomial_positions(self.vectors)
+        if self._monomial is not None:
+            return
         n = ambient_dim
         red, pivots = echelon({**v, n + i: ONE} for i, v in enumerate(self.vectors))
         if pivots and pivots[-1] >= n:
@@ -201,10 +207,22 @@ class Coordinates:
     def coords(self, vec: Vec) -> Vec:
         """Coefficients of a sparse vector over the basis; SpanError if it is
         outside the span."""
+        monomial = self._monomial
+        if monomial is not None:
+            out: Vec = {}
+            for k in sorted(vec):
+                c = vec[k]
+                if c.is_zero():
+                    continue
+                at = monomial.get(k)
+                if at is None:
+                    raise SpanError("vector is outside the span of the coordinate basis")
+                out[at[0]] = c * at[1]
+            return out
         over_rref = self.span.coords(vec)
         if over_rref is None:
             raise SpanError("vector is outside the span of the coordinate basis")
-        out: Vec = {}
+        out = {}
         for j, c in over_rref.items():
             vadd_into(out, self._back[j], c)
         return out
@@ -220,3 +238,17 @@ class Coordinates:
             for a, c in self.coords(leg).items():
                 by_left.setdefault(a, {})[j] = c
         return {(a, b): c for a, leg in by_left.items() for b, c in self.coords(leg).items()}
+
+
+def _monomial_positions(vectors: Sequence[Vec]) -> dict | None:
+    """{key: (position, inverse coefficient)} when each vector is a nonzero
+    multiple of a distinct standard basis vector, else None."""
+    out: dict = {}
+    for r, v in enumerate(vectors):
+        if len(v) != 1:
+            return None
+        (k, c), = v.items()
+        if c.is_zero() or k in out:
+            return None
+        out[k] = (r, c.inverse())
+    return out

@@ -9,11 +9,14 @@ any object exposing the pair interface
     mul_pair(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
     braid_pair(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
 
-which is all the braided-commutator identities need.  The coinvariants,
-the PBW map, the braided commutator and opposite product of a
-structure-constant bialgebra, and the square-commutator identities use
-them.  The axiom checkers in ``findim_hopf`` and ``braided_space`` compose
-structure rows directly instead, with :func:`vsum` and :func:`vec_equal`.
+which is all the braided-commutator identities need.  These stages still
+use them: the coinvariants (``pi_map``, ``ad_eval``, the centrality and
+cocentrality tests and the braiding-collapse comparison), the braiding of
+the PBW quotient, the braided commutator and opposite product of a
+structure-constant bialgebra, and the square-commutator identities.  The
+axiom checkers in ``findim_hopf`` and ``braided_space``, the
+commutator-coproduct check and the commutator table behind the
+commutator-filtration check compose structure rows directly instead.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ from .filtration import (
 from .findim_hopf import (
     StructureBialgebra,
     check_commutator_coproduct_all,
+    commutator_table,
     is_c_commutative,
     run_all_checks,
 )
@@ -56,7 +57,8 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     if not axioms["all_ok"]:
         raise PipelineError("axioms", "input bialgebra fails its axiom checks")
 
-    comm = check_commutator_coproduct_all(h)
+    comm_table = commutator_table(h)
+    comm = check_commutator_coproduct_all(h, comm_table)
     report["commutator_coproduct"] = comm.to_json()
 
     ladder = _stage("filtration", hopf_filtration, h, k_sub)
@@ -71,7 +73,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
                             "ladder stabilised before exhausting the bialgebra "
                             "(the subalgebra misses part of the coradical)")
 
-    commfil = check_commutator_filtration(h, ladder)
+    commfil = check_commutator_filtration(h, ladder, comm_table)
     if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 

@@ -110,6 +110,57 @@ def _canonical(n: int, num, den: int) -> "Scalar":
     return Scalar(n, tuple(num), den)
 
 
+@lru_cache(maxsize=None)
+def _subfield_basis(n: int, m: int):
+    """For m | n: the power basis of Q(zeta_m) in Q(zeta_n), as dense integer
+    rows E, with pivot columns P such that E restricted to P is invertible,
+    and that inverse (Fraction rows)."""
+    phi, k = euler_phi(n), euler_phi(m)
+    rows = _reduction_rows(n)
+    emb = [[0] * phi for _ in range(k)]
+    for i in range(k):
+        for t, c in rows[i * (n // m)]:  # i * (n // m) < n
+            emb[i][t] = c
+    red = [[Fraction(c) for c in r] + [_F1 if j == i else _F0 for j in range(k)]
+           for i, r in enumerate(emb)]
+    pivots: list[int] = []
+    for col in range(phi):
+        top = len(pivots)
+        piv = next((r for r in range(top, k) if red[r][col]), None)
+        if piv is None:
+            continue
+        red[top], red[piv] = red[piv], red[top]
+        inv = 1 / red[top][col]
+        red[top] = [x * inv for x in red[top]]
+        for r in range(k):
+            f = red[r][col]
+            if r != top and f:
+                red[r] = [x - f * y for x, y in zip(red[r], red[top])]
+        pivots.append(col)
+        if len(pivots) == k:
+            break
+    return emb, tuple(pivots), [r[phi:] for r in red]
+
+
+def _subfield_coordinates(n: int, m: int, num: tuple[int, ...]) -> list[int] | None:
+    """Integer coordinates in Q(zeta_m) of the element of Q(zeta_n) with
+    integer coefficients num, or None when it is not in Q(zeta_m).  They are
+    integers because Z[zeta_n] meets Q(zeta_m) in Z[zeta_m]."""
+    emb, pivots, inv = _subfield_basis(n, m)
+    coeffs = []
+    for i in range(len(emb)):
+        a = sum((num[p] * inv[r][i] for r, p in enumerate(pivots)), _F0)
+        if a.denominator != 1:
+            return None
+        coeffs.append(a.numerator)
+    back = [0] * len(num)
+    for a, row in zip(coeffs, emb):
+        if a:
+            for t, c in enumerate(row):
+                back[t] += a * c
+    return coeffs if tuple(back) == num else None
+
+
 def _rational(num: int, den: int) -> "Scalar":
     g = gcd(num, den)
     return Scalar(1, (num // g,), den // g)
@@ -267,11 +318,17 @@ class Scalar:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Scalar":
+        if self.conductor == 1:
+            return Scalar(1, (-self.num[0],), self.den)
         return Scalar(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        # a factor of +-1 returns the other factor (or its negative) as it is:
+        # scalars are immutable and both results are already canonical
         if self.conductor == 1:
             c = self.num[0]
+            if self.den == 1 and (c == 1 or c == -1):
+                return other if c == 1 else -other
             if not c:
                 return ZERO
             if other.conductor == 1:
@@ -279,12 +336,16 @@ class Scalar:
                 if not d:
                     return ZERO
                 p, q = self.den, other.den
+                if q == 1 and (d == 1 or d == -1):
+                    return self if d == 1 else -self
                 if p == 1 == q:
                     return Scalar(1, (c * d,), 1)
                 return _rational(c * d, p * q)
             return _canonical(other.conductor, [c * x for x in other.num], self.den * other.den)
         if other.conductor == 1:
             c = other.num[0]
+            if other.den == 1 and (c == 1 or c == -1):
+                return self if c == 1 else -self
             if not c:
                 return ZERO
             return _canonical(self.conductor, [c * x for x in self.num], self.den * other.den)
@@ -340,10 +401,10 @@ class Scalar:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.from_rational(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
         if self.den != other.den:  # den does not depend on the field
             return False
         if self.conductor == other.conductor:
@@ -351,22 +412,25 @@ class Scalar:
         n, a, b = self._unify(other)
         return a == b
 
-    def multiplicative_order(self, bound: int = 10_000) -> int | None:
-        """Smallest k >= 1 with self**k == 1, or None if not found within bound."""
-        acc = ONE
-        for k in range(1, bound + 1):
-            acc = acc * self
-            if acc.is_one():
-                return k
-        return None
-
     # -- printing / parsing -------------------------------------------------
+
+    def _in_least_field(self) -> "Scalar":
+        """The same value at the least divisor m of the conductor with self
+        in Q(zeta_m); the least exists since Q(zeta_a) meets Q(zeta_b) in
+        Q(zeta_gcd(a, b))."""
+        n = self.conductor
+        for m in divisors(n)[1:-1]:  # rational values are already at conductor 1
+            coeffs = _subfield_coordinates(n, m, self.num)
+            if coeffs is not None:
+                return _canonical(m, coeffs, self.den)
+        return self
 
     def __str__(self) -> str:
         if self.conductor == 1:
             return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
+        x = self._in_least_field()
         return '{N:%d, poly:"%s"}' % (
-            self.conductor, _poly_str([Fraction(c, self.den) for c in self.num]))
+            x.conductor, _poly_str([Fraction(c, x.den) for c in x.num]))
 
     def __repr__(self) -> str:
         return f"Scalar({self})"

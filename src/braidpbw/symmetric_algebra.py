@@ -80,13 +80,6 @@ class SymmetricAlgebra:
             stack.append((w[:p] + (j, i) + w[p + 2:], coef * self.q[i][j]))
         return out
 
-    def normal_form_element(self, elem) -> SymElement:
-        out: SymElement = {}
-        for w, c in elem.items():
-            nf = self.normal_form(w)
-            vadd_into(out, nf, c)
-        return out
-
     def product(self, a: SymElement, b: SymElement) -> SymElement:
         out: SymElement = {}
         for u, cu in a.items():

@@ -17,6 +17,7 @@ from braidpbw.multilinear import (
     slot_apply,
     slot_scalar,
     slot_split,
+    square_commutator,
     square_product,
     tensor,
     unlift,
@@ -194,6 +195,31 @@ def check_antipode(h: StructureBialgebra) -> ValidationReport:
                          slot_apply(mul_at(h, w, 0), 0, h.antipode_atom))
             else:
                 report.skipped += 1
+    return report
+
+
+def _commutator_coproduct_sides(h: StructureBialgebra, a, b):
+    """The coproduct of the braided commutator [a, b], and the tensor-square
+    commutator of the coproducts of a and b."""
+    return (h.comultiply(h.commutator(a, b)),
+            square_commutator(h, h.comultiply(a), h.comultiply(b)))
+
+
+def check_commutator_coproduct(h: StructureBialgebra, a, b) -> bool:
+    """The coproduct of a braided commutator equals the tensor-square
+    commutator of the coproducts, exactly."""
+    return vec_equal(*_commutator_coproduct_sides(h, a, b))
+
+
+def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
+    report = ValidationReport("commutator-coproduct compatibility")
+    for i in range(h.dim):
+        for j in range(h.dim):
+            if not h.gate_ok(i, j):
+                report.skipped += 1
+                continue
+            _compare(h, report, "commutator-coproduct", (i, j),
+                     *_commutator_coproduct_sides(h, h.basis_vec(i), h.basis_vec(j)))
     return report
 
 

@@ -15,7 +15,7 @@ from braidpbw.scalars import MINUS_ONE, ONE, Scalar, root_of_unity
 from test_findim_hopf import _mutate
 
 REPORTS = ("check_braided_algebra", "check_braided_coalgebra",
-           "check_braided_bialgebra", "check_antipode")
+           "check_braided_bialgebra", "check_antipode", "check_commutator_coproduct_all")
 
 
 def _fast_and_reference(h):
@@ -72,7 +72,7 @@ def test_checkers_match_reference_on_corpus():
 # ---------------------------------------------------------------------------
 
 DELTAS = (ONE, MINUS_ONE, Scalar.from_rational(2), Scalar.from_rational("1/2"),
-          root_of_unity(3))
+          root_of_unity(3), root_of_unity(4))
 
 
 def _perturb(rng, row: dict, key):

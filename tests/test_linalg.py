@@ -215,6 +215,40 @@ def test_coordinates_against_rebuild_oracle(conductor, seed):
         coords.coords_pair({(i, 0): c for i, c in outside.items()})
 
 
+def _exact(vec):
+    return [(k, c.conductor, c.num, c.den) for k, c in vec.items()]
+
+
+@pytest.mark.parametrize("conductor", [1, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_monomial_coordinates_match_elimination(conductor, seed):
+    """A monomial basis is relabelled and scaled; the same basis written with
+    an explicit zero in each vector goes through the elimination path."""
+    rng = random.Random(seed)
+    dim = 7
+    keys = rng.sample(range(dim), 5)  # shuffled, so positions and keys disagree
+    basis = []
+    for k in keys:
+        c = ZERO
+        while c.is_zero():
+            c = random_scalar(rng, conductor)
+        basis.append({k: c})
+    outside_keys = [k for k in range(dim) if k not in keys]
+    fast = Coordinates(dim, basis)
+    slow = Coordinates(dim, [{**v, outside_keys[0]: ZERO} for v in basis])
+    assert fast._monomial is not None and slow._monomial is None
+    for _ in range(6):
+        v = {k: random_scalar(rng, conductor) for k in rng.sample(keys, rng.randint(0, 5))}
+        v.update({k: ZERO for k in rng.sample(range(dim), 2)})  # exact zeros are ignored
+        assert _exact(fast.coords(v)) == _exact(slow.coords(v))
+        w = {(i, j): a * b for i, a in v.items() for j, b in reversed(list(v.items()))}
+        assert _exact(fast.coords_pair(w)) == _exact(slow.coords_pair(w))
+    outside = {keys[0]: S(1), outside_keys[1]: S(2)}
+    for coords in (fast, slow):
+        with pytest.raises(SpanError):
+            coords.coords(outside)
+
+
 def test_coordinates_reject_dependent_basis():
     with pytest.raises(SpanError):
         Coordinates(3, [{0: S(1), 1: S(2)}, {0: S(2), 1: S(4)}])

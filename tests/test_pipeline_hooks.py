@@ -47,6 +47,7 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
             monkeypatch.setattr(module, attr, counting)
     for h in (poly_plane(2), taft3()):
         assert all(r.ok for r in findim_hopf.run_all_checks(h).values())
+        assert findim_hopf.check_commutator_coproduct_all(h).ok
         assert braided_space.braid_check(h.braiding)
         braided_space.is_symmetric(h.braiding)
     assert not calls

@@ -70,12 +70,13 @@ def test_roots_satisfy_their_cyclotomic_polynomial(n):
     for k, c in enumerate(cyclotomic_polynomial(n)):
         acc = acc + Scalar.from_rational(c) * z ** k
     assert acc.is_zero()
-    assert z.multiplicative_order(2 * n) == n
+    assert not any((z ** k).is_one() for k in range(1, n))  # primitive: order exactly n
 
 
 @pytest.mark.parametrize("n,k,order", [(6, 3, 2), (6, 2, 3), (12, 8, 3), (8, 6, 4)])
 def test_root_power_orders(n, k, order):
-    assert root_of_unity(n, k).multiplicative_order(2 * n) == order
+    z = root_of_unity(n, k)
+    assert [e for e in range(1, 2 * n + 1) if (z ** e).is_one()][0] == order
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,10 +196,35 @@ def _ref_mul(a, b, n):
     return _ref_reduce(prod, n)
 
 
+def _ref_solve(target, cols):
+    """x with sum_i x_i cols[i] == target, for linearly independent cols, by
+    Gauss-Jordan elimination; None when the system has no solution."""
+    k = len(cols)
+    rows = [[col[r] for col in cols] + [target[r]] for r in range(len(target))]
+    for c in range(k):
+        p = next(r for r in range(c, len(rows)) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(len(rows)):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [row[k] for row in rows[:k]]
+
+
 def _ref_str(coeffs, n):
-    if not any(coeffs[1:]):
-        return str(coeffs[0])
-    return '{N:%d, poly:"%s"}' % (n, _poly_str(coeffs))
+    """The value printed in the least field Q(zeta_m), m | n, that holds it."""
+    for m in range(1, n + 1):
+        if n % m == 0:
+            phi = len(_ref_cyclotomic(m)) - 1
+            sub = _ref_solve(coeffs, [_ref_embed([0] * i + [1], m, n) for i in range(phi)])
+            if sub is not None:
+                break
+    if m == 1:
+        return str(sub[0])
+    return '{N:%d, poly:"%s"}' % (m, _poly_str(sub))
 
 
 def _coeffs_at(s, n):
@@ -320,13 +346,13 @@ CANONICAL_STRINGS = [
     (lambda: ZERO, "0"),
     (lambda: MINUS_ONE, "-1"),
     (lambda: Scalar.from_poly(3, [Fraction(1, 2), Fraction(1, 3)]), '{N:3, poly:"1/2+1/3*z"}'),
-    (lambda: -root_of_unity(12, 3), '{N:12, poly:"-z^3"}'),
+    (lambda: -root_of_unity(12, 3), '{N:4, poly:"-z"}'),  # printed in the least field
     (lambda: root_of_unity(3) ** 2, '{N:3, poly:"-1-z"}'),
-    (lambda: root_of_unity(6, 2), '{N:6, poly:"-1+z"}'),
+    (lambda: root_of_unity(6, 2), '{N:3, poly:"z"}'),
     (lambda: root_of_unity(4) * Scalar.from_rational(Fraction(-3, 4)), '{N:4, poly:"-3/4*z"}'),
     (lambda: Scalar.from_poly(12, [0, Fraction(2, 3), 0, Fraction(-5, 6)]),
      '{N:12, poly:"2/3*z-5/6*z^3"}'),
-    (lambda: parse_scalar('{N:12, poly:"1/2*z^4"}'), '{N:12, poly:"-1/2+1/2*z^2"}'),
+    (lambda: parse_scalar('{N:12, poly:"1/2*z^4"}'), '{N:3, poly:"1/2*z"}'),
     (lambda: (ONE + root_of_unity(3)).inverse(), '{N:3, poly:"-z"}'),
     (lambda: Scalar.from_poly(5, [2, 1]).inverse(), '{N:5, poly:"5/11-3/11*z+1/11*z^2-1/11*z^3"}'),
     (lambda: Scalar.from_rational(Fraction(2, 3)) * root_of_unity(3)
@@ -340,3 +366,33 @@ def test_canonical_strings(make, text):
     assert str(s) == text
     _assert_canonical(s)
     assert str(parse_scalar(text)) == text
+
+
+def test_printed_form_does_not_depend_on_evaluation_order():
+    z4, z3 = root_of_unity(4), root_of_unity(3)
+    left, right = (z4 * z4.inverse()) * z3, z4 * (z4.inverse() * z3)
+    assert (left.conductor, right.conductor) == (3, 12)
+    assert str(left) == str(right) == '{N:3, poly:"z"}'
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_operands(), st.integers(min_value=1, max_value=4))
+def test_printed_form_is_that_of_the_least_field(pa, k):
+    x = Scalar.from_poly(*pa)
+    assert str(x.in_conductor(k * x.conductor)) == str(x)
+    assert parse_scalar(str(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_operands(), st.sampled_from([ONE, MINUS_ONE]), st.booleans())
+def test_unit_factor_products_against_fraction_oracle(pa, unit, left):
+    n, xs = pa
+    x = Scalar.from_poly(n, xs)
+    got = unit * x if left else x * unit
+    want = [unit.num[0] * c for c in _ref_reduce(xs, n)]
+    if not any(want[1:]):
+        n, want = 1, want[:1]
+    den = 1
+    for c in want:
+        den = den * c.denominator // gcd(den, c.denominator)
+    assert (got.conductor, got.num, got.den) == (n, tuple(int(c * den) for c in want), den)
