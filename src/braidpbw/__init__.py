@@ -53,7 +53,6 @@ from .coinvariants import (
     compute_R,
     is_central,
     is_cocentral,
-    pi_map,
     projection_pi,
 )
 from .pbw import (

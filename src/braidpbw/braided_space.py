@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .linalg import Subspace
-from .multilinear import contract, vadd_into, vec_equal, vsum
+from .multilinear import vec_equal
 from .reporting import InputError, ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -198,23 +198,53 @@ def is_symmetric(c: GenericBraiding) -> bool:
     rows = c.row_table()
     for i in range(d):
         for j in range(d):
-            twice = vsum((xy, s * t) for (a, b), s in rows[i][j].items()
-                         for xy, t in rows[a][b].items())
+            twice: dict = {}
+            for (a, b), s in rows[i][j].items():
+                for xy, t in rows[a][b].items():
+                    v = s * t
+                    prev = twice.get(xy)
+                    twice[xy] = v if prev is None else prev + v
             if not vec_equal(twice, {(i, j): ONE}):
                 return False
     return True
 
 
 def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
-    """True iff c(X x V) lies in V x X and c(V x X) lies in X x V, exactly."""
-    funcs = x.functionals()
+    """True iff c(X x V) lies in V x X and c(V x X) lies in X x V, exactly.
+
+    For each basis row of X and each basis vector of V, both images are
+    contracted in one pass against every annihilator functional of X on the
+    leg that must lie in X; the sums, keyed by (functional, remaining leg),
+    must all vanish."""
+    f_at: dict[int, list] = {}  # column -> (functional index, value)
+    for t, f in enumerate(x.functionals()):
+        for col, fv in f.items():
+            f_at.setdefault(col, []).append((t, fv))
+    if not f_at:
+        return True
+    rows = c.rows
     for xv in x.rows:
         for i in range(c.dim):
-            left: dict = {}
-            right: dict = {}
+            left: dict = {}   # f(second leg) of c(x (x) e_i)
+            right: dict = {}  # f(first leg) of c(e_i (x) x)
             for a, ca in xv.items():
-                vadd_into(left, c.braid_pair(a, i), ca)
-                vadd_into(right, c.braid_pair(i, a), ca)
-            if any(contract(left, 1, f) or contract(right, 0, f) for f in funcs):
+                for (p, q), s in rows.get((a, i), {}).items():
+                    fs = f_at.get(q)
+                    if fs:
+                        cs = ca * s
+                        for t, fq in fs:
+                            key, v = (t, p), cs * fq
+                            prev = left.get(key)
+                            left[key] = v if prev is None else prev + v
+                for (p, q), s in rows.get((i, a), {}).items():
+                    fs = f_at.get(p)
+                    if fs:
+                        cs = ca * s
+                        for t, fp in fs:
+                            key, v = (t, q), cs * fp
+                            prev = right.get(key)
+                            right[key] = v if prev is None else prev + v
+            if any(not v.is_zero() for v in left.values()) or \
+                    any(not v.is_zero() for v in right.values()):
                 return False
     return True

@@ -18,6 +18,7 @@ engine bug.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -76,7 +77,8 @@ def cmd_check(args) -> int:
 def cmd_pipeline(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     k = subspace_from_json(load_json_file(args.sub), h)
-    report = run_pipeline(h, k, args.degree)
+    degree = degree_cap_default() - 2 if args.degree is None else args.degree
+    report = run_pipeline(h, k, degree)
     _emit(report, args)
     if args.format == "text":
         summary = flat_summary(report)
@@ -252,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full relative-filtration analysis")
     p.add_argument("--input", required=True)
     p.add_argument("--sub", required=True)
-    p.add_argument("--degree", type=int, default=degree_cap_default() - 2)
+    p.add_argument("--degree", type=int,
+                   help="top degree (default: the degree cap minus 2, read when the command runs)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--report")
     p.set_defaults(fn=cmd_pipeline)
@@ -300,9 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BraidpbwError as exc:

@@ -11,23 +11,13 @@ the inclusion of K is central or the projection is cocentral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .braided_space import GenericBraiding, braid_check
 from .filtration import coradical_filtration_connected, transported_bialgebra
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
-from .multilinear import (
-    Vec,
-    braid_at,
-    lift,
-    mul_at,
-    slot_apply,
-    slot_split,
-    tensor,
-    unlift,
-    vadd_into,
-    vec_equal,
-)
+from .multilinear import Vec, add_term, vadd_into, vec_equal
 from .reporting import CoinvariantsError, FiltrationError, SpanError, ValidationReport
 from .scalars import ONE, Scalar
 
@@ -57,7 +47,7 @@ def projection_pi(gr: StructureBialgebra) -> ValidationReport:
             rhs = gr.multiply(proj(gr.basis_vec(i)), proj(gr.basis_vec(j)))
             if not vec_equal(lhs, rhs):
                 report.record("projection-product", (gr.names[i], gr.names[j]),
-                              render_tensor(gr, lift(lhs)), render_tensor(gr, lift(rhs)))
+                              gr.render(lhs), gr.render(rhs))
     for i in range(d):
         report.checked += 1
         cop = gr.comultiply(gr.basis_vec(i))
@@ -73,15 +63,26 @@ def projection_pi(gr: StructureBialgebra) -> ValidationReport:
     return report
 
 
-def pi_map(gr: StructureBialgebra, vec: Vec) -> Vec:
-    """a |-> a_1 S(pi(a_2)): first coproduct leg times the antipode of the
-    degree-zero projection of the second leg."""
-    if gr.antipode is None:
-        raise CoinvariantsError("the graded bialgebra needs an antipode")
-    w = slot_split(lift(vec), 0, gr.comul_atom)
-    w = {key: c for key, c in w.items() if gr.degree(key[1]) == 0}
-    w = slot_apply(w, 1, gr.antipode_atom)
-    return unlift(mul_at(gr, w, 0))
+def _pi_images(gr: StructureBialgebra) -> list[Vec]:
+    """a |-> a_1 S(pi(a_2)) on every basis vector, from the rows: the first
+    coproduct leg times the antipode of the degree-zero part of the second."""
+    mult, comult, anti = gr.mult, gr.comult, gr.antipode
+    degree_zero = [gr.degree(i) == 0 for i in range(gr.dim)]
+    images = []
+    for i in range(gr.dim):
+        out: Vec = {}
+        for (a, b), s in comult[i].items():
+            if not degree_zero[b]:
+                continue
+            ma = mult[a]
+            for x, t in anti[b].items():
+                st = s * t
+                for z, u in ma[x].items():
+                    v = st * u
+                    prev = out.get(z)
+                    out[z] = v if prev is None else prev + v
+        images.append({z: v for z, v in out.items() if not v.is_zero()})
+    return images
 
 
 def coinvariance_defect(gr: StructureBialgebra, vec: Vec) -> dict:
@@ -89,8 +90,8 @@ def coinvariance_defect(gr: StructureBialgebra, vec: Vec) -> dict:
     cop = gr.comultiply(vec)
     out = {key: c for key, c in cop.items() if gr.degree(key[1]) == 0}
     for i, c in vec.items():
-        for u, cu in gr.unit_vec().items():
-            vadd_into(out, {(i, u): -(c * cu)})
+        for u, cu in gr.unit.items():
+            add_term(out, (i, u), -(c * cu))
     return out
 
 
@@ -103,22 +104,9 @@ class CoinvariantAlgebra:
     k_indices: tuple[int, ...]
     action: tuple[tuple[Vec, ...], ...]  # ad[k][r] over R coordinates
     coaction: tuple[dict, ...]           # delta[r] over (K position, R index)
+    braided_reps: list[list[dict]]       # c(reps[a] (x) reps[b]) in parent coordinates
     kernel_is_left_ideal: bool
     coradical_matches_grading: bool
-
-
-def ad_eval(gr: StructureBialgebra, kvec: Vec, rvec: Vec) -> Vec:
-    """Braided conjugation: multiply the first coproduct leg of k, braid the
-    second past the argument, close with the antipode and multiply down."""
-    if gr.antipode is None:
-        raise CoinvariantsError("the graded bialgebra needs an antipode")
-    w = tensor(lift(kvec), lift(rvec))
-    w = slot_split(w, 0, gr.comul_atom)
-    w = braid_at(gr, w, 1)
-    w = slot_apply(w, 2, gr.antipode_atom)
-    w = mul_at(gr, w, 0)
-    w = mul_at(gr, w, 0)
-    return unlift(w)
 
 
 def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
@@ -133,7 +121,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         raise CoinvariantsError("the graded bialgebra needs an antipode")
     d = gr.dim
 
-    images = [pi_map(gr, gr.basis_vec(i)) for i in range(d)]
+    images = _pi_images(gr)
     r_image = Subspace.span(d, images, ambient=gr)
     r_kernel = kernel([coinvariance_defect(gr, gr.basis_vec(i)) for i in range(d)], ambient=gr)
 
@@ -163,7 +151,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         raise CoinvariantsError("parent basis is not sorted by degree")
     basis = Coordinates(d, reps)
     try:
-        r_alg, action, coaction = _induced_structure(gr, basis, degrees, k_indices)
+        r_alg, action, coaction, braided = _induced_structure(gr, basis, degrees, k_indices, images)
     except SpanError as exc:
         raise CoinvariantsError("induced operation left the coinvariant subspace") from exc
 
@@ -175,75 +163,119 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         k_indices=k_indices,
         action=action,
         coaction=coaction,
+        braided_reps=braided,
         kernel_is_left_ideal=kernel_is_left_ideal,
         coradical_matches_grading=_degree_filtration_is_coradical(r_alg),
     )
 
 
 def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list[int],
-                       k_indices: tuple[int, ...]):
-    """R's coproduct through pi_map, its K-action and K-coaction, and the
-    braiding assembled from the three, over the coinvariant basis; returns
-    the transported algebra R with the action and coaction."""
+                       k_indices: tuple[int, ...], images: list[Vec]):
+    """R's coproduct (``images``, the a |-> a_1 S(pi(a_2)) image of each
+    basis vector, applied to the first coproduct leg), its K-action and
+    K-coaction, and the braiding assembled from the three, over the
+    coinvariant basis, all composed from the structure rows.  Returns the
+    transported algebra R with the action, the coaction and the braided
+    pairs of the representatives."""
     reps = basis.vectors
     rdim = len(reps)
-    comult = []
+    mult, comult, anti, c = gr.mult, gr.comult, gr.antipode, gr.braiding.row_table()
+    comult_r = []
     for a in range(rdim):
-        w = slot_split(lift(reps[a]), 0, gr.comul_atom)
-        w = slot_apply(w, 0, lambda i: pi_map(gr, {i: ONE}))
-        comult.append(basis.coords_pair(w))
+        w: dict = {}
+        for j, cj in reps[a].items():
+            for (x, y), s in comult[j].items():
+                cs = cj * s
+                for z, t in images[x].items():
+                    key, v = (z, y), cs * t
+                    prev = w.get(key)
+                    w[key] = v if prev is None else prev + v
+        comult_r.append(basis.coords_pair(w))
 
-    action = tuple(
-        tuple(basis.coords(ad_eval(gr, {k: ONE}, reps[b])) for b in range(rdim))
-        for k in k_indices
-    )
+    acted: dict = {}  # (k, u) -> braided conjugation of e_u by e_k
+
+    def ad(k: int, u: int) -> Vec:
+        """m(m x S)(id x c)(Delta e_k x e_u): multiply the first coproduct leg
+        of e_k, braid the second past e_u, close with the antipode."""
+        out = acted.get((k, u))
+        if out is None:
+            out = {}
+            for (a, b), s in comult[k].items():
+                ma = mult[a]
+                for (x, y), t in c[b][u].items():
+                    st, sy = s * t, anti[y]
+                    for p, w in ma[x].items():
+                        stw, mp = st * w, mult[p]
+                        for z, v in sy.items():
+                            stwv = stw * v
+                            for q, g in mp[z].items():
+                                term = stwv * g
+                                prev = out.get(q)
+                                out[q] = term if prev is None else prev + term
+            out = acted[(k, u)] = {q: v for q, v in out.items() if not v.is_zero()}
+        return out
+
+    action = []
+    for k in k_indices:
+        row = []
+        for b in range(rdim):
+            out: Vec = {}
+            for u, cu in reps[b].items():
+                for q, v in ad(k, u).items():
+                    v = cu * v
+                    prev = out.get(q)
+                    out[q] = v if prev is None else prev + v
+            row.append(basis.coords(out))
+        action.append(tuple(row))
 
     k_pos = {k: t for t, k in enumerate(k_indices)}
     coaction = []
     for a in range(rdim):
         by_left: dict = {}  # the comultiply output has no zero entries
-        for (i, j), c in gr.comultiply(reps[a]).items():
+        for (i, j), s in gr.comultiply(reps[a]).items():
             if gr.degree(i) == 0:
-                by_left.setdefault(i, {})[j] = c
+                by_left.setdefault(i, {})[j] = s
         coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
                          for rr, cr in basis.coords(legvec).items()})
     for a in range(rdim):
         acc: Vec = {}
-        for (kt, rr), c in coaction[a].items():
-            v = c * gr.counit[k_indices[kt]]
+        for (kt, rr), s in coaction[a].items():
+            v = s * gr.counit[k_indices[kt]]
             prev = acc.get(rr)
             acc[rr] = v if prev is None else prev + v
         if not vec_equal(acc, {a: ONE}):
             raise CoinvariantsError("coaction fails counitality")
 
-    # the braided pair of representatives per (rr, b) and the action of a
-    # basis vector of K per (k, u), each evaluated once
-    braided: dict = {}
-    acted: dict = {}
+    # every representative occurs in its own coaction (counitality), so each
+    # braided pair is used; each is formed once
+    braided = []
+    for a in range(rdim):
+        row = []
+        for b in range(rdim):
+            pair: dict = {}
+            for i, ci in reps[a].items():
+                ci_row = c[i]
+                for j, cj in reps[b].items():
+                    cij = ci * cj
+                    for xy, s in ci_row[j].items():
+                        v = cij * s
+                        prev = pair.get(xy)
+                        pair[xy] = v if prev is None else prev + v
+            row.append({xy: v for xy, v in pair.items() if not v.is_zero()})
+        braided.append(row)
+
     braid_rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     for a in range(rdim):
         for b in range(rdim):
             ambient: dict = {}
-            for (kt, rr), c in coaction[a].items():
+            for (kt, rr), s in coaction[a].items():
                 k = k_indices[kt]
-                pair = braided.get((rr, b))
-                if pair is None:
-                    pair = braided[(rr, b)] = braid_at(
-                        gr, tensor(lift(reps[rr]), lift(reps[b])), 0)
-                for (u, v), s in pair.items():
-                    ku = acted.get((k, u))
-                    if ku is None:
-                        ku = acted[(k, u)] = ad_eval(gr, {k: ONE}, {u: ONE})
-                    cs = c * s
-                    for au, ca in ku.items():
-                        key, x = (au, v), cs * ca
+                for (u, v), t in braided[rr][b].items():
+                    st = s * t
+                    for au, ca in ad(k, u).items():
+                        key, x = (au, v), st * ca
                         prev = ambient.get(key)
-                        if prev is not None:
-                            x = prev + x
-                        if x.is_zero():
-                            ambient.pop(key, None)
-                        else:
-                            ambient[key] = x
+                        ambient[key] = x if prev is None else prev + x
             entry = basis.coords_pair(ambient)
             if entry:
                 braid_rows[(a, b)] = entry
@@ -251,8 +283,8 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     if not braid_check(braiding_r):
         raise CoinvariantsError("induced braiding fails the braid equation")
 
-    r_alg = transported_bialgebra(gr, basis, degrees, "r", comult, braiding_r, None)
-    return r_alg, action, tuple(coaction)
+    r_alg = transported_bialgebra(gr, basis, degrees, "r", comult_r, braiding_r, None)
+    return r_alg, tuple(action), tuple(coaction), braided
 
 
 def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
@@ -292,30 +324,58 @@ def coaction_map(coinv: CoinvariantAlgebra, rvec: Vec) -> dict:
 
 def is_central(b: StructureBialgebra, f_rows: list[Vec]) -> bool:
     """Multiplication through the map is invariant under the braiding, on
-    both sides."""
+    both sides: u e_j = m c(u x e_j) and e_j u = m c(e_j x u) for every
+    nonzero row u and every basis vector e_j below the truncation."""
+    mult, c = b.mult, b.braiding.row_table()
+    cap = inf if b.truncation is None else b.truncation
     for u in f_rows:
         if not u:
             continue
+        gate_u = b.gate_of(u)
         for j in range(b.dim):
-            if b.truncation is not None and b.gate_of(u) + b.gate_degree(j) > b.truncation:
+            if gate_u + b.gate_degree(j) > cap:
                 continue
-            ev = b.basis_vec(j)
-            if not vec_equal(b.multiply(u, ev), b.opposite_multiply(u, ev)):
-                return False
-            if not vec_equal(b.multiply(ev, u), b.opposite_multiply(ev, u)):
-                return False
+            for left in (True, False):
+                prod: Vec = {}
+                opposite: Vec = {}
+                for i, ci in u.items():
+                    x, y = (i, j) if left else (j, i)
+                    for z, t in mult[x][y].items():
+                        v = ci * t
+                        prev = prod.get(z)
+                        prod[z] = v if prev is None else prev + v
+                    for (p, q), s in c[x][y].items():
+                        cs = ci * s
+                        for z, t in mult[p][q].items():
+                            v = cs * t
+                            prev = opposite.get(z)
+                            opposite[z] = v if prev is None else prev + v
+                if not vec_equal(prod, opposite):
+                    return False
     return True
 
 
 def is_cocentral(a: StructureBialgebra, f_rows: list[Vec]) -> bool:
     """Applying the map to either coproduct leg is invariant under
     pre-composition with the braiding."""
+    comult, c = a.comult, a.braiding.row_table()
     for i in range(a.dim):
-        cop = a.comultiply(a.basis_vec(i))
-        braided = braid_at(a, cop, 0)
+        cop = comult[i]
+        braided: dict = {}
+        for (x, y), s in cop.items():
+            for xy, t in c[x][y].items():
+                v = s * t
+                prev = braided.get(xy)
+                braided[xy] = v if prev is None else prev + v
         for slot in (0, 1):
-            lhs = slot_apply(cop, slot, lambda t: f_rows[t])
-            rhs = slot_apply(braided, slot, lambda t: f_rows[t])
+            lhs: dict = {}
+            rhs: dict = {}
+            for side, w in ((lhs, cop), (rhs, braided)):
+                for (x, y), s in w.items():
+                    for z, t in f_rows[y if slot else x].items():
+                        key, v = ((x, z) if slot else (z, y)), s * t
+                        prev = side.get(key)
+                        side[key] = v if prev is None else prev + v
             if not vec_equal(lhs, rhs):
                 return False
     return True
@@ -344,15 +404,34 @@ class CollapseReport:
 def braiding_matches_restriction(coinv: CoinvariantAlgebra) -> bool:
     """Compare the induced braiding on R with the ambient braiding restricted
     to R (x) R, exactly, in ambient coordinates."""
-    gr = coinv.parent
-    r_alg = coinv.algebra
+    reps, r_alg = coinv.reps, coinv.algebra
     for a in range(r_alg.dim):
         for b in range(r_alg.dim):
-            ambient = braid_at(gr, tensor(lift(coinv.reps[a]), lift(coinv.reps[b])), 0)
             induced: dict = {}
-            for (ra, rb), c in r_alg.braid_pair(a, b).items():
-                vadd_into(induced, tensor(lift(coinv.reps[ra]), lift(coinv.reps[rb])), c)
-            if not vec_equal(ambient, induced):
+            for (ra, rb), s in r_alg.braid_pair(a, b).items():
+                right = reps[rb].items()
+                for i, ci in reps[ra].items():
+                    sci = s * ci
+                    for j, cj in right:
+                        key, v = (i, j), sci * cj
+                        prev = induced.get(key)
+                        induced[key] = v if prev is None else prev + v
+            if not vec_equal(coinv.braided_reps[a][b], induced):
+                return False
+    return True
+
+
+def graded_projection_identity(gr: StructureBialgebra) -> bool:
+    """(pi x id) c = c (id x pi) on every basis pair, for the degree-zero
+    projection pi: the part of c(e_i x e_j) whose first leg has degree zero
+    is all of it when e_j has degree zero, and nothing otherwise."""
+    c = gr.braiding.row_table()
+    degree_zero = [gr.degree(i) == 0 for i in range(gr.dim)]
+    for i in range(gr.dim):
+        for j in range(gr.dim):
+            cij = c[i][j]
+            projected = {xy: s for xy, s in cij.items() if degree_zero[xy[0]]}
+            if not vec_equal(projected, cij if degree_zero[j] else {}):
                 return False
     return True
 
@@ -365,19 +444,7 @@ def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra) -
     pi_rows: list[Vec] = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
     central = is_central(gr, k_rows)
     cocentral = is_cocentral(gr, pi_rows)
-
-    identity_ok = True
-    for i in range(gr.dim):
-        for j in range(gr.dim):
-            w = {(i, j): ONE}
-            lhs = slot_apply(braid_at(gr, w, 0), 0, lambda t: pi_rows[t])
-            rhs = braid_at(gr, slot_apply(w, 1, lambda t: pi_rows[t]), 0)
-            if not vec_equal(lhs, rhs):
-                identity_ok = False
-                break
-        if not identity_ok:
-            break
-
+    identity_ok = graded_projection_identity(gr)
     matches = braiding_matches_restriction(coinv)
     hypothesis = central or cocentral
     if hypothesis:

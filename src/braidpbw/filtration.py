@@ -15,7 +15,7 @@ from functools import cached_property
 from .findim_hopf import StructureBialgebra, commutator_table, render_tensor
 from .braided_space import GenericBraiding, is_categorical, is_symmetric
 from .linalg import Coordinates, Subspace, kernel
-from .multilinear import Vec, contract, vadd_into
+from .multilinear import Vec, add_term, contract, vadd_into
 from .reporting import FiltrationError, ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -72,7 +72,7 @@ def wedge(k: Subspace, w: Subspace) -> Subspace:
         for (a, b), c in h.comult[i].items():
             for s, fa in k_at.get(a, ()):
                 for t, gb in w_at.get(b, ()):
-                    vadd_into(img, {(s, t): c * fa * gb})
+                    add_term(img, (s, t), c * fa * gb)
         images.append(img)
     return kernel(images, ambient=h)
 
@@ -111,7 +111,8 @@ def hopf_filtration(h: StructureBialgebra, k: Subspace) -> FiltrationLadder:
     if not validation.ok:
         raise FiltrationError("K is not a categorical braided Hopf subalgebra:\n"
                               + validation.summary())
-    return _wedge_ladder(h, k, k)
+    # validation has found K categorical, the first step of the ladder
+    return _wedge_ladder(h, k, k, start_categorical=True)
 
 
 def coradical_filtration_connected(h: StructureBialgebra) -> FiltrationLadder:
@@ -129,7 +130,10 @@ def coradical_filtration_connected(h: StructureBialgebra) -> FiltrationLadder:
     return _wedge_ladder(h, base, base)
 
 
-def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace) -> FiltrationLadder:
+def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace,
+                  start_categorical: bool = False) -> FiltrationLadder:
+    """Wedge steps from ``start`` until they stop growing; ``start_categorical``
+    says the caller has already found ``start`` categorical."""
     steps = [start]
     while True:
         nxt = wedge(k, steps[-1])
@@ -140,7 +144,8 @@ def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace) -> Filtra
         steps.append(nxt)
         if nxt.dim == h.dim:
             break
-    categorical = all(is_categorical(h.braiding, s) for s in steps)
+    categorical = all(is_categorical(h.braiding, s)
+                      for s in (steps[1:] if start_categorical else steps))
     stable = True
     if h.antipode is not None:
         for s in steps:

@@ -332,12 +332,20 @@ def check_braided_coalgebra(h: StructureBialgebra) -> ValidationReport:
                         prev = rhs.get(key)
                         rhs[key] = v if prev is None else prev + v
             _compare(h, report, "braid-comul-right", (i, j), lhs, rhs)
-            _compare(h, report, "counit-braid-left", (i, j),
-                     vsum((b, s * eps[a]) for (a, b), s in cij.items() if not eps[a].is_zero()),
-                     {i: eps[j]})
-            _compare(h, report, "counit-braid-right", (i, j),
-                     vsum((a, s * eps[b]) for (a, b), s in cij.items() if not eps[b].is_zero()),
-                     {j: eps[i]})
+            # (eps x id) c and (id x eps) c against the counit of the other leg
+            lhs = {}
+            rhs = {}
+            for (a, b), s in cij.items():
+                if not eps[a].is_zero():
+                    v = s * eps[a]
+                    prev = lhs.get(b)
+                    lhs[b] = v if prev is None else prev + v
+                if not eps[b].is_zero():
+                    v = s * eps[b]
+                    prev = rhs.get(a)
+                    rhs[a] = v if prev is None else prev + v
+            _compare(h, report, "counit-braid-left", (i, j), lhs, {i: eps[j]})
+            _compare(h, report, "counit-braid-right", (i, j), rhs, {j: eps[i]})
     return report
 
 
@@ -419,17 +427,52 @@ def check_antipode(h: StructureBialgebra) -> ValidationReport:
         ci, si = c[i], anti[i]
         for j in range(d):
             cij, sj = ci[j], anti[j]
-            _compare(h, report, "antipode-braid-left", (i, j),
-                     vsum(((x, b), s * t) for (a, b), s in cij.items() for x, t in anti[a].items()),
-                     vsum((xy, s * t) for a, s in sj.items() for xy, t in ci[a].items()))
-            _compare(h, report, "antipode-braid-right", (i, j),
-                     vsum(((a, y), s * t) for (a, b), s in cij.items() for y, t in anti[b].items()),
-                     vsum((xy, s * t) for a, s in si.items() for xy, t in c[a][j].items()))
+            # (S x id) c against c (id x S), and (id x S) c against c (S x id)
+            lhs_l: Vec = {}
+            lhs_r: Vec = {}
+            for (a, b), s in cij.items():
+                for x, t in anti[a].items():
+                    key, v = (x, b), s * t
+                    prev = lhs_l.get(key)
+                    lhs_l[key] = v if prev is None else prev + v
+                for y, t in anti[b].items():
+                    key, v = (a, y), s * t
+                    prev = lhs_r.get(key)
+                    lhs_r[key] = v if prev is None else prev + v
+            rhs_l: Vec = {}
+            for a, s in sj.items():
+                for xy, t in ci[a].items():
+                    v = s * t
+                    prev = rhs_l.get(xy)
+                    rhs_l[xy] = v if prev is None else prev + v
+            rhs_r: Vec = {}
+            for a, s in si.items():
+                for xy, t in c[a][j].items():
+                    v = s * t
+                    prev = rhs_r.get(xy)
+                    rhs_r[xy] = v if prev is None else prev + v
+            _compare(h, report, "antipode-braid-left", (i, j), lhs_l, rhs_l)
+            _compare(h, report, "antipode-braid-right", (i, j), lhs_r, rhs_r)
             if deg[i] + deg[j] <= cap:
-                _compare(h, report, "antipode-mult", (i, j),
-                         vsum((z, s * t * u * v) for a, s in si.items() for b, t in sj.items()
-                              for (x, y), u in c[a][b].items() for z, v in mult[x][y].items()),
-                         vsum((z, s * t) for a, s in mult[i][j].items() for z, t in anti[a].items()))
+                # m c (S x S) against S m
+                lhs = {}
+                for a, s in si.items():
+                    ca = c[a]
+                    for b, t in sj.items():
+                        st = s * t
+                        for (x, y), u in ca[b].items():
+                            stu = st * u
+                            for z, w in mult[x][y].items():
+                                v = stu * w
+                                prev = lhs.get(z)
+                                lhs[z] = v if prev is None else prev + v
+                rhs = {}
+                for a, s in mult[i][j].items():
+                    for z, t in anti[a].items():
+                        v = s * t
+                        prev = rhs.get(z)
+                        rhs[z] = v if prev is None else prev + v
+                _compare(h, report, "antipode-mult", (i, j), lhs, rhs)
             else:
                 report.skipped += 1
     return report
@@ -557,8 +600,12 @@ def is_c_commutative(h: StructureBialgebra) -> bool:
         for j in range(h.dim):
             if deg[i] + deg[j] > cap:
                 continue
-            opposite = vsum((z, s * t) for (a, b), s in c[i][j].items()
-                            for z, t in mult[a][b].items())
+            opposite: Vec = {}
+            for (a, b), s in c[i][j].items():
+                for z, t in mult[a][b].items():
+                    v = s * t
+                    prev = opposite.get(z)
+                    opposite[z] = v if prev is None else prev + v
             if not vec_equal(mult[i][j], opposite):
                 return False
     return True

@@ -9,14 +9,13 @@ any object exposing the pair interface
     mul_pair(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
     braid_pair(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
 
-which is all the braided-commutator identities need.  These stages still
-use them: the coinvariants (``pi_map``, ``ad_eval``, the centrality and
-cocentrality tests and the braiding-collapse comparison), the braiding of
-the PBW quotient, the braided commutator and opposite product of a
-structure-constant bialgebra, and the square-commutator identities.  The
-axiom checkers in ``findim_hopf`` and ``braided_space``, the
-commutator-coproduct check and the commutator table behind the
-commutator-filtration check compose structure rows directly instead.
+which is all the braided-commutator identities need.  Only three callers
+still use them: the braiding of the PBW quotient, the braided commutator
+and opposite product of a structure-constant bialgebra, and the
+square-commutator identities.  The axiom checkers in ``findim_hopf`` and
+``braided_space``, the categorical-subspace test, the commutator checks,
+the coinvariants with their induced structure and the braiding-collapse
+diagnosis compose structure rows directly instead.
 """
 from __future__ import annotations
 
@@ -44,6 +43,17 @@ def vadd_into(acc: Vec, vec: Vec, factor: Scalar | None = None) -> Vec:
         else:
             acc[k] = s
     return acc
+
+
+def add_term(acc: Vec, key, c: Scalar) -> None:
+    """acc[key] += c, dropping the entry when the sum is an exact zero."""
+    prev = acc.get(key)
+    if prev is not None:
+        c = prev + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
 
 def vsum(terms) -> Vec:
@@ -98,7 +108,7 @@ def contract(w: Vec, slot: int, f: Vec) -> Vec:
     for key, c in w.items():
         fv = f.get(key[slot])
         if fv is not None:
-            vadd_into(out, {key[1 - slot]: c * fv})
+            add_term(out, key[1 - slot], c * fv)
     return out
 
 
@@ -126,7 +136,7 @@ def slot_apply(vec: Vec, i: int, fn) -> Vec:
     out: Vec = {}
     for key, c in vec.items():
         for atom, s in fn(key[i]).items():
-            vadd_into(out, {key[:i] + (atom,) + key[i + 1:]: c * s})
+            add_term(out, key[:i] + (atom,) + key[i + 1:], c * s)
     return out
 
 
@@ -135,7 +145,7 @@ def slot_pair(vec: Vec, i: int, fn) -> Vec:
     out: Vec = {}
     for key, c in vec.items():
         for (x, y), s in fn(key[i], key[i + 1]).items():
-            vadd_into(out, {key[:i] + (x, y) + key[i + 2:]: c * s})
+            add_term(out, key[:i] + (x, y) + key[i + 2:], c * s)
     return out
 
 
@@ -144,7 +154,7 @@ def slot_merge(vec: Vec, i: int, fn) -> Vec:
     out: Vec = {}
     for key, c in vec.items():
         for atom, s in fn(key[i], key[i + 1]).items():
-            vadd_into(out, {key[:i] + (atom,) + key[i + 2:]: c * s})
+            add_term(out, key[:i] + (atom,) + key[i + 2:], c * s)
     return out
 
 
@@ -153,7 +163,7 @@ def slot_split(vec: Vec, i: int, fn) -> Vec:
     out: Vec = {}
     for key, c in vec.items():
         for (x, y), s in fn(key[i]).items():
-            vadd_into(out, {key[:i] + (x, y) + key[i + 1:]: c * s})
+            add_term(out, key[:i] + (x, y) + key[i + 1:], c * s)
     return out
 
 
@@ -163,7 +173,7 @@ def slot_scalar(vec: Vec, i: int, fn) -> Vec:
     for key, c in vec.items():
         s = fn(key[i])
         if not s.is_zero():
-            vadd_into(out, {key[:i] + key[i + 1:]: c * s})
+            add_term(out, key[:i] + key[i + 1:], c * s)
     return out
 
 

@@ -1,17 +1,23 @@
-"""Reference axiom checkers: the slot-operation evaluation, kept as an oracle.
+"""Reference checkers and coinvariant stages: the slot-operation evaluation,
+kept as an oracle.
 
-Each function evaluates both sides of every axiom through the generic
-``multilinear`` slot operations (``braid_at``, ``mul_at``, ``slot_split``,
-...), one basis tuple at a time.  The engine's checkers compose the
-structure rows directly; the tests require both to give identical reports,
-counters, witnesses and verdicts.
+Each function evaluates both sides of every axiom, or each induced
+structure map, through the generic ``multilinear`` slot operations
+(``braid_at``, ``mul_at``, ``slot_split``, ...), one basis tuple at a time.
+The engine composes the structure rows directly; the tests require both to
+give identical reports, counters, witnesses, verdicts and structure
+constants.
 """
 from __future__ import annotations
 
 from braidpbw.braided_space import GenericBraiding
+from braidpbw.coinvariants import CollapseReport
 from braidpbw.findim_hopf import StructureBialgebra, render_tensor
+from braidpbw.filtration import transported_bialgebra
+from braidpbw.linalg import Coordinates, Subspace, kernel
 from braidpbw.multilinear import (
     braid_at,
+    contract,
     lift,
     mul_at,
     slot_apply,
@@ -21,10 +27,11 @@ from braidpbw.multilinear import (
     square_product,
     tensor,
     unlift,
+    vadd_into,
     vec_equal,
     vscale,
 )
-from braidpbw.reporting import ValidationReport
+from braidpbw.reporting import CoinvariantsError, SpanError, ValidationReport
 from braidpbw.scalars import ONE
 
 
@@ -240,3 +247,198 @@ def is_c_cocommutative(h: StructureBialgebra) -> bool:
         if not vec_equal(de, braid_at(h, de, 0)):
             return False
     return True
+
+
+def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
+    """True iff c(X x V) lies in V x X and c(V x X) lies in X x V, exactly:
+    each image contracted against one annihilator functional at a time."""
+    funcs = x.functionals()
+    for xv in x.rows:
+        for i in range(c.dim):
+            left: dict = {}
+            right: dict = {}
+            for a, ca in xv.items():
+                vadd_into(left, c.braid_pair(a, i), ca)
+                vadd_into(right, c.braid_pair(i, a), ca)
+            if any(contract(left, 1, f) or contract(right, 0, f) for f in funcs):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# coinvariants
+# ---------------------------------------------------------------------------
+
+def pi_map(gr: StructureBialgebra, vec) -> dict:
+    """a |-> a_1 S(pi(a_2)): first coproduct leg times the antipode of the
+    degree-zero projection of the second leg."""
+    w = slot_split(lift(vec), 0, gr.comul_atom)
+    w = {key: c for key, c in w.items() if gr.degree(key[1]) == 0}
+    w = slot_apply(w, 1, gr.antipode_atom)
+    return unlift(mul_at(gr, w, 0))
+
+
+def ad_eval(gr: StructureBialgebra, kvec, rvec) -> dict:
+    """Braided conjugation: multiply the first coproduct leg of k, braid the
+    second past the argument, close with the antipode and multiply down."""
+    w = tensor(lift(kvec), lift(rvec))
+    w = slot_split(w, 0, gr.comul_atom)
+    w = braid_at(gr, w, 1)
+    w = slot_apply(w, 2, gr.antipode_atom)
+    w = mul_at(gr, w, 0)
+    w = mul_at(gr, w, 0)
+    return unlift(w)
+
+
+def compute_R(gr: StructureBialgebra) -> dict:
+    """The coinvariants as the image of pi_map, and R's coproduct through
+    pi_map, its K-action through ad_eval, its K-coaction, the braided pairs
+    of the representatives and the braiding assembled from them, over the
+    coinvariant basis; raises CoinvariantsError where the engine's
+    ``compute_R`` does."""
+    d = gr.dim
+    images = [pi_map(gr, {i: ONE}) for i in range(d)]
+    defects = []
+    for i in range(d):
+        out = {key: c for key, c in gr.comult[i].items() if gr.degree(key[1]) == 0}
+        for u, cu in gr.unit.items():
+            vadd_into(out, {(i, u): -cu})
+        defects.append(out)
+    r_sub = Subspace.span(d, images)
+    if r_sub != kernel(defects):
+        raise CoinvariantsError(
+            "the two descriptions of the coinvariants disagree: "
+            f"image dim {r_sub.dim}, kernel dim {kernel(defects).dim}")
+    reps = list(r_sub.rows)
+    degrees = []
+    for vec in reps:
+        degs = {gr.degree(i) for i in vec}
+        if len(degs) != 1:
+            raise CoinvariantsError("coinvariant basis vector is not homogeneous")
+        degrees.append(degs.pop())
+    if degrees != sorted(degrees):
+        raise CoinvariantsError("parent basis is not sorted by degree")
+    k_indices = tuple(gr.degree_indices(0))
+    try:
+        return _induced_structure(gr, r_sub, reps, degrees, k_indices)
+    except SpanError as exc:
+        raise CoinvariantsError("induced operation left the coinvariant subspace") from exc
+
+
+def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
+    basis = Coordinates(gr.dim, reps)
+    rdim = len(reps)
+    comult = []
+    for a in range(rdim):
+        w = slot_split(lift(reps[a]), 0, gr.comul_atom)
+        w = slot_apply(w, 0, lambda i: pi_map(gr, {i: ONE}))
+        comult.append(basis.coords_pair(w))
+    action = tuple(tuple(basis.coords(ad_eval(gr, {k: ONE}, reps[b])) for b in range(rdim))
+                   for k in k_indices)
+    k_pos = {k: t for t, k in enumerate(k_indices)}
+    coaction = []
+    for a in range(rdim):
+        by_left: dict = {}
+        for (i, j), c in gr.comultiply(reps[a]).items():
+            if gr.degree(i) == 0:
+                by_left.setdefault(i, {})[j] = c
+        coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
+                         for rr, cr in basis.coords(legvec).items()})
+    for a in range(rdim):
+        acc: dict = {}
+        for (kt, rr), c in coaction[a].items():
+            vadd_into(acc, {rr: c * gr.counit[k_indices[kt]]})
+        if not vec_equal(acc, {a: ONE}):
+            raise CoinvariantsError("coaction fails counitality")
+    braided = [[braid_at(gr, tensor(lift(reps[a]), lift(reps[b])), 0) for b in range(rdim)]
+               for a in range(rdim)]
+    braid_rows = {}
+    for a in range(rdim):
+        for b in range(rdim):
+            ambient: dict = {}
+            for (kt, rr), c in coaction[a].items():
+                for (u, v), s in braided[rr][b].items():
+                    for au, ca in ad_eval(gr, {k_indices[kt]: ONE}, {u: ONE}).items():
+                        vadd_into(ambient, {(au, v): c * s * ca})
+            entry = basis.coords_pair(ambient)
+            if entry:
+                braid_rows[(a, b)] = entry
+    braiding = GenericBraiding(rdim, braid_rows)
+    if not braid_check(braiding):
+        raise CoinvariantsError("induced braiding fails the braid equation")
+    r_alg = transported_bialgebra(gr, basis, degrees, "r", comult, braiding, None)
+    return {"inclusion": r_sub, "k_indices": k_indices, "algebra": r_alg,
+            "action": action, "coaction": tuple(coaction), "braided_reps": braided}
+
+
+def is_central(b: StructureBialgebra, f_rows: list) -> bool:
+    """Multiplication through the map is invariant under the braiding, on
+    both sides."""
+    for u in f_rows:
+        if not u:
+            continue
+        for j in range(b.dim):
+            if b.truncation is not None and b.gate_of(u) + b.gate_degree(j) > b.truncation:
+                continue
+            ev = b.basis_vec(j)
+            if not vec_equal(b.multiply(u, ev), b.opposite_multiply(u, ev)):
+                return False
+            if not vec_equal(b.multiply(ev, u), b.opposite_multiply(ev, u)):
+                return False
+    return True
+
+
+def is_cocentral(a: StructureBialgebra, f_rows: list) -> bool:
+    """Applying the map to either coproduct leg is invariant under
+    pre-composition with the braiding."""
+    for i in range(a.dim):
+        cop = a.comultiply(a.basis_vec(i))
+        braided = braid_at(a, cop, 0)
+        for slot in (0, 1):
+            lhs = slot_apply(cop, slot, lambda t: f_rows[t])
+            rhs = slot_apply(braided, slot, lambda t: f_rows[t])
+            if not vec_equal(lhs, rhs):
+                return False
+    return True
+
+
+def braiding_matches_restriction(coinv) -> bool:
+    """The induced braiding on R against the ambient braiding restricted to
+    R (x) R, in ambient coordinates."""
+    gr, r_alg = coinv.parent, coinv.algebra
+    for a in range(r_alg.dim):
+        for b in range(r_alg.dim):
+            ambient = braid_at(gr, tensor(lift(coinv.reps[a]), lift(coinv.reps[b])), 0)
+            induced: dict = {}
+            for (ra, rb), c in r_alg.braid_pair(a, b).items():
+                vadd_into(induced, tensor(lift(coinv.reps[ra]), lift(coinv.reps[rb])), c)
+            if not vec_equal(ambient, induced):
+                return False
+    return True
+
+
+def graded_projection_identity(gr: StructureBialgebra) -> bool:
+    """(pi x id) c = c (id x pi) on every basis pair."""
+    pi_rows = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
+    for i in range(gr.dim):
+        for j in range(gr.dim):
+            w = {(i, j): ONE}
+            lhs = slot_apply(braid_at(gr, w, 0), 0, lambda t: pi_rows[t])
+            rhs = braid_at(gr, slot_apply(w, 1, lambda t: pi_rows[t]), 0)
+            if not vec_equal(lhs, rhs):
+                return False
+    return True
+
+
+def check_braiding_collapse(gr: StructureBialgebra, coinv) -> CollapseReport:
+    central = is_central(gr, [{i: ONE} for i in coinv.k_indices])
+    cocentral = is_cocentral(gr, [({i: ONE} if gr.degree(i) == 0 else {})
+                                  for i in range(gr.dim)])
+    matches = braiding_matches_restriction(coinv)
+    hypothesis = central or cocentral
+    if hypothesis:
+        status = "confirmed" if matches else "violated"
+    else:
+        status = "vacuous_equal" if matches else "vacuous_differs"
+    return CollapseReport(central, cocentral, hypothesis, matches,
+                          graded_projection_identity(gr), status)

@@ -1,0 +1,153 @@
+"""The coinvariant stages, the braiding-collapse diagnosis and the
+categorical-subspace test against the slot-operation reference in
+``reference_checkers``: identical coinvariant subspaces, R structure
+constants, K-actions, K-coactions, braided pairs, collapse reports and
+verdicts, or the same error, on the corpus entries, on truncated and
+associated-graded inputs, and on mutants with one entry of the braiding or
+of the coproduct perturbed."""
+import inspect
+import random
+from collections import Counter
+
+import pytest
+
+import reference_checkers as ref
+from braidpbw import braided_space, coinvariants
+from braidpbw.braided_space import GenericBraiding
+from braidpbw.corpus import build_cached, corpus_entries, solvable_pair_y_indices
+from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
+from braidpbw.linalg import Subspace
+from braidpbw.reporting import CoinvariantsError
+from braidpbw.scalars import ONE, Scalar
+from test_checker_oracle import _perturb
+from test_findim_hopf import _mutate
+
+
+def _sub_indices(entry, truncation):
+    if entry.name == "solvable_pair_yline" and truncation is not None:
+        return tuple(sorted(solvable_pair_y_indices(truncation)))
+    return entry.sub_indices
+
+
+def _inputs():
+    """(label, bialgebra, subalgebra indices or None): every corpus entry,
+    the truncated ones also at T = 1..3, and the associated graded of every
+    entry with a subalgebra (at T = 1..3 for the truncated ones)."""
+    for entry in corpus_entries():
+        truncated = "truncation" in inspect.signature(entry.build).parameters
+        for t in ((None, 1, 2, 3) if truncated else (None,)):
+            h = build_cached(entry.name) if t is None else entry.build(t)
+            label = entry.name if t is None else f"{entry.name}@T={t}"
+            sub = _sub_indices(entry, t)
+            yield label, h, sub
+            if sub is not None and (t is not None or not truncated):
+                gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, sub))).algebra
+                yield f"gr {label}", gr, tuple(gr.degree_indices(0))
+
+
+def _structure(r_alg) -> tuple:
+    return (r_alg.names, r_alg.unit, r_alg.mult, r_alg.counit, r_alg.comult,
+            r_alg.braiding.rows, r_alg.grading, r_alg.truncation, r_alg.trunc_grading)
+
+
+def _engine_R(gr):
+    try:
+        coinv = coinvariants.compute_R(gr)
+    except CoinvariantsError as exc:
+        return ("error", str(exc)), None
+    return (coinv.inclusion.rows, coinv.k_indices, _structure(coinv.algebra), coinv.action,
+            coinv.coaction, coinv.braided_reps), coinv
+
+
+def _reference_R(gr):
+    try:
+        out = ref.compute_R(gr)
+    except CoinvariantsError as exc:
+        return ("error", str(exc))
+    return (out["inclusion"].rows, out["k_indices"], _structure(out["algebra"]), out["action"],
+            out["coaction"], out["braided_reps"])
+
+
+def _subspaces(rng, h, sub):
+    """Subspaces to test for categoricity: the subalgebra, coordinate
+    subspaces, and random spans of one or two vectors."""
+    d = h.dim
+    out = [Subspace.full(d), Subspace.zero(d)]
+    if sub is not None:
+        out.append(subspace_from_indices(h, sub))
+    for _ in range(3):
+        out.append(subspace_from_indices(h, rng.sample(range(d), rng.randint(1, d))))
+        vecs = [{i: Scalar.from_rational(rng.choice((1, -1, 2))) for i in rng.sample(range(d), 2)}
+                for _ in range(rng.randint(1, 2))] if d > 1 else [{0: ONE}]
+        out.append(Subspace.span(d, vecs))
+    return out
+
+
+def _compare(label, h, sub, rng, seen: Counter):
+    """Assert engine and reference agree on h; tally what was exercised."""
+    for x in _subspaces(rng, h, sub):
+        got = braided_space.is_categorical(h.braiding, x)
+        assert got == ref.is_categorical(h.braiding, x), f"{label}/is_categorical"
+        seen[f"categorical {got}"] += 1
+    everything = [{i: ONE} for i in range(h.dim)]
+    assert coinvariants.is_central(h, everything) == ref.is_central(h, everything), label
+    assert coinvariants.is_cocentral(h, everything) == ref.is_cocentral(h, everything), label
+    if h.grading is None or h.antipode is None:
+        return
+    pi_rows = [({i: ONE} if h.degree(i) == 0 else {}) for i in range(h.dim)]
+    k_rows = [{i: ONE} for i in h.degree_indices(0)]
+    assert coinvariants.is_central(h, k_rows) == ref.is_central(h, k_rows), label
+    assert coinvariants.is_cocentral(h, pi_rows) == ref.is_cocentral(h, pi_rows), label
+    identity = coinvariants.graded_projection_identity(h)
+    assert identity == ref.graded_projection_identity(h), label
+    seen[f"identity {identity}"] += 1
+    assert coinvariants._pi_images(h) == [ref.pi_map(h, {i: ONE}) for i in range(h.dim)], label
+
+    engine, coinv = _engine_R(h)
+    assert engine == _reference_R(h), f"{label}/compute_R"
+    if coinv is None:
+        seen["R error"] += 1
+        return
+    seen["R"] += 1
+    report = coinvariants.check_braiding_collapse(h, coinv)
+    assert report == ref.check_braiding_collapse(h, coinv), f"{label}/collapse"
+    assert coinvariants.braiding_matches_restriction(coinv) == ref.braiding_matches_restriction(coinv)
+    seen[report.status] += 1
+
+
+def test_coinvariant_stages_match_reference_on_corpus():
+    rng = random.Random(0)
+    seen = Counter()
+    for label, h, sub in _inputs():
+        _compare(label, h, sub, rng, seen)
+    # both answers of every predicate, and both collapse outcomes, were compared
+    assert seen["categorical True"] and seen["categorical False"], seen
+    assert seen["confirmed"] and seen["vacuous_differs"], seen
+
+
+def _mutant(rng, h):
+    d = h.dim
+    if rng.random() < 0.5:
+        i, j = rng.randrange(d), rng.randrange(d)
+        rows = dict(h.braiding.rows)
+        rows[(i, j)] = _perturb(rng, rows.get((i, j), {}), (rng.randrange(d), rng.randrange(d)))
+        return "braiding", _mutate(h, braiding=GenericBraiding(d, rows))
+    i = rng.randrange(d)
+    comult = list(h.comult)
+    comult[i] = _perturb(rng, comult[i], (rng.randrange(d), rng.randrange(d)))
+    return "comult", _mutate(h, comult=tuple(comult))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coinvariant_stages_match_reference_on_mutants(seed):
+    rng = random.Random(100 + seed)
+    bases = [(label, h, sub) for label, h, sub in _inputs()
+             if label.startswith("gr ") and h.dim <= 12]
+    seen = Counter()
+    for n in range(16):
+        label, h, sub = bases[(seed + n) % len(bases)]
+        kind, mutant = _mutant(rng, h)
+        _compare(f"seed {seed} mutant {n} ({kind}) of {label}", mutant, sub, rng, seen)
+    # the mutants reach both the error paths and completed coinvariants, and
+    # break the graded projection identity
+    assert seen["R"] and seen["R error"] and seen["identity False"], seen

@@ -4,14 +4,12 @@ from braidpbw.braided_space import is_symmetric
 from braidpbw.coinvariants import (
     CoinvariantsError,
     ad_action,
-    ad_eval,
     bosonization_check,
     check_braiding_collapse,
     coaction_map,
     compute_R,
     is_central,
     is_cocentral,
-    pi_map,
     projection_pi,
 )
 from braidpbw.corpus import solvable_pair
@@ -24,6 +22,7 @@ from braidpbw.filtration import (
 from braidpbw.findim_hopf import run_all_checks
 from braidpbw.multilinear import vec_equal
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
+from reference_checkers import ad_eval, pi_map
 
 
 @pytest.fixture(scope="module")

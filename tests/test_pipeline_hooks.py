@@ -3,7 +3,8 @@ import os
 import sys
 from collections import Counter
 
-from braidpbw import braided_space, cli, findim_hopf, linalg, multilinear  # noqa: F401
+from braidpbw import (  # noqa: F401
+    braided_space, cli, coinvariants, filtration, findim_hopf, linalg, multilinear)
 from braidpbw.corpus import poly_plane, taft3
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
@@ -34,7 +35,26 @@ def test_symmetry_checked_once_per_braiding(monkeypatch):
     assert set(seen.values()) == {1}
 
 
+def test_subalgebra_categoricity_checked_once(monkeypatch):
+    original = braided_space.is_categorical
+    seen = Counter()
+
+    def counting(c, x):
+        seen[id(x)] += 1
+        return original(c, x)
+
+    for module, name in _bindings(original):
+        monkeypatch.setattr(module, name, counting)
+    h = taft3()
+    k = subspace_from_indices(h, (0, 1, 2))
+    run_pipeline(h, k, 2)
+    # validation checks K; the ladder, which starts at K, does not again
+    assert seen[id(k)] == 1
+
+
 def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
+    """Nor do the categorical-subspace test, the wedge, the coinvariants and
+    the braiding-collapse diagnosis."""
     calls = Counter()
     for name in ("slot_pair", "slot_merge", "slot_split", "slot_apply", "slot_scalar"):
         original = getattr(multilinear, name)
@@ -45,11 +65,17 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
 
         for module, attr in _bindings(original):
             monkeypatch.setattr(module, attr, counting)
-    for h in (poly_plane(2), taft3()):
+    for h, sub in ((poly_plane(2), (0,)), (taft3(), (0, 1, 2))):
         assert all(r.ok for r in findim_hopf.run_all_checks(h).values())
         assert findim_hopf.check_commutator_coproduct_all(h).ok
         assert braided_space.braid_check(h.braiding)
         braided_space.is_symmetric(h.braiding)
+        k = subspace_from_indices(h, sub)
+        assert braided_space.is_categorical(h.braiding, k)
+        filtration.wedge(k, k)
+        gr = filtration.associated_graded(h, filtration.hopf_filtration(h, k)).algebra
+        coinv = coinvariants.compute_R(gr)
+        coinvariants.check_braiding_collapse(gr, coinv)
     assert not calls
     # the counting wrappers are live: a slot-operation caller is seen
     h.opposite_multiply(h.basis_vec(1), h.basis_vec(1))

@@ -129,6 +129,20 @@ def test_cli_pipeline_h4(tmp_path, capsys):
     assert report["pbw"]["verdict"] == "PBW_TYPE_TRUE"
 
 
+def test_cli_degree_default_reads_the_cap_on_each_call(tmp_path, monkeypatch):
+    h = sweedler_h4()
+    hpath = _write(tmp_path, "h4.json", bialgebra_to_json(h))
+    kpath = _write(tmp_path, "k.json", subspace_to_json(subspace_from_indices(h, (0, 1))))
+    rpath = str(tmp_path / "report.json")
+    dims = []
+    for cap in ("3", "5"):
+        monkeypatch.setenv("BRAIDPBW_DEGREE_CAP", cap)
+        assert main(["pipeline", "--input", hpath, "--sub", kpath, "--report", rpath]) == 0
+        dims.append(json.loads(open(rpath).read())["pbw"]["dims"])
+    # the default top degree is the cap minus 2, as the cap stood at each call
+    assert [len(d) for d in dims] == [2, 4]
+
+
 def test_cli_pipeline_rejects_bad_subalgebra(tmp_path, capsys):
     h = sweedler_h4()
     hpath = _write(tmp_path, "h4.json", bialgebra_to_json(h))
