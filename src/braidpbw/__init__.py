@@ -28,6 +28,7 @@ from .findim_hopf import (
     check_braided_bialgebra,
     check_braided_coalgebra,
     check_commutator_coproduct_all,
+    commutator_table,
     is_c_commutative,
     run_all_checks,
 )

@@ -15,7 +15,6 @@ from .multilinear import vec_equal
 from .reporting import InputError, ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
-Atom = int
 PairVec = dict
 
 
@@ -90,42 +89,41 @@ class GradedBasis:
 
 @dataclass(eq=False)
 class GenericBraiding:
-    """Sparse rank-4 structure tensor: rows[(i, j)] maps (k, l) to the coefficient
-    of e_k x e_l in the image of e_i x e_j."""
+    """Rank-4 structure tensor stored as its row table, the same shape as the
+    product rows ``h.mult[i][j]``: rows[i][j] is the image c(e_i x e_j), a
+    sparse 2-tensor mapping (k, l) to the coefficient of e_k x e_l, and {}
+    where the image is zero.  The table is kept as a tuple of tuples."""
 
-    dim: int
-    rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]]
+    rows: tuple[tuple[PairVec, ...], ...]
 
-    def braid_pair(self, i: Atom, j: Atom) -> PairVec:
-        return self.rows.get((i, j), {})
+    def __post_init__(self):
+        self.rows = tuple(tuple(row) for row in self.rows)
+        if any(len(row) != len(self.rows) for row in self.rows):
+            raise ValueError("braiding rows do not form a square table")
 
-    def row_table(self) -> list[list[PairVec]]:
-        """The rows as a dim x dim nested list, {} where the image is zero."""
-        return [[self.rows.get((i, j), {}) for j in range(self.dim)] for i in range(self.dim)]
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
     @staticmethod
     def flip(dim: int) -> "GenericBraiding":
-        rows = {(i, j): {(j, i): ONE} for i in range(dim) for j in range(dim)}
-        return GenericBraiding(dim, rows)
+        return GenericBraiding([[{(j, i): ONE} for j in range(dim)] for i in range(dim)])
 
     @staticmethod
     def diagonal(q: list[list[Scalar]]) -> "GenericBraiding":
         d = len(q)
-        rows = {}
-        for i in range(d):
-            for j in range(d):
-                if not q[i][j].is_zero():
-                    rows[(i, j)] = {(j, i): q[i][j]}
-        return GenericBraiding(d, rows)
+        return GenericBraiding([[{} if q[i][j].is_zero() else {(j, i): q[i][j]}
+                                 for j in range(d)] for i in range(d)])
 
     def diagonal_coefficients(self) -> list[list[Scalar]] | None:
         """The q-matrix when every row is a scalar multiple of the flip, else None."""
         q = [[ZERO for _ in range(self.dim)] for _ in range(self.dim)]
-        for (i, j), entry in self.rows.items():
-            for (k, l), c in entry.items():
-                if (k, l) != (j, i):
-                    return None
-                q[i][j] = c
+        for i, row in enumerate(self.rows):
+            for j, entry in enumerate(row):
+                for (k, l), c in entry.items():
+                    if (k, l) != (j, i):
+                        return None
+                    q[i][j] = c
         return q
 
 
@@ -162,7 +160,7 @@ def diagonal_braiding(chi: Bicharacter, basis: GradedBasis) -> GenericBraiding:
 def braid_check(c: GenericBraiding) -> bool:
     """Exhaustive check of the braid equation on all basis triples."""
     d = c.dim
-    rows = c.row_table()
+    rows = c.rows
     for i in range(d):
         ri = rows[i]
         for j in range(d):
@@ -195,7 +193,7 @@ def braid_check(c: GenericBraiding) -> bool:
 def is_symmetric(c: GenericBraiding) -> bool:
     """True iff applying the braiding twice is the identity on all basis pairs."""
     d = c.dim
-    rows = c.row_table()
+    rows = c.rows
     for i in range(d):
         for j in range(d):
             twice: dict = {}
@@ -228,7 +226,7 @@ def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
             left: dict = {}   # f(second leg) of c(x (x) e_i)
             right: dict = {}  # f(first leg) of c(e_i (x) x)
             for a, ca in xv.items():
-                for (p, q), s in rows.get((a, i), {}).items():
+                for (p, q), s in rows[a][i].items():
                     fs = f_at.get(q)
                     if fs:
                         cs = ca * s
@@ -236,7 +234,7 @@ def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
                             key, v = (t, p), cs * fq
                             prev = left.get(key)
                             left[key] = v if prev is None else prev + v
-                for (p, q), s in rows.get((i, a), {}).items():
+                for (p, q), s in rows[i][a].items():
                     fs = f_at.get(p)
                     if fs:
                         cs = ca * s

@@ -11,7 +11,6 @@ the inclusion of K is central or the projection is cocentral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from .braided_space import GenericBraiding, braid_check
 from .filtration import coradical_filtration_connected, transported_bialgebra
@@ -19,7 +18,7 @@ from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
 from .multilinear import Vec, add_term, vadd_into, vec_equal
 from .reporting import CoinvariantsError, FiltrationError, SpanError, ValidationReport
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 
 def _require_graded(gr: StructureBialgebra) -> None:
@@ -36,10 +35,10 @@ def projection_pi(gr: StructureBialgebra) -> ValidationReport:
     def proj(vec: Vec) -> Vec:
         return {i: c for i, c in vec.items() if gr.degree(i) == 0}
 
-    d = gr.dim
+    d, gates = gr.dim, gr.gates
     for i in range(d):
         for j in range(d):
-            if not gr.gate_ok(i, j):
+            if gates[i] + gates[j] > gr.cap:
                 report.skipped += 1
                 continue
             report.checked += 1
@@ -179,7 +178,7 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     pairs of the representatives."""
     reps = basis.vectors
     rdim = len(reps)
-    mult, comult, anti, c = gr.mult, gr.comult, gr.antipode, gr.braiding.row_table()
+    mult, comult, anti, c = gr.mult, gr.comult, gr.antipode, gr.braiding.rows
     comult_r = []
     for a in range(rdim):
         w: dict = {}
@@ -264,8 +263,9 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
             row.append({xy: v for xy, v in pair.items() if not v.is_zero()})
         braided.append(row)
 
-    braid_rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
+    braid_rows = []
     for a in range(rdim):
+        row = []
         for b in range(rdim):
             ambient: dict = {}
             for (kt, rr), s in coaction[a].items():
@@ -276,10 +276,9 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
                         key, x = (au, v), st * ca
                         prev = ambient.get(key)
                         ambient[key] = x if prev is None else prev + x
-            entry = basis.coords_pair(ambient)
-            if entry:
-                braid_rows[(a, b)] = entry
-    braiding_r = GenericBraiding(rdim, braid_rows)
+            row.append(basis.coords_pair(ambient))
+        braid_rows.append(row)
+    braiding_r = GenericBraiding(braid_rows)
     if not braid_check(braiding_r):
         raise CoinvariantsError("induced braiding fails the braid equation")
 
@@ -322,35 +321,29 @@ def coaction_map(coinv: CoinvariantAlgebra, rvec: Vec) -> dict:
     return out
 
 
-def is_central(b: StructureBialgebra, f_rows: list[Vec]) -> bool:
+def is_central(b: StructureBialgebra, f_rows: list[Vec], comm: list[list[Vec]]) -> bool:
     """Multiplication through the map is invariant under the braiding, on
     both sides: u e_j = m c(u x e_j) and e_j u = m c(e_j x u) for every
-    nonzero row u and every basis vector e_j below the truncation."""
-    mult, c = b.mult, b.braiding.row_table()
-    cap = inf if b.truncation is None else b.truncation
+    nonzero row u and every basis vector e_j below the truncation.  The
+    brackets are linear in u, so [u, e_j] and [e_j, u] are the sums of
+    c_i [e_i, e_j] and c_i [e_j, e_i] over the commutator table ``comm`` of b."""
+    gates, cap = b.gates, b.cap
     for u in f_rows:
         if not u:
             continue
         gate_u = b.gate_of(u)
         for j in range(b.dim):
-            if gate_u + b.gate_degree(j) > cap:
+            if gate_u + gates[j] > cap:
                 continue
+            comm_j = comm[j]
             for left in (True, False):
-                prod: Vec = {}
-                opposite: Vec = {}
+                bracket: Vec = {}
                 for i, ci in u.items():
-                    x, y = (i, j) if left else (j, i)
-                    for z, t in mult[x][y].items():
+                    for z, t in (comm[i][j] if left else comm_j[i]).items():
                         v = ci * t
-                        prev = prod.get(z)
-                        prod[z] = v if prev is None else prev + v
-                    for (p, q), s in c[x][y].items():
-                        cs = ci * s
-                        for z, t in mult[p][q].items():
-                            v = cs * t
-                            prev = opposite.get(z)
-                            opposite[z] = v if prev is None else prev + v
-                if not vec_equal(prod, opposite):
+                        prev = bracket.get(z)
+                        bracket[z] = v if prev is None else prev + v
+                if any(not v.is_zero() for v in bracket.values()):
                     return False
     return True
 
@@ -358,7 +351,7 @@ def is_central(b: StructureBialgebra, f_rows: list[Vec]) -> bool:
 def is_cocentral(a: StructureBialgebra, f_rows: list[Vec]) -> bool:
     """Applying the map to either coproduct leg is invariant under
     pre-composition with the braiding."""
-    comult, c = a.comult, a.braiding.row_table()
+    comult, c = a.comult, a.braiding.rows
     for i in range(a.dim):
         cop = comult[i]
         braided: dict = {}
@@ -408,7 +401,7 @@ def braiding_matches_restriction(coinv: CoinvariantAlgebra) -> bool:
     for a in range(r_alg.dim):
         for b in range(r_alg.dim):
             induced: dict = {}
-            for (ra, rb), s in r_alg.braid_pair(a, b).items():
+            for (ra, rb), s in r_alg.braiding.rows[a][b].items():
                 right = reps[rb].items()
                 for i, ci in reps[ra].items():
                     sci = s * ci
@@ -425,7 +418,7 @@ def graded_projection_identity(gr: StructureBialgebra) -> bool:
     """(pi x id) c = c (id x pi) on every basis pair, for the degree-zero
     projection pi: the part of c(e_i x e_j) whose first leg has degree zero
     is all of it when e_j has degree zero, and nothing otherwise."""
-    c = gr.braiding.row_table()
+    c = gr.braiding.rows
     degree_zero = [gr.degree(i) == 0 for i in range(gr.dim)]
     for i in range(gr.dim):
         for j in range(gr.dim):
@@ -436,13 +429,15 @@ def graded_projection_identity(gr: StructureBialgebra) -> bool:
     return True
 
 
-def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra) -> CollapseReport:
+def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra,
+                            comm: list[list[Vec]]) -> CollapseReport:
     """When the inclusion of K is central or the projection is cocentral, the
     induced braiding must equal the ambient one; the graded projection
-    identity is verified unconditionally."""
+    identity is verified unconditionally.  ``comm`` is the commutator table
+    of gr."""
     k_rows: list[Vec] = [{i: ONE} for i in coinv.k_indices]
     pi_rows: list[Vec] = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
-    central = is_central(gr, k_rows)
+    central = is_central(gr, k_rows, comm)
     cocentral = is_cocentral(gr, pi_rows)
     identity_ok = graded_projection_identity(gr)
     matches = braiding_matches_restriction(coinv)
@@ -481,7 +476,7 @@ def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:
             for r in range(r_alg.dim):
                 if r_alg.degree(r) != n:
                     continue
-                if gr.truncation is not None and gr.gate_degree(k) + gr.gate_of(coinv.reps[r]) > gr.truncation:
+                if gr.gates[k] + gr.gate_of(coinv.reps[r]) > gr.cap:
                     continue
                 prod = gr.multiply(gr.basis_vec(k), coinv.reps[r])
                 escaped = escaped or any(gr.degree(i) != n for i in prod)

@@ -195,10 +195,8 @@ def primitively_generated(names: list[str], group: FiniteAbelianGroup,
             vadd_into(out, {index[w]: c})
         return out
 
-    braid_rows = {}
-    for ti, u in enumerate(monomials):
-        for tj, v in enumerate(monomials):
-            braid_rows[(ti, tj)] = {(tj, ti): lam(u, v)}
+    braid_rows = [[{(tj, ti): lam(u, v)} for tj, v in enumerate(monomials)]
+                  for ti, u in enumerate(monomials)]
 
     # coproduct: primitives, extended as a braided algebra morphism
     def pair_mul(a: dict, b: dict) -> dict:
@@ -252,7 +250,7 @@ def primitively_generated(names: list[str], group: FiniteAbelianGroup,
         mult=_mult_table(d, mult),
         counit=tuple(ONE if not m else ZERO for m in monomials),
         comult=tuple(comult),
-        braiding=GenericBraiding(d, braid_rows),
+        braiding=GenericBraiding(braid_rows),
         antipode=tuple(antipode),
         grading=tuple(len(m) for m in monomials),
         truncation=truncation,

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .findim_hopf import StructureBialgebra, commutator_table, render_tensor
+from .findim_hopf import StructureBialgebra, render_tensor
 from .braided_space import GenericBraiding, is_categorical, is_symmetric
 from .linalg import Coordinates, Subspace, kernel
 from .multilinear import Vec, add_term, contract, vadd_into
 from .reporting import FiltrationError, ValidationReport
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 
 
 @dataclass
@@ -208,10 +208,9 @@ def validate_bialgebra_filtration(h: StructureBialgebra, ladder: FiltrationLadde
     unit_exp = ab.basis.coords(h.unit)
     if any(r not in zero_reps for r in unit_exp):
         report.record("unit-degree", (), "unit", "in bottom step")
-    t_cap = h.truncation
     for a in range(ab.dim):
         for b in range(ab.dim):
-            if t_cap is not None and ab.gate_degrees[a] + ab.gate_degrees[b] > t_cap:
+            if ab.gate_degrees[a] + ab.gate_degrees[b] > h.cap:
                 report.skipped += 1
                 continue
             report.checked += 1
@@ -261,12 +260,11 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
         names.append(name)
 
     gates = [h.gate_of(v) for v in reps]
-    t_cap = h.truncation
     mult_rows = []
     for a, u in enumerate(reps):
         row = []
         for b, v in enumerate(reps):
-            if t_cap is not None and gates[a] + gates[b] > t_cap:
+            if gates[a] + gates[b] > h.cap:
                 row.append({})
                 continue
             target = degrees[a] + degrees[b]
@@ -283,8 +281,8 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
         braiding=braiding,
         antipode=antipode,
         grading=tuple(degrees),
-        truncation=t_cap,
-        trunc_grading=tuple(gates) if t_cap is not None else None,
+        truncation=h.truncation,
+        trunc_grading=tuple(gates) if h.truncation is not None else None,
     )
 
 
@@ -315,14 +313,17 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
         comult.append({(r, s): c for (r, s), c in cop.items()
                        if degrees[r] + degrees[s] == n})
 
-    braid_rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
+    c = h.braiding.rows
+    braid_rows = []
     for a in range(d):
+        row = []
         for b in range(d):
             w: dict = {}
             for i, ci in ab.rep_vec(a).items():
+                ci_row = c[i]
                 for j, cj in ab.rep_vec(b).items():
                     cij = ci * cj
-                    for xy, s in h.braid_pair(i, j).items():
+                    for xy, s in ci_row[j].items():
                         v = cij * s
                         prev = w.get(xy)
                         if prev is not None:
@@ -332,10 +333,9 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
                         else:
                             w[xy] = v
             exp = ab.basis.coords_pair(w)
-            entry = {(r, s): c for (r, s), c in exp.items()
-                     if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
-            if entry:
-                braid_rows[(a, b)] = entry
+            row.append({(r, s): v for (r, s), v in exp.items()
+                        if degrees[r] + degrees[s] == degrees[a] + degrees[b]})
+        braid_rows.append(row)
 
     antipode = None
     if h.antipode is not None:
@@ -346,29 +346,26 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
         antipode = tuple(antipode)
 
     gr = transported_bialgebra(h, ab.basis, degrees, "f", comult,
-                               GenericBraiding(d, braid_rows), antipode)
+                               GenericBraiding(braid_rows), antipode)
     return AssociatedGraded(algebra=gr, ladder=ladder)
 
 
 def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
-                                comm: list[list[Vec]] | None = None) -> ValidationReport | None:
+                                comm: list[list[Vec]]) -> ValidationReport | None:
     """Commutators drop one filtration level: the bottom-step hypothesis and
     the general statement, verified on representative pairs by membership.
     Each commutator [u, v] is expanded bilinearly from the commutator table
-    ``comm`` of h (computed here when not given).  None when the braiding is
-    not symmetric and the statement does not apply."""
+    ``comm`` of h.  None when the braiding is not symmetric and the statement
+    does not apply."""
     if not is_symmetric(h.braiding):
         return None
-    if comm is None:
-        comm = commutator_table(h)
     report = ValidationReport("commutator filtration")
     ab = ladder.adapted
     top = len(ladder.steps) - 1
-    t_cap = h.truncation
     for a in range(ab.dim):
         u = ab.rep_vec(a)
         for b in range(ab.dim):
-            if t_cap is not None and ab.gate_degrees[a] + ab.gate_degrees[b] > t_cap:
+            if ab.gate_degrees[a] + ab.gate_degrees[b] > h.cap:
                 report.skipped += 1
                 continue
             report.checked += 1

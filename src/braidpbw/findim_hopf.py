@@ -19,22 +19,11 @@ truncation bookkeeping follows the original grading.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 from .braided_space import GenericBraiding
-from .multilinear import (
-    Vec,
-    braid_at,
-    commutator,
-    lift,
-    mul_at,
-    tensor,
-    unlift,
-    vadd_into,
-    vec_equal,
-    vsum,
-)
+from .multilinear import Vec, lift, vadd_into, vec_equal, vsum
 from .reporting import ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -51,6 +40,10 @@ class StructureBialgebra:
     grading: tuple[int, ...] | None = None
     truncation: int | None = None
     trunc_grading: tuple[int, ...] | None = None
+    # the truncation gate, derived once: each basis vector's truncation
+    # degree, and the cap on their sums (infinite when nothing is truncated)
+    gates: tuple[int, ...] = field(init=False)
+    cap: float = field(init=False)
 
     def __post_init__(self):
         d = len(self.names)
@@ -60,6 +53,8 @@ class StructureBialgebra:
             raise ValueError("a truncation degree requires a grading")
         if self.trunc_grading is None:
             self.trunc_grading = self.grading
+        self.gates = tuple(self.trunc_grading) if self.trunc_grading is not None else (0,) * d
+        self.cap = inf if self.truncation is None else self.truncation
 
     @property
     def dim(self) -> int:
@@ -68,18 +63,9 @@ class StructureBialgebra:
     def degree(self, i: int) -> int:
         return self.grading[i] if self.grading is not None else 0
 
-    def gate_degree(self, i: int) -> int:
-        return self.trunc_grading[i] if self.trunc_grading is not None else 0
-
-    def gate_ok(self, *indices: int) -> bool:
-        """True when products over these basis indices are exactly representable."""
-        if self.truncation is None:
-            return True
-        return sum(self.gate_degree(i) for i in indices) <= self.truncation
-
     def gate_of(self, vec: Vec) -> int:
         """Largest truncation degree in the support of a sparse vector."""
-        return max((self.gate_degree(i) for i in vec), default=0)
+        return max((self.gates[i] for i in vec), default=0)
 
     # -- pair interface -------------------------------------------------------
 
@@ -90,18 +76,7 @@ class StructureBialgebra:
         return self.mult[i][j]
 
     def braid_pair(self, i: int, j: int):
-        return self.braiding.braid_pair(i, j)
-
-    def comul_atom(self, i: int):
-        return self.comult[i]
-
-    def counit_atom(self, i: int) -> Scalar:
-        return self.counit[i]
-
-    def antipode_atom(self, i: int) -> Vec:
-        if self.antipode is None:
-            raise ValueError("no antipode stored")
-        return self.antipode[i]
+        return self.braiding.rows[i][j]
 
     # -- linear extensions ------------------------------------------------------
 
@@ -115,10 +90,6 @@ class StructureBialgebra:
             for j, cb in b.items():
                 vadd_into(out, row[j], ca * cb)
         return out
-
-    def opposite_multiply(self, a: Vec, b: Vec) -> Vec:
-        w = tensor(lift(a), lift(b))
-        return unlift(mul_at(self, braid_at(self, w, 0), 0))
 
     def comultiply(self, a: Vec):
         out: Vec = {}
@@ -139,9 +110,6 @@ class StructureBialgebra:
         for i, c in a.items():
             vadd_into(out, self.antipode[i], c)
         return out
-
-    def commutator(self, a: Vec, b: Vec) -> Vec:
-        return unlift(commutator(self, lift(a), lift(b)))
 
     def degree_indices(self, n: int) -> list[int]:
         return [i for i in range(self.dim) if self.degree(i) == n]
@@ -174,13 +142,6 @@ def render_tensor(h: StructureBialgebra, vec) -> str:
 # Coefficients are multiplied left to right in the order the maps apply, as
 # in the slot-operation evaluation that the tests keep as the reference.
 
-def _gate_degrees(h: StructureBialgebra) -> tuple[list[int], float]:
-    """Each basis vector's truncation degree, and the cap on their sums
-    (infinite when nothing is truncated)."""
-    cap = inf if h.truncation is None else h.truncation
-    return [h.gate_degree(i) for i in range(h.dim)], cap
-
-
 def _render_side(h: StructureBialgebra, vec: Vec) -> str:
     return render_tensor(h, {k if type(k) is tuple else (k,): c
                              for k, c in vec.items() if not c.is_zero()})
@@ -197,8 +158,7 @@ def check_braided_algebra(h: StructureBialgebra) -> ValidationReport:
     """Associativity, unit laws, and compatibility of product with braiding."""
     report = ValidationReport("braided algebra")
     d = h.dim
-    mult, c, unit = h.mult, h.braiding.row_table(), h.unit
-    deg, cap = _gate_degrees(h)
+    mult, c, unit, deg, cap = h.mult, h.braiding.rows, h.unit, h.gates, h.cap
     for i in range(d):
         e = {i: ONE}
         _compare(h, report, "unit-left", (i,),
@@ -283,7 +243,7 @@ def check_braided_coalgebra(h: StructureBialgebra) -> ValidationReport:
     """Coassociativity, counit laws, and compatibility of coproduct with braiding."""
     report = ValidationReport("braided coalgebra")
     d = h.dim
-    comult, eps, c = h.comult, h.counit, h.braiding.row_table()
+    comult, eps, c = h.comult, h.counit, h.braiding.rows
     for i in range(d):
         de, e = comult[i], {i: ONE}
         _compare(h, report, "coassociativity", (i,),
@@ -353,8 +313,8 @@ def check_braided_bialgebra(h: StructureBialgebra) -> ValidationReport:
     """Coproduct and counit are morphisms onto the braided tensor-square algebra."""
     report = ValidationReport("braided bialgebra")
     d = h.dim
-    mult, comult, eps, c, unit = h.mult, h.comult, h.counit, h.braiding.row_table(), h.unit
-    deg, cap = _gate_degrees(h)
+    mult, comult, eps, c, unit = h.mult, h.comult, h.counit, h.braiding.rows, h.unit
+    deg, cap = h.gates, h.cap
     _compare(h, report, "comul-unit", (),
              vsum((xy, cu * t) for u, cu in unit.items() for xy, t in comult[u].items()),
              {(u, v): cu * cv for u, cu in unit.items() for v, cv in unit.items()})
@@ -406,9 +366,9 @@ def check_antipode(h: StructureBialgebra) -> ValidationReport:
         raise ValueError("no antipode stored")
     report = ValidationReport("antipode")
     d = h.dim
-    mult, comult, eps, c, unit = h.mult, h.comult, h.counit, h.braiding.row_table(), h.unit
+    mult, comult, eps, c, unit = h.mult, h.comult, h.counit, h.braiding.rows, h.unit
     anti = h.antipode
-    deg, cap = _gate_degrees(h)
+    deg, cap = h.gates, h.cap
     for i in range(d):
         de = comult[i]
         target = {} if eps[i].is_zero() else {u: eps[i] * cu for u, cu in unit.items()}
@@ -492,7 +452,7 @@ def run_all_checks(h: StructureBialgebra) -> dict[str, ValidationReport]:
 def commutator_table(h: StructureBialgebra) -> list[list[Vec]]:
     """The braided commutators [e_i, e_j] = e_i e_j - m(c(e_i x e_j)) of all
     basis pairs, from the structure rows, without zero entries."""
-    mult, c = h.mult, h.braiding.row_table()
+    mult, c = h.mult, h.braiding.rows
     table = []
     for i in range(h.dim):
         mi, ci = mult[i], c[i]
@@ -507,20 +467,17 @@ def commutator_table(h: StructureBialgebra) -> list[list[Vec]]:
 
 
 def check_commutator_coproduct_all(h: StructureBialgebra,
-                                   comm: list[list[Vec]] | None = None) -> ValidationReport:
-    """The coproduct of each braided commutator [e_i, e_j] against the
-    commutator [Delta e_i, Delta e_j] of the tensor-square algebra, on every
-    basis pair below the truncation.  ``comm`` is the commutator table of h
-    when the caller already has it.
+                                   comm: list[list[Vec]]) -> ValidationReport:
+    """The coproduct of each braided commutator [e_i, e_j], read from the
+    commutator table ``comm`` of h, against the commutator
+    [Delta e_i, Delta e_j] of the tensor-square algebra, on every basis pair
+    below the truncation.
 
     The right side expands bilinearly over the coproduct terms; the bracket
     [e_a x e_b, e_p x e_q] of each quadruple is composed from the rows once
     per call and shared by every pair whose coproducts contain it."""
-    if comm is None:
-        comm = commutator_table(h)
     report = ValidationReport("commutator-coproduct compatibility")
-    mult, comult, c = h.mult, h.comult, h.braiding.row_table()
-    deg, cap = _gate_degrees(h)
+    mult, comult, c, deg, cap = h.mult, h.comult, h.braiding.rows, h.gates, h.cap
     products: dict = {}  # (a, b, p, q) -> (e_a x e_b)(e_p x e_q)
     brackets: dict = {}  # (a, b, p, q) -> [e_a x e_b, e_p x e_q]
 
@@ -591,22 +548,10 @@ def check_commutator_coproduct_all(h: StructureBialgebra,
     return report
 
 
-def is_c_commutative(h: StructureBialgebra) -> bool:
+def is_c_commutative(h: StructureBialgebra, comm: list[list[Vec]]) -> bool:
     """True iff e_i e_j equals the opposite product m(c(e_i x e_j)) on every
-    basis pair below the truncation."""
-    mult, c = h.mult, h.braiding.row_table()
-    deg, cap = _gate_degrees(h)
-    for i in range(h.dim):
-        for j in range(h.dim):
-            if deg[i] + deg[j] > cap:
-                continue
-            opposite: Vec = {}
-            for (a, b), s in c[i][j].items():
-                for z, t in mult[a][b].items():
-                    v = s * t
-                    prev = opposite.get(z)
-                    opposite[z] = v if prev is None else prev + v
-            if not vec_equal(mult[i][j], opposite):
-                return False
-    return True
-
+    basis pair below the truncation: the entries of the commutator table
+    ``comm`` of h at those pairs are empty."""
+    deg, cap = h.gates, h.cap
+    return not any(comm[i][j] for i in range(h.dim) for j in range(h.dim)
+                   if deg[i] + deg[j] <= cap)

@@ -9,13 +9,10 @@ any object exposing the pair interface
     mul_pair(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
     braid_pair(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
 
-which is all the braided-commutator identities need.  Only three callers
-still use them: the braiding of the PBW quotient, the braided commutator
-and opposite product of a structure-constant bialgebra, and the
-square-commutator identities.  The axiom checkers in ``findim_hopf`` and
-``braided_space``, the categorical-subspace test, the commutator checks,
-the coinvariants with their induced structure and the braiding-collapse
-diagnosis compose structure rows directly instead.
+which is all the braided-commutator identities need.  They serve only the
+square-commutator identities and the slot-by-slot evaluation that the tests
+keep as an oracle; every stage of the engine composes structure rows
+(``mult``, ``comult``, ``antipode`` and the braiding's row table) directly.
 """
 from __future__ import annotations
 
@@ -64,12 +61,6 @@ def vsum(terms) -> Vec:
         prev = acc.get(k)
         acc[k] = c if prev is None else prev + c
     return acc
-
-
-def vscale(vec: Vec, factor: Scalar) -> Vec:
-    if factor.is_zero():
-        return {}
-    return {k: factor * c for k, c in vec.items()}
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -125,10 +116,6 @@ def tensor(a: Vec, b: Vec) -> Vec:
 def lift(vec: Vec) -> Vec:
     """Wrap an atom-keyed dict as a 1-slot tensor."""
     return {(k,): c for k, c in vec.items()}
-
-
-def unlift(vec: Vec) -> Vec:
-    return {k[0]: c for k, c in vec.items()}
 
 
 def slot_apply(vec: Vec, i: int, fn) -> Vec:

@@ -17,9 +17,9 @@ from .braided_space import GenericBraiding, braid_check, is_symmetric
 from .coinvariants import CoinvariantAlgebra
 from .findim_hopf import StructureBialgebra
 from .linalg import Coordinates, Subspace, rank
-from .multilinear import Vec, braid_at, lift, tensor, vadd_into, vec_equal
+from .multilinear import Vec, vadd_into, vec_equal
 from .reporting import BraidpbwError, InputError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 from .symmetric_algebra import SymmetricAlgebra, tensor_ideal_complement, weighted_words
 from .tensor_algebra import require_degree
 
@@ -107,10 +107,11 @@ def compute_Q(target) -> QSpace:
         if h.degree(i) > 0 and not h.counit[i].is_zero():
             raise InputError("counit does not vanish in positive degree")
     positive = [i for i in range(d) if h.degree(i) > 0]
+    gates = h.gates
     square_rows = []
     for i in positive:
         for j in positive:
-            if not h.gate_ok(i, j):
+            if gates[i] + gates[j] > h.cap:
                 continue
             prod = h.multiply(h.basis_vec(i), h.basis_vec(j))
             if prod:
@@ -127,17 +128,18 @@ def compute_Q(target) -> QSpace:
     degrees = [h.degree(i) for i in q_indices]
     names = [h.names[i] for i in q_indices]
 
-    rows: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
-    for a, ia in enumerate(q_indices):
-        for b, ib in enumerate(q_indices):
-            positive_part = {(u, v): s for (u, v), s in h.braid_pair(ia, ib).items()
+    c = h.braiding.rows
+    rows = []
+    for ia in q_indices:
+        row = []
+        for ib in q_indices:
+            positive_part = {(u, v): s for (u, v), s in c[ia][ib].items()
                              if h.degree(u) > 0 and h.degree(v) > 0}
-            entry = {(x - first_q, y - first_q): c
-                     for (x, y), c in basis.coords_pair(positive_part).items()
-                     if x >= first_q and y >= first_q}
-            if entry:
-                rows[(a, b)] = entry
-    braiding = GenericBraiding(len(q_indices), rows)
+            row.append({(x - first_q, y - first_q): s
+                        for (x, y), s in basis.coords_pair(positive_part).items()
+                        if x >= first_q and y >= first_q})
+        rows.append(row)
+    braiding = GenericBraiding(rows)
     if not braid_check(braiding):
         raise BraidpbwError("induced braiding on the generator space fails the braid equation")
     return QSpace(reps=reps, degrees=degrees, names=names, braiding=braiding)
@@ -181,7 +183,7 @@ def canonical_map(q: QSpace, target, n_max: int):
         for w in words:
             for p in range(len(w) - 1):
                 img: Vec = dict(product_of(w))
-                for (k, l), s in q.braiding.braid_pair(w[p], w[p + 1]).items():
+                for (k, l), s in q.braiding.rows[w[p]][w[p + 1]].items():
                     other = w[:p] + (k, l) + w[p + 2:]
                     vadd_into(img, product_of(other), -s)
                 if img:
@@ -202,14 +204,15 @@ def canonical_map(q: QSpace, target, n_max: int):
 
 def _generators_intertwine(q: QSpace, h: StructureBialgebra) -> bool:
     """The braiding of the target restricted to representative pairs equals
-    the induced braiding expressed through representatives."""
-    for a in range(q.dim):
-        for b in range(q.dim):
-            ambient = braid_at(h, tensor(lift(q.reps[a]), lift(q.reps[b])), 0)
-            induced: dict = {}
-            for (x, y), s in q.braiding.braid_pair(a, b).items():
-                vadd_into(induced, tensor(lift(q.reps[x]), lift(q.reps[y])), s)
-            if not vec_equal(ambient, induced):
+    the induced braiding expressed through representatives.  These are basis
+    vectors e_i of the target, so the sides are the target's braiding rows at
+    their indices and Q's rows relabelled to those indices."""
+    index = [i for rep in q.reps for i in rep]
+    c, cq = h.braiding.rows, q.braiding.rows
+    for a, ia in enumerate(index):
+        for b, ib in enumerate(index):
+            induced = {(index[x], index[y]): s for (x, y), s in cq[a][b].items()}
+            if not vec_equal(c[ia][ib], induced):
                 return False
     return True
 

@@ -57,9 +57,8 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     if not axioms["all_ok"]:
         raise PipelineError("axioms", "input bialgebra fails its axiom checks")
 
-    comm_table = commutator_table(h)
-    comm = check_commutator_coproduct_all(h, comm_table)
-    report["commutator_coproduct"] = comm.to_json()
+    comm_h = commutator_table(h)
+    report["commutator_coproduct"] = check_commutator_coproduct_all(h, comm_h).to_json()
 
     ladder = _stage("filtration", hopf_filtration, h, k_sub)
     report["filtration"] = {
@@ -73,18 +72,19 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
                             "ladder stabilised before exhausting the bialgebra "
                             "(the subalgebra misses part of the coradical)")
 
-    commfil = check_commutator_filtration(h, ladder, comm_table)
+    commfil = check_commutator_filtration(h, ladder, comm_h)
     if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 
     grres = _stage("associated-graded", associated_graded, h, ladder)
     gr = grres.algebra
     gr_checks = check_report(gr)
+    comm_gr = commutator_table(gr)
     report["gr"] = {
         "dim": gr.dim,
         "dims_by_degree": [len(gr.degree_indices(n)) for n in range(gr.max_degree() + 1)],
         "axioms": gr_checks,
-        "c_commutative": is_c_commutative(gr),
+        "c_commutative": is_c_commutative(gr, comm_gr),
     }
     if not gr_checks["all_ok"]:
         raise PipelineError("associated-graded", "graded output fails axiom checks")
@@ -96,7 +96,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     first_positive = next((r for r in range(r_alg.dim) if r_alg.degree(r) > 0), None)
     c_r_first = "0"
     if first_positive is not None:
-        entry = r_alg.braid_pair(first_positive, first_positive)
+        entry = r_alg.braiding.rows[first_positive][first_positive]
         c_r_first = str(entry.get((first_positive, first_positive), ZERO))
     report["R"] = {
         "dim": r_alg.dim,
@@ -108,7 +108,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
         "coradical_matches_grading": coinv.coradical_matches_grading,
     }
 
-    collapse = check_braiding_collapse(gr, coinv)
+    collapse = check_braiding_collapse(gr, coinv, comm_gr)
     report["centrality"] = collapse.to_json()
 
     bos_ok, bos_degrees = bosonization_check(coinv)

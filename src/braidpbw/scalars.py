@@ -4,11 +4,12 @@ Every coefficient in the engine is a :class:`Scalar`: an element of
 Q(zeta_N) in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), stored as
 integer coefficients ``num`` over one positive denominator ``den`` with
 gcd(den, *num) == 1.  Since Z[zeta_N] is the ring of integers of Q(zeta_N),
-``den`` is the least positive D with D*x in Z[zeta], whatever the field, and
-products reduce modulo the monic N-th cyclotomic polynomial through integer
-reduction rows, so the arithmetic builds no Fraction.  Equality is exact and
-decidable; scalars whose value is rational are renormalised to conductor 1
-so they print as plain fractions.  Mixed-conductor arithmetic goes through
+``den`` is the least positive D with D*x in Z[zeta], whatever the field.
+Products reduce modulo the monic N-th cyclotomic polynomial through integer
+reduction rows, and an inverse is the product of the other Galois conjugates
+over the integer norm, so the arithmetic builds no Fraction.  Equality is
+exact and decidable; scalars whose value is rational are renormalised to
+conductor 1 so they print as plain fractions.  Mixed-conductor arithmetic goes through
 the compositum Q(zeta_lcm).
 """
 from __future__ import annotations
@@ -166,49 +167,36 @@ def _rational(num: int, den: int) -> "Scalar":
     return Scalar(1, (num // g,), den // g)
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over Fraction (ascending coefficient lists), for inverse
-# ---------------------------------------------------------------------------
-
-def _pdeg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_F0] * (len(a) + len(b) - 1)
+def _zmul(n: int, a, b) -> list[int]:
+    """Product of two elements of Z[zeta_n], as integer coefficient sequences
+    of length phi(n), reduced modulo the n-th cyclotomic polynomial."""
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] += x * y
+                    prod[i + j] += x * y
+    out = prod[:phi]
+    rows = _reduction_rows(n)
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            for t, r in rows[k]:
+                out[t] += c * r
     return out
 
 
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_F0] * (n - len(a))
-    b = b + [_F0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    db = _pdeg(b)
-    assert db >= 0
-    rem = list(a)
-    dq = _pdeg(rem) - db
-    if dq < 0:
-        return [_F0], rem
-    quo = [_F0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + db] / b[db]
-        quo[k] = c
+def _conjugate(n: int, k: int, num) -> list[int]:
+    """sigma_k(num): the Galois automorphism zeta_n -> zeta_n^k, gcd(k, n) = 1,
+    applied to an element of Z[zeta_n] through the reduction rows."""
+    rows = _reduction_rows(n)
+    out = [0] * len(num)
+    for i, c in enumerate(num):
         if c:
-            for i in range(db + 1):
-                rem[k + i] -= c * b[i]
-    return quo, rem
+            for t, r in rows[i * k % n]:
+                out[t] += c * r
+    return out
 
 
 class Scalar:
@@ -350,21 +338,7 @@ class Scalar:
                 return ZERO
             return _canonical(self.conductor, [c * x for x in self.num], self.den * other.den)
         n, a, b = self._unify(other)
-        phi = len(a)
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        out = prod[:phi]
-        rows = _reduction_rows(n)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                for t, r in rows[k]:
-                    out[t] += c * r
-        return _canonical(n, out, self.den * other.den)
+        return _canonical(n, _zmul(n, a, b), self.den * other.den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -372,18 +346,18 @@ class Scalar:
         if self.conductor == 1:
             c = self.num[0]
             return Scalar(1, (self.den,), c) if c > 0 else Scalar(1, (-self.den,), -c)
-        # (num/den)^-1 = den * num^-1, with num^-1 from the extended Euclid over Q
-        n = self.conductor
-        phin = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, s0 = phin, [_F0]
-        r1, s1 = [Fraction(c) for c in self.num], [_F1]
-        while _pdeg(r1) >= 0:
-            q, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        c = r0[_pdeg(r0)]
-        assert _pdeg(r0) == 0, "cyclotomic polynomial must be coprime to nonzero element"
-        return Scalar.from_poly(n, [x * self.den / c for x in s0])
+        # (num/den)^-1 = den * prod_{k != 1} sigma_k(num) / N(num), over the
+        # k in 1..n-1 prime to n; the norm N(num), the product of all the
+        # conjugates, is a positive integer, since Q(zeta_n) for n >= 3 has
+        # no real embedding and the conjugates come in complex-conjugate pairs
+        n, num = self.conductor, self.num
+        cofactor = [1] + [0] * (len(num) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                cofactor = _zmul(n, cofactor, _conjugate(n, k, num))
+        norm, *rest = _zmul(n, num, cofactor)
+        assert norm > 0 and not any(rest), "the norm of a cyclotomic integer is a positive integer"
+        return _canonical(n, [self.den * c for c in cofactor], norm)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()

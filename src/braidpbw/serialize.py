@@ -99,9 +99,10 @@ def bialgebra_to_json(h: StructureBialgebra) -> dict:
 def _braiding_dense(braiding: GenericBraiding) -> list:
     d = braiding.dim
     out = [[[["0" for _ in range(d)] for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (i, j), entry in braiding.rows.items():
-        for (k, l), c in entry.items():
-            out[i][j][k][l] = _s(c)
+    for i, row in enumerate(braiding.rows):
+        for j, entry in enumerate(row):
+            for (k, l), c in entry.items():
+                out[i][j][k][l] = _s(c)
     return out
 
 
@@ -132,8 +133,9 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
                     if not c.is_zero():
                         entry[(j, k)] = c
             comult.append(entry)
-        rows: dict = {}
+        rows = []
         for i in range(d):
+            row = []
             for j in range(d):
                 entry = {}
                 for k in range(d):
@@ -141,8 +143,8 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
                         c = parsed[doc["braiding"][i][j][k][l]]
                         if not c.is_zero():
                             entry[(k, l)] = c
-                if entry:
-                    rows[(i, j)] = entry
+                row.append(entry)
+            rows.append(row)
         antipode = None
         if doc.get("antipode") is not None:
             antipode = tuple(_dense_to_vec(doc["antipode"][i], parsed) for i in range(d))
@@ -157,7 +159,7 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
             mult=mult,
             counit=counit,
             comult=tuple(comult),
-            braiding=GenericBraiding(d, rows),
+            braiding=GenericBraiding(rows),
             antipode=antipode,
             grading=grading,
             truncation=truncation,

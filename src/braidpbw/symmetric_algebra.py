@@ -172,7 +172,7 @@ def tensor_ideal_complement(braiding: GenericBraiding, weights: list[int], degre
     for w in words:
         for p in range(len(w) - 1):
             row = {index[w]: ONE}
-            for (k, l), s in braiding.braid_pair(w[p], w[p + 1]).items():
+            for (k, l), s in braiding.rows[w[p]][w[p + 1]].items():
                 vadd_into(row, {index[w[:p] + (k, l) + w[p + 2:]]: -s})
             rows.append(row)
     _, pivots = echelon(rows)

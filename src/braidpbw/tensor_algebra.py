@@ -25,8 +25,17 @@ DEFAULT_DEGREE_CAP = 8
 
 
 def degree_cap_default() -> int:
+    """BRAIDPBW_DEGREE_CAP as a non-negative integer, DEFAULT_DEGREE_CAP when unset."""
     value = os.environ.get("BRAIDPBW_DEGREE_CAP")
-    return int(value) if value else DEFAULT_DEGREE_CAP
+    if not value:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise InputError(f"BRAIDPBW_DEGREE_CAP must be an integer >= 0, got {value!r}")
+    return cap
 
 
 def require_degree(n: int) -> None:
@@ -79,7 +88,7 @@ class TensorAlgebra:
             if not 1 <= i <= n - 1:
                 raise ValueError(f"position {i} out of range for a degree-{n} word")
             a, b = w[i - 1], w[i]
-            for (k, l), s in self.braiding.braid_pair(a, b).items():
+            for (k, l), s in self.braiding.rows[a][b].items():
                 vadd_into(out, {w[: i - 1] + (k, l) + w[i + 1:]: c * s})
         return out
 

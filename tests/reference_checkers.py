@@ -6,9 +6,13 @@ structure map, through the generic ``multilinear`` slot operations
 (``braid_at``, ``mul_at``, ``slot_split``, ...), one basis tuple at a time.
 The engine composes the structure rows directly; the tests require both to
 give identical reports, counters, witnesses, verdicts and structure
-constants.
+constants.  The atom maps, the opposite product and the braided commutator
+of a structure-constant bialgebra that the slot operations apply are
+defined here, since the engine does not use them.
 """
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from braidpbw.braided_space import GenericBraiding
 from braidpbw.coinvariants import CollapseReport
@@ -17,6 +21,7 @@ from braidpbw.filtration import transported_bialgebra
 from braidpbw.linalg import Coordinates, Subspace, kernel
 from braidpbw.multilinear import (
     braid_at,
+    commutator as slot_commutator,
     contract,
     lift,
     mul_at,
@@ -26,18 +31,75 @@ from braidpbw.multilinear import (
     square_commutator,
     square_product,
     tensor,
-    unlift,
     vadd_into,
     vec_equal,
-    vscale,
 )
 from braidpbw.reporting import CoinvariantsError, SpanError, ValidationReport
 from braidpbw.scalars import ONE
 
 
+# ---------------------------------------------------------------------------
+# the slot-operation interface of a structure-constant bialgebra
+# ---------------------------------------------------------------------------
+
+def unlift(vec) -> dict:
+    """A 1-slot tensor as an atom-keyed dict."""
+    return {k[0]: c for k, c in vec.items()}
+
+
+def vscale(vec, factor) -> dict:
+    if factor.is_zero():
+        return {}
+    return {k: factor * c for k, c in vec.items()}
+
+
+def comul_atom(h: StructureBialgebra):
+    """e_i |-> Delta(e_i), the atom map ``slot_split`` applies."""
+    return h.comult.__getitem__
+
+
+def counit_atom(h: StructureBialgebra):
+    """e_i |-> eps(e_i), the atom functional ``slot_scalar`` applies."""
+    return h.counit.__getitem__
+
+
+def antipode_atom(h: StructureBialgebra):
+    """e_i |-> S(e_i), the atom map ``slot_apply`` applies."""
+    if h.antipode is None:
+        raise ValueError("no antipode stored")
+    return h.antipode.__getitem__
+
+
+def pair_ops(c: GenericBraiding):
+    """The pair interface of a braiding table, for ``braid_at``."""
+    return SimpleNamespace(braid_pair=lambda i, j: c.rows[i][j])
+
+
+def gate_ok(h: StructureBialgebra, *indices: int) -> bool:
+    """True when products over these basis indices are exactly representable:
+    their truncation degrees sum to at most the truncation, when there is one."""
+    if h.truncation is None:
+        return True
+    return sum(h.trunc_grading[i] for i in indices) <= h.truncation
+
+
+def opposite_multiply(h: StructureBialgebra, a, b) -> dict:
+    """m(c(a x b))."""
+    return unlift(mul_at(h, braid_at(h, tensor(lift(a), lift(b)), 0), 0))
+
+
+def commutator(h: StructureBialgebra, a, b) -> dict:
+    """The braided commutator [a, b] = ab - m(c(a x b))."""
+    return unlift(slot_commutator(h, lift(a), lift(b)))
+
+
+# ---------------------------------------------------------------------------
+# checkers
+# ---------------------------------------------------------------------------
+
 def braid_check(c: GenericBraiding) -> bool:
     """Exhaustive check of the braid equation on all basis triples."""
-    d = c.dim
+    d, c = c.dim, pair_ops(c)
     for i in range(d):
         for j in range(d):
             for k in range(d):
@@ -51,7 +113,7 @@ def braid_check(c: GenericBraiding) -> bool:
 
 def is_symmetric(c: GenericBraiding) -> bool:
     """True iff applying the braiding twice is the identity on all basis pairs."""
-    d = c.dim
+    d, c = c.dim, pair_ops(c)
     for i in range(d):
         for j in range(d):
             w = {(i, j): ONE}
@@ -84,19 +146,19 @@ def check_braided_algebra(h: StructureBialgebra) -> ValidationReport:
         for j in range(d):
             for k in range(d):
                 w = {(i, j, k): ONE}
-                if h.gate_ok(i, j, k):
+                if gate_ok(h, i, j, k):
                     _compare(h, report, "associativity", (i, j, k),
                              mul_at(h, mul_at(h, w, 0), 0),
                              mul_at(h, mul_at(h, w, 1), 0))
                 else:
                     report.skipped += 1
-                if h.gate_ok(i, j):
+                if gate_ok(h, i, j):
                     _compare(h, report, "braid-mult-left", (i, j, k),
                              braid_at(h, mul_at(h, w, 0), 0),
                              mul_at(h, braid_at(h, braid_at(h, w, 1), 0), 1))
                 else:
                     report.skipped += 1
-                if h.gate_ok(j, k):
+                if gate_ok(h, j, k):
                     _compare(h, report, "braid-mult-right", (i, j, k),
                              braid_at(h, mul_at(h, w, 1), 0),
                              mul_at(h, braid_at(h, braid_at(h, w, 0), 1), 0))
@@ -113,26 +175,26 @@ def check_braided_coalgebra(h: StructureBialgebra) -> ValidationReport:
     d = h.dim
     for i in range(d):
         e = lift(h.basis_vec(i))
-        de = slot_split(e, 0, h.comul_atom)
+        de = slot_split(e, 0, comul_atom(h))
         _compare(h, report, "coassociativity", (i,),
-                 slot_split(de, 0, h.comul_atom), slot_split(de, 1, h.comul_atom))
-        _compare(h, report, "counit-left", (i,), slot_scalar(de, 0, h.counit_atom), e)
-        _compare(h, report, "counit-right", (i,), slot_scalar(de, 1, h.counit_atom), e)
+                 slot_split(de, 0, comul_atom(h)), slot_split(de, 1, comul_atom(h)))
+        _compare(h, report, "counit-left", (i,), slot_scalar(de, 0, counit_atom(h)), e)
+        _compare(h, report, "counit-right", (i,), slot_scalar(de, 1, counit_atom(h)), e)
     for i in range(d):
         for j in range(d):
             w = {(i, j): ONE}
             cw = braid_at(h, w, 0)
             _compare(h, report, "braid-comul-left", (i, j),
-                     slot_split(cw, 0, h.comul_atom),
-                     braid_at(h, braid_at(h, slot_split(w, 1, h.comul_atom), 0), 1))
+                     slot_split(cw, 0, comul_atom(h)),
+                     braid_at(h, braid_at(h, slot_split(w, 1, comul_atom(h)), 0), 1))
             _compare(h, report, "braid-comul-right", (i, j),
-                     slot_split(cw, 1, h.comul_atom),
-                     braid_at(h, braid_at(h, slot_split(w, 0, h.comul_atom), 1), 0))
+                     slot_split(cw, 1, comul_atom(h)),
+                     braid_at(h, braid_at(h, slot_split(w, 0, comul_atom(h)), 1), 0))
             _compare(h, report, "counit-braid-left", (i, j),
-                     slot_scalar(cw, 0, h.counit_atom),
+                     slot_scalar(cw, 0, counit_atom(h)),
                      vscale({(i,): ONE}, h.counit[j]))
             _compare(h, report, "counit-braid-right", (i, j),
-                     slot_scalar(cw, 1, h.counit_atom),
+                     slot_scalar(cw, 1, counit_atom(h)),
                      vscale({(j,): ONE}, h.counit[i]))
     return report
 
@@ -142,21 +204,21 @@ def check_braided_bialgebra(h: StructureBialgebra) -> ValidationReport:
     report = ValidationReport("braided bialgebra")
     d = h.dim
     unit = lift(h.unit_vec())
-    _compare(h, report, "comul-unit", (), slot_split(unit, 0, h.comul_atom),
+    _compare(h, report, "comul-unit", (), slot_split(unit, 0, comul_atom(h)),
              tensor(unit, unit))
     report.checked += 1
     if not h.counit_of(h.unit_vec()).is_one():
         report.record("counit-unit", (), str(h.counit_of(h.unit_vec())), "1")
     for i in range(d):
         for j in range(d):
-            if not h.gate_ok(i, j):
+            if not gate_ok(h, i, j):
                 report.skipped += 1
                 continue
             w = {(i, j): ONE}
             prod = mul_at(h, w, 0)
-            lhs = slot_split(prod, 0, h.comul_atom)
-            rhs = square_product(h, tensor(slot_split({(i,): ONE}, 0, h.comul_atom),
-                                           slot_split({(j,): ONE}, 0, h.comul_atom)))
+            lhs = slot_split(prod, 0, comul_atom(h))
+            rhs = square_product(h, tensor(slot_split({(i,): ONE}, 0, comul_atom(h)),
+                                           slot_split({(j,): ONE}, 0, comul_atom(h))))
             _compare(h, report, "comul-mult", (i, j), lhs, rhs)
             report.checked += 1
             eps_prod = h.counit_of(unlift(prod))
@@ -177,29 +239,30 @@ def check_antipode(h: StructureBialgebra) -> ValidationReport:
     unit = h.unit_vec()
     for i in range(d):
         e = lift(h.basis_vec(i))
-        de = slot_split(e, 0, h.comul_atom)
-        lhs = mul_at(h, slot_apply(de, 0, h.antipode_atom), 0)
-        rhs = mul_at(h, slot_apply(de, 1, h.antipode_atom), 0)
+        de = slot_split(e, 0, comul_atom(h))
+        lhs = mul_at(h, slot_apply(de, 0, antipode_atom(h)), 0)
+        rhs = mul_at(h, slot_apply(de, 1, antipode_atom(h)), 0)
         target = lift(vscale(unit, h.counit[i]))
         _compare(h, report, "antipode-left", (i,), lhs, target)
         _compare(h, report, "antipode-right", (i,), rhs, target)
         _compare(h, report, "antipode-comul", (i,),
-                 slot_apply(slot_apply(braid_at(h, de, 0), 0, h.antipode_atom), 1, h.antipode_atom),
-                 slot_split(slot_apply(e, 0, h.antipode_atom), 0, h.comul_atom))
+                 slot_apply(slot_apply(braid_at(h, de, 0), 0, antipode_atom(h)),
+                            1, antipode_atom(h)),
+                 slot_split(slot_apply(e, 0, antipode_atom(h)), 0, comul_atom(h)))
     for i in range(d):
         for j in range(d):
             w = {(i, j): ONE}
             _compare(h, report, "antipode-braid-left", (i, j),
-                     slot_apply(braid_at(h, w, 0), 0, h.antipode_atom),
-                     braid_at(h, slot_apply(w, 1, h.antipode_atom), 0))
+                     slot_apply(braid_at(h, w, 0), 0, antipode_atom(h)),
+                     braid_at(h, slot_apply(w, 1, antipode_atom(h)), 0))
             _compare(h, report, "antipode-braid-right", (i, j),
-                     slot_apply(braid_at(h, w, 0), 1, h.antipode_atom),
-                     braid_at(h, slot_apply(w, 0, h.antipode_atom), 0))
-            if h.gate_ok(i, j):
+                     slot_apply(braid_at(h, w, 0), 1, antipode_atom(h)),
+                     braid_at(h, slot_apply(w, 0, antipode_atom(h)), 0))
+            if gate_ok(h, i, j):
                 _compare(h, report, "antipode-mult", (i, j),
-                         mul_at(h, braid_at(h, slot_apply(slot_apply(w, 0, h.antipode_atom),
-                                                          1, h.antipode_atom), 0), 0),
-                         slot_apply(mul_at(h, w, 0), 0, h.antipode_atom))
+                         mul_at(h, braid_at(h, slot_apply(slot_apply(w, 0, antipode_atom(h)),
+                                                          1, antipode_atom(h)), 0), 0),
+                         slot_apply(mul_at(h, w, 0), 0, antipode_atom(h)))
             else:
                 report.skipped += 1
     return report
@@ -208,7 +271,7 @@ def check_antipode(h: StructureBialgebra) -> ValidationReport:
 def _commutator_coproduct_sides(h: StructureBialgebra, a, b):
     """The coproduct of the braided commutator [a, b], and the tensor-square
     commutator of the coproducts of a and b."""
-    return (h.comultiply(h.commutator(a, b)),
+    return (h.comultiply(commutator(h, a, b)),
             square_commutator(h, h.comultiply(a), h.comultiply(b)))
 
 
@@ -222,7 +285,7 @@ def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
     report = ValidationReport("commutator-coproduct compatibility")
     for i in range(h.dim):
         for j in range(h.dim):
-            if not h.gate_ok(i, j):
+            if not gate_ok(h, i, j):
                 report.skipped += 1
                 continue
             _compare(h, report, "commutator-coproduct", (i, j),
@@ -233,17 +296,17 @@ def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
 def is_c_commutative(h: StructureBialgebra) -> bool:
     for i in range(h.dim):
         for j in range(h.dim):
-            if not h.gate_ok(i, j):
+            if not gate_ok(h, i, j):
                 continue
             if not vec_equal(h.multiply(h.basis_vec(i), h.basis_vec(j)),
-                             h.opposite_multiply(h.basis_vec(i), h.basis_vec(j))):
+                             opposite_multiply(h, h.basis_vec(i), h.basis_vec(j))):
                 return False
     return True
 
 
 def is_c_cocommutative(h: StructureBialgebra) -> bool:
     for i in range(h.dim):
-        de = slot_split({(i,): ONE}, 0, h.comul_atom)
+        de = slot_split({(i,): ONE}, 0, comul_atom(h))
         if not vec_equal(de, braid_at(h, de, 0)):
             return False
     return True
@@ -258,8 +321,8 @@ def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
             left: dict = {}
             right: dict = {}
             for a, ca in xv.items():
-                vadd_into(left, c.braid_pair(a, i), ca)
-                vadd_into(right, c.braid_pair(i, a), ca)
+                vadd_into(left, c.rows[a][i], ca)
+                vadd_into(right, c.rows[i][a], ca)
             if any(contract(left, 1, f) or contract(right, 0, f) for f in funcs):
                 return False
     return True
@@ -272,9 +335,9 @@ def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
 def pi_map(gr: StructureBialgebra, vec) -> dict:
     """a |-> a_1 S(pi(a_2)): first coproduct leg times the antipode of the
     degree-zero projection of the second leg."""
-    w = slot_split(lift(vec), 0, gr.comul_atom)
+    w = slot_split(lift(vec), 0, comul_atom(gr))
     w = {key: c for key, c in w.items() if gr.degree(key[1]) == 0}
-    w = slot_apply(w, 1, gr.antipode_atom)
+    w = slot_apply(w, 1, antipode_atom(gr))
     return unlift(mul_at(gr, w, 0))
 
 
@@ -282,9 +345,9 @@ def ad_eval(gr: StructureBialgebra, kvec, rvec) -> dict:
     """Braided conjugation: multiply the first coproduct leg of k, braid the
     second past the argument, close with the antipode and multiply down."""
     w = tensor(lift(kvec), lift(rvec))
-    w = slot_split(w, 0, gr.comul_atom)
+    w = slot_split(w, 0, comul_atom(gr))
     w = braid_at(gr, w, 1)
-    w = slot_apply(w, 2, gr.antipode_atom)
+    w = slot_apply(w, 2, antipode_atom(gr))
     w = mul_at(gr, w, 0)
     w = mul_at(gr, w, 0)
     return unlift(w)
@@ -330,7 +393,7 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
     rdim = len(reps)
     comult = []
     for a in range(rdim):
-        w = slot_split(lift(reps[a]), 0, gr.comul_atom)
+        w = slot_split(lift(reps[a]), 0, comul_atom(gr))
         w = slot_apply(w, 0, lambda i: pi_map(gr, {i: ONE}))
         comult.append(basis.coords_pair(w))
     action = tuple(tuple(basis.coords(ad_eval(gr, {k: ONE}, reps[b])) for b in range(rdim))
@@ -352,7 +415,7 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
             raise CoinvariantsError("coaction fails counitality")
     braided = [[braid_at(gr, tensor(lift(reps[a]), lift(reps[b])), 0) for b in range(rdim)]
                for a in range(rdim)]
-    braid_rows = {}
+    braid_rows = [[{} for _ in range(rdim)] for _ in range(rdim)]
     for a in range(rdim):
         for b in range(rdim):
             ambient: dict = {}
@@ -360,10 +423,8 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
                 for (u, v), s in braided[rr][b].items():
                     for au, ca in ad_eval(gr, {k_indices[kt]: ONE}, {u: ONE}).items():
                         vadd_into(ambient, {(au, v): c * s * ca})
-            entry = basis.coords_pair(ambient)
-            if entry:
-                braid_rows[(a, b)] = entry
-    braiding = GenericBraiding(rdim, braid_rows)
+            braid_rows[a][b] = basis.coords_pair(ambient)
+    braiding = GenericBraiding(braid_rows)
     if not braid_check(braiding):
         raise CoinvariantsError("induced braiding fails the braid equation")
     r_alg = transported_bialgebra(gr, basis, degrees, "r", comult, braiding, None)
@@ -378,12 +439,12 @@ def is_central(b: StructureBialgebra, f_rows: list) -> bool:
         if not u:
             continue
         for j in range(b.dim):
-            if b.truncation is not None and b.gate_of(u) + b.gate_degree(j) > b.truncation:
+            if not all(gate_ok(b, i, j) for i in u):
                 continue
             ev = b.basis_vec(j)
-            if not vec_equal(b.multiply(u, ev), b.opposite_multiply(u, ev)):
+            if not vec_equal(b.multiply(u, ev), opposite_multiply(b, u, ev)):
                 return False
-            if not vec_equal(b.multiply(ev, u), b.opposite_multiply(ev, u)):
+            if not vec_equal(b.multiply(ev, u), opposite_multiply(b, ev, u)):
                 return False
     return True
 
@@ -442,3 +503,23 @@ def check_braiding_collapse(gr: StructureBialgebra, coinv) -> CollapseReport:
         status = "vacuous_equal" if matches else "vacuous_differs"
     return CollapseReport(central, cocentral, hypothesis, matches,
                           graded_projection_identity(gr), status)
+
+
+# ---------------------------------------------------------------------------
+# PBW
+# ---------------------------------------------------------------------------
+
+def generators_intertwine(q, h: StructureBialgebra) -> bool:
+    """The braiding of the target restricted to representative pairs equals
+    the induced braiding of the generator space Q expressed through the
+    representatives, each side formed by the slot operations."""
+    qc = pair_ops(q.braiding)
+    for a in range(q.dim):
+        for b in range(q.dim):
+            ambient = braid_at(h, tensor(lift(q.reps[a]), lift(q.reps[b])), 0)
+            induced: dict = {}
+            for (x, y), s in braid_at(qc, {(a, b): ONE}, 0).items():
+                vadd_into(induced, tensor(lift(q.reps[x]), lift(q.reps[y])), s)
+            if not vec_equal(ambient, induced):
+                return False
+    return True

@@ -22,6 +22,7 @@ from braidpbw.filtration import (
 )
 from braidpbw.findim_hopf import (
     check_commutator_coproduct_all,
+    commutator_table,
     is_c_commutative,
     run_all_checks,
 )
@@ -60,7 +61,7 @@ def test_axiom_suite_all_corpus_under_10s():
 def test_commutator_coproduct_identity_all_basis_pairs():
     for name in ALL_NAMES:
         h = build_cached(name)
-        report = check_commutator_coproduct_all(h)
+        report = check_commutator_coproduct_all(h, commutator_table(h))
         assert report.ok, f"{name}:\n{report.summary()}"
         assert report.checked > 0
     _announce("coproduct-of-commutator identity, exhaustive basis pairs")
@@ -108,10 +109,10 @@ def test_commutator_filtration_and_commutative_gr_through_degree_6():
         assert is_symmetric(h.braiding), name
         ladder = coradical_filtration_connected(h)
         assert len(ladder.steps) - 1 == 6, name
-        report = check_commutator_filtration(h, ladder)
+        report = check_commutator_filtration(h, ladder, commutator_table(h))
         assert report.ok, f"{name}:\n{report.summary()}"
         gr = associated_graded(h, ladder).algebra
-        assert is_c_commutative(gr), name
+        assert is_c_commutative(gr, commutator_table(gr)), name
     _announce("commutator filtration + commutative graded quotient, degree <= 6")
 
 
@@ -175,7 +176,7 @@ def test_braiding_collapse_cases():
         h = build_cached(name)
         gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,)))).algebra
         coinv = compute_R(gr)
-        rep = check_braiding_collapse(gr, coinv)
+        rep = check_braiding_collapse(gr, coinv, commutator_table(gr))
         assert rep.hypothesis_holds and rep.braiding_matches, name
     # the central-inclusion entry
     h = solvable_pair()
@@ -183,12 +184,12 @@ def test_braiding_collapse_cases():
                  if nm == "1" or (nm.startswith("y") and "x" not in nm))
     gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, yidx))).algebra
     coinv = compute_R(gr)
-    rep = check_braiding_collapse(gr, coinv)
+    rep = check_braiding_collapse(gr, coinv, commutator_table(gr))
     assert rep.i_central and rep.braiding_matches
     # the Sweedler case fails both hypotheses and the braidings differ
     h4 = build_cached("sweedler_h4")
     gr4 = associated_graded(h4, hopf_filtration(h4, subspace_from_indices(h4, (0, 1)))).algebra
-    rep4 = check_braiding_collapse(gr4, compute_R(gr4))
+    rep4 = check_braiding_collapse(gr4, compute_R(gr4), commutator_table(gr4))
     assert not rep4.hypothesis_holds and not rep4.braiding_matches
     assert rep4.status == "vacuous_differs"
     _announce("braiding collapse: confirmed for trivial and central K, recorded for Sweedler")

@@ -19,7 +19,7 @@ from braidpbw.filtration import (
     hopf_filtration,
     subspace_from_indices,
 )
-from braidpbw.findim_hopf import run_all_checks
+from braidpbw.findim_hopf import commutator_table, run_all_checks
 from braidpbw.multilinear import vec_equal
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
 from reference_checkers import ad_eval, pi_map
@@ -179,7 +179,7 @@ def test_coaction_values(coinv_h4, gr_h4):
 
 def test_centrality_flags(gr_h4, coinv_h4):
     k_rows = [{i: ONE} for i in coinv_h4.k_indices]
-    assert not is_central(gr_h4, k_rows)
+    assert not is_central(gr_h4, k_rows, commutator_table(gr_h4))
     pi_rows = [({i: ONE} if gr_h4.degree(i) == 0 else {}) for i in range(gr_h4.dim)]
     assert not is_cocentral(gr_h4, pi_rows)
 
@@ -187,7 +187,7 @@ def test_centrality_flags(gr_h4, coinv_h4):
 def test_identity_map_central_on_commutative(corpus):
     h = corpus["poly_plane"]
     rows = [{i: ONE} for i in range(h.dim)]
-    assert is_central(h, rows)
+    assert is_central(h, rows, commutator_table(h))
     assert is_cocentral(h, rows)
 
 
@@ -196,14 +196,14 @@ def test_collapse_trivial_K(corpus):
         h = corpus[name]
         gr = associated_graded(h, coradical_filtration_connected(h)).algebra
         coinv = compute_R(gr)
-        report = check_braiding_collapse(gr, coinv)
+        report = check_braiding_collapse(gr, coinv, commutator_table(gr))
         assert report.status == "confirmed", name
         assert report.braiding_matches and report.graded_morphism_identity
 
 
 def test_collapse_central_yline(gr_yline):
     coinv = compute_R(gr_yline)
-    report = check_braiding_collapse(gr_yline, coinv)
+    report = check_braiding_collapse(gr_yline, coinv, commutator_table(gr_yline))
     assert report.i_central
     assert report.status == "confirmed"
     assert report.braiding_matches
@@ -212,7 +212,7 @@ def test_collapse_central_yline(gr_yline):
 
 
 def test_collapse_h4_vacuous_and_different(gr_h4, coinv_h4):
-    report = check_braiding_collapse(gr_h4, coinv_h4)
+    report = check_braiding_collapse(gr_h4, coinv_h4, commutator_table(gr_h4))
     assert not report.hypothesis_holds
     assert not report.braiding_matches
     assert report.status == "vacuous_differs"

@@ -14,7 +14,7 @@ from braidpbw.filtration import (
     validate_hopf_subalgebra,
     wedge,
 )
-from braidpbw.findim_hopf import is_c_commutative, run_all_checks
+from braidpbw.findim_hopf import commutator_table, is_c_commutative, run_all_checks
 from braidpbw.linalg import Subspace, rref
 from braidpbw.multilinear import vec_equal
 from braidpbw.scalars import ONE, ZERO, Scalar, euler_phi
@@ -289,7 +289,7 @@ def test_associated_graded_needs_exhaustive(corpus):
 def test_commutator_filtration_solvable(corpus):
     h = corpus["solvable_pair"]
     ladder = coradical_filtration_connected(h)
-    report = check_commutator_filtration(h, ladder)
+    report = check_commutator_filtration(h, ladder, commutator_table(h))
     assert report.ok
     assert report.checked > 0
 
@@ -298,14 +298,14 @@ def test_commutator_filtration_commutative_cases(corpus):
     for name in ("poly_line", "poly_plane", "super_line", "color_plane"):
         h = corpus[name]
         ladder = coradical_filtration_connected(h)
-        assert check_commutator_filtration(h, ladder).ok, name
+        assert check_commutator_filtration(h, ladder, commutator_table(h)).ok, name
 
 
 def test_gr_c_commutative_for_connected_symmetric(corpus):
     for name in ("poly_line", "poly_plane", "super_line", "color_plane", "solvable_pair"):
         h = corpus[name]
         gr = associated_graded(h, coradical_filtration_connected(h)).algebra
-        assert is_c_commutative(gr), name
+        assert is_c_commutative(gr, commutator_table(gr)), name
 
 
 def test_ladder_steps_categorical_and_antipode_stable(corpus, h4, taft):

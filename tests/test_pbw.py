@@ -1,8 +1,13 @@
+import inspect
+import random
+
 import pytest
 
-from braidpbw.braided_space import braid_check, is_symmetric
+import reference_checkers as ref
+from braidpbw import pbw
+from braidpbw.braided_space import GenericBraiding, braid_check, is_symmetric
 from braidpbw.coinvariants import compute_R
-from braidpbw.corpus import solvable_pair
+from braidpbw.corpus import corpus_entries, solvable_pair, solvable_pair_y_indices
 from braidpbw.filtration import (
     associated_graded,
     coradical_filtration_connected,
@@ -14,12 +19,14 @@ from braidpbw.pbw import (
     INCONCLUSIVE,
     PBW_TYPE_FALSE,
     PBW_TYPE_TRUE,
+    QSpace,
     canonical_map,
     compute_Q,
     pbw_basis,
     pbw_verdict,
 )
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
+from test_checker_oracle import _perturb
 
 
 def gr_of(h):
@@ -35,14 +42,14 @@ def test_compute_Q_poly(corpus):
     q = compute_Q(gr_of(corpus["poly_line"]))
     assert q.dim == 1
     assert q.degrees == [1]
-    assert q.braiding.braid_pair(0, 0) == {(0, 0): ONE}
+    assert q.braiding.rows[0][0] == {(0, 0): ONE}
 
 
 def test_compute_Q_h4_R(h4):
     coinv = relative_R(h4, (0, 1))
     q = compute_Q(coinv)
     assert q.dim == 1 and q.degrees == [1]
-    assert q.braiding.braid_pair(0, 0) == {(0, 0): MINUS_ONE}
+    assert q.braiding.rows[0][0] == {(0, 0): MINUS_ONE}
 
 
 def test_compute_Q_taft_R(taft):
@@ -50,7 +57,7 @@ def test_compute_Q_taft_R(taft):
     q = compute_Q(coinv)
     # only the class of x survives: its square is decomposable
     assert q.dim == 1 and q.degrees == [1]
-    assert q.braiding.braid_pair(0, 0) == {(0, 0): root_of_unity(3)}
+    assert q.braiding.rows[0][0] == {(0, 0): root_of_unity(3)}
 
 
 def test_compute_Q_solvable(corpus):
@@ -189,7 +196,7 @@ def test_pbw_basis_refuses_non_diagonal():
     p = [[ONE, ONE], [ZERO, ONE]]
     pinv = [[ONE, MINUS_ONE], [ZERO, ONE]]
     c = GB.diagonal(base)
-    rows = {}
+    rows = [[{}, {}], [{}, {}]]
     for i in range(2):
         for j in range(2):
             entry = {}
@@ -197,16 +204,14 @@ def test_pbw_basis_refuses_non_diagonal():
                 for b in range(2):
                     if pinv[i][a].is_zero() or pinv[j][b].is_zero():
                         continue
-                    for (x, y), s in c.braid_pair(a, b).items():
+                    for (x, y), s in c.rows[a][b].items():
                         for k in range(2):
                             for l in range(2):
                                 coeff = pinv[i][a] * pinv[j][b] * s * p[x][k] * p[y][l]
                                 if not coeff.is_zero():
                                     entry[(k, l)] = entry.get((k, l), ZERO) + coeff
-            entry = {kk: vv for kk, vv in entry.items() if not vv.is_zero()}
-            if entry:
-                rows[(i, j)] = entry
-    twisted = GB(2, rows)
+            rows[i][j] = {kk: vv for kk, vv in entry.items() if not vv.is_zero()}
+    twisted = GB(rows)
     assert braid_check(twisted)
     assert is_symmetric(twisted)
     assert twisted.diagonal_coefficients() is None
@@ -217,3 +222,43 @@ def test_pbw_basis_refuses_non_diagonal():
     result = pbw_basis(report)
     assert result.monomials is None
     assert "not diagonal" in result.refusal
+
+
+def _corpus_R():
+    """(label, R) for every corpus entry with a subalgebra, the truncated
+    ones at T = 1..3."""
+    for entry in corpus_entries():
+        if entry.sub_indices is None:
+            continue
+        truncated = "truncation" in inspect.signature(entry.build).parameters
+        for t in ((1, 2, 3) if truncated else (None,)):
+            h = entry.build() if t is None else entry.build(t)
+            sub = entry.sub_indices
+            if entry.name == "solvable_pair_yline" and t is not None:
+                sub = solvable_pair_y_indices(t)
+            sub = sorted(i for i in sub if i < h.dim)
+            yield f"{entry.name}@T={t}", relative_R(h, sub).algebra
+
+
+def _perturbed_Q(rng, q):
+    """Q with one entry of its braiding table changed by a nonzero delta."""
+    d = q.dim
+    i, j = rng.randrange(d), rng.randrange(d)
+    rows = [list(row) for row in q.braiding.rows]
+    rows[i][j] = _perturb(rng, rows[i][j], (rng.randrange(d), rng.randrange(d)))
+    return QSpace(q.reps, q.degrees, q.names, GenericBraiding(rows))
+
+
+def test_generators_intertwine_matches_reference():
+    """The table comparison against the slot-operation evaluation, on the
+    generator space of every corpus R and on perturbed copies of it."""
+    rng = random.Random(9)
+    seen = set()
+    for label, r_alg in _corpus_R():
+        q = compute_Q(r_alg)
+        for candidate in [q] + [_perturbed_Q(rng, q) for _ in range(3 if q.dim else 0)]:
+            got = pbw._generators_intertwine(candidate, r_alg)
+            assert got == ref.generators_intertwine(candidate, r_alg), label
+            seen.add((candidate is q, got))
+    # every unperturbed space intertwines, and perturbations are detected
+    assert (True, False) not in seen and (False, False) in seen, seen

@@ -264,6 +264,19 @@ def test_arithmetic_against_fraction_oracle(pa, pb):
         assert str(got) == _ref_str(want, k)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.lists(mixed_rationals, min_size=1, max_size=9))
+def test_inverse_against_fraction_oracle(n, xs):
+    """x * x^-1 = 1, the product taken by the Fraction oracle."""
+    x = Scalar.from_poly(n, xs)
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    k = x.conductor
+    prod = _ref_mul(_coeffs_at(x, k), _coeffs_at(inv, k), k)
+    assert prod == [1] + [0] * (len(prod) - 1)
+
+
 def _assert_canonical(s):
     assert s.den > 0 and gcd(s.den, *s.num) == 1
     assert all(type(c) is int for c in s.num) and type(s.den) is int

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -141,6 +142,25 @@ def test_cli_degree_default_reads_the_cap_on_each_call(tmp_path, monkeypatch):
         dims.append(json.loads(open(rpath).read())["pbw"]["dims"])
     # the default top degree is the cap minus 2, as the cap stood at each call
     assert [len(d) for d in dims] == [2, 4]
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize("command", ["pipeline", "commutator"])
+def test_cli_bad_degree_cap_is_an_input_error(tmp_path, command, value):
+    if command == "pipeline":  # no --degree: the default reads the cap
+        h = sweedler_h4()
+        args = ["--input", _write(tmp_path, "h4.json", bialgebra_to_json(h)), "--sub",
+                _write(tmp_path, "k.json", subspace_to_json(subspace_from_indices(h, (0, 1))))]
+    else:
+        args = ["--input", _write(tmp_path, "basis.json", SUPER_BASIS),
+                "--left", "th", "--right", "th"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidpbw.cli", command, *args],
+        capture_output=True, text=True, env={**os.environ, "BRAIDPBW_DEGREE_CAP": value},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:") and "BRAIDPBW_DEGREE_CAP" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_pipeline_rejects_bad_subalgebra(tmp_path, capsys):

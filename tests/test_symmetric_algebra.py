@@ -87,7 +87,7 @@ def test_oracle_examples():
     assert oracle_dimension(GenericBraiding.flip(2), 2) == 3
     assert super_line().oracle_dimension(2) == 2
     z3 = root_of_unity(3)
-    taft_control = GenericBraiding(1, {(0, 0): {(0, 0): z3}})
+    taft_control = GenericBraiding([[{(0, 0): z3}]])
     assert oracle_dimension(taft_control, 2) == 0
 
 
