@@ -214,10 +214,7 @@ def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
     contracted in one pass against every annihilator functional of X on the
     leg that must lie in X; the sums, keyed by (functional, remaining leg),
     must all vanish."""
-    f_at: dict[int, list] = {}  # column -> (functional index, value)
-    for t, f in enumerate(x.functionals()):
-        for col, fv in f.items():
-            f_at.setdefault(col, []).append((t, fv))
+    f_at = x.functionals_at
     if not f_at:
         return True
     rows = c.rows

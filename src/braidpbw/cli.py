@@ -99,13 +99,18 @@ def cmd_corpus(args) -> int:
         runs = []
         for path, doc in docs:
             with malformed(f"malformed corpus entry {path}"):
-                name, h = doc["name"], bialgebra_from_json(doc["bialgebra"])
+                name = doc["name"]
+                if not isinstance(name, str):
+                    raise TypeError(f"name must be a string, got {type(name).__name__}")
+                h = bialgebra_from_json(doc["bialgebra"])
+                sub = doc.get("sub")
+                k = None if sub is None else subspace_from_json(sub, h)
                 degree, expect = doc.get("degree", 0), doc.get("expect", {})
                 if type(degree) is not int or degree < 0:
                     raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
                 if not isinstance(expect, dict):
                     raise TypeError(f"expect must be an object, got {type(expect).__name__}")
-                runs.append((name, h, doc.get("sub"), degree, expect))
+                runs.append((name, h, k, degree, expect))
     else:
         if args.entry and not any(e.name == args.entry for e in entries):
             print(f"unknown corpus entry {args.entry!r}", file=sys.stderr)
@@ -115,21 +120,16 @@ def cmd_corpus(args) -> int:
             if args.entry and entry.name != args.entry:
                 continue
             h = entry.build()
-            sub = None
-            if entry.sub_indices is not None:
-                sub = subspace_to_json(subspace_from_indices(h, entry.sub_indices))
-            runs.append((entry.name, h, sub, entry.degree, dict(entry.expect)))
+            k = None if entry.sub_indices is None else subspace_from_indices(h, entry.sub_indices)
+            runs.append((entry.name, h, k, entry.degree, dict(entry.expect)))
     results = {}
     failures = 0
-    for name, h, sub, degree, expect in runs:
+    for name, h, k, degree, expect in runs:
         try:
-            if sub is None:
+            if k is None:
                 summary = {"axioms": "pass" if check_report(h)["all_ok"] else "fail"}
-                report = {"axioms": summary["axioms"]}
             else:
-                k = subspace_from_json(sub, h)
-                report = run_pipeline(h, k, degree)
-                summary = flat_summary(report)
+                summary = flat_summary(run_pipeline(h, k, degree))
         except BraidpbwError as exc:
             summary = {"error": str(exc)}
         mism = compare_expectations(expect, summary)

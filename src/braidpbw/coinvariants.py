@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided_space import GenericBraiding, braid_check
-from .filtration import coradical_filtration_connected, transported_bialgebra
+from .filtration import coradical_filtration_connected, expand_products, transported_bialgebra
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
-from .multilinear import Vec, add_term, vadd_into, vec_equal
+from .multilinear import Vec, add_term, bilinear, vadd_into, vec_equal
 from .reporting import CoinvariantsError, FiltrationError, SpanError, ValidationReport
 from .scalars import ONE
 
@@ -247,21 +247,7 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
 
     # every representative occurs in its own coaction (counitality), so each
     # braided pair is used; each is formed once
-    braided = []
-    for a in range(rdim):
-        row = []
-        for b in range(rdim):
-            pair: dict = {}
-            for i, ci in reps[a].items():
-                ci_row = c[i]
-                for j, cj in reps[b].items():
-                    cij = ci * cj
-                    for xy, s in ci_row[j].items():
-                        v = cij * s
-                        prev = pair.get(xy)
-                        pair[xy] = v if prev is None else prev + v
-            row.append({xy: v for xy, v in pair.items() if not v.is_zero()})
-        braided.append(row)
+    braided = [[bilinear(c, u, v) for v in reps] for u in reps]
 
     braid_rows = []
     for a in range(rdim):
@@ -282,7 +268,8 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     if not braid_check(braiding_r):
         raise CoinvariantsError("induced braiding fails the braid equation")
 
-    r_alg = transported_bialgebra(gr, basis, degrees, "r", comult_r, braiding_r, None)
+    r_alg = transported_bialgebra(gr, basis, degrees, "r", basis.coords(gr.unit),
+                                  expand_products(gr, basis), comult_r, braiding_r, None)
     return r_alg, tuple(action), tuple(coaction), braided
 
 

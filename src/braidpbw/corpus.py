@@ -365,21 +365,13 @@ class CorpusEntry:
     expect: Mapping = field(default_factory=dict)
 
 
-def _h4_sub() -> tuple[int, ...]:
-    return (0, 1)  # span(1, g)
-
-
-def _taft_sub() -> tuple[int, ...]:
-    return (0, 1, 2)  # span(1, g, g^2)
-
-
 @lru_cache(maxsize=None)
 def corpus_entries() -> tuple[CorpusEntry, ...]:
     t = DEFAULT_TRUNCATION
     zeta_str = str(root_of_unity(3))
     return (
         CorpusEntry("kc2", group_algebra_c2, None, 0, {"axioms": "pass"}),
-        CorpusEntry("sweedler_h4", sweedler_h4, _h4_sub(), 3, {
+        CorpusEntry("sweedler_h4", sweedler_h4, (0, 1), 3, {  # K = span(1, g)
             "axioms": "pass",
             "filtration_dims": [2, 4],
             "exhaustive": True,
@@ -392,7 +384,7 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
             "bosonization": True,
             "pbw_verdict": "PBW_TYPE_TRUE",
         }),
-        CorpusEntry("taft3", taft3, _taft_sub(), 3, {
+        CorpusEntry("taft3", taft3, (0, 1, 2), 3, {  # K = span(1, g, g^2)
             "axioms": "pass",
             "filtration_dims": [3, 6, 9],
             "exhaustive": True,

@@ -2,10 +2,13 @@
 
 Wedge preimages under the coproduct build two kinds of ladders: the
 filtration induced by a braided Hopf subalgebra, and the coradical
-filtration of a connected graded bialgebra.  An exhaustive validated
-ladder yields the associated graded bialgebra with induced product,
-coproduct, braiding, and antipode, computed through canonical pivot
-complements.
+filtration of a connected graded bialgebra.  An exhaustive ladder has an
+adapted basis, the new-pivot rows of its steps (canonical pivot
+complements), held as one :class:`~braidpbw.linalg.Coordinates`.  The
+associated graded expands H's unit, products, coproducts and antipode in
+that basis in one pass: the degrees of the expansions validate the ladder
+as a bialgebra filtration, and their degree-homogeneous parts, with the
+expanded braiding, are the structure of gr H.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from functools import cached_property
 from .findim_hopf import StructureBialgebra, render_tensor
 from .braided_space import GenericBraiding, is_categorical, is_symmetric
 from .linalg import Coordinates, Subspace, kernel
-from .multilinear import Vec, add_term, contract, vadd_into
+from .multilinear import Vec, add_term, bilinear
 from .reporting import FiltrationError, ValidationReport
 from .scalars import ONE, ZERO
 
@@ -32,14 +35,25 @@ class FiltrationLadder:
     def dims(self) -> list[int]:
         return [s.dim for s in self.steps]
 
-    @property
-    def top(self) -> Subspace:
-        return self.steps[-1]
-
     @cached_property
-    def adapted(self) -> "AdaptedBasis":
-        """The adapted basis of an exhaustive ladder, built on first use."""
-        return AdaptedBasis.from_ladder(self)
+    def adapted(self) -> tuple[Coordinates, list[int]]:
+        """Coordinates over the new-pivot rows of the steps of an exhaustive
+        ladder, in (step, pivot) order, and the step of each row; built on
+        first use.  Steps come in order and RREF pivots ascend, so the rows
+        need no sorting."""
+        if not self.exhaustive:
+            raise FiltrationError("filtration does not exhaust the bialgebra; "
+                                  "the associated graded object is not defined on all of H")
+        reps: list[Vec] = []
+        degrees: list[int] = []
+        seen: set[int] = set()
+        for n, step in enumerate(self.steps):
+            for p, row in zip(step.pivots, step.rows):
+                if p not in seen:
+                    seen.add(p)
+                    reps.append(row)
+                    degrees.append(n)
+        return Coordinates(self.bialgebra.dim, reps), degrees
 
 
 def subspace_from_indices(h: StructureBialgebra, indices) -> Subspace:
@@ -58,14 +72,7 @@ def wedge(k: Subspace, w: Subspace) -> Subspace:
     h: StructureBialgebra = k.ambient or w.ambient
     if h is None:
         raise ValueError("wedge needs subspaces attached to a bialgebra")
-    k_at: dict[int, list] = {}  # column -> (functional index, value)
-    for t, f in enumerate(k.functionals()):
-        for a, fa in f.items():
-            k_at.setdefault(a, []).append((t, fa))
-    w_at: dict[int, list] = {}
-    for t, g in enumerate(w.functionals()):
-        for b, gb in g.items():
-            w_at.setdefault(b, []).append((t, gb))
+    k_at, w_at = k.functionals_at, w.functionals_at
     images = []
     for i in range(h.dim):
         img: Vec = {}
@@ -84,16 +91,24 @@ def validate_hopf_subalgebra(h: StructureBialgebra, k: Subspace) -> ValidationRe
     report.checked += 1
     if not k.contains_vector(h.unit):
         report.record("unit-membership", (), "unit", "in K")
-    funcs = k.functionals()
+    f_at = k.functionals_at
     for a, u in enumerate(k.rows):
         for b, v in enumerate(k.rows):
             report.checked += 1
             if not k.contains_vector(h.multiply(u, v)):
                 report.record("product-closure", (a, b), "K.K", "in K")
     for a, u in enumerate(k.rows):
-        cu = h.comultiply(u)
+        # (f x id) and (id x f) of Delta(u) for every annihilator functional f
+        # of K, keyed by (leg, functional, other leg): all vanish iff Delta(u)
+        # lies in K (x) K
+        outside: Vec = {}
+        for (x, y), c in h.comultiply(u).items():
+            for t, fx in f_at.get(x, ()):
+                add_term(outside, (0, t, y), c * fx)
+            for t, fy in f_at.get(y, ()):
+                add_term(outside, (1, t, x), c * fy)
         report.checked += 1
-        if any(contract(cu, 0, f) or contract(cu, 1, f) for f in funcs):
+        if outside:
             report.record("coproduct-closure", (a,), "Delta(K)", "in K(x)K")
         if h.antipode is not None:
             report.checked += 1
@@ -161,88 +176,27 @@ def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace,
     )
 
 
-@dataclass
-class AdaptedBasis:
-    """Canonical complements along a ladder: the new-pivot rows of each step
-    as representatives, their filtration and truncation degrees, and
-    coordinates over them."""
-
-    basis: Coordinates
-    fil_degrees: list[int]
-    gate_degrees: list[int]
-
-    @staticmethod
-    def from_ladder(ladder: FiltrationLadder) -> "AdaptedBasis":
-        if not ladder.exhaustive:
-            raise FiltrationError("filtration does not exhaust the bialgebra; "
-                                  "the associated graded object is not defined on all of H")
-        h = ladder.bialgebra
-        entries: list[tuple[int, int, Vec]] = []
-        seen: set[int] = set()
-        for n, step in enumerate(ladder.steps):
-            for j, p in enumerate(step.pivots):
-                if p not in seen:
-                    seen.add(p)
-                    entries.append((n, p, step.rows[j]))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        reps = [e[2] for e in entries]
-        return AdaptedBasis(Coordinates(h.dim, reps), [e[0] for e in entries],
-                            [h.gate_of(r) for r in reps])
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def rep_vec(self, r: int) -> Vec:
-        return self.basis.vectors[r]
-
-
-def validate_bialgebra_filtration(h: StructureBialgebra, ladder: FiltrationLadder) -> ValidationReport:
-    """Products land in the summed step, coproducts respect the ladder
-    degreewise, the antipode preserves steps, and steps are categorical."""
-    report = ValidationReport("bialgebra filtration")
-    ab = ladder.adapted
-    top = len(ladder.steps) - 1
-    report.checked += 1
-    zero_reps = [r for r in range(ab.dim) if ab.fil_degrees[r] == 0]
-    unit_exp = ab.basis.coords(h.unit)
-    if any(r not in zero_reps for r in unit_exp):
-        report.record("unit-degree", (), "unit", "in bottom step")
-    for a in range(ab.dim):
-        for b in range(ab.dim):
-            if ab.gate_degrees[a] + ab.gate_degrees[b] > h.cap:
-                report.skipped += 1
-                continue
-            report.checked += 1
-            target = min(ab.fil_degrees[a] + ab.fil_degrees[b], top)
-            prod = ab.basis.coords(h.multiply(ab.rep_vec(a), ab.rep_vec(b)))
-            if any(ab.fil_degrees[r] > target for r in prod):
-                report.record("product-degree", (a, b), "deg product", f"<= {target}")
-    for a in range(ab.dim):
-        report.checked += 1
-        n = ab.fil_degrees[a]
-        cop = ab.basis.coords_pair(h.comultiply(ab.rep_vec(a)))
-        if any(ab.fil_degrees[r] + ab.fil_degrees[s] > n for (r, s) in cop):
-            report.record("coproduct-degree", (a,), "split degrees", f"sum <= {n}")
-        if h.antipode is not None:
-            report.checked += 1
-            sv = ab.basis.coords(h.apply_antipode(ab.rep_vec(a)))
-            if any(ab.fil_degrees[r] > n for r in sv):
-                report.record("antipode-degree", (a,), "deg S", f"<= {n}")
-    report.checked += 1
-    if not ladder.categorical_steps:
-        report.record("categorical-steps", (), "steps", "categorical")
-    return report
+def expand_products(h: StructureBialgebra, basis: Coordinates) -> list[list[Vec | None]]:
+    """The product in h of each pair of basis vectors, in coordinates over
+    them; None for a pair whose truncation degrees sum above the cap."""
+    reps = basis.vectors
+    gates = [h.gate_of(v) for v in reps]
+    return [[None if ga + gb > h.cap else basis.coords(h.multiply(u, v))
+             for v, gb in zip(reps, gates)]
+            for u, ga in zip(reps, gates)]
 
 
 def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: list[int],
-                          prefix: str, comult: list, braiding: GenericBraiding,
+                          prefix: str, unit: Vec, products: list[list[Vec | None]],
+                          comult: list, braiding: GenericBraiding,
                           antipode: tuple | None) -> StructureBialgebra:
-    """The graded bialgebra on ``basis.vectors`` with the given coproduct,
-    braiding and antipode.  Names, unit, counit and product are transported
-    from h: a representative that is a basis vector of h keeps its name,
-    the counit and each product keep their degree-homogeneous parts, and
-    truncation degrees are those of the representatives in h."""
+    """The graded bialgebra on ``basis.vectors`` with the given unit,
+    coproduct, braiding and antipode.  The product keeps the
+    degree-homogeneous part of each expansion in ``products`` (from
+    :func:`expand_products`; None stores zero).  Names and the counit are
+    transported from h: a representative that is a basis vector of h keeps
+    its name, the counit keeps its degree-zero part, and truncation degrees
+    are those of the representatives in h."""
     reps = basis.vectors
     names: list[str] = []
     seen: dict[str, int] = {}
@@ -259,30 +213,22 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
             seen[name] = 0
         names.append(name)
 
-    gates = [h.gate_of(v) for v in reps]
-    mult_rows = []
-    for a, u in enumerate(reps):
-        row = []
-        for b, v in enumerate(reps):
-            if gates[a] + gates[b] > h.cap:
-                row.append({})
-                continue
-            target = degrees[a] + degrees[b]
-            prod = basis.coords(h.multiply(u, v))
-            row.append({r: c for r, c in prod.items() if degrees[r] == target})
-        mult_rows.append(tuple(row))
-
+    mult = tuple(tuple({} if prod is None else
+                       {r: c for r, c in prod.items() if degrees[r] == degrees[a] + degrees[b]}
+                       for b, prod in enumerate(row))
+                 for a, row in enumerate(products))
+    gates = tuple(h.gate_of(v) for v in reps)
     return StructureBialgebra(
         names=tuple(names),
-        unit=basis.coords(h.unit),
-        mult=tuple(mult_rows),
+        unit=unit,
+        mult=mult,
         counit=tuple(h.counit_of(v) if degrees[r] == 0 else ZERO for r, v in enumerate(reps)),
         comult=tuple(comult),
         braiding=braiding,
         antipode=antipode,
         grading=tuple(degrees),
         truncation=h.truncation,
-        trunc_grading=tuple(gates) if h.truncation is not None else None,
+        trunc_grading=gates if h.truncation is not None else None,
     )
 
 
@@ -295,58 +241,63 @@ class AssociatedGraded:
 def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> AssociatedGraded:
     """The graded bialgebra on the ladder quotients, by structure constants.
 
-    Representatives are the new-pivot rows of each step; every structure
-    tensor is the degree-homogeneous part of the expansion of the parent
-    operation in the adapted basis.
+    Representatives are the new-pivot rows of each step.  H's unit, the
+    product of each pair of representatives below the truncation, and the
+    coproduct and antipode of each representative are expanded once in the
+    adapted basis.  Their degrees validate the ladder as a bialgebra
+    filtration: the unit lies in the bottom step, products land in the
+    summed step, coproducts respect the ladder degreewise, the antipode
+    preserves steps, and the steps are categorical.  Their
+    degree-homogeneous parts, with those of the braided representative
+    pairs, are gr's structure tensors.
     """
-    report = validate_bialgebra_filtration(h, ladder)
+    basis, degrees = ladder.adapted
+    reps = basis.vectors
+    top = len(ladder.steps) - 1
+    report = ValidationReport("bialgebra filtration")
+    report.checked += 1
+    unit = basis.coords(h.unit)
+    if any(degrees[r] != 0 for r in unit):
+        report.record("unit-degree", (), "unit", "in bottom step")
+    products = expand_products(h, basis)
+    for a, row in enumerate(products):
+        for b, prod in enumerate(row):
+            if prod is None:
+                report.skipped += 1
+                continue
+            report.checked += 1
+            target = min(degrees[a] + degrees[b], top)
+            if any(degrees[r] > target for r in prod):
+                report.record("product-degree", (a, b), "deg product", f"<= {target}")
+    comult: list[dict] = []
+    antipode: list[Vec] | None = None if h.antipode is None else []
+    for a, u in enumerate(reps):
+        report.checked += 1
+        n = degrees[a]
+        cop = basis.coords_pair(h.comultiply(u))
+        if any(degrees[r] + degrees[s] > n for (r, s) in cop):
+            report.record("coproduct-degree", (a,), "split degrees", f"sum <= {n}")
+        comult.append({(r, s): c for (r, s), c in cop.items() if degrees[r] + degrees[s] == n})
+        if antipode is not None:
+            report.checked += 1
+            sv = basis.coords(h.apply_antipode(u))
+            if any(degrees[r] > n for r in sv):
+                report.record("antipode-degree", (a,), "deg S", f"<= {n}")
+            antipode.append({r: c for r, c in sv.items() if degrees[r] == n})
+    report.checked += 1
+    if not ladder.categorical_steps:
+        report.record("categorical-steps", (), "steps", "categorical")
     if not report.ok:
         raise FiltrationError("not a bialgebra filtration:\n" + report.summary())
-    ab = ladder.adapted
-    d = ab.dim
-    degrees = ab.fil_degrees
-
-    comult = []
-    for a in range(d):
-        n = degrees[a]
-        cop = ab.basis.coords_pair(h.comultiply(ab.rep_vec(a)))
-        comult.append({(r, s): c for (r, s), c in cop.items()
-                       if degrees[r] + degrees[s] == n})
 
     c = h.braiding.rows
-    braid_rows = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            w: dict = {}
-            for i, ci in ab.rep_vec(a).items():
-                ci_row = c[i]
-                for j, cj in ab.rep_vec(b).items():
-                    cij = ci * cj
-                    for xy, s in ci_row[j].items():
-                        v = cij * s
-                        prev = w.get(xy)
-                        if prev is not None:
-                            v = prev + v
-                        if v.is_zero():
-                            w.pop(xy, None)
-                        else:
-                            w[xy] = v
-            exp = ab.basis.coords_pair(w)
-            row.append({(r, s): v for (r, s), v in exp.items()
-                        if degrees[r] + degrees[s] == degrees[a] + degrees[b]})
-        braid_rows.append(row)
-
-    antipode = None
-    if h.antipode is not None:
-        antipode = []
-        for a in range(d):
-            sv = ab.basis.coords(h.apply_antipode(ab.rep_vec(a)))
-            antipode.append({r: c for r, c in sv.items() if degrees[r] == degrees[a]})
-        antipode = tuple(antipode)
-
-    gr = transported_bialgebra(h, ab.basis, degrees, "f", comult,
-                               GenericBraiding(braid_rows), antipode)
+    braid_rows = [[{(r, s): x for (r, s), x in basis.coords_pair(bilinear(c, u, v)).items()
+                    if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
+                   for b, v in enumerate(reps)]
+                  for a, u in enumerate(reps)]
+    gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult,
+                               GenericBraiding(braid_rows),
+                               None if antipode is None else tuple(antipode))
     return AssociatedGraded(algebra=gr, ladder=ladder)
 
 
@@ -360,24 +311,20 @@ def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
     if not is_symmetric(h.braiding):
         return None
     report = ValidationReport("commutator filtration")
-    ab = ladder.adapted
+    basis, degrees = ladder.adapted
+    reps = basis.vectors
+    gates = [h.gate_of(v) for v in reps]
     top = len(ladder.steps) - 1
-    for a in range(ab.dim):
-        u = ab.rep_vec(a)
-        for b in range(ab.dim):
-            if ab.gate_degrees[a] + ab.gate_degrees[b] > h.cap:
+    for a, u in enumerate(reps):
+        for b, v in enumerate(reps):
+            if gates[a] + gates[b] > h.cap:
                 report.skipped += 1
                 continue
             report.checked += 1
-            m, n = ab.fil_degrees[a], ab.fil_degrees[b]
+            m, n = degrees[a], degrees[b]
             target = min(m + n - 1, top)
-            v = ab.rep_vec(b)
-            bracket: Vec = {}
-            for i, cu in u.items():
-                row = comm[i]
-                for j, cv in v.items():
-                    vadd_into(bracket, row[j], cu * cv)
-            if any(ab.fil_degrees[r] > target for r in ab.basis.coords(bracket)):
+            bracket = bilinear(comm, u, v)
+            if any(degrees[r] > target for r in basis.coords(bracket)):
                 report.record("commutator-level", (m, n),
                               render_tensor(h, {(k,): v for k, v in bracket.items()}),
                               f"inside step {target}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .braided_space import GenericBraiding
-from .multilinear import Vec, lift, vadd_into, vec_equal, vsum
+from .multilinear import Vec, bilinear, lift, vadd_into, vec_equal, vsum
 from .reporting import ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -84,12 +84,7 @@ class StructureBialgebra:
         return {i: ONE}
 
     def multiply(self, a: Vec, b: Vec) -> Vec:
-        out: Vec = {}
-        for i, ca in a.items():
-            row = self.mult[i]
-            for j, cb in b.items():
-                vadd_into(out, row[j], ca * cb)
-        return out
+        return bilinear(self.mult, a, b)
 
     def comultiply(self, a: Vec):
         out: Vec = {}

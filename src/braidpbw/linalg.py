@@ -140,6 +140,15 @@ class Subspace:
             out.append({k: f[k] for k in sorted(f)})
         return out
 
+    @cached_property
+    def functionals_at(self) -> dict[int, list[tuple[int, Scalar]]]:
+        """Column -> [(index in :meth:`functionals`, value there)], built once."""
+        at: dict[int, list] = {}
+        for t, f in enumerate(self.functionals()):
+            for col, fv in f.items():
+                at.setdefault(col, []).append((t, fv))
+        return at
+
     def coordinate_columns(self) -> set[int] | None:
         """Pivot set when every basis row is a standard basis vector, else None."""
         if all(len(row) == 1 for row in self.rows):

@@ -42,6 +42,17 @@ def vadd_into(acc: Vec, vec: Vec, factor: Scalar | None = None) -> Vec:
     return acc
 
 
+def bilinear(rows, u: Vec, v: Vec) -> Vec:
+    """The bilinear extension sum u_i v_j rows[i][j] of a table of values on
+    basis pairs (a product, braiding or commutator table)."""
+    out: Vec = {}
+    for i, cu in u.items():
+        row = rows[i]
+        for j, cv in v.items():
+            vadd_into(out, row[j], cu * cv)
+    return out
+
+
 def add_term(acc: Vec, key, c: Scalar) -> None:
     """acc[key] += c, dropping the entry when the sum is an exact zero."""
     prev = acc.get(key)
@@ -90,17 +101,6 @@ def vec_equal(a: Vec, b: Vec) -> bool:
         if k not in a and not d.is_zero():
             return False
     return True
-
-
-def contract(w: Vec, slot: int, f: Vec) -> Vec:
-    """Pair slot 0 or 1 of a 2-tensor with the functional f; the other leg
-    remains."""
-    out: Vec = {}
-    for key, c in w.items():
-        fv = f.get(key[slot])
-        if fv is not None:
-            add_term(out, key[1 - slot], c * fv)
-    return out
 
 
 def tensor(a: Vec, b: Vec) -> Vec:

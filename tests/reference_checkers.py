@@ -8,7 +8,8 @@ The engine composes the structure rows directly; the tests require both to
 give identical reports, counters, witnesses, verdicts and structure
 constants.  The atom maps, the opposite product and the braided commutator
 of a structure-constant bialgebra that the slot operations apply are
-defined here, since the engine does not use them.
+defined here, as is the slot contraction ``contract``, since the engine
+does not use them.
 """
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ from types import SimpleNamespace
 from braidpbw.braided_space import GenericBraiding
 from braidpbw.coinvariants import CollapseReport
 from braidpbw.findim_hopf import StructureBialgebra, render_tensor
-from braidpbw.filtration import transported_bialgebra
+from braidpbw.filtration import expand_products, transported_bialgebra
 from braidpbw.linalg import Coordinates, Subspace, kernel
 from braidpbw.multilinear import (
+    add_term,
     braid_at,
     commutator as slot_commutator,
-    contract,
     lift,
     mul_at,
     slot_apply,
@@ -45,6 +46,17 @@ from braidpbw.scalars import ONE
 def unlift(vec) -> dict:
     """A 1-slot tensor as an atom-keyed dict."""
     return {k[0]: c for k, c in vec.items()}
+
+
+def contract(w, slot: int, f) -> dict:
+    """Pair slot 0 or 1 of a 2-tensor with the functional f; the other leg
+    remains."""
+    out: dict = {}
+    for key, c in w.items():
+        fv = f.get(key[slot])
+        if fv is not None:
+            add_term(out, key[1 - slot], c * fv)
+    return out
 
 
 def vscale(vec, factor) -> dict:
@@ -427,7 +439,8 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
     braiding = GenericBraiding(braid_rows)
     if not braid_check(braiding):
         raise CoinvariantsError("induced braiding fails the braid equation")
-    r_alg = transported_bialgebra(gr, basis, degrees, "r", comult, braiding, None)
+    r_alg = transported_bialgebra(gr, basis, degrees, "r", basis.coords(gr.unit),
+                                  expand_products(gr, basis), comult, braiding, None)
     return {"inclusion": r_sub, "k_indices": k_indices, "algebra": r_alg,
             "action": action, "coaction": tuple(coaction), "braided_reps": braided}
 

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from braidpbw.corpus import poly_line
 from braidpbw.filtration import (
     FiltrationError,
+    FiltrationLadder,
     associated_graded,
     check_commutator_filtration,
     coradical_filtration_connected,
     hopf_filtration,
     subspace_from_indices,
-    validate_bialgebra_filtration,
     validate_hopf_subalgebra,
     wedge,
 )
@@ -271,10 +272,47 @@ def test_associated_graded_passes_all_checkers(corpus, h4, taft):
             assert report.ok, f"{name}:\n{report.summary()}"
 
 
-def test_validate_bialgebra_filtration_ok(h4):
-    ladder = hopf_filtration(h4, subspace_from_indices(h4, (0, 1)))
-    report = validate_bialgebra_filtration(h4, ladder)
-    assert report.ok
+NOT_BIALGEBRA_FILTRATIONS = [
+    # span(1, x^2) < span(1, x, x^2) < H, flagged non-categorical
+    (lambda h: [subspace_from_indices(h, (0, 2)), subspace_from_indices(h, (0, 1, 2)),
+                Subspace.full(h.dim, h)], False,
+     "not a bialgebra filtration:\n"
+     "bialgebra filtration: 4 violation(s) (20 checks, skipped 6 above degree cap)\n"
+     "  product-degree at (1,2): deg product != <= 1\n"
+     "  product-degree at (2,1): deg product != <= 1\n"
+     "  coproduct-degree at (1): split degrees != sum <= 0\n"
+     "  categorical-steps at (): steps != categorical"),
+    # span(1 + x) < span(1, x) < span(1, x, x^2) < H
+    (lambda h: [Subspace.span(h.dim, [{0: ONE, 1: ONE}], h), subspace_from_indices(h, (0, 1)),
+                subspace_from_indices(h, (0, 1, 2)), Subspace.full(h.dim, h)], True,
+     "not a bialgebra filtration:\n"
+     "bialgebra filtration: 11 violation(s) (18 checks, skipped 8 above degree cap)\n"
+     "  unit-degree at (): unit != in bottom step\n"
+     "  product-degree at (0,0): deg product != <= 0\n"
+     "  product-degree at (0,1): deg product != <= 1\n"
+     "  product-degree at (0,2): deg product != <= 2\n"
+     "  product-degree at (1,0): deg product != <= 1\n"
+     "  product-degree at (2,0): deg product != <= 2\n"
+     "  coproduct-degree at (0): split degrees != sum <= 0\n"
+     "  antipode-degree at (0): deg S != <= 0\n"
+     "  coproduct-degree at (1): split degrees != sum <= 1\n"
+     "  coproduct-degree at (2): split degrees != sum <= 2\n"
+     "  coproduct-degree at (3): split degrees != sum <= 3"),
+]
+
+
+@pytest.mark.parametrize("steps, categorical, message", NOT_BIALGEBRA_FILTRATIONS,
+                         ids=["non-categorical", "unit-above-bottom"])
+def test_associated_graded_rejects_non_bialgebra_filtrations(steps, categorical, message):
+    """Hand-built exhaustive ladders of poly_line(3) that break the product,
+    coproduct, antipode, unit and categorical conditions, with the exact
+    report of every violation."""
+    h = poly_line(3)
+    ladder = FiltrationLadder(h, steps(h), exhaustive=True, categorical_steps=categorical,
+                              antipode_stable=True)
+    with pytest.raises(FiltrationError) as exc:
+        associated_graded(h, ladder)
+    assert str(exc.value) == message
 
 
 def test_associated_graded_needs_exhaustive(corpus):
@@ -317,9 +355,9 @@ def test_ladder_steps_categorical_and_antipode_stable(corpus, h4, taft):
 
 def test_adapted_basis_expansion_roundtrip(h4):
     ladder = hopf_filtration(h4, subspace_from_indices(h4, (0, 1)))
-    basis = ladder.adapted.basis
+    basis, degrees = ladder.adapted
     assert ladder.adapted is ladder.adapted  # built once per ladder
-    from braidpbw.scalars import ZERO
+    assert degrees == [0, 0, 1, 1]  # span(1, g) < H4
 
     for i in range(h4.dim):
         coords = basis.coords({i: ONE})

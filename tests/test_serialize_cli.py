@@ -383,6 +383,16 @@ ERROR_PATHS = {
         lambda tmp: _corpus_dir(tmp, _h4_entry(degree=-1)),
         2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
            "degree must be an integer >= 0, got -1"),
+    "corpus-entry-name-is-a-list": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(name=["h4"])),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "name must be a string, got list"),
+    "corpus-entry-sub-row-too-short": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(sub={"ambient_dim": 4, "rows": [["1", "0", "0"]]})),
+        2, "input error: subspace row: expected a list of 4 entries, got 3"),
+    "corpus-entry-sub-is-a-string": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(sub="span(1, g)")),
+        2, "input error: malformed subspace document: "),
     "nf-unknown-generator": (
         lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "zz"],
         2, "input error: unknown generator in word"),
