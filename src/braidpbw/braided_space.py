@@ -8,10 +8,11 @@ braiding ("categorical" subspaces).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .linalg import Subspace
-from .multilinear import vec_equal
+from .multilinear import lower, vec_equal
 from .reporting import InputError, ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -105,6 +106,14 @@ class GenericBraiding:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def lowered(self) -> tuple:
+        """(rows, one): the row table with int coefficients and the int 1 when
+        every coefficient is a rational integer, else the Scalar table itself
+        and ONE.  Derived once per braiding for the exhaustive checkers."""
+        rows = lower(self.rows)
+        return (self.rows, ONE) if rows is None else (rows, 1)
+
     @staticmethod
     def flip(dim: int) -> "GenericBraiding":
         return GenericBraiding([[{(j, i): ONE} for j in range(dim)] for i in range(dim)])
@@ -160,7 +169,7 @@ def diagonal_braiding(chi: Bicharacter, basis: GradedBasis) -> GenericBraiding:
 def braid_check(c: GenericBraiding) -> bool:
     """Exhaustive check of the braid equation on all basis triples."""
     d = c.dim
-    rows = c.rows
+    rows = c.lowered[0]
     for i in range(d):
         ri = rows[i]
         for j in range(d):
@@ -193,7 +202,7 @@ def braid_check(c: GenericBraiding) -> bool:
 def is_symmetric(c: GenericBraiding) -> bool:
     """True iff applying the braiding twice is the identity on all basis pairs."""
     d = c.dim
-    rows = c.rows
+    rows, one = c.lowered
     for i in range(d):
         for j in range(d):
             twice: dict = {}
@@ -202,7 +211,7 @@ def is_symmetric(c: GenericBraiding) -> bool:
                     v = s * t
                     prev = twice.get(xy)
                     twice[xy] = v if prev is None else prev + v
-            if not vec_equal(twice, {(i, j): ONE}):
+            if not vec_equal(twice, {(i, j): one}):
                 return False
     return True
 

@@ -98,13 +98,17 @@ def cmd_corpus(args) -> int:
         docs = [(path, load_json_file(path)) for path in paths]
         runs = []
         for path, doc in docs:
-            with malformed(f"malformed corpus entry {path}"):
+            what = f"malformed corpus entry {path}"
+            with malformed(what):
                 name = doc["name"]
                 if not isinstance(name, str):
                     raise TypeError(f"name must be a string, got {type(name).__name__}")
-                h = bialgebra_from_json(doc["bialgebra"])
-                sub = doc.get("sub")
-                k = None if sub is None else subspace_from_json(sub, h)
+                try:
+                    h = bialgebra_from_json(doc["bialgebra"])
+                    sub = doc.get("sub")
+                    k = None if sub is None else subspace_from_json(sub, h)
+                except InputError as exc:  # the loaders' own messages name no file
+                    raise InputError(f"{what}: {exc}") from exc
                 degree, expect = doc.get("degree", 0), doc.get("expect", {})
                 if type(degree) is not int or degree < 0:
                     raise ValueError(f"degree must be an integer >= 0, got {degree!r}")

@@ -87,20 +87,49 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vec_equal(a: Vec, b: Vec) -> bool:
-    """Exact equality of sparse vectors; an entry equal to zero counts as absent."""
+    """Exact equality of sparse vectors; an entry equal to zero counts as absent.
+    The coefficients are Scalars or ints, tested for zero by truth value."""
     if a == b:
         return True
     for k, c in a.items():
         d = b.get(k)
         if d is None:
-            if not c.is_zero():
+            if c:
                 return False
-        elif not (c - d).is_zero():
+        elif c - d:
             return False
     for k, d in b.items():
-        if k not in a and not d.is_zero():
+        if k not in a and d:
             return False
     return True
+
+
+def lower(table):
+    """A structure table (nested tuples or lists of Scalars and of sparse
+    vectors of Scalars) as nested tuples with every coefficient a Python int,
+    or None when some coefficient is not a rational integer; the scan stops
+    at the first such coefficient."""
+    if type(table) is Scalar:
+        return table.num[0] if table.conductor == 1 and table.den == 1 else None
+    if type(table) is dict:
+        out = {}
+        for k, c in table.items():
+            if c.conductor != 1 or c.den != 1:
+                return None
+            out[k] = c.num[0]
+        return out
+    out = []
+    for entry in table:
+        entry = lower(entry)
+        if entry is None:
+            return None
+        out.append(entry)
+    return tuple(out)
+
+
+def as_scalar(c) -> Scalar:
+    """A coefficient of a lowered table back as a Scalar."""
+    return c if type(c) is Scalar else Scalar(1, (c,), 1)
 
 
 def tensor(a: Vec, b: Vec) -> Vec:

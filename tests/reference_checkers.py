@@ -344,6 +344,37 @@ def is_categorical(c: GenericBraiding, x: Subspace) -> bool:
 # coinvariants
 # ---------------------------------------------------------------------------
 
+def projection_pi(gr: StructureBialgebra) -> ValidationReport:
+    """The degree-zero projection pi against products, coproducts and the
+    unit, with pi applied to each side through the slot operations."""
+    report = ValidationReport("degree-zero projection morphism")
+    pi_rows = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
+
+    def proj(w, slots):
+        for s in slots:
+            w = slot_apply(w, s, lambda t: pi_rows[t])
+        return w
+
+    for i in range(gr.dim):
+        for j in range(gr.dim):
+            if not gate_ok(gr, i, j):
+                report.skipped += 1
+                continue
+            w = {(i, j): ONE}
+            _compare(gr, report, "projection-product", (i, j),
+                     proj(mul_at(gr, w, 0), (0,)), mul_at(gr, proj(w, (0, 1)), 0))
+    for i in range(gr.dim):
+        w = {(i,): ONE}
+        _compare(gr, report, "projection-coproduct", (i,),
+                 proj(slot_split(w, 0, comul_atom(gr)), (0, 1)),
+                 slot_split(proj(w, (0,)), 0, comul_atom(gr)))
+    report.checked += 1
+    unit = lift(gr.unit_vec())
+    if not vec_equal(proj(unit, (0,)), unit):
+        report.record("projection-unit", (), "pi(1)", "1")
+    return report
+
+
 def pi_map(gr: StructureBialgebra, vec) -> dict:
     """a |-> a_1 S(pi(a_2)): first coproduct leg times the antipode of the
     degree-zero projection of the second leg."""

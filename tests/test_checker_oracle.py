@@ -3,13 +3,23 @@
 the corpus, on truncated and associated-graded inputs, and on mutants."""
 import inspect
 import random
+from collections import Counter
 
 import pytest
 
 import reference_checkers as ref
 from braidpbw import braided_space, findim_hopf
-from braidpbw.braided_space import GenericBraiding
-from braidpbw.corpus import build_cached, corpus_entries, sweedler_h4, taft3
+from braidpbw.braided_space import FiniteAbelianGroup, GenericBraiding
+from braidpbw.corpus import (
+    build_cached,
+    corpus_entries,
+    poly_plane,
+    primitively_generated,
+    super_line,
+    sweedler_h4,
+    taft3,
+)
+from braidpbw.findim_hopf import Tables
 from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
 from braidpbw.scalars import MINUS_ONE, ONE, Scalar, root_of_unity
 from test_findim_hopf import _mutate
@@ -81,11 +91,11 @@ DELTAS = (ONE, MINUS_ONE, Scalar.from_rational(2), Scalar.from_rational("1/2"),
           root_of_unity(3), root_of_unity(4))
 
 
-def _perturb(rng, row: dict, key):
+def _perturb(rng, row: dict, key, deltas=DELTAS):
     """A copy of row with the coefficient at key changed by a nonzero delta;
     an exact zero it leaves stays in the row."""
     row = dict(row)
-    delta = rng.choice(DELTAS)
+    delta = rng.choice(deltas)
     row[key] = row[key] + delta if key in row else delta
     return row
 
@@ -121,13 +131,95 @@ def test_checkers_match_reference_on_mutants(seed):
     bases += [entry.build(2) for entry in corpus_entries()
               if entry.name in ("poly_plane", "super_line", "solvable_pair")]
     failing = {name: 0 for name in REPORTS}
+    lowered = Counter()
     for n in range(12):
         kind, h = _mutant(rng, bases[n % len(bases)])
+        lowered[h.lowered.one is not ONE] += 1
         results = _fast_and_reference(h)
         for name, (fast, reference) in results.items():
             assert fast == reference, f"seed {seed} mutant {n} ({kind})/{name}"
         for name in REPORTS:
             if name in results and not results[name][0][0]["ok"]:
                 failing[name] += 1
-    # the reports are compared with violations in them, witnesses and all
+    # the reports are compared with violations in them, witnesses and all,
+    # on tables lowered to ints and on Scalar tables
     assert all(failing.values()), failing
+    assert lowered[True] and lowered[False], lowered
+
+
+def _quantum_plane(n: int, truncation: int):
+    """x, y primitive with yx = zeta_N xy, over Q(zeta_N)."""
+    zeta = root_of_unity(n)
+    return primitively_generated(["x", "y"], FiniteAbelianGroup((n, n)),
+                                 ((ONE, zeta), (zeta.inverse(), ONE)), [(1, 0), (0, 1)],
+                                 truncation)
+
+
+BRAID_DELTAS = (ONE, MINUS_ONE, Scalar.from_rational(2), Scalar.from_rational("1/2"),
+                root_of_unity(3))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_braiding_kernels_match_reference_on_mutants(seed):
+    """braid_check and is_symmetric against the slot-operation reference on
+    integral braidings (lowered to ints) and cyclotomic ones (kept as
+    Scalars), each unchanged and with one entry perturbed.  Half the mutants
+    rescale an existing coefficient, which keeps a diagonal braiding a
+    solution of the braid equation; the others perturb a random entry."""
+    rng = random.Random(300 + seed)
+    bases = [poly_plane(2).braiding, super_line(2).braiding, build_cached("taft3").braiding,
+             _quantum_plane(3, 2).braiding]
+    seen = Counter()
+    for n in range(48):
+        c = bases[n % len(bases)]
+        if n >= len(bases):
+            d, i, j = c.dim, rng.randrange(c.dim), rng.randrange(c.dim)
+            rows = [list(row) for row in c.rows]
+            key = next(iter(rows[i][j]), None) if n // len(bases) % 2 else None
+            if key is None:
+                key = (rng.randrange(d), rng.randrange(d))
+            rows[i][j] = _perturb(rng, rows[i][j], key, BRAID_DELTAS)
+            c = GenericBraiding(rows)
+        domain = "int" if c.lowered[1] is not ONE else "Scalar"
+        for name in ("braid_check", "is_symmetric"):
+            got = getattr(braided_space, name)(c)
+            assert got == getattr(ref, name)(c), f"seed {seed} braiding {n}/{name}"
+            seen[name, domain, got] += 1
+    # both verdicts of both kernels were compared on both coefficient types
+    for name in ("braid_check", "is_symmetric"):
+        for domain in ("int", "Scalar"):
+            assert seen[name, domain, True] and seen[name, domain, False], seen
+
+
+def test_lowering_rule():
+    """The checkers' tables are ints exactly when every coefficient of the
+    bialgebra and of its braiding is a rational integer; otherwise they are
+    the Scalar tables themselves.  The view is derived once per object."""
+    h = poly_plane(3)
+    low = h.lowered
+    assert low.one == 1 and type(low.one) is int and low.zero == 0
+    assert all(type(v) is int for row in low.mult for vec in row for v in vec.values())
+    assert all(type(v) is int for row in low.braid for vec in row for v in vec.values())
+    assert h.braiding.lowered[0] is low.braid
+    assert h.lowered is low  # derived once, then cached on the object
+
+    def scalar_tables(g):
+        low = g.lowered
+        return (low.one is ONE and low.mult is g.mult and low.comult is g.comult
+                and low.counit is g.counit and low.antipode is g.antipode
+                and low.unit is g.unit and low.braid is g.braiding.rows)
+
+    assert scalar_tables(build_cached("taft3"))
+    # one product entry scaled by 1/2
+    mult = [list(row) for row in h.mult]
+    i, j = next((i, j) for i in range(h.dim) for j in range(h.dim) if h.mult[i][j])
+    mult[i][j] = {k: v * Scalar.from_rational("1/2") for k, v in mult[i][j].items()}
+    assert scalar_tables(_mutate(h, mult=tuple(tuple(row) for row in mult)))
+    # an integral product with a cyclotomic braiding
+    assert scalar_tables(_mutate(h, braiding=GenericBraiding.diagonal(
+        [[root_of_unity(3) if (a, b) == (1, 2) else ONE for b in range(h.dim)]
+         for a in range(h.dim)])))
+    # a new object derives its own view
+    again = _mutate(h).lowered
+    assert again is not low
+    assert [getattr(again, f) for f in Tables.__slots__] == [getattr(low, f) for f in Tables.__slots__]

@@ -389,10 +389,16 @@ ERROR_PATHS = {
            "name must be a string, got list"),
     "corpus-entry-sub-row-too-short": (
         lambda tmp: _corpus_dir(tmp, _h4_entry(sub={"ambient_dim": 4, "rows": [["1", "0", "0"]]})),
-        2, "input error: subspace row: expected a list of 4 entries, got 3"),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "subspace row: expected a list of 4 entries, got 3"),
+    "corpus-entry-bad-scalar": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(bialgebra=_h4_counit("spam"))),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "malformed bialgebra document: malformed scalar string 'spam'"),
     "corpus-entry-sub-is-a-string": (
         lambda tmp: _corpus_dir(tmp, _h4_entry(sub="span(1, g)")),
-        2, "input error: malformed subspace document: "),
+        2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
+           "malformed subspace document: "),
     "nf-unknown-generator": (
         lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "zz"],
         2, "input error: unknown generator in word"),
