@@ -103,6 +103,8 @@ def cmd_corpus(args) -> int:
                 name = doc["name"]
                 if not isinstance(name, str):
                     raise TypeError(f"name must be a string, got {type(name).__name__}")
+                if args.entry and name != args.entry:
+                    continue
                 try:
                     h = bialgebra_from_json(doc["bialgebra"])
                     sub = doc.get("sub")
@@ -116,9 +118,6 @@ def cmd_corpus(args) -> int:
                     raise TypeError(f"expect must be an object, got {type(expect).__name__}")
                 runs.append((name, h, k, degree, expect))
     else:
-        if args.entry and not any(e.name == args.entry for e in entries):
-            print(f"unknown corpus entry {args.entry!r}", file=sys.stderr)
-            return EXIT_INPUT
         runs = []
         for entry in entries:
             if args.entry and entry.name != args.entry:
@@ -126,6 +125,9 @@ def cmd_corpus(args) -> int:
             h = entry.build()
             k = None if entry.sub_indices is None else subspace_from_indices(h, entry.sub_indices)
             runs.append((entry.name, h, k, entry.degree, dict(entry.expect)))
+    if not runs:
+        print(f"unknown corpus entry {args.entry!r}", file=sys.stderr)
+        return EXIT_INPUT
     results = {}
     failures = 0
     for name, h, k, degree, expect in runs:

@@ -1,15 +1,18 @@
 """Built-in test corpus: small bialgebras with known behaviour.
 
-Ships the group algebra of C2, the 4-dimensional Sweedler algebra, the
-9-dimensional Taft algebra at a primitive cube root of unity, degree-6
-truncations of the polynomial line, the polynomial plane, the enveloping
-algebra of the 2-dimensional solvable Lie algebra, the super line, and an
-anticommuting color plane.  Each pipeline entry records the expected
+Ships the group algebra of C2, the Taft algebras (the 4-dimensional Sweedler
+algebra at n = 2, the 9-dimensional one at a primitive cube root of unity at
+n = 3), degree-6 truncations of the polynomial line, the polynomial plane,
+the enveloping algebra of the 2-dimensional solvable Lie algebra, the super
+line, and an anticommuting color plane.  Each algebra is stated by a basis
+of words in its generators, its product table, its braiding, and the
+coproduct and antipode of its generators; :func:`_from_generators` extends
+those two to the whole basis.  Each pipeline entry records the expected
 outcomes; everything here is re-derived by the engine's oracles in tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 from typing import Callable, Mapping
@@ -23,7 +26,7 @@ from .braided_space import (
 from .findim_hopf import StructureBialgebra
 from .multilinear import Vec, vadd_into
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, root_of_unity
-from .symmetric_algebra import SymmetricAlgebra
+from .symmetric_algebra import SymmetricAlgebra, monomial_str
 
 DEFAULT_TRUNCATION = 6
 
@@ -32,15 +35,43 @@ def _mult_table(d: int, fn) -> tuple[tuple[Vec, ...], ...]:
     return tuple(tuple(fn(i, j) for j in range(d)) for i in range(d))
 
 
-def _pair_product(mult, a: dict, b: dict) -> dict:
-    """Componentwise product on 2-tensors for a trivially braided algebra."""
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            for k1, s1 in mult(i1, i2).items():
-                for k2, s2 in mult(j1, j2).items():
-                    vadd_into(out, {(k1, k2): c1 * c2 * s1 * s2})
-    return out
+def _from_generators(words, mult, braiding: GenericBraiding, gen_comult, gen_antipode):
+    """The coproduct and antipode of a basis of words, extended from the
+    generators.
+
+    words[0] is the empty word (the unit), and every other word w is e_u e_g
+    with u = w[:-1] a basis word and g = w[-1:] a generator.  The coproduct is
+    an algebra map into the braided tensor square, Delta(e_w) = Delta(e_u)
+    Delta(e_g), and the antipode a braided anti-homomorphism, S(e_w) =
+    m c(S(e_u) (x) S(e_g)); both products are read off ``mult`` and the
+    braiding's rows.  gen_comult and gen_antipode map a generator's basis
+    index to its coproduct and antipode."""
+    rows = braiding.rows
+    index = {w: t for t, w in enumerate(words)}
+    comult, antipode = [{(0, 0): ONE}], [{0: ONE}]
+    for w in words[1:]:
+        u, g = index[w[:-1]], index[w[-1:]]
+        delta: Vec = {}
+        for (a, b), c1 in comult[u].items():
+            for (c, e), c2 in gen_comult[g].items():
+                for (k, l), s in rows[b][c].items():
+                    right = mult[l][e]
+                    for p, s1 in mult[a][k].items():
+                        vadd_into(delta, {(p, q): s1 * s2 for q, s2 in right.items()}, c1 * c2 * s)
+        anti: Vec = {}
+        for p, c1 in antipode[u].items():
+            for q, c2 in gen_antipode[g].items():
+                for (k, l), s in rows[p][q].items():
+                    vadd_into(anti, mult[k][l], c1 * c2 * s)
+        comult.append(delta)
+        antipode.append(anti)
+    return tuple(comult), tuple(antipode)
+
+
+def _primitives(words) -> tuple[dict, dict]:
+    """Delta(x) = x (x) 1 + 1 (x) x and S(x) = -x for every generator x."""
+    gens = [t for t, w in enumerate(words) if len(w) == 1]
+    return {t: {(t, 0): ONE, (0, t): ONE} for t in gens}, {t: {t: MINUS_ONE} for t in gens}
 
 
 def group_algebra_c2() -> StructureBialgebra:
@@ -62,100 +93,51 @@ def group_algebra_c2() -> StructureBialgebra:
     )
 
 
-def sweedler_h4() -> StructureBialgebra:
-    """The 4-dimensional Sweedler algebra: g^2 = 1, x^2 = 0, xg = -gx."""
-    names = ("1", "g", "x", "gx")
-    # basis index <-> (g-exponent, x-exponent)
-    enc = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-    dec = {v: k for k, v in enc.items()}
+def taft(n: int) -> StructureBialgebra:
+    """The n^2-dimensional Taft algebra at zeta, a primitive n-th root of unity.
+
+    Relations g^n = 1, x^n = 0, gx = zeta xg; g is group-like and x a
+    (1, g)-skew primitive, Delta(x) = x (x) 1 + g (x) x, S(x) = -g^(n-1) x.
+    The basis vector g^a x^b sits at index b n + a and has degree b.
+    Trivial braiding.
+    """
+    zeta = root_of_unity(n)
+    d = n * n
+    words = [(0,) * a + (1,) * b for b in range(n) for a in range(n)]
 
     def mult(i, j):
-        (a1, b1), (a2, b2) = dec[i], dec[j]
-        if b1 + b2 > 1:
+        (b1, a1), (b2, a2) = divmod(i, n), divmod(j, n)
+        if b1 + b2 >= n:
             return {}
-        sign = MINUS_ONE if (b1 * a2) % 2 else ONE
-        return {enc[((a1 + a2) % 2, b1 + b2)]: sign}
+        return {(b1 + b2) * n + (a1 + a2) % n: zeta ** ((-b1 * a2) % n)}
 
-    comult = []
-    for i in range(4):
-        a, b = dec[i]
-        if b == 0:
-            comult.append({(i, i): ONE})
-        else:
-            comult.append({(enc[(a, 1)], enc[(a, 0)]): ONE,
-                           (enc[((a + 1) % 2, 0)], enc[(a, 1)]): ONE})
-    antipode = ({0: ONE}, {1: ONE}, {3: MINUS_ONE}, {2: ONE})
+    table = _mult_table(d, mult)
+    braiding = GenericBraiding.flip(d)
+    comult, antipode = _from_generators(
+        words, table, braiding,
+        {1: {(1, 1): ONE}, n: {(n, 0): ONE, (1, n): ONE}},
+        {1: {n - 1: ONE}, n: {2 * n - 1: MINUS_ONE}})
     return StructureBialgebra(
-        names=names,
+        names=tuple(monomial_str(("g", "x"), w) for w in words),
         unit={0: ONE},
-        mult=_mult_table(4, mult),
-        counit=(ONE, ONE, ZERO, ZERO),
-        comult=tuple(comult),
-        braiding=GenericBraiding.flip(4),
+        mult=table,
+        counit=tuple(ONE if t < n else ZERO for t in range(d)),
+        comult=comult,
+        braiding=braiding,
         antipode=antipode,
-        grading=(0, 0, 1, 1),
+        grading=tuple(t // n for t in range(d)),
     )
+
+
+def sweedler_h4() -> StructureBialgebra:
+    """The 4-dimensional Sweedler algebra, the Taft algebra at n = 2:
+    g^2 = 1, x^2 = 0, xg = -gx."""
+    return replace(taft(2), names=("1", "g", "x", "gx"))
 
 
 def taft3() -> StructureBialgebra:
-    """The 9-dimensional Taft algebra at a primitive cube root of unity.
-
-    Relations g^3 = 1, x^3 = 0, gx = zeta xg; the coproduct makes g
-    group-like and x a (1, g)-skew primitive.  Trivial braiding.
-    """
-    zeta = root_of_unity(3)
-    names = tuple(
-        ("1", "g", "g^2")[a] if b == 0 else (f"{('', 'g*', 'g^2*')[a]}x" if b == 1 else f"{('', 'g*', 'g^2*')[a]}x^2")
-        for b in range(3) for a in range(3)
-    )
-    enc = {(a, b): b * 3 + a for a in range(3) for b in range(3)}
-    dec = {v: k for k, v in enc.items()}
-
-    def mult(i, j):
-        (a1, b1), (a2, b2) = dec[i], dec[j]
-        if b1 + b2 > 2:
-            return {}
-        coeff = zeta ** ((-b1 * a2) % 3)
-        return {enc[((a1 + a2) % 3, b1 + b2)]: coeff}
-
-    # coproduct: Delta(g^a x^b) = (g^a (x) g^a) * (x (x) 1 + g (x) x)^b
-    dx = {(enc[(0, 1)], enc[(0, 0)]): ONE, (enc[(1, 0)], enc[(0, 1)]): ONE}
-    comult = []
-    for i in range(9):
-        a, b = dec[i]
-        acc = {(enc[(a, 0)], enc[(a, 0)]): ONE}
-        for _ in range(b):
-            acc = _pair_product(mult, acc, dx)
-        comult.append(acc)
-
-    # antipode: S(g) = g^2, S(x) = -g^2 x, extended as an anti-homomorphism
-    def vec_mult(u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                vadd_into(out, mult(i, j), ci * cj)
-        return out
-
-    s_x = {enc[(2, 1)]: MINUS_ONE}
-    antipode = []
-    for i in range(9):
-        a, b = dec[i]
-        acc: Vec = {enc[(0, 0)]: ONE}
-        for _ in range(b):
-            acc = vec_mult(acc, s_x)
-        acc = vec_mult(acc, {enc[((2 * a) % 3, 0)]: ONE})
-        antipode.append(acc)
-
-    return StructureBialgebra(
-        names=names,
-        unit={0: ONE},
-        mult=_mult_table(9, mult),
-        counit=tuple(ONE if dec[i][1] == 0 else ZERO for i in range(9)),
-        comult=tuple(comult),
-        braiding=GenericBraiding.flip(9),
-        antipode=tuple(antipode),
-        grading=tuple(dec[i][1] for i in range(9)),
-    )
+    """The 9-dimensional Taft algebra at a primitive cube root of unity."""
+    return taft(3)
 
 
 def primitively_generated(names: list[str], group: FiniteAbelianGroup,
@@ -171,15 +153,15 @@ def primitively_generated(names: list[str], group: FiniteAbelianGroup,
     basis = GradedBasis(tuple(names), tuple(degrees))
     sym = SymmetricAlgebra.from_bicharacter(chi, basis)
 
-    monomials: list[tuple[int, ...]] = []
+    words: list[tuple[int, ...]] = []
     for n in range(truncation + 1):
-        monomials.extend(sym.basis_in_degree(n))
-    index = {m: t for t, m in enumerate(monomials)}
-    d = len(monomials)
+        words.extend(sym.basis_in_degree(n))
+    index = {w: t for t, w in enumerate(words)}
+    d = len(words)
 
-    def group_degree(mono):
+    def group_degree(word):
         g = group.identity()
-        for i in mono:
+        for i in word:
             g = group.add(g, basis.degrees[i])
         return g
 
@@ -187,7 +169,7 @@ def primitively_generated(names: list[str], group: FiniteAbelianGroup,
         return chi.value(group_degree(u), group_degree(v))
 
     def mult(ti, tj):
-        u, v = monomials[ti], monomials[tj]
+        u, v = words[ti], words[tj]
         if len(u) + len(v) > truncation:
             return {}
         out: Vec = {}
@@ -195,64 +177,19 @@ def primitively_generated(names: list[str], group: FiniteAbelianGroup,
             vadd_into(out, {index[w]: c})
         return out
 
-    braid_rows = [[{(tj, ti): lam(u, v)} for tj, v in enumerate(monomials)]
-                  for ti, u in enumerate(monomials)]
-
-    # coproduct: primitives, extended as a braided algebra morphism
-    def pair_mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for (u1, v1), c1 in a.items():
-            for (u2, v2), c2 in b.items():
-                coeff = c1 * c2 * lam(v1, u2)
-                left = sym.normal_form(u1 + u2)
-                right = sym.normal_form(v1 + v2)
-                for lw, lc in left.items():
-                    for rw, rc in right.items():
-                        vadd_into(out, {(lw, rw): coeff * lc * rc})
-        return out
-
-    comult = []
-    for mono in monomials:
-        acc = {((), ()): ONE}
-        for i in mono:
-            acc = pair_mul(acc, {((i,), ()): ONE, ((), (i,)): ONE})
-        entry: dict = {}
-        for (u, v), c in acc.items():
-            entry[(index[u], index[v])] = c
-        comult.append(entry)
-
-    # antipode: S(x_i) = -x_i, extended through S(uv) = mul(braid(S u (x) S v))
-    antipode_words: dict[tuple[int, ...], Vec] = {(): {(): ONE}}
-
-    def spode(mono) -> dict:
-        if mono in antipode_words:
-            return antipode_words[mono]
-        head, rest = mono[0], mono[1:]
-        srest = spode(rest)
-        out: dict = {}
-        for w, c in srest.items():
-            coeff = c * lam((head,), w) * MINUS_ONE
-            for nw, nc in sym.normal_form(w + (head,)).items():
-                vadd_into(out, {nw: coeff * nc})
-        antipode_words[mono] = out
-        return out
-
-    antipode = []
-    for mono in monomials:
-        entry: Vec = {}
-        for w, c in spode(mono).items():
-            vadd_into(entry, {index[w]: c})
-        antipode.append(entry)
-
+    mult_rows = _mult_table(d, mult)
+    braiding = GenericBraiding([[{(tj, ti): lam(u, v)} for tj, v in enumerate(words)]
+                                for ti, u in enumerate(words)])
+    comult, antipode = _from_generators(words, mult_rows, braiding, *_primitives(words))
     return StructureBialgebra(
-        names=tuple(sym.monomial_str(m) for m in monomials),
+        names=tuple(monomial_str(names, w) for w in words),
         unit={0: ONE},
-        mult=_mult_table(d, mult),
-        counit=tuple(ONE if not m else ZERO for m in monomials),
-        comult=tuple(comult),
-        braiding=GenericBraiding(braid_rows),
-        antipode=tuple(antipode),
-        grading=tuple(len(m) for m in monomials),
+        mult=mult_rows,
+        counit=tuple(ONE if not w else ZERO for w in words),
+        comult=comult,
+        braiding=braiding,
+        antipode=antipode,
+        grading=tuple(len(w) for w in words),
         truncation=truncation,
     )
 
@@ -287,12 +224,12 @@ def color_plane(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
 def solvable_pair(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
     """Enveloping algebra of the solvable Lie algebra with bracket [x, y] = y.
 
-    Ordered monomials x^a y^b with a + b <= T; the stored degree is the
-    monomial degree, which products respect only up to lower-order terms,
-    so the degree serves as truncation bookkeeping rather than a grading.
+    Ordered monomials x^a y^b with a + b <= T, by degree and then by a; the
+    stored degree is the monomial degree, which products respect only up to
+    lower-order terms, so the degree serves as truncation bookkeeping rather
+    than a grading.
     """
-    monos = [(a, b) for n in range(truncation + 1) for a in range(n + 1) for b in (n - a,)]
-    monos = sorted(monos, key=lambda ab: (ab[0] + ab[1], ab[0]))
+    monos = [(a, n - a) for n in range(truncation + 1) for a in range(n + 1)]
     index = {m: t for t, m in enumerate(monos)}
     d = len(monos)
 
@@ -309,51 +246,27 @@ def solvable_pair(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
             vadd_into(out, {index[(a + k, b + e)]: Scalar.from_rational(coeff)})
         return out
 
-    comult = []
-    for a, b in monos:
-        entry: dict = {}
-        for i in range(a + 1):
-            for j in range(b + 1):
-                coeff = comb(a, i) * comb(b, j)
-                entry[(index[(i, j)], index[(a - i, b - j)])] = Scalar.from_rational(coeff)
-        comult.append(entry)
-
-    antipode = []
-    for a, b in monos:
-        # S(x^a y^b) = (-1)^(a+b) y^b x^a = (-1)^(a+b) (x - b)^a y^b
-        entry: Vec = {}
-        sign = (-1) ** (a + b)
-        for k in range(a + 1):
-            coeff = sign * comb(a, k) * ((-b) ** (a - k))
-            if coeff:
-                vadd_into(entry, {index[(k, b)]: Scalar.from_rational(coeff)})
-        antipode.append(entry)
-
-    def name(ab):
-        a, b = ab
-        if a == 0 and b == 0:
-            return "1"
-        xs = "" if a == 0 else ("x" if a == 1 else f"x^{a}")
-        ys = "" if b == 0 else ("y" if b == 1 else f"y^{b}")
-        return "*".join(p for p in (xs, ys) if p)
-
+    words = [(0,) * a + (1,) * b for a, b in monos]
+    mult_rows = _mult_table(d, mult)
+    braiding = GenericBraiding.flip(d)
+    comult, antipode = _from_generators(words, mult_rows, braiding, *_primitives(words))
     return StructureBialgebra(
-        names=tuple(name(m) for m in monos),
+        names=tuple(monomial_str(("x", "y"), w) for w in words),
         unit={0: ONE},
-        mult=_mult_table(d, mult),
+        mult=mult_rows,
         counit=tuple(ONE if m == (0, 0) else ZERO for m in monos),
-        comult=tuple(comult),
-        braiding=GenericBraiding.flip(d),
-        antipode=tuple(antipode),
+        comult=comult,
+        braiding=braiding,
+        antipode=antipode,
         grading=tuple(a + b for a, b in monos),
         truncation=truncation,
     )
 
 
 def solvable_pair_y_indices(truncation: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
-    """Indices of the y-power monomials inside solvable_pair's basis."""
-    h = solvable_pair(truncation)
-    return tuple(i for i, nm in enumerate(h.names) if nm == "1" or nm.lstrip("y^0123456789") == "" and nm.startswith("y"))
+    """Indices of the y-power monomials inside solvable_pair's basis: y^n
+    opens degree n, at n(n + 1)/2."""
+    return tuple(n * (n + 1) // 2 for n in range(truncation + 1))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,12 @@ class StructureBialgebra:
             raise ValueError("braiding dimension does not match basis")
         if self.truncation is not None and self.grading is None:
             raise ValueError("a truncation degree requires a grading")
+        if self.truncation is not None and self.truncation < 0:
+            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
+        for key in ("grading", "trunc_grading"):
+            degrees = getattr(self, key)
+            if degrees is not None and min(degrees, default=0) < 0:
+                raise ValueError(f"{key} degrees must be >= 0, got {min(degrees)}")
         if self.trunc_grading is None:
             self.trunc_grading = self.grading
         self.gates = tuple(self.trunc_grading) if self.trunc_grading is not None else (0,) * d

@@ -20,7 +20,7 @@ from .linalg import Coordinates, Subspace, rank
 from .multilinear import Vec, vadd_into, vec_equal
 from .reporting import BraidpbwError, InputError
 from .scalars import ONE, ZERO
-from .symmetric_algebra import SymmetricAlgebra, tensor_ideal_complement, weighted_words
+from .symmetric_algebra import monomial_str, tensor_ideal_complement
 from .tensor_algebra import require_degree
 
 PBW_TYPE_TRUE = "PBW_TYPE_TRUE"
@@ -224,8 +224,7 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
     require_degree(n_max)
     h = _target_algebra(target)
     q = compute_Q(target)
-    qmat = q.braiding.diagonal_coefficients()
-    diag = qmat is not None
+    diag = q.braiding.diagonal_coefficients() is not None
     sym = is_symmetric(q.braiding)
     verified = n_max
     notes = []
@@ -261,7 +260,8 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
         verdict = PBW_TYPE_TRUE
     basis = None
     if verdict == PBW_TYPE_TRUE and diag and sym:
-        basis = _monomial_basis_strings(q, qmat, verified)
+        basis = ["1"] + [monomial_str(q.names, w)
+                         for n in range(1, verified + 1) for w in data[n]["monomials"]]
     return PBWReport(
         verdict=verdict,
         degreewise_dims=dims,
@@ -275,17 +275,6 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
         intertwines_generators=intertwines,
         notes=notes,
     )
-
-
-def _monomial_basis_strings(q: QSpace, qmat, n_max: int) -> list[str]:
-    sym = SymmetricAlgebra(q.names, qmat)
-    out = ["1"]
-    for n in range(1, n_max + 1):
-        for w in weighted_words(q.dim, q.degrees, n):
-            if all(w[t] <= w[t + 1] for t in range(len(w) - 1)) and \
-               all(not (w[t] == w[t + 1] and sym.nilpotent[w[t]]) for t in range(len(w) - 1)):
-                out.append(sym.monomial_str(w))
-    return out
 
 
 def pbw_basis(report: PBWReport) -> PBWBasisResult:

@@ -10,6 +10,8 @@ braidings, independently of the combinatorics.
 """
 from __future__ import annotations
 
+from itertools import groupby
+
 from .braided_space import Bicharacter, GenericBraiding, GradedBasis
 from .linalg import echelon
 from .multilinear import vadd_into
@@ -112,29 +114,22 @@ class SymmetricAlgebra:
     def oracle_dimension(self, n: int, cap: int | None = None) -> int:
         return oracle_dimension(self.braiding(), n, cap)
 
-    def monomial_str(self, w: Word) -> str:
-        if not w:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(w):
-            j = i
-            while j < len(w) and w[j] == w[i]:
-                j += 1
-            name = self.names[w[i]]
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return "*".join(parts)
-
     def render(self, elem: SymElement) -> str:
         if not elem:
             return "0"
         parts = []
         for w in sorted(elem, key=lambda w: (len(w), w)):
             c = elem[w]
-            mono = self.monomial_str(w)
+            mono = monomial_str(self.names, w)
             parts.append(mono if c.is_one() else f"({c})*{mono}")
         return " + ".join(parts)
+
+
+def monomial_str(names, w: Word) -> str:
+    """A word in the generators named by ``names``, with runs of one letter
+    as powers: (0, 0, 1) over ("x", "y") is "x^2*y", the empty word "1"."""
+    runs = ((names[i], len(list(run))) for i, run in groupby(w))
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in runs) or "1"
 
 
 def weighted_words(dim: int, weights: list[int], degree: int) -> list[Word]:

@@ -26,7 +26,8 @@ from braidpbw.pbw import (
     pbw_verdict,
 )
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
-from test_checker_oracle import _perturb
+from braidpbw.symmetric_algebra import monomial_str, weighted_words
+from test_checker_oracle import _perturb, _quantum_plane
 
 
 def gr_of(h):
@@ -262,3 +263,32 @@ def test_generators_intertwine_matches_reference():
             seen.add((candidate is q, got))
     # every unperturbed space intertwines, and perturbations are detected
     assert (True, False) not in seen and (False, False) in seen, seen
+
+
+def _standard_monomial_names(q, n_max):
+    """Names of the non-decreasing words of weight <= n_max, strictly
+    increasing at a generator with q_ii != 1, enumerated afresh."""
+    qmat = q.braiding.diagonal_coefficients()
+    out = ["1"]
+    for n in range(1, n_max + 1):
+        for w in weighted_words(q.dim, q.degrees, n):
+            if all(a < b or (a == b and qmat[a][a].is_one()) for a, b in zip(w, w[1:])):
+                out.append(monomial_str(q.names, w))
+    return out
+
+
+def test_pbw_basis_is_the_standard_monomials():
+    """The basis read off the canonical map's standard monomials names the
+    same words as an independent enumeration, on every corpus R and on the
+    quantum planes at N = 3, 4, 12."""
+    planes = [(f"quantum_plane_N{n}", relative_R(_quantum_plane(n, 3), (0,)).algebra)
+              for n in (3, 4, 12)]
+    compared = 0
+    for label, r_alg in list(_corpus_R()) + planes:
+        report = pbw_verdict(r_alg, 3)
+        if report.monomial_basis is None:
+            continue
+        q = compute_Q(r_alg)
+        assert report.monomial_basis == _standard_monomial_names(q, report.verified_degree), label
+        compared += 1
+    assert compared >= 10, compared

@@ -231,6 +231,18 @@ def test_cli_corpus_dir_roundtrip(tmp_path, capsys):
     assert "sweedler_h4" in out and "taft3" in out and "FAIL" not in out
 
 
+def test_cli_corpus_dir_selects_entry(tmp_path, capsys):
+    cdir = str(tmp_path / "corpus")
+    for name in ("kc2", "sweedler_h4"):
+        assert main(["corpus", "--entry", name, "--write-dir", cdir]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["corpus", "--dir", cdir, "--entry", "kc2", "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "kc2" in out and "sweedler_h4" not in out
+    assert sorted(json.loads(report.read_text())["entries"]) == ["kc2"]
+
+
 def test_cli_corpus_edited_expectation_fails(tmp_path, capsys):
     cdir = tmp_path / "corpus"
     assert main(["corpus", "--entry", "sweedler_h4", "--write-dir", str(cdir)]) == 0
@@ -276,9 +288,13 @@ def _shrink(values):
     lambda doc: _grow(doc["antipode"][3]),
     lambda doc: doc.update(grading=[0] * 3),
     lambda doc: doc.update(truncation=2, trunc_grading=[0] * 5),
+    lambda doc: doc.update(truncation=-1),
+    lambda doc: doc.update(grading=[0, 0, 1, -1]),
+    lambda doc: doc.update(truncation=2, trunc_grading=[0, -1, 1, 1]),
 ], ids=["unit-long", "unit-short", "counit-long", "mult-row-long", "mult-entry-long",
         "comult-short", "braiding-long", "antipode-long", "grading-short",
-        "trunc-grading-long"])
+        "trunc-grading-long", "truncation-negative", "grading-negative",
+        "trunc-grading-negative"])
 def test_cli_check_wrong_length_arrays_exit_2(tmp_path, capsys, edit):
     doc = bialgebra_to_json(sweedler_h4())  # dim 4
     edit(doc)
@@ -344,6 +360,9 @@ ERROR_PATHS = {
         lambda tmp: ["commutator", "--input", _write(tmp, "b.json", TWO_GENERATORS),
                      "--left", "x x x x x", "--right", "y y y y y"],
         2, "input error: product degree 10 exceeds cap 8"),
+    "corpus-dir-unknown-entry": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry()) + ["--entry", "nosuch"],
+        2, "unknown corpus entry 'nosuch'"),
     "corpus-entry-without-name": (
         lambda tmp: _corpus_dir(tmp, {"bialgebra": _h4_doc()}),
         2, "input error: malformed corpus entry {tmp}/corpus/entry.json: 'name'"),

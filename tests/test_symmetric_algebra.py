@@ -9,6 +9,7 @@ from braidpbw.multilinear import vec_equal
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
 from braidpbw.symmetric_algebra import (
     SymmetricAlgebra,
+    monomial_str,
     oracle_dimension,
     tensor_ideal_complement,
     weighted_words,
@@ -162,6 +163,7 @@ def test_tensor_ideal_complement_prefers_nondecreasing_words():
 
 
 def test_monomial_str():
-    sym = super_line()
-    assert sym.monomial_str(()) == "1"
-    assert sym.monomial_str((0, 0, 1)) == "x^2*th"
+    names = super_line().names
+    assert monomial_str(names, ()) == "1"
+    assert monomial_str(names, (0, 0, 1)) == "x^2*th"
+    assert monomial_str(("g", "x"), (0, 0, 1, 1, 1)) == "g^2*x^3"
