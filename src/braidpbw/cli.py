@@ -4,7 +4,7 @@ Subcommands:
   check       axiom checkers on a bialgebra JSON file
   pipeline    filtration / graded / coinvariants / PBW chain for (H, K)
   corpus      run the built-in corpus against its recorded expectations
-  nf          straightened normal form of a word in a braided basis
+  nf          normal form of a word in the braided symmetric algebra
   commutator  braided commutator of two words in the free algebra
   hilbert     graded dimensions of the braided symmetric algebra
   grk         write the associated graded bialgebra of (H, K)
@@ -22,7 +22,7 @@ import functools
 import os
 import sys
 
-from .braided_space import diagonal_braiding
+from .braided_space import GenericBraiding, diagonal_braiding
 from .corpus import corpus_entries
 from .coinvariants import compute_R
 from .filtration import associated_graded, hopf_filtration, subspace_from_indices
@@ -41,7 +41,7 @@ from .serialize import (
     subspace_from_json,
     subspace_to_json,
 )
-from .symmetric_algebra import SymmetricAlgebra
+from .symmetric_algebra import monomial_str, normal_form, normal_forms, require_symmetric
 from .tensor_algebra import TensorAlgebra, degree_cap_default
 
 EXIT_OK = 0
@@ -96,13 +96,17 @@ def cmd_corpus(args) -> int:
             print(f"no corpus entries found in {args.dir}", file=sys.stderr)
             return EXIT_INPUT
         docs = [(path, load_json_file(path)) for path in paths]
-        runs = []
+        runs, paths_by_name = [], {}
         for path, doc in docs:
             what = f"malformed corpus entry {path}"
             with malformed(what):
                 name = doc["name"]
                 if not isinstance(name, str):
                     raise TypeError(f"name must be a string, got {type(name).__name__}")
+                if name in paths_by_name:
+                    raise InputError(f"corpus entries {paths_by_name[name]} and {path} "
+                                     f"share the name {name!r}")
+                paths_by_name[name] = path
                 if args.entry and name != args.entry:
                     continue
                 try:
@@ -172,21 +176,25 @@ def _write_corpus_dir(path: str, only: str | None = None) -> None:
             fh.write(dumps_canonical(doc))
 
 
-def _load_symmetric(args) -> SymmetricAlgebra:
+def _symmetric_forms(args, top: int):
+    """Generator names and symmetric-algebra normal forms of a braided basis
+    document; symmetry is checked before the bicharacter."""
     _, chi, basis = braided_basis_from_json(load_json_file(args.input))
-    return SymmetricAlgebra.from_bicharacter(chi, basis)
+    require_symmetric(GenericBraiding.diagonal(
+        [[chi.value(a, b) for b in basis.degrees] for a in basis.degrees]))
+    return basis.names, normal_forms(diagonal_braiding(chi, basis), top)
 
 
 def cmd_nf(args) -> int:
-    sym = _load_symmetric(args)
-    letters = []
-    for token in args.word:
-        letters.extend(token.split())
+    letters = " ".join(args.word).split()
+    names, (_, table) = _symmetric_forms(args, len(letters))
     try:
-        word = tuple(sym.names.index(t) for t in letters)
+        word = tuple(names.index(t) for t in letters)
     except ValueError as exc:
         raise InputError(f"unknown generator in word: {exc}") from exc
-    print(sym.render(sym.normal_form(word)))
+    parts = [monomial_str(names, w) if c.is_one() else f"({c})*{monomial_str(names, w)}"
+             for w, c in sorted(normal_form(table, word).items())]
+    print(" + ".join(parts) or "0")
     return EXIT_OK
 
 
@@ -204,9 +212,8 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    sym = _load_symmetric(args)
-    dims = sym.hilbert_series(args.degree)
-    print(" ".join(str(n) for n in dims))
+    _, (standard, _) = _symmetric_forms(args, args.degree)
+    print(" ".join(str(len(ws)) for ws in standard))
     return EXIT_OK
 
 

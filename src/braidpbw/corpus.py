@@ -7,13 +7,15 @@ the enveloping algebra of the 2-dimensional solvable Lie algebra, the super
 line, and an anticommuting color plane.  Each algebra is stated by a basis
 of words in its generators, its product table, its braiding, and the
 coproduct and antipode of its generators; :func:`_from_generators` extends
-those two to the whole basis.  Each pipeline entry records the expected
-outcomes; everything here is re-derived by the engine's oracles in tests.
+those two to the whole basis.  The braided symmetric algebras are stated
+by their braiding alone, through :func:`symmetric_bialgebra`.  Each
+pipeline entry records the expected outcomes; everything here is
+re-derived by the engine's oracles in tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Callable, Mapping
 
@@ -22,11 +24,12 @@ from .braided_space import (
     FiniteAbelianGroup,
     GenericBraiding,
     GradedBasis,
+    diagonal_braiding,
 )
 from .findim_hopf import StructureBialgebra
 from .multilinear import Vec, vadd_into
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, root_of_unity
-from .symmetric_algebra import SymmetricAlgebra, monomial_str
+from .symmetric_algebra import monomial_str, normal_form, normal_forms, require_symmetric
 
 DEFAULT_TRUNCATION = 6
 
@@ -140,46 +143,51 @@ def taft3() -> StructureBialgebra:
     return taft(3)
 
 
-def primitively_generated(names: list[str], group: FiniteAbelianGroup,
-                          table, degrees, truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
-    """Braided symmetric algebra on primitive generators, truncated by degree.
+def symmetric_bialgebra(names, c: GenericBraiding, truncation: int) -> StructureBialgebra:
+    """The braided symmetric algebra S(V, c) of a symmetric braiding c on V,
+    given by its row table, on primitive generators and truncated by degree.
 
-    The generators carry group degrees; the diagonal braiding comes from the
-    bicharacter; products straighten to the monomial basis and monomials of
-    length beyond the truncation are dropped (the grading is strict, so the
-    truncation is consistent).
+    The basis is the standard monomials of :func:`normal_forms`, and products
+    beyond the truncation are dropped (the grading is strict, so the truncation
+    is consistent).  The braiding is extended from the generators' rows:
+    c(e_u (x) e_v e_g) = (m (x) id)(id (x) c)(c (x) id) and
+    c(e_v e_h (x) e_g) = (id (x) m)(c (x) id)(id (x) c).  Raises InputError
+    when c is not symmetric.
     """
-    chi = Bicharacter(group, table)
-    basis = GradedBasis(tuple(names), tuple(degrees))
-    sym = SymmetricAlgebra.from_bicharacter(chi, basis)
-
-    words: list[tuple[int, ...]] = []
-    for n in range(truncation + 1):
-        words.extend(sym.basis_in_degree(n))
+    require_symmetric(c)
+    standard, table = normal_forms(c, truncation)
+    words = [w for ws in standard for w in ws]
     index = {w: t for t, w in enumerate(words)}
     d = len(words)
 
-    def group_degree(word):
-        g = group.identity()
-        for i in word:
-            g = group.add(g, basis.degrees[i])
-        return g
-
-    def lam(u, v) -> Scalar:
-        return chi.value(group_degree(u), group_degree(v))
-
     def mult(ti, tj):
-        u, v = words[ti], words[tj]
-        if len(u) + len(v) > truncation:
+        w = words[ti] + words[tj]
+        if len(w) > truncation:
             return {}
-        out: Vec = {}
-        for w, c in sym.normal_form(u + v).items():
-            vadd_into(out, {index[w]: c})
-        return out
+        return {index[v]: a for v, a in normal_form(table, w).items()}
 
     mult_rows = _mult_table(d, mult)
-    braiding = GenericBraiding([[{(tj, ti): lam(u, v)} for tj, v in enumerate(words)]
-                                for ti, u in enumerate(words)])
+
+    @cache
+    def braid(s, t) -> Vec:
+        u, v = words[s], words[t]
+        if not u or not v:
+            return {(t, s): ONE}
+        out: Vec = {}
+        if len(v) > 1:
+            g = index[v[-1:]]
+            for (k, l), a in braid(s, index[v[:-1]]).items():
+                for (p, q), b in braid(l, g).items():
+                    vadd_into(out, {(r, q): e for r, e in mult_rows[k][p].items()}, a * b)
+        elif len(u) > 1:
+            for (k, l), a in braid(index[u[-1:]], t).items():
+                for (p, q), b in braid(index[u[:-1]], k).items():
+                    vadd_into(out, {(p, r): e for r, e in mult_rows[q][l].items()}, a * b)
+        else:
+            out = {(index[(k,)], index[(l,)]): a for (k, l), a in c.rows[u[0]][v[0]].items()}
+        return out
+
+    braiding = GenericBraiding([[braid(s, t) for t in range(d)] for s in range(d)])
     comult, antipode = _from_generators(words, mult_rows, braiding, *_primitives(words))
     return StructureBialgebra(
         names=tuple(monomial_str(names, w) for w in words),
@@ -194,31 +202,34 @@ def primitively_generated(names: list[str], group: FiniteAbelianGroup,
     )
 
 
+def primitively_generated(names: list[str], group: FiniteAbelianGroup,
+                          table, degrees, truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
+    """S(V, c) for the diagonal braiding of a bicharacter, given by its table
+    on the group's generators, and the generators' group degrees."""
+    c = diagonal_braiding(Bicharacter(group, table), GradedBasis(tuple(names), tuple(degrees)))
+    return symmetric_bialgebra(names, c, truncation)
+
+
 def poly_line(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
     """Polynomial algebra on one primitive generator, truncated."""
-    g = FiniteAbelianGroup((2,))
-    return primitively_generated(["x"], g, ((ONE,),), [(0,)], truncation)
+    return symmetric_bialgebra(["x"], GenericBraiding.flip(1), truncation)
 
 
 def poly_plane(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
     """Polynomial algebra on two commuting primitives (abelian Lie algebra)."""
-    g = FiniteAbelianGroup((2,))
-    table = ((ONE,),)
-    return primitively_generated(["x", "y"], g, table, [(0,), (0,)], truncation)
+    return symmetric_bialgebra(["x", "y"], GenericBraiding.flip(2), truncation)
 
 
 def super_line(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
     """One even and one odd primitive generator with the sign braiding."""
-    g = FiniteAbelianGroup((2,))
-    table = ((MINUS_ONE,),)
-    return primitively_generated(["x", "th"], g, table, [(0,), (1,)], truncation)
+    c = GenericBraiding.diagonal([[ONE, ONE], [ONE, MINUS_ONE]])
+    return symmetric_bialgebra(["x", "th"], c, truncation)
 
 
 def color_plane(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:
-    """Two anticommuting, non-nilpotent primitives graded by Z/2 x Z/2."""
-    g = FiniteAbelianGroup((2, 2))
-    table = ((ONE, MINUS_ONE), (MINUS_ONE, ONE))
-    return primitively_generated(["x", "y"], g, table, [(1, 0), (0, 1)], truncation)
+    """Two anticommuting, non-nilpotent primitives: c(x (x) y) = -y (x) x."""
+    c = GenericBraiding.diagonal([[ONE, MINUS_ONE], [MINUS_ONE, ONE]])
+    return symmetric_bialgebra(["x", "y"], c, truncation)
 
 
 def solvable_pair(truncation: int = DEFAULT_TRUNCATION) -> StructureBialgebra:

@@ -1,128 +1,85 @@
-"""Braided symmetric algebras for diagonal symmetric braidings.
+"""Braided symmetric algebras S(V, c): the quotient of the free algebra by
+the ideal generated by the image of (id - c) on degree two.
 
-The symmetric algebra is the quotient of the free algebra by the ideal
-generated by the image of (id - c) on degree two.  For a skew-symmetric
-bicharacter the quotient has the classical monomial basis: non-decreasing
-index words, strictly increasing at any generator whose self-pairing is
-not 1.  The rewriting engine realises that basis by straightening; a
-linear-algebra oracle computes quotient dimensions for arbitrary
-braidings, independently of the combinatorics.
+:func:`normal_forms` builds the quotient degree by degree for any braiding,
+as its standard monomials and the normal forms of a standard monomial times
+one letter; folding a word's letters through them straightens the word.
+:func:`tensor_ideal_complement` eliminates over all words of one degree at
+once, for weighted generators; it is the independent rank oracle.
 """
 from __future__ import annotations
 
 from itertools import groupby
 
-from .braided_space import Bicharacter, GenericBraiding, GradedBasis
+from .braided_space import GenericBraiding, is_symmetric
 from .linalg import echelon
-from .multilinear import vadd_into
+from .multilinear import Vec, vadd_into
 from .reporting import DegreeCapExceeded, InputError
-from .scalars import ONE, Scalar
+from .scalars import ONE
 from .tensor_algebra import degree_cap_default, require_degree
 
 Word = tuple[int, ...]
-SymElement = dict  # straightened Word -> Scalar
 
 
-class SymmetricAlgebra:
-    """Quotient of the free algebra for a diagonal symmetric braiding."""
+def require_symmetric(c: GenericBraiding) -> None:
+    """The braided symmetric algebra S(V, c) is formed for a symmetric c only."""
+    if not is_symmetric(c):
+        raise InputError("braiding is not symmetric: c c is not the identity on V (x) V")
 
-    def __init__(self, names: list[str], q: list[list[Scalar]]):
-        d = len(names)
-        if len(q) != d or any(len(row) != d for row in q):
-            raise ValueError("coefficient matrix does not match generator count")
-        for i in range(d):
-            for j in range(d):
-                if not (q[i][j] * q[j][i]).is_one():
-                    raise InputError(
-                        "braiding is not symmetric (skew-symmetry fails at "
-                        f"({names[i]}, {names[j]})); use the linear-algebra "
-                        "dimension oracle for general braidings")
-        self.names = list(names)
-        self.q = q
-        self.nilpotent = [not q[i][i].is_one() for i in range(d)]
-        self.dim = d
 
-    @classmethod
-    def from_bicharacter(cls, chi: Bicharacter, basis: GradedBasis) -> "SymmetricAlgebra":
-        d = basis.dim
-        q = [[chi.value(basis.degrees[i], basis.degrees[j]) for j in range(d)] for i in range(d)]
-        return cls(list(basis.names), q)
+def normal_forms(c: GenericBraiding, top: int) -> tuple[list[list[Word]], dict[Word, Vec]]:
+    """The quotient of the free algebra by (im(id - c)) through degree top.
 
-    def braiding(self) -> GenericBraiding:
-        return GenericBraiding.diagonal(self.q)
+    Returns (standard, table): standard[n] lists the standard monomials of
+    degree n in ascending order, and table maps every word u + (j,), u
+    standard of degree below top, to its normal form over them.
 
-    # -- rewriting ------------------------------------------------------------
+    A_n is A_{n-1} (x) V modulo the relations u x_i x_j - u c(x_i x_j), u
+    standard of degree n - 2, written over the columns u + (j,) through the
+    normal forms of degree n - 1.  Columns are eliminated in descending
+    lexicographic order, as in :func:`tensor_ideal_complement`, so both find
+    the same standard monomials; a pivot column's normal form is read off
+    its reduced row.
+    """
+    require_degree(top)
+    d = c.dim
+    standard: list[list[Word]] = [[()]]
+    table: dict[Word, Vec] = {}
+    for n in range(1, top + 1):
+        cols = sorted((u + (j,) for u in standard[n - 1] for j in range(d)), reverse=True)
+        index = {w: t for t, w in enumerate(cols)}
 
-    def _violation(self, w: Word, strategy: str) -> int | None:
-        positions = range(len(w) - 1)
-        if strategy == "rightmost":
-            positions = reversed(positions)
-        for p in positions:
-            if w[p] > w[p + 1]:
-                return p
-            if w[p] == w[p + 1] and self.nilpotent[w[p]]:
-                return p
-        return None
+        def image(u, i, j):  # u x_i x_j in A_{n-1} (x) V
+            return {index[v + (j,)]: a for v, a in table[u + (i,)].items()}
 
-    def normal_form(self, word, strategy: str = "leftmost") -> SymElement:
-        """Straighten a word: swap descents with the braiding coefficient,
-        kill squares of nilpotent generators.  The strategy picks which
-        violation is rewritten first; confluence is asserted by test."""
-        out: SymElement = {}
-        stack: list[tuple[Word, Scalar]] = [(tuple(word), ONE)]
-        while stack:
-            w, coef = stack.pop()
-            p = self._violation(w, strategy)
-            if p is None:
-                vadd_into(out, {w: coef})
-                continue
-            i, j = w[p], w[p + 1]
-            if i == j:
-                continue  # nilpotent square rewrites to zero
-            stack.append((w[:p] + (j, i) + w[p + 2:], coef * self.q[i][j]))
-        return out
+        rows = []
+        for u in (standard[n - 2] if n > 1 else ()):
+            for i in range(d):
+                for j, cij in enumerate(c.rows[i]):
+                    row = image(u, i, j)
+                    for (k, l), s in cij.items():
+                        vadd_into(row, image(u, k, l), -s)
+                    rows.append(row)
+        red, pivots = echelon(rows)
+        for p, row in zip(pivots, red):
+            table[cols[p]] = {cols[t]: -a for t, a in row.items() if t != p}
+        pivset = set(pivots)
+        standard.append(sorted(w for t, w in enumerate(cols) if t not in pivset))
+        for w in standard[n]:
+            table[w] = {w: ONE}
+    return standard, table
 
-    def product(self, a: SymElement, b: SymElement) -> SymElement:
-        out: SymElement = {}
-        for u, cu in a.items():
-            for v, cv in b.items():
-                vadd_into(out, self.normal_form(u + v), cu * cv)
-        return out
 
-    # -- bases and dimensions --------------------------------------------------
-
-    def basis_in_degree(self, n: int) -> list[Word]:
-        """All straightened monomials of length n, in lexicographic order."""
-        result: list[Word] = []
-
-        def rec(prefix: list[int], start: int, remaining: int) -> None:
-            if remaining == 0:
-                result.append(tuple(prefix))
-                return
-            for i in range(start, self.dim):
-                prefix.append(i)
-                rec(prefix, i + (1 if self.nilpotent[i] else 0), remaining - 1)
-                prefix.pop()
-
-        rec([], 0, n)
-        return result
-
-    def hilbert_series(self, n_max: int) -> list[int]:
-        require_degree(n_max)
-        return [len(self.basis_in_degree(n)) for n in range(n_max + 1)]
-
-    def oracle_dimension(self, n: int, cap: int | None = None) -> int:
-        return oracle_dimension(self.braiding(), n, cap)
-
-    def render(self, elem: SymElement) -> str:
-        if not elem:
-            return "0"
-        parts = []
-        for w in sorted(elem, key=lambda w: (len(w), w)):
-            c = elem[w]
-            mono = monomial_str(self.names, w)
-            parts.append(mono if c.is_one() else f"({c})*{mono}")
-        return " + ".join(parts)
+def normal_form(table: dict[Word, Vec], word) -> Vec:
+    """The normal form of a word, its letters folded in one at a time through
+    a :func:`normal_forms` table that reaches the word's length."""
+    out: Vec = {(): ONE}
+    for j in word:
+        nxt: Vec = {}
+        for u, a in out.items():
+            vadd_into(nxt, table[u + (j,)], a)
+        out = nxt
+    return out
 
 
 def monomial_str(names, w: Word) -> str:
@@ -176,16 +133,13 @@ def tensor_ideal_complement(braiding: GenericBraiding, weights: list[int], degre
     return words, pivots, complement
 
 
-def oracle_dimension(braiding: GenericBraiding, n: int, cap: int | None = None) -> int:
+def oracle_dimension(braiding: GenericBraiding, n: int) -> int:
     """Dimension of the degree-n slice of the quotient algebra, by exact rank.
 
     Works for any braiding; this is the independent check against the
-    monomial count of the straightened basis.
+    standard monomials of :func:`normal_forms`.
     """
-    cap = cap if cap is not None else degree_cap_default()
+    cap = degree_cap_default()
     if n > cap:
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
-    if n == 0:
-        return 1
-    _, pivots, complement = tensor_ideal_complement(braiding, [1] * braiding.dim, n)
-    return len(complement)
+    return len(tensor_ideal_complement(braiding, [1] * braiding.dim, n)[2])

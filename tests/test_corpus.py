@@ -1,6 +1,6 @@
 """The corpus builders: their structure constants pinned by digest, the
-Taft algebras beyond n = 3 as negative controls, and the demo script run end
-to end."""
+Taft algebras beyond n = 3 as negative controls, and the demo and corpus
+scripts run end to end."""
 import hashlib
 import os
 import subprocess
@@ -13,6 +13,7 @@ from braidpbw.filtration import subspace_from_indices
 from braidpbw.pbw import PBW_TYPE_FALSE
 from braidpbw.pipeline import run_pipeline
 from braidpbw.serialize import bialgebra_to_json, dumps_canonical
+from test_acceptance import CORPUS_REPORT_SHA256
 from test_checker_oracle import _quantum_plane
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,7 +21,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # sha256 of dumps_canonical(bialgebra_to_json(h)) for each builder call
 # "name arg ..." (T6 is truncation 6, N3 the cube roots of unity): every
 # structure constant, recorded while the coproducts and antipodes were still
-# derived by hand for each algebra; a different digest is a different algebra
+# derived by hand for each algebra and the diagonal symmetric algebras were
+# still straightened by rewriting; a different digest is a different algebra
 STRUCTURE_SHA256 = {
     "group_algebra_c2": "ac5a64a8f997124c4b9c3645b3aaff31b4d9d172df7c49c03c40c6484a5d2e51",
     "sweedler_h4": "504d85d26f17d0f588f313cfb9b2386cfca8af401c2e3305bf471d20c85b16ec",
@@ -105,12 +107,23 @@ def test_taft_negative_control(n):
     assert report["pbw"]["first_failure_degree"] == 2
 
 
-def test_demo_script_runs():
+def _run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "relative_pbw_demo.py")],
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_demo_script_runs():
+    proc = _run_script("relative_pbw_demo.py")
     assert proc.returncode == 0, proc.stderr
     sections = {s.split()[0]: s for s in proc.stdout.split("== ")[1:]}
     assert "PBW verdict         PBW_TYPE_TRUE" in sections["sweedler_h4"]
     assert "PBW_TYPE_FALSE   first failure at degree 2" in sections["taft3"]
+
+
+def test_run_corpus_script_writes_the_recorded_report(tmp_path):
+    report = tmp_path / "report.json"
+    proc = _run_script("run_corpus.py", str(report))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CORPUS_REPORT_SHA256

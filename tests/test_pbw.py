@@ -149,19 +149,18 @@ def test_pbw_inconclusive_beyond_truncation(corpus):
 
 
 def test_pbw_dims_match_symmetric_algebra_oracles(corpus):
-    # third route: the report's symmetric-algebra dims against the monomial
-    # count and the rank oracle of the symmetric-algebra module
-    from braidpbw.symmetric_algebra import SymmetricAlgebra, oracle_dimension
+    # third route: the report's symmetric-algebra dims against the standard
+    # monomials of the symmetric-algebra module and its rank oracle
+    from braidpbw.symmetric_algebra import normal_forms, oracle_dimension
 
     for name in ("poly_plane", "super_line", "color_plane"):
         gr = gr_of(corpus[name])
         q = compute_Q(gr)
         report = pbw_verdict(gr, 5)
-        qmat = q.braiding.diagonal_coefficients()
-        sym = SymmetricAlgebra(q.names, qmat)
+        standard, _ = normal_forms(q.braiding, 5)
         for n in range(1, 6):
             sq = report.degreewise_dims[n][1]
-            assert sq == len(sym.basis_in_degree(n))
+            assert sq == len(standard[n])
             assert sq == oracle_dimension(q.braiding, n)
 
 

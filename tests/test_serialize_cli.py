@@ -27,6 +27,14 @@ SUPER_BASIS = {
     "basis": [{"name": "x", "deg": [0]}, {"name": "th", "deg": [1]}],
 }
 
+# symmetric, since chi(x, y) chi(y, x) = 1, but chi(x, y) = zeta_3 has no order
+# dividing 2 on the group Z/2 x Z/2
+VALUE_ORDER_BASIS = {
+    "group": {"factors": [2, 2]},
+    "bichar": [["1", '{N:3, poly:"z"}'], ['{N:3, poly:"z^2"}', "1"]],
+    "basis": [{"name": "x", "deg": [1, 0]}, {"name": "y", "deg": [0, 1]}],
+}
+
 
 def test_bialgebra_roundtrip(h4, taft):
     for h in (h4, taft):
@@ -330,10 +338,11 @@ def _h4_doc(**changes):
     return doc
 
 
-def _corpus_dir(tmp_path, doc):
+def _corpus_dir(tmp_path, *docs):
     cdir = tmp_path / "corpus"
     cdir.mkdir()
-    (cdir / "entry.json").write_text(json.dumps(doc))
+    for n, doc in enumerate(docs, 1):
+        (cdir / f"entry{n if n > 1 else ''}.json").write_text(json.dumps(doc))
     return ["corpus", "--dir", str(cdir)]
 
 
@@ -363,6 +372,10 @@ ERROR_PATHS = {
     "corpus-dir-unknown-entry": (
         lambda tmp: _corpus_dir(tmp, _h4_entry()) + ["--entry", "nosuch"],
         2, "unknown corpus entry 'nosuch'"),
+    "corpus-dir-repeated-name": (
+        lambda tmp: _corpus_dir(tmp, _h4_entry(), _h4_entry(expect={"pbw_verdict": "PBW_TYPE_FALSE"})),
+        2, "input error: corpus entries {tmp}/corpus/entry.json and {tmp}/corpus/entry2.json "
+           "share the name 'h4'"),
     "corpus-entry-without-name": (
         lambda tmp: _corpus_dir(tmp, {"bialgebra": _h4_doc()}),
         2, "input error: malformed corpus entry {tmp}/corpus/entry.json: 'name'"),
@@ -421,6 +434,12 @@ ERROR_PATHS = {
     "nf-unknown-generator": (
         lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "zz"],
         2, "input error: unknown generator in word"),
+    "hilbert-invalid-bicharacter": (
+        lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", VALUE_ORDER_BASIS), "--degree", "3"],
+        2, "input error: invalid bicharacter:"),
+    "nf-invalid-bicharacter": (
+        lambda tmp: ["nf", "--input", _write(tmp, "b.json", VALUE_ORDER_BASIS), "y", "x"],
+        2, "input error: invalid bicharacter:"),
     "hilbert-non-symmetric": (
         lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", dict(
             SUPER_BASIS, bichar=[['{N:3, poly:"z"}']])), "--degree", "2"],
@@ -439,7 +458,8 @@ ERROR_PATHS = {
 }
 
 
-MULTI_LINE = {"commutator-invalid-bicharacter"}  # carries the validation report
+# carry the validation report
+MULTI_LINE = {"commutator-invalid-bicharacter", "hilbert-invalid-bicharacter", "nf-invalid-bicharacter"}
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
