@@ -20,7 +20,7 @@ from .braided_space import (
     validate_bicharacter,
 )
 from .tensor_algebra import DegreeCapExceeded, TensorAlgebra
-from .symmetric_algebra import normal_forms, oracle_dimension
+from .symmetric_algebra import normal_forms
 from .findim_hopf import (
     StructureBialgebra,
     check_antipode,

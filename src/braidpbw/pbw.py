@@ -6,8 +6,9 @@ them into the target sends each standard monomial to the ordered product
 of representatives.  The verdict is positive exactly when that map is
 degreewise bijective, kills the braided symmetrising ideal, and
 intertwines the braidings on generators; the first degree where any of
-these fails is recorded, and a monomial basis is emitted whenever the
-induced braiding is diagonal and symmetric.
+these fails is recorded.  A positive verdict makes each degree's matrix
+square and of full rank, so the standard monomials name a basis; it is
+emitted whenever the induced braiding is symmetric.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .linalg import Coordinates, Subspace, rank
 from .multilinear import Vec, vadd_into, vec_equal
 from .reporting import BraidpbwError, InputError
 from .scalars import ONE, ZERO
-from .symmetric_algebra import monomial_str, tensor_ideal_complement
+from .symmetric_algebra import monomial_str, normal_forms
 from .tensor_algebra import require_degree
 
 PBW_TYPE_TRUE = "PBW_TYPE_TRUE"
@@ -148,14 +149,21 @@ def compute_Q(target) -> QSpace:
 def canonical_map(q: QSpace, target, n_max: int):
     """Per-degree data of the canonical graded algebra map.
 
-    For each degree: the standard-monomial basis surviving in the braided
-    symmetric algebra, the matrix of ordered products of representatives
-    over the target's graded slice, and whether the symmetrising ideal
-    maps to zero.
+    For each degree: the standard monomials of that weight in the braided
+    symmetric algebra (from :func:`normal_forms`, ascending), the matrix of
+    ordered products of representatives over the target's graded slice, and
+    whether the symmetrising ideal maps to zero through that degree.  The map
+    is an algebra map out of the free algebra, so it kills the ideal exactly
+    when it kills the generating relations x_a x_b - c(x_a x_b).  Grouping
+    the standard monomials by weight needs every relation to be homogeneous;
+    a braiding that mixes weights is an engine error.
     """
     h = _target_algebra(target)
     _require_connected_graded(h)
-    out = {}
+    deg, c = q.degrees, q.braiding.rows
+    pairs = [(a, b) for a in range(q.dim) for b in range(q.dim)]
+    if any(deg[k] + deg[l] != deg[a] + deg[b] for a, b in pairs for k, l in c[a][b]):
+        raise BraidpbwError("induced braiding on the generator space does not preserve degree")
     product_cache: dict[tuple[int, ...], Vec] = {(): h.unit_vec()}
 
     def product_of(word: tuple[int, ...]) -> Vec:
@@ -166,38 +174,34 @@ def canonical_map(q: QSpace, target, n_max: int):
         product_cache[word] = vec
         return vec
 
+    def relation_fails(a: int, b: int) -> bool:
+        img: Vec = dict(product_of((a, b)))
+        for kl, s in c[a][b].items():
+            vadd_into(img, product_of(kl), -s)
+        return bool(img)
+
+    first_failing = min((deg[a] + deg[b] for a, b in pairs
+                         if deg[a] + deg[b] <= n_max and relation_fails(a, b)), default=None)
+    standard = [w for words in normal_forms(q.braiding, n_max)[0] for w in words]
+    out = {}
     for n in range(1, n_max + 1):
-        words, _, complement = tensor_ideal_complement(q.braiding, q.degrees, n)
+        monomials = sorted(w for w in standard if sum(deg[i] for i in w) == n)
         cols = h.degree_indices(n)
         col_pos = {i: t for t, i in enumerate(cols)}
         matrix = []
-        for w in complement:
-            vec = product_of(w)
+        for w in monomials:
             row = [ZERO] * len(cols)
-            for i, c in vec.items():
+            for i, s in product_of(w).items():
                 if i not in col_pos:
                     raise BraidpbwError("product of representatives is not homogeneous")
-                row[col_pos[i]] = c
+                row[col_pos[i]] = s
             matrix.append(row)
-        ideal_ok = True
-        for w in words:
-            for p in range(len(w) - 1):
-                img: Vec = dict(product_of(w))
-                for (k, l), s in q.braiding.rows[w[p]][w[p + 1]].items():
-                    other = w[:p] + (k, l) + w[p + 2:]
-                    vadd_into(img, product_of(other), -s)
-                if img:
-                    ideal_ok = False
-                    break
-            if not ideal_ok:
-                break
         out[n] = {
-            "words": words,
-            "monomials": complement,
+            "monomials": monomials,
             "matrix": matrix,
             "target_dim": len(cols),
-            "sq_dim": len(complement),
-            "ideal_maps_to_zero": ideal_ok,
+            "sq_dim": len(monomials),
+            "ideal_maps_to_zero": first_failing is None or n < first_failing,
         }
     return out
 
@@ -259,7 +263,7 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
     else:
         verdict = PBW_TYPE_TRUE
     basis = None
-    if verdict == PBW_TYPE_TRUE and diag and sym:
+    if verdict == PBW_TYPE_TRUE and sym:
         basis = ["1"] + [monomial_str(q.names, w)
                          for n in range(1, verified + 1) for w in data[n]["monomials"]]
     return PBWReport(
@@ -278,13 +282,10 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
 
 
 def pbw_basis(report: PBWReport) -> PBWBasisResult:
-    """The verdict's monomial basis for a positive verdict with diagonal
-    symmetric braiding on the generators; an explicit refusal otherwise."""
+    """The verdict's monomial basis for a positive verdict with symmetric
+    braiding on the generators; an explicit refusal otherwise."""
     if report.verdict != PBW_TYPE_TRUE:
         return PBWBasisResult(None, f"verdict is {report.verdict}; no basis is claimed")
-    if not report.braiding_diagonal:
-        return PBWBasisResult(None, "braiding on the generator space is not diagonal "
-                                    "in the declared basis; no monomial basis is guaranteed")
     if not report.braiding_symmetric:
         return PBWBasisResult(None, "braiding on the generator space is not symmetric; "
                                     "no monomial basis is guaranteed")

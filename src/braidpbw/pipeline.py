@@ -114,7 +114,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     bos_ok, bos_degrees = bosonization_check(coinv)
     report["bosonization"] = {"bijective": bos_ok, "degrees": bos_degrees}
 
-    report["pbw"] = pbw_document(pbw_verdict(coinv, degree))
+    report["pbw"] = pbw_document(_stage("pbw", pbw_verdict, coinv, degree))
     return report
 
 

@@ -4,8 +4,8 @@ the ideal generated by the image of (id - c) on degree two.
 :func:`normal_forms` builds the quotient degree by degree for any braiding,
 as its standard monomials and the normal forms of a standard monomial times
 one letter; folding a word's letters through them straightens the word.
-:func:`tensor_ideal_complement` eliminates over all words of one degree at
-once, for weighted generators; it is the independent rank oracle.
+The corpus constructor, the word commands and the PBW verdict's canonical
+map all read it.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from itertools import groupby
 from .braided_space import GenericBraiding, is_symmetric
 from .linalg import echelon
 from .multilinear import Vec, vadd_into
-from .reporting import DegreeCapExceeded, InputError
+from .reporting import InputError
 from .scalars import ONE
-from .tensor_algebra import degree_cap_default, require_degree
+from .tensor_algebra import require_degree
 
 Word = tuple[int, ...]
 
@@ -37,9 +37,9 @@ def normal_forms(c: GenericBraiding, top: int) -> tuple[list[list[Word]], dict[W
     A_n is A_{n-1} (x) V modulo the relations u x_i x_j - u c(x_i x_j), u
     standard of degree n - 2, written over the columns u + (j,) through the
     normal forms of degree n - 1.  Columns are eliminated in descending
-    lexicographic order, as in :func:`tensor_ideal_complement`, so both find
-    the same standard monomials; a pivot column's normal form is read off
-    its reduced row.
+    lexicographic order, so that non-decreasing words survive whenever the
+    relations allow it; a pivot column's normal form is read off its
+    reduced row.
     """
     require_degree(top)
     d = c.dim
@@ -87,59 +87,3 @@ def monomial_str(names, w: Word) -> str:
     as powers: (0, 0, 1) over ("x", "y") is "x^2*y", the empty word "1"."""
     runs = ((names[i], len(list(run))) for i, run in groupby(w))
     return "*".join(name if k == 1 else f"{name}^{k}" for name, k in runs) or "1"
-
-
-def weighted_words(dim: int, weights: list[int], degree: int) -> list[Word]:
-    """All words over dim letters whose weights sum to the given degree."""
-    if any(w < 1 for w in weights):
-        raise ValueError("generator weights must be >= 1")
-    result: list[Word] = []
-
-    def rec(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            result.append(tuple(prefix))
-            return
-        for i in range(dim):
-            if weights[i] <= remaining:
-                prefix.append(i)
-                rec(prefix, remaining - weights[i])
-                prefix.pop()
-
-    rec([], degree)
-    return result
-
-
-def tensor_ideal_complement(braiding: GenericBraiding, weights: list[int], degree: int):
-    """Degree slice of the quotient of the free algebra by the ideal
-    generated by the image of (id - c) on degree two.
-
-    Returns (words, pivot column indices, complement words); the complement
-    words are the canonical standard monomials surviving in the quotient.
-    Columns are eliminated in descending lexicographic order so that
-    non-decreasing words survive whenever the relations allow it.
-    """
-    words = sorted(weighted_words(braiding.dim, weights, degree), reverse=True)
-    index = {w: t for t, w in enumerate(words)}
-    rows = []
-    for w in words:
-        for p in range(len(w) - 1):
-            row = {index[w]: ONE}
-            for (k, l), s in braiding.rows[w[p]][w[p + 1]].items():
-                vadd_into(row, {index[w[:p] + (k, l) + w[p + 2:]]: -s})
-            rows.append(row)
-    _, pivots = echelon(rows)
-    pivset = set(pivots)
-    complement = sorted(words[t] for t in range(len(words)) if t not in pivset)
-    return words, pivots, complement
-
-
-def oracle_dimension(braiding: GenericBraiding, n: int) -> int:
-    """Dimension of the degree-n slice of the quotient algebra, by exact rank.
-
-    Works for any braiding; this is the independent check against the
-    standard monomials of :func:`normal_forms`.
-    """
-    cap = degree_cap_default()
-    if n > cap:
-        raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
-    return len(tensor_ideal_complement(braiding, [1] * braiding.dim, n)[2])

@@ -35,8 +35,9 @@ from braidpbw.multilinear import (
 from braidpbw.pbw import PBW_TYPE_FALSE, PBW_TYPE_TRUE, pbw_verdict
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import MINUS_ONE, ONE, Scalar
-from braidpbw.symmetric_algebra import normal_forms, oracle_dimension
+from braidpbw.symmetric_algebra import normal_forms
 from braidpbw.tensor_algebra import TensorAlgebra
+from reference_checkers import oracle_dimension
 
 CONNECTED_SYMMETRIC = ("poly_line", "poly_plane", "solvable_pair", "super_line", "color_plane")
 ALL_NAMES = ("kc2", "sweedler_h4", "taft3", "poly_line", "poly_plane",

@@ -5,9 +5,16 @@ import pytest
 
 import reference_checkers as ref
 from braidpbw import pbw
-from braidpbw.braided_space import GenericBraiding, braid_check, is_symmetric
+from braidpbw.braided_space import GenericBraiding, braid_check
 from braidpbw.coinvariants import compute_R
-from braidpbw.corpus import corpus_entries, solvable_pair, solvable_pair_y_indices
+from braidpbw.corpus import (
+    corpus_entries,
+    poly_line,
+    solvable_pair,
+    solvable_pair_y_indices,
+    symmetric_bialgebra,
+    taft as build_taft,
+)
 from braidpbw.filtration import (
     associated_graded,
     coradical_filtration_connected,
@@ -25,9 +32,11 @@ from braidpbw.pbw import (
     pbw_basis,
     pbw_verdict,
 )
+from braidpbw.reporting import BraidpbwError
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
-from braidpbw.symmetric_algebra import monomial_str, weighted_words
+from braidpbw.symmetric_algebra import monomial_str, normal_forms
 from test_checker_oracle import _perturb, _quantum_plane
+from test_symmetric_algebra import SET_THEORETIC
 
 
 def gr_of(h):
@@ -149,10 +158,8 @@ def test_pbw_inconclusive_beyond_truncation(corpus):
 
 
 def test_pbw_dims_match_symmetric_algebra_oracles(corpus):
-    # third route: the report's symmetric-algebra dims against the standard
-    # monomials of the symmetric-algebra module and its rank oracle
-    from braidpbw.symmetric_algebra import normal_forms, oracle_dimension
-
+    # the report's symmetric-algebra dims against the standard monomials of
+    # the symmetric-algebra module and the full-word rank oracle
     for name in ("poly_plane", "super_line", "color_plane"):
         gr = gr_of(corpus[name])
         q = compute_Q(gr)
@@ -161,7 +168,7 @@ def test_pbw_dims_match_symmetric_algebra_oracles(corpus):
         for n in range(1, 6):
             sq = report.degreewise_dims[n][1]
             assert sq == len(standard[n])
-            assert sq == oracle_dimension(q.braiding, n)
+            assert sq == ref.oracle_dimension(q.braiding, n)
 
 
 def test_pbw_basis_polynomial(corpus):
@@ -184,46 +191,6 @@ def test_pbw_basis_refuses_on_false(taft):
     assert "PBW_TYPE_FALSE" in result.refusal
 
 
-def test_pbw_basis_refuses_non_diagonal():
-    # conjugate the super braiding by a shear: still symmetric, not diagonal
-    from braidpbw.pbw import PBWReport
-
-    base = [[ONE, ONE], [ONE, MINUS_ONE]]
-    # c'(i,j) entries of (P (x) P) c (P^-1 (x) P^-1) with P = [[1,1],[0,1]]
-    from braidpbw.braided_space import GenericBraiding as GB
-    from braidpbw.scalars import ZERO
-
-    p = [[ONE, ONE], [ZERO, ONE]]
-    pinv = [[ONE, MINUS_ONE], [ZERO, ONE]]
-    c = GB.diagonal(base)
-    rows = [[{}, {}], [{}, {}]]
-    for i in range(2):
-        for j in range(2):
-            entry = {}
-            for a in range(2):
-                for b in range(2):
-                    if pinv[i][a].is_zero() or pinv[j][b].is_zero():
-                        continue
-                    for (x, y), s in c.rows[a][b].items():
-                        for k in range(2):
-                            for l in range(2):
-                                coeff = pinv[i][a] * pinv[j][b] * s * p[x][k] * p[y][l]
-                                if not coeff.is_zero():
-                                    entry[(k, l)] = entry.get((k, l), ZERO) + coeff
-            rows[i][j] = {kk: vv for kk, vv in entry.items() if not vv.is_zero()}
-    twisted = GB(rows)
-    assert braid_check(twisted)
-    assert is_symmetric(twisted)
-    assert twisted.diagonal_coefficients() is None
-    report = PBWReport(verdict=PBW_TYPE_TRUE, degreewise_dims=[(1, 1)],
-                       requested_degree=1, verified_degree=1,
-                       braiding_diagonal=twisted.diagonal_coefficients() is not None,
-                       braiding_symmetric=is_symmetric(twisted))
-    result = pbw_basis(report)
-    assert result.monomials is None
-    assert "not diagonal" in result.refusal
-
-
 def _corpus_R():
     """(label, R) for every corpus entry with a subalgebra, the truncated
     ones at T = 1..3."""
@@ -241,11 +208,13 @@ def _corpus_R():
 
 
 def _perturbed_Q(rng, q):
-    """Q with one entry of its braiding table changed by a nonzero delta."""
-    d = q.dim
+    """Q with one entry of its braiding table changed by a nonzero delta, at
+    a term of the same weight, so that the braiding stays graded."""
+    d, deg = q.dim, q.degrees
     i, j = rng.randrange(d), rng.randrange(d)
+    keys = [(k, l) for k in range(d) for l in range(d) if deg[k] + deg[l] == deg[i] + deg[j]]
     rows = [list(row) for row in q.braiding.rows]
-    rows[i][j] = _perturb(rng, rows[i][j], (rng.randrange(d), rng.randrange(d)))
+    rows[i][j] = _perturb(rng, rows[i][j], rng.choice(keys))
     return QSpace(q.reps, q.degrees, q.names, GenericBraiding(rows))
 
 
@@ -265,29 +234,92 @@ def test_generators_intertwine_matches_reference():
 
 
 def _standard_monomial_names(q, n_max):
-    """Names of the non-decreasing words of weight <= n_max, strictly
-    increasing at a generator with q_ii != 1, enumerated afresh."""
+    """Names of the standard monomials of weight <= n_max, found afresh: for
+    a diagonal braiding the non-decreasing words, strictly increasing at a
+    generator with q_ii != 1; otherwise the full-word elimination's
+    complement."""
     qmat = q.braiding.diagonal_coefficients()
     out = ["1"]
     for n in range(1, n_max + 1):
-        for w in weighted_words(q.dim, q.degrees, n):
-            if all(a < b or (a == b and qmat[a][a].is_one()) for a, b in zip(w, w[1:])):
-                out.append(monomial_str(q.names, w))
+        if qmat is None:
+            words = ref.tensor_ideal_complement(q.braiding, q.degrees, n)[2]
+        else:
+            words = [w for w in ref.weighted_words(q.dim, q.degrees, n)
+                     if all(a < b or (a == b and qmat[a][a].is_one()) for a, b in zip(w, w[1:]))]
+        out.extend(monomial_str(q.names, w) for w in words)
     return out
+
+
+def _set_theoretic_R():
+    """(label, R) for S(V, c) of both set-theoretic solutions at T = 3."""
+    for name, (c, _) in sorted(SET_THEORETIC.items()):
+        h = symmetric_bialgebra([f"x{i}" for i in range(c.dim)], c, 3)
+        yield name, relative_R(h, (0,)).algebra
+
+
+def _quantum_plane_R():
+    for n in (3, 4, 12):
+        yield f"quantum_plane_N{n}", relative_R(_quantum_plane(n, 3), (0,)).algebra
 
 
 def test_pbw_basis_is_the_standard_monomials():
     """The basis read off the canonical map's standard monomials names the
-    same words as an independent enumeration, on every corpus R and on the
-    quantum planes at N = 3, 4, 12."""
-    planes = [(f"quantum_plane_N{n}", relative_R(_quantum_plane(n, 3), (0,)).algebra)
-              for n in (3, 4, 12)]
+    same words as an independent enumeration, on every corpus R, on the
+    quantum planes at N = 3, 4, 12 and on both set-theoretic solutions."""
     compared = 0
-    for label, r_alg in list(_corpus_R()) + planes:
+    for label, r_alg in [*_corpus_R(), *_quantum_plane_R(), *_set_theoretic_R()]:
         report = pbw_verdict(r_alg, 3)
         if report.monomial_basis is None:
             continue
         q = compute_Q(r_alg)
         assert report.monomial_basis == _standard_monomial_names(q, report.verified_degree), label
         compared += 1
-    assert compared >= 10, compared
+    assert compared >= 12, compared
+
+
+def _weighted_line():
+    """The polynomial line at T = 3 with x and x^2 taken as flip-braided
+    generators of weights 1 and 2: a generator space of mixed weights."""
+    h = poly_line(3)
+    reps = [h.basis_vec(h.degree_indices(n)[0]) for n in (1, 2)]
+    return h, QSpace(reps, [1, 2], ["x", "x2"], GenericBraiding.flip(2))
+
+
+def test_canonical_map_matches_reference():
+    """The canonical map through normal forms and generator relations equals
+    the full-word elimination with the ideal checked on every word: the
+    same monomials, matrices and dims in every degree, and the same ideal
+    verdicts through the reference's first failing degree.  Inputs: every
+    corpus R, the quantum planes, taft(4) and taft(5), both set-theoretic
+    solutions, a weighted generator space, and weight-preserving
+    perturbations of each braiding."""
+    rng = random.Random(16)
+    inputs = [(label, compute_Q(r_alg), r_alg) for label, r_alg in
+              [*_corpus_R(), *_quantum_plane_R(), *_set_theoretic_R(),
+               *((f"taft{n}", relative_R(build_taft(n), tuple(range(n))).algebra) for n in (4, 5))]]
+    h, q = _weighted_line()
+    inputs.append(("weighted_line", q, h))
+    failing = 0
+    for label, q, target in inputs:
+        top = target.truncation if target.truncation is not None else 4
+        for candidate in [q] + [_perturbed_Q(rng, q) for _ in range(3)]:
+            got = canonical_map(candidate, target, top)
+            want = ref.canonical_map(candidate, target, top)
+            first = next((n for n in want if not want[n]["ideal_maps_to_zero"]), top)
+            for n in range(1, top + 1):
+                for key in ("monomials", "matrix", "target_dim", "sq_dim"):
+                    assert got[n][key] == want[n][key], (label, n, key)
+                if n <= first:
+                    assert got[n]["ideal_maps_to_zero"] == want[n]["ideal_maps_to_zero"], (label, n)
+            failing += not want[first]["ideal_maps_to_zero"]
+    # the perturbations reach the ideal check
+    assert failing >= 10, failing
+
+
+def test_canonical_map_rejects_a_weight_mixing_braiding():
+    h, q = _weighted_line()
+    rows = [list(row) for row in q.braiding.rows]
+    # c(x (x) x) gains a term x (x) x2, of weight 3 against 2
+    rows[0][0] = _perturb(random.Random(0), rows[0][0], (0, 1))
+    with pytest.raises(BraidpbwError, match="does not preserve degree"):
+        canonical_map(QSpace(q.reps, q.degrees, q.names, GenericBraiding(rows)), h, 3)

@@ -107,3 +107,28 @@ def test_benchmark_tracer_records_linalg_entry_points():
     rows = tracer.largest_rref[1]
     red, pivots = linalg.rref(rows)
     assert len(red) == len(pivots) == linalg.rank(rows)
+
+
+def test_benchmark_outputs_check_under_the_tracer(tmp_path):
+    """Every operation of every benchmark workload passes its output check
+    while the tracer's wrappers are installed, and removing the tracer puts
+    every original binding back."""
+    saved_path = list(sys.path)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from tracing import Tracer
+        from workloads import WORKLOADS
+    finally:
+        sys.path[:] = saved_path
+    for name, workload in WORKLOADS.items():
+        ops = workload.setup(str(tmp_path / name))
+        tracer = Tracer()
+        originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in tracer._wrappers]
+        tracer.install()
+        try:
+            assert all(owner.__dict__[attr] is not fn for owner, attr, fn in originals)
+            mismatches = [(op.name, op.check(op.run())) for op in ops]
+        finally:
+            tracer.remove()
+        assert mismatches and all(m is None for _, m in mismatches), (name, mismatches)
+        assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals), name

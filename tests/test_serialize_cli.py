@@ -483,6 +483,25 @@ def test_cli_braid_equation_failure_exits_1(tmp_path, capsys, monkeypatch):
         "error: induced braiding on the generator space fails the braid equation\n")
 
 
+def test_pbw_stage_failure_names_the_stage(tmp_path, capsys, monkeypatch):
+    import braidpbw.pbw as pbw
+    from braidpbw.corpus import poly_plane
+    from braidpbw.pipeline import run_pipeline
+    from braidpbw.reporting import PipelineError
+
+    h = poly_plane(2)
+    k = subspace_from_indices(h, (0,))
+    monkeypatch.setattr(pbw, "braid_check", lambda c: False)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(h, k, 2)
+    assert info.value.stage == "pbw"
+    hpath = _write(tmp_path, "plane.json", bialgebra_to_json(h))
+    kpath = _write(tmp_path, "k.json", subspace_to_json(k))
+    assert main(["pipeline", "--input", hpath, "--sub", kpath, "--degree", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [pbw] induced braiding on the generator space fails the braid equation\n")
+
+
 def test_every_exception_class_derives_from_one_base():
     import importlib
     import inspect
