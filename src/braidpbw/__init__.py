@@ -5,7 +5,7 @@ dense structure-constant tensors; every theorem-shaped statement in the
 package is checked by exhaustive evaluation or exact linear algebra.
 """
 
-from .reporting import BraidpbwError, InputError
+from .reporting import BraidpbwError, DegreeCapExceeded, InputError
 from .scalars import Scalar, parse_scalar, root_of_unity
 from .linalg import Subspace
 from .braided_space import (
@@ -19,7 +19,6 @@ from .braided_space import (
     is_symmetric,
     validate_bicharacter,
 )
-from .tensor_algebra import DegreeCapExceeded, TensorAlgebra
 from .symmetric_algebra import normal_forms
 from .findim_hopf import (
     StructureBialgebra,
@@ -32,7 +31,6 @@ from .findim_hopf import (
     is_c_commutative,
     run_all_checks,
 )
-from .multilinear import check_square_commutator_expansion
 from .filtration import (
     AssociatedGraded,
     FiltrationError,

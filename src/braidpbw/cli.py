@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -26,9 +27,10 @@ from .braided_space import GenericBraiding, diagonal_braiding
 from .corpus import corpus_entries
 from .coinvariants import compute_R
 from .filtration import associated_graded, hopf_filtration, subspace_from_indices
+from .multilinear import add_term
 from .pbw import pbw_document, pbw_verdict
 from .pipeline import check_report, compare_expectations, flat_summary, run_pipeline
-from .reporting import BraidpbwError, InputError
+from .reporting import BraidpbwError, DegreeCapExceeded, InputError, degree_cap_default
 from .scalars import ONE
 from .serialize import (
     bialgebra_from_json,
@@ -42,7 +44,6 @@ from .serialize import (
     subspace_to_json,
 )
 from .symmetric_algebra import monomial_str, normal_form, normal_forms, require_symmetric
-from .tensor_algebra import TensorAlgebra, degree_cap_default
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -77,7 +78,12 @@ def cmd_check(args) -> int:
 def cmd_pipeline(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     k = subspace_from_json(load_json_file(args.sub), h)
-    degree = degree_cap_default() - 2 if args.degree is None else args.degree
+    degree = args.degree
+    if degree is None:
+        degree = degree_cap_default() - 2
+        if degree < 0:
+            raise InputError(f"the default degree, BRAIDPBW_DEGREE_CAP minus 2, is {degree}; "
+                             "raise BRAIDPBW_DEGREE_CAP or pass --degree")
     report = run_pipeline(h, k, degree)
     _emit(report, args)
     if args.format == "text":
@@ -185,29 +191,42 @@ def _symmetric_forms(args, top: int):
     return basis.names, normal_forms(diagonal_braiding(chi, basis), top)
 
 
+def _word(names, letters) -> tuple[int, ...]:
+    """The generator indices of a word given as a sequence of generator names."""
+    for t in letters:
+        if t not in names:
+            raise InputError(f"unknown generator in word: {t!r}")
+    return tuple(names.index(t) for t in letters)
+
+
 def cmd_nf(args) -> int:
     letters = " ".join(args.word).split()
     names, (_, table) = _symmetric_forms(args, len(letters))
-    try:
-        word = tuple(names.index(t) for t in letters)
-    except ValueError as exc:
-        raise InputError(f"unknown generator in word: {exc}") from exc
     parts = [monomial_str(names, w) if c.is_one() else f"({c})*{monomial_str(names, w)}"
-             for w, c in sorted(normal_form(table, word).items())]
+             for w, c in sorted(normal_form(table, _word(names, letters)).items())]
     print(" + ".join(parts) or "0")
     return EXIT_OK
 
 
 def cmd_commutator(args) -> int:
+    """uv - q vu in the free algebra, where the diagonal braiding moves the
+    word u past the word v with q the product of q_ab over letters a of u and
+    b of v."""
     _, chi, basis = braided_basis_from_json(load_json_file(args.input))
-    braiding = diagonal_braiding(chi, basis)
-    alg = TensorAlgebra(braiding, list(basis.names))
-    try:
-        left = {tuple(alg.names.index(t) for t in args.left.split()): ONE}
-        right = {tuple(alg.names.index(t) for t in args.right.split()): ONE}
-    except ValueError as exc:
-        raise InputError(f"unknown generator in word: {exc}") from exc
-    print(alg.render(alg.commutator(left, right)))
+    rows = diagonal_braiding(chi, basis).rows
+    cap = degree_cap_default()
+    names = basis.names
+    u, v = _word(names, args.left.split()), _word(names, args.right.split())
+    if len(u) + len(v) > cap:
+        raise DegreeCapExceeded(f"product degree {len(u) + len(v)} exceeds cap {cap}")
+    q = math.prod((rows[a][b][(b, a)] for a in u for b in v), start=ONE)
+    out = {u + v: ONE}
+    add_term(out, v + u, -q)
+    parts = []
+    for w, c in sorted(out.items()):
+        word = "*".join(names[i] for i in w) or "1"
+        parts.append(word if c.is_one() else f"({c})*{word}")
+    print(" + ".join(parts) or "0")
     return EXIT_OK
 
 

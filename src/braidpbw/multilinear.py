@@ -1,18 +1,23 @@
-"""Sparse evaluation of multilinear composites on tensor powers.
+"""Sparse vectors, and the slot operations on tensor powers.
+
+The engine's one sparse vector type is a dict mapping keys to nonzero
+Scalars; the helpers before ``lift`` add, compare and lower such vectors.
 
 Elements of a k-fold tensor power are dicts mapping length-k tuples of
 "atoms" to nonzero scalars.  An atom is whatever indexes a basis of the
 underlying space: an integer for structure-constant algebras, a word
-tuple for the free algebra.  The slot operations below are generic over
-any object exposing the pair interface
+tuple for the free algebra of the tests.  The slot operations below are
+generic over any object exposing the pair interface
 
     mul_pair(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
     braid_pair(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
 
-which is all the braided-commutator identities need.  They serve only the
-square-commutator identities and the slot-by-slot evaluation that the tests
-keep as an oracle; every stage of the engine composes structure rows
-(``mult``, ``comult``, ``antipode`` and the braiding's row table) directly.
+No engine stage calls them: every stage composes structure rows (``mult``,
+``comult``, ``antipode`` and the braiding's row table) directly, and the
+tests keep slot-by-slot evaluation as an oracle.  They stay in the package
+only because the benchmark's tracer (``perfbench/tracing.py``) counts calls
+to ``slot_*``, ``mul_at`` and ``braid_at`` by these names and fails when one
+is missing.
 """
 from __future__ import annotations
 
@@ -74,18 +79,6 @@ def vsum(terms) -> Vec:
     return acc
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, c in b.items():
-        prev = out.get(k)
-        s = -c if prev is None else prev - c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
 def vec_equal(a: Vec, b: Vec) -> bool:
     """Exact equality of sparse vectors; an entry equal to zero counts as absent.
     The coefficients are Scalars or ints, tested for zero by truth value."""
@@ -130,16 +123,6 @@ def lower(table):
 def as_scalar(c) -> Scalar:
     """A coefficient of a lowered table back as a Scalar."""
     return c if type(c) is Scalar else Scalar(1, (c,), 1)
-
-
-def tensor(a: Vec, b: Vec) -> Vec:
-    out: Vec = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            c = ca * cb
-            if not c.is_zero():
-                out[ka + kb] = c
-    return out
 
 
 def lift(vec: Vec) -> Vec:
@@ -203,71 +186,3 @@ def mul_at(ops, vec: Vec, i: int) -> Vec:
 
 def braid_at(ops, vec: Vec, i: int) -> Vec:
     return slot_pair(vec, i, ops.braid_pair)
-
-
-def opposite_mul_at(ops, vec: Vec, i: int) -> Vec:
-    return mul_at(ops, braid_at(ops, vec, i), i)
-
-
-def commutator(ops, a: Vec, b: Vec) -> Vec:
-    """Braided commutator of two 1-slot tensors: mul(id - braid)(a x b)."""
-    w = tensor(a, b)
-    return mul_at(ops, vsub(w, braid_at(ops, w, 0)), 0)
-
-
-def square_braiding(ops, w: Vec) -> Vec:
-    """The braiding of the tensor-square algebra on a 4-slot tensor."""
-    w = braid_at(ops, w, 1)
-    w = braid_at(ops, w, 2)
-    w = braid_at(ops, w, 0)
-    return braid_at(ops, w, 1)
-
-
-def square_product(ops, w: Vec) -> Vec:
-    """Product of the tensor-square algebra on a 4-slot tensor."""
-    w = braid_at(ops, w, 1)
-    w = mul_at(ops, w, 0)
-    return mul_at(ops, w, 1)
-
-
-def square_commutator(ops, x2: Vec, y2: Vec) -> Vec:
-    """Braided commutator of the tensor-square algebra on two 2-slot tensors."""
-    w = tensor(x2, y2)
-    return square_product(ops, vsub(w, square_braiding(ops, w)))
-
-
-def square_commutator_expansion_sides(ops, a: Vec, b: Vec, c: Vec, d: Vec,
-                                      drop_opposite_term: bool = False) -> tuple[Vec, Vec]:
-    """Both sides of the expansion of the tensor-square commutator.
-
-    The left side is [a x b, c x d] in the tensor-square algebra.  The right
-    side expands it through the commutator/product/braiding of the base
-    algebra; ``drop_opposite_term`` deliberately omits the opposite-product
-    summand so tests can confirm the identity is sensitive to it.
-    """
-    lhs = square_commutator(ops, tensor(a, b), tensor(c, d))
-
-    w = tensor(tensor(a, b), tensor(c, d))
-    v = braid_at(ops, w, 1)
-    # commutator on slots (0,1), product on the remaining pair
-    t1 = mul_at(ops, vsub(v, braid_at(ops, v, 0)), 0)
-    t1 = mul_at(ops, t1, 1)
-    rhs = t1
-    if not drop_opposite_term:
-        u = opposite_mul_at(ops, v, 0)
-        t2 = mul_at(ops, vsub(u, braid_at(ops, u, 1)), 1)
-        rhs = vadd_into(dict(rhs), t2)
-    z = braid_at(ops, w, 1)
-    z = braid_at(ops, z, 2)
-    z = braid_at(ops, z, 0)
-    z2 = vsub(z, braid_at(ops, braid_at(ops, z, 1), 1))
-    z2 = mul_at(ops, z2, 0)
-    z2 = mul_at(ops, z2, 1)
-    rhs = vadd_into(dict(rhs), z2)
-    return lhs, rhs
-
-
-def check_square_commutator_expansion(ops, a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
-    """Verify the tensor-square commutator expansion on one quadruple."""
-    lhs, rhs = square_commutator_expansion_sides(ops, a, b, c, d)
-    return vec_equal(lhs, rhs)

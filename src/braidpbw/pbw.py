@@ -19,10 +19,9 @@ from .coinvariants import CoinvariantAlgebra
 from .findim_hopf import StructureBialgebra
 from .linalg import Coordinates, Subspace, rank
 from .multilinear import Vec, vadd_into, vec_equal
-from .reporting import BraidpbwError, InputError
+from .reporting import BraidpbwError, InputError, require_degree
 from .scalars import ONE, ZERO
 from .symmetric_algebra import monomial_str, normal_forms
-from .tensor_algebra import require_degree
 
 PBW_TYPE_TRUE = "PBW_TYPE_TRUE"
 PBW_TYPE_FALSE = "PBW_TYPE_FALSE"

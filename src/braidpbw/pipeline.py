@@ -24,9 +24,8 @@ from .findim_hopf import (
 from .braided_space import is_symmetric
 from .linalg import Subspace
 from .pbw import pbw_document, pbw_verdict
-from .reporting import BraidpbwError, PipelineError
+from .reporting import BraidpbwError, PipelineError, require_degree
 from .scalars import ZERO
-from .tensor_algebra import require_degree
 
 
 def check_report(h: StructureBialgebra) -> dict:

@@ -1,10 +1,15 @@
 """The package's error classes, and the violation records shared by the
 axiom checkers and validators.  Every deliberate failure raises a
 :class:`BraidpbwError`, whose ``exit_code`` the command line returns; any
-other exception is an engine bug."""
+other exception is an engine bug.  The degree limits that raise them live
+here too: the degree cap, read from ``BRAIDPBW_DEGREE_CAP``, and the check
+of a requested top degree."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+
+DEFAULT_DEGREE_CAP = 8
 
 
 class BraidpbwError(Exception):
@@ -18,7 +23,7 @@ class InputError(BraidpbwError, ValueError):
 
 
 class DegreeCapExceeded(InputError):
-    """A free-algebra degree above the degree cap."""
+    """A product of words longer than the degree cap."""
 
 
 class SpanError(BraidpbwError):
@@ -39,6 +44,26 @@ class PipelineError(BraidpbwError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def degree_cap_default() -> int:
+    """BRAIDPBW_DEGREE_CAP as a non-negative integer, DEFAULT_DEGREE_CAP when unset."""
+    value = os.environ.get("BRAIDPBW_DEGREE_CAP")
+    if not value:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise InputError(f"BRAIDPBW_DEGREE_CAP must be an integer >= 0, got {value!r}")
+    return cap
+
+
+def require_degree(n: int) -> None:
+    """A requested top degree is a count of degrees: negative is malformed."""
+    if n < 0:
+        raise InputError(f"degree must be >= 0, got {n}")
 
 
 @dataclass

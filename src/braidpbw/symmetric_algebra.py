@@ -4,8 +4,10 @@ the ideal generated by the image of (id - c) on degree two.
 :func:`normal_forms` builds the quotient degree by degree for any braiding,
 as its standard monomials and the normal forms of a standard monomial times
 one letter; folding a word's letters through them straightens the word.
-The corpus constructor, the word commands and the PBW verdict's canonical
-map all read it.
+The corpus constructor (``corpus.symmetric_bialgebra``), the ``nf`` and
+``hilbert`` commands and the PBW verdict's canonical map read it; the
+``commutator`` command stays in the free algebra and reads only the rows of
+the braiding.
 """
 from __future__ import annotations
 
@@ -14,9 +16,8 @@ from itertools import groupby
 from .braided_space import GenericBraiding, is_symmetric
 from .linalg import echelon
 from .multilinear import Vec, vadd_into
-from .reporting import InputError
+from .reporting import InputError, require_degree
 from .scalars import ONE
-from .tensor_algebra import require_degree
 
 Word = tuple[int, ...]
 

@@ -11,6 +11,11 @@ of a structure-constant bialgebra that the slot operations apply are
 defined here, as is the slot contraction ``contract``, since the engine
 does not use them.
 
+So are the tensor-square combinators (the square product, braiding and
+commutator, and the expansion of the square commutator) and
+``FreeAlgebra``, the free braided algebra on a braiding of its generators
+in the same pair interface; the engine forms neither.
+
 The braided symmetric algebra's full-word rank oracle lives here too: an
 elimination over all words of one weight at once, and the canonical map of
 the PBW verdict built on it, with the ideal checked on every word at every
@@ -28,20 +33,157 @@ from braidpbw.linalg import Coordinates, Subspace, echelon, kernel
 from braidpbw.multilinear import (
     add_term,
     braid_at,
-    commutator as slot_commutator,
     lift,
     mul_at,
     slot_apply,
     slot_scalar,
     slot_split,
-    square_commutator,
-    square_product,
-    tensor,
     vadd_into,
     vec_equal,
 )
 from braidpbw.reporting import CoinvariantsError, SpanError, ValidationReport
 from braidpbw.scalars import ONE, ZERO
+
+
+# ---------------------------------------------------------------------------
+# tensor-square combinators (generic over the pair interface)
+# ---------------------------------------------------------------------------
+
+def tensor(a, b) -> dict:
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            c = ca * cb
+            if not c.is_zero():
+                out[ka + kb] = c
+    return out
+
+
+def vsub(a, b) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        add_term(out, k, -c)
+    return out
+
+
+def opposite_mul_at(ops, vec, i: int) -> dict:
+    return mul_at(ops, braid_at(ops, vec, i), i)
+
+
+def slot_commutator(ops, a, b) -> dict:
+    """Braided commutator of two 1-slot tensors: mul(id - braid)(a x b)."""
+    w = tensor(a, b)
+    return mul_at(ops, vsub(w, braid_at(ops, w, 0)), 0)
+
+
+def square_braiding(ops, w) -> dict:
+    """The braiding of the tensor-square algebra on a 4-slot tensor."""
+    w = braid_at(ops, w, 1)
+    w = braid_at(ops, w, 2)
+    w = braid_at(ops, w, 0)
+    return braid_at(ops, w, 1)
+
+
+def square_product(ops, w) -> dict:
+    """Product of the tensor-square algebra on a 4-slot tensor."""
+    w = braid_at(ops, w, 1)
+    w = mul_at(ops, w, 0)
+    return mul_at(ops, w, 1)
+
+
+def square_commutator(ops, x2, y2) -> dict:
+    """Braided commutator of the tensor-square algebra on two 2-slot tensors."""
+    w = tensor(x2, y2)
+    return square_product(ops, vsub(w, square_braiding(ops, w)))
+
+
+def square_commutator_expansion_sides(ops, a, b, c, d,
+                                      drop_opposite_term: bool = False) -> tuple[dict, dict]:
+    """Both sides of the expansion of the tensor-square commutator.
+
+    The left side is [a x b, c x d] in the tensor-square algebra.  The right
+    side expands it through the commutator/product/braiding of the base
+    algebra; ``drop_opposite_term`` deliberately omits the opposite-product
+    summand so tests can confirm the identity is sensitive to it.
+    """
+    lhs = square_commutator(ops, tensor(a, b), tensor(c, d))
+
+    w = tensor(tensor(a, b), tensor(c, d))
+    v = braid_at(ops, w, 1)
+    # commutator on slots (0,1), product on the remaining pair
+    t1 = mul_at(ops, vsub(v, braid_at(ops, v, 0)), 0)
+    t1 = mul_at(ops, t1, 1)
+    rhs = t1
+    if not drop_opposite_term:
+        u = opposite_mul_at(ops, v, 0)
+        t2 = mul_at(ops, vsub(u, braid_at(ops, u, 1)), 1)
+        rhs = vadd_into(dict(rhs), t2)
+    z = braid_at(ops, w, 1)
+    z = braid_at(ops, z, 2)
+    z = braid_at(ops, z, 0)
+    z2 = vsub(z, braid_at(ops, braid_at(ops, z, 1), 1))
+    z2 = mul_at(ops, z2, 0)
+    z2 = mul_at(ops, z2, 1)
+    rhs = vadd_into(dict(rhs), z2)
+    return lhs, rhs
+
+
+def check_square_commutator_expansion(ops, a, b, c, d) -> bool:
+    """Verify the tensor-square commutator expansion on one quadruple."""
+    lhs, rhs = square_commutator_expansion_sides(ops, a, b, c, d)
+    return vec_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the free braided algebra
+# ---------------------------------------------------------------------------
+
+class FreeAlgebra:
+    """The free braided algebra T(V) on a braiding of its generators, in the
+    pair interface.  Atoms are words, tuples of generator indices: the
+    product concatenates them, and the braiding moves one block of letters
+    past another through the ladder of generator rows."""
+
+    def __init__(self, braiding: GenericBraiding):
+        self.braiding = braiding
+        self.dim = braiding.dim
+
+    def mul_pair(self, u: tuple, v: tuple) -> dict:
+        return {u + v: ONE}
+
+    def braid_pair(self, u: tuple, v: tuple) -> dict:
+        """Block-exchange braiding on a pair of words."""
+        m = len(v)
+        return {(w[:m], w[m:]): c
+                for w, c in self.block_braiding(len(u), m, {u + v: ONE}).items()}
+
+    def apply_ci(self, elem: dict, i: int) -> dict:
+        """Apply the braiding at letter slots (i, i+1), 1-indexed."""
+        out: dict = {}
+        for w, c in elem.items():
+            n = len(w)
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"position {i} out of range for a degree-{n} word")
+            for (k, l), s in self.braiding.rows[w[i - 1]][w[i]].items():
+                add_term(out, w[: i - 1] + (k, l) + w[i + 1:], c * s)
+        return out
+
+    def block_braiding(self, n: int, m: int, elem: dict) -> dict:
+        """Exchange a degree-n block past a degree-m block.
+
+        The ladder composition applies, for g = 1..m, the adjacent braidings
+        at positions g+n-1 down to g; the empty-block cases are the identity.
+        """
+        for w in elem:
+            if len(w) != n + m:
+                raise ValueError("element is not homogeneous of degree n + m")
+        if n == 0 or m == 0:
+            return dict(elem)
+        out = elem
+        for g in range(1, m + 1):
+            for idx in range(g + n - 1, g - 1, -1):
+                out = self.apply_ci(out, idx)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +244,7 @@ def gate_ok(h: StructureBialgebra, *indices: int) -> bool:
 
 def opposite_multiply(h: StructureBialgebra, a, b) -> dict:
     """m(c(a x b))."""
-    return unlift(mul_at(h, braid_at(h, tensor(lift(a), lift(b)), 0), 0))
+    return unlift(opposite_mul_at(h, tensor(lift(a), lift(b)), 0))
 
 
 def commutator(h: StructureBialgebra, a, b) -> dict:

@@ -10,6 +10,7 @@ from braidpbw.corpus import sweedler_h4, taft3
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.findim_hopf import run_all_checks
 from braidpbw.multilinear import vec_equal
+from braidpbw.reporting import degree_cap_default
 from braidpbw.serialize import (
     InputError,
     bialgebra_from_json,
@@ -152,6 +153,23 @@ def test_cli_degree_default_reads_the_cap_on_each_call(tmp_path, monkeypatch):
     assert [len(d) for d in dims] == [2, 4]
 
 
+def test_degree_cap_default(monkeypatch):
+    monkeypatch.delenv("BRAIDPBW_DEGREE_CAP", raising=False)
+    assert degree_cap_default() == 8
+    monkeypatch.setenv("BRAIDPBW_DEGREE_CAP", "5")
+    assert degree_cap_default() == 5
+
+
+def test_cli_pipeline_default_degree_below_zero(tmp_path, capsys, monkeypatch):
+    # the default top degree is the cap minus 2; a cap of 1 leaves none to run
+    argv = _h4_pipeline(tmp_path, "0")[:-2]
+    monkeypatch.setenv("BRAIDPBW_DEGREE_CAP", "1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "BRAIDPBW_DEGREE_CAP" in err and "--degree" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 @pytest.mark.parametrize("command", ["pipeline", "commutator"])
 def test_cli_bad_degree_cap_is_an_input_error(tmp_path, command, value):
@@ -212,6 +230,16 @@ def test_cli_word_commands(tmp_path, capsys):
     # distinct letters do not commute in the free algebra, only in the quotient
     assert main(["commutator", "--input", path, "--left", "x", "--right", "th"]) == 0
     assert capsys.readouterr().out.strip() == "x*th + (-1)*th*x"
+    # the empty word is the unit, which commutes with everything
+    assert main(["commutator", "--input", path, "--left", "", "--right", "th x"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_cli_commutator_reads_the_degree_cap(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "basis.json", SUPER_BASIS)
+    monkeypatch.setenv("BRAIDPBW_DEGREE_CAP", "5")
+    assert main(["commutator", "--input", path, "--left", "x x x", "--right", "th th th"]) == 2
+    assert capsys.readouterr().err == "input error: product degree 6 exceeds cap 5\n"
 
 
 def test_cli_nf_unknown_generator(tmp_path, capsys):
@@ -432,8 +460,12 @@ ERROR_PATHS = {
         2, "input error: malformed corpus entry {tmp}/corpus/entry.json: "
            "malformed subspace document: "),
     "nf-unknown-generator": (
-        lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "zz"],
-        2, "input error: unknown generator in word"),
+        lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "x", "zz"],
+        2, "input error: unknown generator in word: 'zz'"),
+    "commutator-unknown-generator": (
+        lambda tmp: ["commutator", "--input", _write(tmp, "b.json", SUPER_BASIS),
+                     "--left", "x", "--right", "th zz"],
+        2, "input error: unknown generator in word: 'zz'"),
     "hilbert-invalid-bicharacter": (
         lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", VALUE_ORDER_BASIS), "--degree", "3"],
         2, "input error: invalid bicharacter:"),

@@ -9,36 +9,48 @@ from braidpbw.braided_space import (
     GradedBasis,
     diagonal_braiding,
 )
-from braidpbw.multilinear import (
-    braid_at,
+from braidpbw.multilinear import braid_at, lift, mul_at, vec_equal
+from braidpbw.scalars import MINUS_ONE, ONE, Scalar
+from reference_checkers import (
+    FreeAlgebra,
     check_square_commutator_expansion,
-    lift,
-    mul_at,
+    slot_commutator,
     square_commutator_expansion_sides,
     tensor,
-    vec_equal,
+    unlift,
     vsub,
 )
-from braidpbw.scalars import MINUS_ONE, ONE, Scalar
-from braidpbw.tensor_algebra import DegreeCapExceeded, TensorAlgebra
+from test_symmetric_algebra import FOUR_POINT, LYUBASHENKO_3
 
 
 def super_algebra():
     g = FiniteAbelianGroup((2,))
     chi = Bicharacter(g, ((MINUS_ONE,),))
     basis = GradedBasis(("x", "th"), ((0,), (1,)))
-    return TensorAlgebra(diagonal_braiding(chi, basis), ["x", "th"])
+    return FreeAlgebra(diagonal_braiding(chi, basis))
 
 
 def color_algebra():
     g = FiniteAbelianGroup((2, 2))
     chi = Bicharacter(g, ((ONE, MINUS_ONE), (MINUS_ONE, ONE)))
     basis = GradedBasis(("x", "y"), ((1, 0), (0, 1)))
-    return TensorAlgebra(diagonal_braiding(chi, basis), ["x", "y"])
+    return FreeAlgebra(diagonal_braiding(chi, basis))
 
 
 def trivial_algebra(d=2):
-    return TensorAlgebra(GenericBraiding.flip(d))
+    return FreeAlgebra(GenericBraiding.flip(d))
+
+
+# two involutive set-theoretic solutions: symmetric braidings that are not diagonal
+def four_point_algebra():
+    return FreeAlgebra(FOUR_POINT)
+
+
+def lyubashenko_3_algebra():
+    return FreeAlgebra(LYUBASHENKO_3)
+
+
+SET_THEORETIC_FACTORIES = [four_point_algebra, lyubashenko_3_algebra]
 
 
 def test_apply_ci_flip():
@@ -107,7 +119,8 @@ def _braid_pair_op(alg, w, pos):
     return braid_at(alg, w, pos)
 
 
-@pytest.mark.parametrize("factory", [trivial_algebra, super_algebra, color_algebra])
+@pytest.mark.parametrize("factory", [trivial_algebra, super_algebra, color_algebra,
+                                     *SET_THEORETIC_FACTORIES])
 def test_lifted_braiding_satisfies_braid_equation_to_degree_4(factory):
     alg = factory()
     d = alg.dim
@@ -123,7 +136,8 @@ def test_lifted_braiding_satisfies_braid_equation_to_degree_4(factory):
         assert vec_equal(lhs, rhs)
 
 
-@pytest.mark.parametrize("factory", [trivial_algebra, super_algebra, color_algebra])
+@pytest.mark.parametrize("factory", [trivial_algebra, super_algebra, color_algebra,
+                                     *SET_THEORETIC_FACTORIES])
 def test_free_algebra_braiding_compatibilities(factory):
     # braiding past a product equals braiding past both factors, to degree 3
     alg = factory()
@@ -140,25 +154,15 @@ def test_free_algebra_braiding_compatibilities(factory):
                 assert vec_equal(lhs2, rhs2)
 
 
-def test_multiply_concatenates():
-    alg = trivial_algebra()
-    x = {(0,): ONE}
-    y = {(1,): ONE}
-    assert alg.multiply(x, y) == {(0, 1): ONE}
-    assert alg.multiply(alg.unit_vec(), x) == x
-    two_terms = alg.multiply({(0,): ONE, (1,): ONE}, x)
-    assert two_terms == {(0, 0): ONE, (1, 0): ONE}
-
-
 def test_commutator_trivial_braiding():
     alg = trivial_algebra()
-    out = alg.commutator({(0,): ONE}, {(1,): ONE})
+    out = unlift(slot_commutator(alg, lift({(0,): ONE}), lift({(1,): ONE})))
     assert out == {(0, 1): ONE, (1, 0): MINUS_ONE}
 
 
 def test_commutator_super_odd_square():
     alg = super_algebra()
-    out = alg.commutator({(1,): ONE}, {(1,): ONE})
+    out = unlift(slot_commutator(alg, lift({(1,): ONE}), lift({(1,): ONE})))
     assert out == {(1, 1): Scalar.from_rational(2)}
 
 
@@ -175,24 +179,6 @@ def test_commutator_skew_symmetry_for_symmetric_braidings():
             assert vec_equal(direct, {k: -c for k, c in via_swap.items()})
 
 
-def test_degree_cap_is_a_hard_error():
-    alg = TensorAlgebra(GenericBraiding.flip(2), degree_cap=3)
-    with pytest.raises(DegreeCapExceeded):
-        alg.multiply({(0, 0): ONE}, {(1, 1): ONE})
-
-
-def test_degree_cap_env_var(monkeypatch):
-    from braidpbw.tensor_algebra import degree_cap_default
-
-    assert degree_cap_default() == 8
-    monkeypatch.setenv("BRAIDPBW_DEGREE_CAP", "5")
-    assert degree_cap_default() == 5
-    alg = TensorAlgebra(GenericBraiding.flip(2))
-    assert alg.degree_cap == 5
-    with pytest.raises(DegreeCapExceeded):
-        alg.multiply({(0, 0, 0): ONE}, {(1, 1, 1): ONE})
-
-
 def _random_homogeneous(alg, rng, max_degree=2):
     degree = rng.randint(1, max_degree)
     word = tuple(rng.randrange(alg.dim) for _ in range(degree))
@@ -206,6 +192,7 @@ def _random_homogeneous(alg, rng, max_degree=2):
 
 @pytest.mark.parametrize("factory,seed", [
     (trivial_algebra, 11), (super_algebra, 12), (color_algebra, 13),
+    (four_point_algebra, 14), (lyubashenko_3_algebra, 15),
 ])
 def test_square_commutator_expansion_on_random_quadruples(factory, seed):
     alg = factory()
@@ -231,9 +218,3 @@ def test_square_commutator_mutation_detected():
     lhs, rhs = square_commutator_expansion_sides(alg, th, th, th, th,
                                                  drop_opposite_term=True)
     assert not vec_equal(lhs, rhs)
-
-
-def test_render():
-    alg = super_algebra()
-    elem = {(): ONE, (0, 1): Scalar.from_rational(2)}
-    assert alg.render(elem) == "1 + (2)*x*th"
