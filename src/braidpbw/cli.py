@@ -30,18 +30,20 @@ from .filtration import associated_graded, hopf_filtration, subspace_from_indice
 from .multilinear import add_term
 from .pbw import pbw_document, pbw_verdict
 from .pipeline import check_report, compare_expectations, flat_summary, run_pipeline
-from .reporting import BraidpbwError, DegreeCapExceeded, InputError, degree_cap_default
+from .reporting import BraidpbwError, InputError, degree_cap_default, require_under_cap
 from .scalars import ONE
 from .serialize import (
     bialgebra_from_json,
     bialgebra_to_json,
     braided_basis_from_json,
     coinvariants_to_json,
+    corpus_entry_from_json,
+    corpus_entry_name,
+    corpus_entry_to_json,
     dumps_canonical,
     load_json_file,
-    malformed,
     subspace_from_json,
-    subspace_to_json,
+    write_canonical,
 )
 from .symmetric_algebra import monomial_str, normal_form, normal_forms, require_symmetric
 
@@ -51,12 +53,10 @@ EXIT_INPUT = 2
 
 
 def _emit(doc, args) -> None:
-    text = dumps_canonical(doc)
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if getattr(args, "format", "text") == "json":
-        sys.stdout.write(text)
+    if args.report:
+        write_canonical(args.report, doc)
+    if args.format == "json":
+        sys.stdout.write(dumps_canonical(doc))
 
 
 def cmd_check(args) -> int:
@@ -93,48 +93,31 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _built(entry) -> tuple:
+    """(name, h, k, degree, expect) of a built-in corpus entry."""
+    h = entry.build()
+    k = None if entry.sub_indices is None else subspace_from_indices(h, entry.sub_indices)
+    return entry.name, h, k, entry.degree, dict(entry.expect)
+
+
 def cmd_corpus(args) -> int:
-    entries = corpus_entries()
     if args.dir:
         names = sorted(os.listdir(args.dir)) if os.path.isdir(args.dir) else []
         paths = [os.path.join(args.dir, n) for n in names if n.endswith(".json")]
         if not paths:
             print(f"no corpus entries found in {args.dir}", file=sys.stderr)
             return EXIT_INPUT
-        docs = [(path, load_json_file(path)) for path in paths]
         runs, paths_by_name = [], {}
-        for path, doc in docs:
-            what = f"malformed corpus entry {path}"
-            with malformed(what):
-                name = doc["name"]
-                if not isinstance(name, str):
-                    raise TypeError(f"name must be a string, got {type(name).__name__}")
-                if name in paths_by_name:
-                    raise InputError(f"corpus entries {paths_by_name[name]} and {path} "
-                                     f"share the name {name!r}")
-                paths_by_name[name] = path
-                if args.entry and name != args.entry:
-                    continue
-                try:
-                    h = bialgebra_from_json(doc["bialgebra"])
-                    sub = doc.get("sub")
-                    k = None if sub is None else subspace_from_json(sub, h)
-                except InputError as exc:  # the loaders' own messages name no file
-                    raise InputError(f"{what}: {exc}") from exc
-                degree, expect = doc.get("degree", 0), doc.get("expect", {})
-                if type(degree) is not int or degree < 0:
-                    raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
-                if not isinstance(expect, dict):
-                    raise TypeError(f"expect must be an object, got {type(expect).__name__}")
-                runs.append((name, h, k, degree, expect))
+        for path, doc in [(path, load_json_file(path)) for path in paths]:
+            name = corpus_entry_name(doc, path)
+            if name in paths_by_name:
+                raise InputError(f"corpus entries {paths_by_name[name]} and {path} "
+                                 f"share the name {name!r}")
+            paths_by_name[name] = path
+            if not args.entry or name == args.entry:
+                runs.append(corpus_entry_from_json(doc, path))
     else:
-        runs = []
-        for entry in entries:
-            if args.entry and entry.name != args.entry:
-                continue
-            h = entry.build()
-            k = None if entry.sub_indices is None else subspace_from_indices(h, entry.sub_indices)
-            runs.append((entry.name, h, k, entry.degree, dict(entry.expect)))
+        runs = [_built(e) for e in corpus_entries() if not args.entry or e.name == args.entry]
     if not runs:
         print(f"unknown corpus entry {args.entry!r}", file=sys.stderr)
         return EXIT_INPUT
@@ -156,8 +139,7 @@ def cmd_corpus(args) -> int:
               + ("" if ok else "  |  " + "; ".join(mism)))
     doc = {"entries": results, "failures": failures}
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(doc))
+        write_canonical(args.report, doc)
     if args.write_dir:
         _write_corpus_dir(args.write_dir, args.entry)
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -166,29 +148,22 @@ def cmd_corpus(args) -> int:
 def _write_corpus_dir(path: str, only: str | None = None) -> None:
     os.makedirs(path, exist_ok=True)
     for entry in corpus_entries():
-        if only and entry.name != only:
-            continue
-        h = entry.build()
-        doc = {
-            "name": entry.name,
-            "bialgebra": bialgebra_to_json(h),
-            "sub": None,
-            "degree": entry.degree,
-            "expect": dict(entry.expect),
-        }
-        if entry.sub_indices is not None:
-            doc["sub"] = subspace_to_json(subspace_from_indices(h, entry.sub_indices))
-        with open(os.path.join(path, f"{entry.name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(doc))
+        if not only or entry.name == only:
+            write_canonical(os.path.join(path, f"{entry.name}.json"),
+                            corpus_entry_to_json(*_built(entry)))
 
 
-def _symmetric_forms(args, top: int):
-    """Generator names and symmetric-algebra normal forms of a braided basis
-    document; symmetry is checked before the bicharacter."""
+def _symmetric_forms(args, top: int, letters=()):
+    """Generator names, the indices of a word's letters, and the symmetric-
+    algebra normal forms through degree top of a braided basis document.
+    The letters and the degree cap are checked before anything is built, and
+    symmetry before the bicharacter."""
     _, chi, basis = braided_basis_from_json(load_json_file(args.input))
+    word = _word(basis.names, letters)
+    require_under_cap(top, "degree")
     require_symmetric(GenericBraiding.diagonal(
         [[chi.value(a, b) for b in basis.degrees] for a in basis.degrees]))
-    return basis.names, normal_forms(diagonal_braiding(chi, basis), top)
+    return basis.names, word, normal_forms(diagonal_braiding(chi, basis), top)
 
 
 def _word(names, letters) -> tuple[int, ...]:
@@ -201,9 +176,9 @@ def _word(names, letters) -> tuple[int, ...]:
 
 def cmd_nf(args) -> int:
     letters = " ".join(args.word).split()
-    names, (_, table) = _symmetric_forms(args, len(letters))
+    names, word, (_, table) = _symmetric_forms(args, len(letters), letters)
     parts = [monomial_str(names, w) if c.is_one() else f"({c})*{monomial_str(names, w)}"
-             for w, c in sorted(normal_form(table, _word(names, letters)).items())]
+             for w, c in sorted(normal_form(table, word).items())]
     print(" + ".join(parts) or "0")
     return EXIT_OK
 
@@ -214,11 +189,9 @@ def cmd_commutator(args) -> int:
     b of v."""
     _, chi, basis = braided_basis_from_json(load_json_file(args.input))
     rows = diagonal_braiding(chi, basis).rows
-    cap = degree_cap_default()
     names = basis.names
     u, v = _word(names, args.left.split()), _word(names, args.right.split())
-    if len(u) + len(v) > cap:
-        raise DegreeCapExceeded(f"product degree {len(u) + len(v)} exceeds cap {cap}")
+    require_under_cap(len(u) + len(v), "product degree")
     q = math.prod((rows[a][b][(b, a)] for a in u for b in v), start=ONE)
     out = {u + v: ONE}
     add_term(out, v + u, -q)
@@ -231,7 +204,7 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    _, (standard, _) = _symmetric_forms(args, args.degree)
+    _, _, (standard, _) = _symmetric_forms(args, args.degree)
     print(" ".join(str(len(ws)) for ws in standard))
     return EXIT_OK
 
@@ -240,9 +213,7 @@ def cmd_grk(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     k = subspace_from_json(load_json_file(args.sub), h)
     grres = associated_graded(h, hopf_filtration(h, k))
-    doc = bialgebra_to_json(grres.algebra)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(doc))
+    write_canonical(args.out, bialgebra_to_json(grres.algebra))
     print(f"associated graded written to {args.out} "
           f"(dims {[len(grres.algebra.degree_indices(n)) for n in range(grres.algebra.max_degree() + 1)]})")
     return EXIT_OK
@@ -251,8 +222,7 @@ def cmd_grk(args) -> int:
 def cmd_coinv(args) -> int:
     gr = bialgebra_from_json(load_json_file(args.input))
     coinv = compute_R(gr)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(coinvariants_to_json(coinv)))
+    write_canonical(args.out, coinvariants_to_json(coinv))
     print(f"coinvariant algebra written to {args.out} (dim {coinv.algebra.dim})")
     return EXIT_OK
 
@@ -261,8 +231,7 @@ def cmd_pbw(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     report = pbw_verdict(h, args.degree)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(pbw_document(report)))
+        write_canonical(args.report, pbw_document(report))
     print(f"verdict: {report.verdict}")
     print("dims (target, symmetric):", report.degreewise_dims)
     if report.first_failure_degree is not None:

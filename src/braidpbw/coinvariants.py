@@ -121,8 +121,8 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
     d = gr.dim
 
     images = _pi_images(gr)
-    r_image = Subspace.span(d, images, ambient=gr)
-    r_kernel = kernel([coinvariance_defect(gr, gr.basis_vec(i)) for i in range(d)], ambient=gr)
+    r_image = Subspace.span(d, images)
+    r_kernel = kernel([coinvariance_defect(gr, gr.basis_vec(i)) for i in range(d)])
 
     if r_image != r_kernel:
         raise CoinvariantsError(

@@ -57,10 +57,10 @@ class FiltrationLadder:
 
 
 def subspace_from_indices(h: StructureBialgebra, indices) -> Subspace:
-    return Subspace.span(h.dim, ({i: ONE} for i in indices), ambient=h)
+    return Subspace.span(h.dim, ({i: ONE} for i in indices))
 
 
-def wedge(k: Subspace, w: Subspace) -> Subspace:
+def wedge(h: StructureBialgebra, k: Subspace, w: Subspace) -> Subspace:
     """Preimage under the coproduct of K (x) H + H (x) W, exactly.
 
     The annihilator of K (x) H + H (x) W is spanned by f (x) g for f in the
@@ -69,9 +69,6 @@ def wedge(k: Subspace, w: Subspace) -> Subspace:
     For coordinate subspaces each f and g is a single basis functional and
     the constraints are the coproduct entries outside the allowed support.
     """
-    h: StructureBialgebra = k.ambient or w.ambient
-    if h is None:
-        raise ValueError("wedge needs subspaces attached to a bialgebra")
     k_at, w_at = k.functionals_at, w.functionals_at
     images = []
     for i in range(h.dim):
@@ -81,7 +78,7 @@ def wedge(k: Subspace, w: Subspace) -> Subspace:
                 for t, gb in w_at.get(b, ()):
                     add_term(img, (s, t), c * fa * gb)
         images.append(img)
-    return kernel(images, ambient=h)
+    return kernel(images)
 
 
 def validate_hopf_subalgebra(h: StructureBialgebra, k: Subspace) -> ValidationReport:
@@ -139,7 +136,7 @@ def coradical_filtration_connected(h: StructureBialgebra) -> FiltrationLadder:
     if len(zero_indices) != 1:
         raise FiltrationError(
             f"not connected: degree-0 component has dimension {len(zero_indices)}")
-    base = Subspace.span(h.dim, [h.unit], ambient=h)
+    base = Subspace.span(h.dim, [h.unit])
     if not base.contains_vector({zero_indices[0]: ONE}):
         raise FiltrationError("not connected: degree-0 component differs from the unit line")
     return _wedge_ladder(h, base, base)
@@ -151,7 +148,7 @@ def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace,
     says the caller has already found ``start`` categorical."""
     steps = [start]
     while True:
-        nxt = wedge(k, steps[-1])
+        nxt = wedge(h, k, steps[-1])
         if not nxt.contains(steps[-1]):
             raise FiltrationError("wedge step is not increasing")
         if nxt.dim == steps[-1].dim:

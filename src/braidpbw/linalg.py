@@ -16,7 +16,7 @@ outside their span.  A monomial basis skips the elimination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -72,23 +72,22 @@ class Subspace:
     ambient_dim: int
     rows: tuple[Vec, ...]
     pivots: tuple[int, ...]
-    ambient: object = field(default=None, compare=False)
 
     __hash__ = None
 
     @staticmethod
-    def span(ambient_dim: int, rows: Iterable[Vec], ambient: object = None) -> "Subspace":
+    def span(ambient_dim: int, rows: Iterable[Vec]) -> "Subspace":
         red, piv = echelon(rows)
-        return Subspace(ambient_dim, tuple(red), tuple(piv), ambient)
+        return Subspace(ambient_dim, tuple(red), tuple(piv))
 
     @staticmethod
-    def zero(ambient_dim: int, ambient: object = None) -> "Subspace":
-        return Subspace(ambient_dim, (), (), ambient)
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
-    def full(ambient_dim: int, ambient: object = None) -> "Subspace":
+    def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, tuple({i: ONE} for i in range(ambient_dim)),
-                        tuple(range(ambient_dim)), ambient)
+                        tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -126,7 +125,7 @@ class Subspace:
         return all(self.contains_vector(r) for r in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.ambient_dim, self.rows + other.rows, self.ambient)
+        return Subspace.span(self.ambient_dim, self.rows + other.rows)
 
     def functionals(self) -> list[Vec]:
         """Functionals f with f . v = 0 exactly for v in this subspace (one
@@ -166,7 +165,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel(images: Sequence[Vec], ambient: object = None) -> Subspace:
+def kernel(images: Sequence[Vec]) -> Subspace:
     """Kernel of the linear map sending the i-th basis vector to images[i].
 
     The image keys may be any mutually ordered keys; they are relabelled
@@ -182,7 +181,7 @@ def kernel(images: Sequence[Vec], ambient: object = None) -> Subspace:
     red, pivots = echelon({**{label[k]: c for k, c in img.items()}, m + i: ONE}
                           for i, img in enumerate(images))
     null = [(p - m, {k - m: c for k, c in r.items()}) for r, p in zip(red, pivots) if p >= m]
-    return Subspace(len(images), tuple(r for _, r in null), tuple(p for p, _ in null), ambient)
+    return Subspace(len(images), tuple(r for _, r in null), tuple(p for p, _ in null))
 
 
 class Coordinates:

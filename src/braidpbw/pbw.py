@@ -116,7 +116,7 @@ def compute_Q(target) -> QSpace:
             prod = h.multiply(h.basis_vec(i), h.basis_vec(j))
             if prod:
                 square_rows.append(prod)
-    square = Subspace.span(d, square_rows, ambient=h)
+    square = Subspace.span(d, square_rows)
     pivset = set(square.pivots)
     q_indices = [i for i in positive if i not in pivset]
     # coordinates over the square's RREF rows followed by e_q; the e_q part

@@ -23,7 +23,7 @@ class InputError(BraidpbwError, ValueError):
 
 
 class DegreeCapExceeded(InputError):
-    """A product of words longer than the degree cap."""
+    """A degree, or the degree of a product of words, over the degree cap."""
 
 
 class SpanError(BraidpbwError):
@@ -58,6 +58,13 @@ def degree_cap_default() -> int:
     if cap is None or cap < 0:
         raise InputError(f"BRAIDPBW_DEGREE_CAP must be an integer >= 0, got {value!r}")
     return cap
+
+
+def require_under_cap(n: int, what: str) -> None:
+    """A degree over BRAIDPBW_DEGREE_CAP is refused before anything is built."""
+    cap = degree_cap_default()
+    if n > cap:
+        raise DegreeCapExceeded(f"{what} {n} exceeds cap {cap}")
 
 
 def require_degree(n: int) -> None:

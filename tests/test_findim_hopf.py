@@ -149,7 +149,7 @@ def test_commutator_coproduct_single_pairs(h4, corpus):
 
 def test_counit_kernel_is_categorical(corpus):
     for name, h in corpus.items():
-        sub = kernel([{0: c} for c in h.counit], ambient=h)
+        sub = kernel([{0: c} for c in h.counit])
         assert sub.dim == h.dim - 1, name
         assert all(h.counit_of(v).is_zero() for v in sub.rows), name
         assert is_categorical(h.braiding, sub), name

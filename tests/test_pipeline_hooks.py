@@ -73,7 +73,7 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
         braided_space.is_symmetric(h.braiding)
         k = subspace_from_indices(h, sub)
         assert braided_space.is_categorical(h.braiding, k)
-        filtration.wedge(k, k)
+        filtration.wedge(h, k, k)
         gr = filtration.associated_graded(h, filtration.hopf_filtration(h, k)).algebra
         coinv = coinvariants.compute_R(gr)
         coinvariants.check_braiding_collapse(gr, coinv, findim_hopf.commutator_table(gr))

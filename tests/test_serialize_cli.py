@@ -71,6 +71,11 @@ def test_subspace_roundtrip(h4):
     assert back == sub
 
 
+def test_subspace_absent_ambient_dim_is_the_row_length(h4):
+    back = subspace_from_json({"rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}, h4)
+    assert back == subspace_from_indices(h4, (0, 1))
+
+
 def test_subspace_dim_mismatch(h4):
     with pytest.raises(InputError):
         subspace_from_json({"rows": [["1", "0"]]}, h4)
@@ -245,6 +250,29 @@ def test_cli_commutator_reads_the_degree_cap(tmp_path, capsys, monkeypatch):
 def test_cli_nf_unknown_generator(tmp_path, capsys):
     path = _write(tmp_path, "basis.json", SUPER_BASIS)
     assert main(["nf", "--input", path, "zz"]) == 2
+
+
+def test_cli_nf_checks_the_word_before_building(tmp_path, capsys, monkeypatch):
+    import braidpbw.cli as cli
+
+    def unreachable(*args):
+        raise AssertionError("normal forms built before the word was checked")
+
+    monkeypatch.setattr(cli, "normal_forms", unreachable)
+    path = _write(tmp_path, "basis.json", SUPER_BASIS)
+    # a word over the degree cap whose last letter is unknown: the letter is named
+    assert main(["nf", "--input", path, "x " * 29 + "zz"]) == 2
+    assert capsys.readouterr().err == "input error: unknown generator in word: 'zz'\n"
+
+
+def test_cli_nf_and_hilbert_read_the_degree_cap(tmp_path, capsys, monkeypatch):
+    # over the default cap of 8 both exit 2 (ERROR_PATHS); a raised cap admits them
+    path = _write(tmp_path, "basis.json", SUPER_BASIS)
+    monkeypatch.setenv("BRAIDPBW_DEGREE_CAP", "12")
+    assert main(["hilbert", "--input", path, "--degree", "9"]) == 0
+    assert capsys.readouterr().out == "1 2 2 2 2 2 2 2 2 2\n"
+    assert main(["nf", "--input", path, "x " * 9 + "th"]) == 0
+    assert capsys.readouterr().out == "x^9*th\n"
 
 
 def test_cli_corpus_single_entry(capsys):
@@ -483,6 +511,33 @@ ERROR_PATHS = {
     "pbw-not-connected": (
         lambda tmp: ["pbw", "--input", _write(tmp, "h4.json", _h4_doc()), "--degree", "2"],
         2, "input error: PBW analysis needs a connected target"),
+    "dim-is-a-float": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_doc(dim=4.5))],
+        2, "input error: dim must be an integer >= 0, got 4.5"),
+    "grading-entry-is-a-float": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_doc(grading=[0, 0.5, 1, 1]))],
+        2, "input error: grading must be an integer >= 0, got 0.5"),
+    "truncation-is-a-bool": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_doc(truncation=True))],
+        2, "input error: truncation must be an integer >= 0, got True"),
+    "basis-name-is-not-a-string": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_doc(basis=[1, "g", "x", "gx"]))],
+        2, "input error: basis name must be a string, got int"),
+    "subspace-ambient-dim-is-a-string": (
+        lambda tmp: _h4_pipeline(tmp, "2")[:4] + [
+            _write(tmp, "k.json", {"ambient_dim": "4", "rows": [["1", "0", "0", "0"]]}),
+            "--degree", "2"],
+        2, "input error: ambient_dim must be an integer >= 0, got '4'"),
+    "braided-basis-factor-is-a-string": (
+        lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", dict(
+            SUPER_BASIS, group={"factors": ["2"]})), "--degree", "2"],
+        2, "input error: factors must be an integer >= 0, got '2'"),
+    "hilbert-over-degree-cap": (
+        lambda tmp: ["hilbert", "--input", _write(tmp, "b.json", SUPER_BASIS), "--degree", "9"],
+        2, "input error: degree 9 exceeds cap 8"),
+    "nf-over-degree-cap": (
+        lambda tmp: ["nf", "--input", _write(tmp, "b.json", SUPER_BASIS), "x " * 9],
+        2, "input error: degree 9 exceeds cap 8"),
     "coinv-ungraded": (
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(grading=None)),
                      "--out", str(tmp / "r.json")],
