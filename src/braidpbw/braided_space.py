@@ -33,16 +33,10 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def normalize(self, element) -> tuple[int, ...]:
         if len(element) != self.rank:
             raise ValueError("element length does not match group rank")
         return tuple(int(e) % n for e, n in zip(element, self.invariant_factors))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.invariant_factors))
 
 
 @dataclass(eq=False)

@@ -28,7 +28,7 @@ from .corpus import corpus_entries
 from .coinvariants import compute_R
 from .filtration import associated_graded, hopf_filtration, subspace_from_indices
 from .multilinear import add_term
-from .pbw import pbw_document, pbw_verdict
+from .pbw import pbw_verdict
 from .pipeline import check_report, compare_expectations, flat_summary, run_pipeline
 from .reporting import BraidpbwError, InputError, degree_cap_default, require_under_cap
 from .scalars import ONE
@@ -212,10 +212,10 @@ def cmd_hilbert(args) -> int:
 def cmd_grk(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     k = subspace_from_json(load_json_file(args.sub), h)
-    grres = associated_graded(h, hopf_filtration(h, k))
-    write_canonical(args.out, bialgebra_to_json(grres.algebra))
+    gr = associated_graded(h, hopf_filtration(h, k))
+    write_canonical(args.out, bialgebra_to_json(gr))
     print(f"associated graded written to {args.out} "
-          f"(dims {[len(grres.algebra.degree_indices(n)) for n in range(grres.algebra.max_degree() + 1)]})")
+          f"(dims {[len(gr.degree_indices(n)) for n in range(gr.max_degree() + 1)]})")
     return EXIT_OK
 
 
@@ -231,7 +231,7 @@ def cmd_pbw(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     report = pbw_verdict(h, args.degree)
     if args.report:
-        write_canonical(args.report, pbw_document(report))
+        write_canonical(args.report, report.to_json())
     print(f"verdict: {report.verdict}")
     print("dims (target, symmetric):", report.degreewise_dims)
     if report.first_failure_degree is not None:

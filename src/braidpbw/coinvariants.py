@@ -7,6 +7,11 @@ the coinvariance condition; the two must agree exactly.  R carries an
 induced coproduct, a K-action by braided conjugation, a K-coaction, and a
 braiding assembled from the three, which equals the ambient braiding when
 the inclusion of K is central or the projection is cocentral.
+:func:`compute_R` returns them as one :class:`CoinvariantAlgebra`, whose
+``action`` and ``coaction`` tables are read directly, and refuses an
+ungraded input or one without an antipode as an :class:`InputError`;
+:func:`check_braiding_collapse` returns the report's ``centrality``
+document.
 """
 from __future__ import annotations
 
@@ -16,14 +21,14 @@ from .braided_space import GenericBraiding, braid_check
 from .filtration import coradical_filtration_connected, expand_products, transported_bialgebra
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
-from .multilinear import Vec, add_term, bilinear, vadd_into, vec_equal
-from .reporting import CoinvariantsError, FiltrationError, SpanError, ValidationReport
+from .multilinear import Vec, add_term, bilinear, vec_equal
+from .reporting import CoinvariantsError, FiltrationError, InputError, SpanError, ValidationReport
 from .scalars import ONE
 
 
 def _require_graded(gr: StructureBialgebra) -> None:
     if gr.grading is None:
-        raise CoinvariantsError("input must be graded (an associated graded bialgebra)")
+        raise InputError("input must be graded (an associated graded bialgebra)")
 
 
 def projection_pi(gr: StructureBialgebra) -> ValidationReport:
@@ -117,7 +122,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
     """
     _require_graded(gr)
     if gr.antipode is None:
-        raise CoinvariantsError("the graded bialgebra needs an antipode")
+        raise InputError("the graded bialgebra needs an antipode")
     d = gr.dim
 
     images = _pi_images(gr)
@@ -288,26 +293,6 @@ def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
     return True
 
 
-def ad_action(coinv: CoinvariantAlgebra, kvec: Vec, rvec: Vec) -> Vec:
-    """The stored action tensor, evaluated bilinearly over R coordinates."""
-    out: Vec = {}
-    k_pos = {k: t for t, k in enumerate(coinv.k_indices)}
-    for k, ck in kvec.items():
-        t = k_pos.get(k)
-        if t is None:
-            raise CoinvariantsError("action argument is not a K basis index")
-        for r, cr in rvec.items():
-            vadd_into(out, coinv.action[t][r], ck * cr)
-    return out
-
-
-def coaction_map(coinv: CoinvariantAlgebra, rvec: Vec) -> dict:
-    out: dict = {}
-    for r, c in rvec.items():
-        vadd_into(out, coinv.coaction[r], c)
-    return out
-
-
 def is_central(b: StructureBialgebra, f_rows: list[Vec], comm: list[list[Vec]]) -> bool:
     """Multiplication through the map is invariant under the braiding, on
     both sides: u e_j = m c(u x e_j) and e_j u = m c(e_j x u) for every
@@ -361,26 +346,6 @@ def is_cocentral(a: StructureBialgebra, f_rows: list[Vec]) -> bool:
     return True
 
 
-@dataclass
-class CollapseReport:
-    i_central: bool
-    pi_cocentral: bool
-    hypothesis_holds: bool
-    braiding_matches: bool
-    graded_morphism_identity: bool
-    status: str
-
-    def to_json(self) -> dict:
-        return {
-            "i_central": self.i_central,
-            "pi_cocentral": self.pi_cocentral,
-            "hypothesis_holds": self.hypothesis_holds,
-            "c_r_equals_c": self.braiding_matches,
-            "graded_morphism_identity": self.graded_morphism_identity,
-            "status": self.status,
-        }
-
-
 def braiding_matches_restriction(coinv: CoinvariantAlgebra) -> bool:
     """Compare the induced braiding on R with the ambient braiding restricted
     to R (x) R, exactly, in ambient coordinates."""
@@ -417,11 +382,11 @@ def graded_projection_identity(gr: StructureBialgebra) -> bool:
 
 
 def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra,
-                            comm: list[list[Vec]]) -> CollapseReport:
+                            comm: list[list[Vec]]) -> dict:
     """When the inclusion of K is central or the projection is cocentral, the
     induced braiding must equal the ambient one; the graded projection
     identity is verified unconditionally.  ``comm`` is the commutator table
-    of gr."""
+    of gr.  Returns the report's ``centrality`` document."""
     k_rows: list[Vec] = [{i: ONE} for i in coinv.k_indices]
     pi_rows: list[Vec] = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
     central = is_central(gr, k_rows, comm)
@@ -433,14 +398,14 @@ def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra,
         status = "confirmed" if matches else "violated"
     else:
         status = "vacuous_equal" if matches else "vacuous_differs"
-    return CollapseReport(
-        i_central=central,
-        pi_cocentral=cocentral,
-        hypothesis_holds=hypothesis,
-        braiding_matches=matches,
-        graded_morphism_identity=identity_ok,
-        status=status,
-    )
+    return {
+        "i_central": central,
+        "pi_cocentral": cocentral,
+        "hypothesis_holds": hypothesis,
+        "c_r_equals_c": matches,
+        "graded_morphism_identity": identity_ok,
+        "status": status,
+    }
 
 
 def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:

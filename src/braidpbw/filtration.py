@@ -8,7 +8,8 @@ complements), held as one :class:`~braidpbw.linalg.Coordinates`.  The
 associated graded expands H's unit, products, coproducts and antipode in
 that basis in one pass: the degrees of the expansions validate the ladder
 as a bialgebra filtration, and their degree-homogeneous parts, with the
-expanded braiding, are the structure of gr H.
+expanded braiding, are the structure of gr H, which
+:func:`associated_graded` returns as a :class:`StructureBialgebra`.
 """
 from __future__ import annotations
 
@@ -229,13 +230,7 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
     )
 
 
-@dataclass
-class AssociatedGraded:
-    algebra: StructureBialgebra
-    ladder: FiltrationLadder
-
-
-def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> AssociatedGraded:
+def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> StructureBialgebra:
     """The graded bialgebra on the ladder quotients, by structure constants.
 
     Representatives are the new-pivot rows of each step.  H's unit, the
@@ -292,10 +287,9 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Associ
                     if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
                    for b, v in enumerate(reps)]
                   for a, u in enumerate(reps)]
-    gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult,
-                               GenericBraiding(braid_rows),
-                               None if antipode is None else tuple(antipode))
-    return AssociatedGraded(algebra=gr, ladder=ladder)
+    return transported_bialgebra(h, basis, degrees, "f", unit, products, comult,
+                                 GenericBraiding(braid_rows),
+                                 None if antipode is None else tuple(antipode))
 
 
 def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,

@@ -80,15 +80,6 @@ class Subspace:
         red, piv = echelon(rows)
         return Subspace(ambient_dim, tuple(red), tuple(piv))
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple({i: ONE} for i in range(ambient_dim)),
-                        tuple(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -123,9 +114,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.ambient_dim, self.rows + other.rows)
 
     def functionals(self) -> list[Vec]:
         """Functionals f with f . v = 0 exactly for v in this subspace (one

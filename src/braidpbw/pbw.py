@@ -8,14 +8,14 @@ degreewise bijective, kills the braided symmetrising ideal, and
 intertwines the braidings on generators; the first degree where any of
 these fails is recorded.  A positive verdict makes each degree's matrix
 square and of full rank, so the standard monomials name a basis; it is
-emitted whenever the induced braiding is symmetric.
+emitted whenever the induced braiding is symmetric.  Every stage reads the
+target :class:`StructureBialgebra` (for coinvariants, their ``algebra``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .braided_space import GenericBraiding, braid_check, is_symmetric
-from .coinvariants import CoinvariantAlgebra
 from .findim_hopf import StructureBialgebra
 from .linalg import Coordinates, Subspace, rank
 from .multilinear import Vec, vadd_into, vec_equal
@@ -58,6 +58,8 @@ class PBWReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
+        """The report document, with the basis or the refusal."""
+        basis, refusal = pbw_basis(self)
         return {
             "verdict": self.verdict,
             "dims": [list(p) for p in self.degreewise_dims],
@@ -65,24 +67,13 @@ class PBWReport:
             "verified_degree": self.verified_degree,
             "first_failure_degree": self.first_failure_degree,
             "witness": self.witness,
-            "basis": self.monomial_basis,
+            "basis": basis,
             "braiding_diagonal": self.braiding_diagonal,
             "braiding_symmetric": self.braiding_symmetric,
             "intertwines_generators": self.intertwines_generators,
             "notes": self.notes,
+            "refusal": refusal,
         }
-
-
-@dataclass
-class PBWBasisResult:
-    monomials: list[str] | None
-    refusal: str | None
-
-
-def _target_algebra(target) -> StructureBialgebra:
-    if isinstance(target, CoinvariantAlgebra):
-        return target.algebra
-    return target
 
 
 def _require_connected_graded(h: StructureBialgebra) -> None:
@@ -94,13 +85,12 @@ def _require_connected_graded(h: StructureBialgebra) -> None:
                          "(degree-0 part spanned by the unit)")
 
 
-def compute_Q(target) -> QSpace:
+def compute_Q(h: StructureBialgebra) -> QSpace:
     """The augmentation ideal modulo its square, with induced braiding.
 
     Degreewise canonical complement: standard basis vectors at the
     non-pivot columns of the span of products of positive-degree elements.
     """
-    h = _target_algebra(target)
     _require_connected_graded(h)
     d = h.dim
     for i in range(d):
@@ -145,7 +135,7 @@ def compute_Q(target) -> QSpace:
     return QSpace(reps=reps, degrees=degrees, names=names, braiding=braiding)
 
 
-def canonical_map(q: QSpace, target, n_max: int):
+def canonical_map(q: QSpace, h: StructureBialgebra, n_max: int):
     """Per-degree data of the canonical graded algebra map.
 
     For each degree: the standard monomials of that weight in the braided
@@ -157,7 +147,6 @@ def canonical_map(q: QSpace, target, n_max: int):
     the standard monomials by weight needs every relation to be homogeneous;
     a braiding that mixes weights is an engine error.
     """
-    h = _target_algebra(target)
     _require_connected_graded(h)
     deg, c = q.degrees, q.braiding.rows
     pairs = [(a, b) for a in range(q.dim) for b in range(q.dim)]
@@ -220,13 +209,12 @@ def _generators_intertwine(q: QSpace, h: StructureBialgebra) -> bool:
     return True
 
 
-def pbw_verdict(target, n_max: int) -> PBWReport:
+def pbw_verdict(h: StructureBialgebra, n_max: int) -> PBWReport:
     """Is the target isomorphic, as a braided graded algebra, to the braided
     symmetric algebra on its indecomposables?  Verified degree by degree
     through the canonical map."""
     require_degree(n_max)
-    h = _target_algebra(target)
-    q = compute_Q(target)
+    q = compute_Q(h)
     diag = q.braiding.diagonal_coefficients() is not None
     sym = is_symmetric(q.braiding)
     verified = n_max
@@ -280,21 +268,12 @@ def pbw_verdict(target, n_max: int) -> PBWReport:
     )
 
 
-def pbw_basis(report: PBWReport) -> PBWBasisResult:
-    """The verdict's monomial basis for a positive verdict with symmetric
-    braiding on the generators; an explicit refusal otherwise."""
+def pbw_basis(report: PBWReport) -> tuple[list[str] | None, str | None]:
+    """(basis, refusal): the verdict's monomial basis for a positive verdict
+    with symmetric braiding on the generators; an explicit refusal otherwise."""
     if report.verdict != PBW_TYPE_TRUE:
-        return PBWBasisResult(None, f"verdict is {report.verdict}; no basis is claimed")
+        return None, f"verdict is {report.verdict}; no basis is claimed"
     if not report.braiding_symmetric:
-        return PBWBasisResult(None, "braiding on the generator space is not symmetric; "
-                                    "no monomial basis is guaranteed")
-    return PBWBasisResult(report.monomial_basis, None)
-
-
-def pbw_document(report: PBWReport) -> dict:
-    """The report document with the basis or the refusal."""
-    basis = pbw_basis(report)
-    doc = report.to_json()
-    doc["basis"] = basis.monomials
-    doc["refusal"] = basis.refusal
-    return doc
+        return None, ("braiding on the generator space is not symmetric; "
+                      "no monomial basis is guaranteed")
+    return report.monomial_basis, None

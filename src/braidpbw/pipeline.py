@@ -23,7 +23,7 @@ from .findim_hopf import (
 )
 from .braided_space import is_symmetric
 from .linalg import Subspace
-from .pbw import pbw_document, pbw_verdict
+from .pbw import pbw_verdict
 from .reporting import BraidpbwError, PipelineError, require_degree
 from .scalars import ZERO
 
@@ -75,8 +75,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 
-    grres = _stage("associated-graded", associated_graded, h, ladder)
-    gr = grres.algebra
+    gr = _stage("associated-graded", associated_graded, h, ladder)
     gr_checks = check_report(gr)
     comm_gr = commutator_table(gr)
     report["gr"] = {
@@ -107,40 +106,34 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
         "coradical_matches_grading": coinv.coradical_matches_grading,
     }
 
-    collapse = check_braiding_collapse(gr, coinv, comm_gr)
-    report["centrality"] = collapse.to_json()
+    report["centrality"] = check_braiding_collapse(gr, coinv, comm_gr)
 
     bos_ok, bos_degrees = bosonization_check(coinv)
     report["bosonization"] = {"bijective": bos_ok, "degrees": bos_degrees}
 
-    report["pbw"] = pbw_document(_stage("pbw", pbw_verdict, coinv, degree))
+    report["pbw"] = _stage("pbw", pbw_verdict, r_alg, degree).to_json()
     return report
 
 
 def flat_summary(report: dict) -> dict:
-    """Flatten a pipeline report into the fields corpus expectations use."""
-    out: dict = {}
-    out["axioms"] = "pass" if report.get("axioms", {}).get("all_ok") else "fail"
-    if "filtration" in report:
-        out["filtration_dims"] = report["filtration"]["dims"]
-        out["exhaustive"] = report["filtration"]["exhaustive"]
-    if "R" in report:
-        out["r_dim"] = report["R"]["dim"]
-        out["c_r_symmetric"] = report["R"]["c_r_symmetric"]
-        out["c_r_first"] = report["R"]["c_r_first"]
-    if "centrality" in report:
-        out["i_central"] = report["centrality"]["i_central"]
-        out["pi_cocentral"] = report["centrality"]["pi_cocentral"]
-        out["c_r_equals_c"] = report["centrality"]["c_r_equals_c"]
-    if "gr" in report:
-        out["gr_c_commutative"] = report["gr"]["c_commutative"]
-    if "bosonization" in report:
-        out["bosonization"] = report["bosonization"]["bijective"]
-    if "pbw" in report:
-        out["pbw_verdict"] = report["pbw"]["verdict"]
-        out["first_failure_degree"] = report["pbw"]["first_failure_degree"]
-        out["pbw_dims"] = report["pbw"]["dims"]
-    return out
+    """Flatten a finished :func:`run_pipeline` report into the fields corpus
+    expectations use."""
+    return {
+        "axioms": "pass" if report["axioms"]["all_ok"] else "fail",
+        "filtration_dims": report["filtration"]["dims"],
+        "exhaustive": report["filtration"]["exhaustive"],
+        "r_dim": report["R"]["dim"],
+        "c_r_symmetric": report["R"]["c_r_symmetric"],
+        "c_r_first": report["R"]["c_r_first"],
+        "i_central": report["centrality"]["i_central"],
+        "pi_cocentral": report["centrality"]["pi_cocentral"],
+        "c_r_equals_c": report["centrality"]["c_r_equals_c"],
+        "gr_c_commutative": report["gr"]["c_commutative"],
+        "bosonization": report["bosonization"]["bijective"],
+        "pbw_verdict": report["pbw"]["verdict"],
+        "first_failure_degree": report["pbw"]["first_failure_degree"],
+        "pbw_dims": report["pbw"]["dims"],
+    }
 
 
 def compare_expectations(expect: dict, summary: dict) -> list[str]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from braidpbw.braided_space import GenericBraiding
-from braidpbw.coinvariants import CollapseReport
 from braidpbw.findim_hopf import StructureBialgebra, render_tensor
 from braidpbw.filtration import expand_products, transported_bialgebra
 from braidpbw.linalg import Coordinates, Subspace, echelon, kernel
@@ -682,7 +681,7 @@ def graded_projection_identity(gr: StructureBialgebra) -> bool:
     return True
 
 
-def check_braiding_collapse(gr: StructureBialgebra, coinv) -> CollapseReport:
+def check_braiding_collapse(gr: StructureBialgebra, coinv) -> dict:
     central = is_central(gr, [{i: ONE} for i in coinv.k_indices])
     cocentral = is_cocentral(gr, [({i: ONE} if gr.degree(i) == 0 else {})
                                   for i in range(gr.dim)])
@@ -692,8 +691,9 @@ def check_braiding_collapse(gr: StructureBialgebra, coinv) -> CollapseReport:
         status = "confirmed" if matches else "violated"
     else:
         status = "vacuous_equal" if matches else "vacuous_differs"
-    return CollapseReport(central, cocentral, hypothesis, matches,
-                          graded_projection_identity(gr), status)
+    return {"i_central": central, "pi_cocentral": cocentral, "hypothesis_holds": hypothesis,
+            "c_r_equals_c": matches, "graded_morphism_identity": graded_projection_identity(gr),
+            "status": status}
 
 
 # ---------------------------------------------------------------------------

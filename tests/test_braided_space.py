@@ -113,7 +113,7 @@ def _line(coefs, dim):
 def test_is_categorical_whole_space_and_lines():
     q = [[ONE, ONE], [ONE, MINUS_ONE]]
     c = GenericBraiding.diagonal(q)
-    assert is_categorical(c, Subspace.full(2))
+    assert is_categorical(c, Subspace.span(2, [{i: ONE} for i in range(2)]))
     assert is_categorical(c, _line({0: ONE}, 2))
     assert is_categorical(c, _line({1: ONE}, 2))
 

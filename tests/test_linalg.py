@@ -97,7 +97,7 @@ def test_left_nullspace():
     null = kernel(vecs([[1, 0], [2, 0], [0, 1]]))
     assert null.dim == 1
     assert [str(null.rows[0].get(i, ZERO)) for i in range(3)] == ["1", "-1/2", "0"]
-    assert kernel([{}, {0: ZERO}]) == Subspace.full(2)
+    assert kernel([{}, {0: ZERO}]) == Subspace.span(2, vecs([[1, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("conductor", [1, 12])
@@ -258,7 +258,7 @@ def test_subspace_equality_and_sum():
     a = Subspace.span(2, vecs([[1, 1]]))
     b = Subspace.span(2, vecs([[2, 2]]))
     assert a == b
-    c = a.add(Subspace.span(2, vecs([[1, 0]])))
+    c = Subspace.span(2, [*a.rows, *vecs([[1, 0]])])
     assert c.dim == 2
 
 

@@ -40,11 +40,11 @@ from test_symmetric_algebra import SET_THEORETIC
 
 
 def gr_of(h):
-    return associated_graded(h, coradical_filtration_connected(h)).algebra
+    return associated_graded(h, coradical_filtration_connected(h))
 
 
 def relative_R(h, sub):
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, sub))).algebra
+    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, sub)))
     return compute_R(gr)
 
 
@@ -57,14 +57,14 @@ def test_compute_Q_poly(corpus):
 
 def test_compute_Q_h4_R(h4):
     coinv = relative_R(h4, (0, 1))
-    q = compute_Q(coinv)
+    q = compute_Q(coinv.algebra)
     assert q.dim == 1 and q.degrees == [1]
     assert q.braiding.rows[0][0] == {(0, 0): MINUS_ONE}
 
 
 def test_compute_Q_taft_R(taft):
     coinv = relative_R(taft, (0, 1, 2))
-    q = compute_Q(coinv)
+    q = compute_Q(coinv.algebra)
     # only the class of x survives: its square is decomposable
     assert q.dim == 1 and q.degrees == [1]
     assert q.braiding.rows[0][0] == {(0, 0): root_of_unity(3)}
@@ -99,7 +99,7 @@ def test_canonical_map_solvable_degree2(corpus):
 
 def test_canonical_map_taft_degree2_deficient(taft):
     coinv = relative_R(taft, (0, 1, 2))
-    q = compute_Q(coinv)
+    q = compute_Q(coinv.algebra)
     entry = canonical_map(q, coinv.algebra, 2)[2]
     assert entry["sq_dim"] == 0 and entry["target_dim"] == 1
 
@@ -123,14 +123,14 @@ def test_pbw_true_for_connected_symmetric(corpus, name, expected_dims):
 
 def test_pbw_h4_as_module_over_K(h4):
     coinv = relative_R(h4, (0, 1))
-    report = pbw_verdict(coinv, 2)
+    report = pbw_verdict(coinv.algebra, 2)
     assert report.verdict == PBW_TYPE_TRUE
     assert report.degreewise_dims == [(1, 1), (1, 1), (0, 0)]
 
 
 def test_pbw_taft_negative_control(taft):
     coinv = relative_R(taft, (0, 1, 2))
-    report = pbw_verdict(coinv, 3)
+    report = pbw_verdict(coinv.algebra, 3)
     assert report.verdict == PBW_TYPE_FALSE
     assert report.first_failure_degree == 2
     assert report.degreewise_dims[2] == (1, 0)
@@ -143,7 +143,7 @@ def test_pbw_yline(corpus):
     yidx = tuple(i for i, nm in enumerate(h.names)
                  if nm == "1" or (nm.startswith("y") and "x" not in nm))
     coinv = relative_R(h, yidx)
-    report = pbw_verdict(coinv, 6)
+    report = pbw_verdict(coinv.algebra, 6)
     assert report.verdict == PBW_TYPE_TRUE
     assert report.degreewise_dims == [(1, 1)] * 7
 
@@ -173,22 +173,22 @@ def test_pbw_dims_match_symmetric_algebra_oracles(corpus):
 
 def test_pbw_basis_polynomial(corpus):
     gr = gr_of(corpus["poly_plane"])
-    result = pbw_basis(pbw_verdict(gr, 3))
-    assert result.refusal is None
-    assert result.monomials[:6] == ["1", "x", "y", "x^2", "x*y", "y^2"]
+    basis, refusal = pbw_basis(pbw_verdict(gr, 3))
+    assert refusal is None
+    assert basis[:6] == ["1", "x", "y", "x^2", "x*y", "y^2"]
 
 
 def test_pbw_basis_h4(h4):
     coinv = relative_R(h4, (0, 1))
-    result = pbw_basis(pbw_verdict(coinv, 2))
-    assert result.monomials == ["1", "x"]
+    basis, refusal = pbw_basis(pbw_verdict(coinv.algebra, 2))
+    assert basis == ["1", "x"] and refusal is None
 
 
 def test_pbw_basis_refuses_on_false(taft):
     coinv = relative_R(taft, (0, 1, 2))
-    result = pbw_basis(pbw_verdict(coinv, 3))
-    assert result.monomials is None
-    assert "PBW_TYPE_FALSE" in result.refusal
+    basis, refusal = pbw_basis(pbw_verdict(coinv.algebra, 3))
+    assert basis is None
+    assert "PBW_TYPE_FALSE" in refusal
 
 
 def _corpus_R():

@@ -74,7 +74,7 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
         k = subspace_from_indices(h, sub)
         assert braided_space.is_categorical(h.braiding, k)
         filtration.wedge(h, k, k)
-        gr = filtration.associated_graded(h, filtration.hopf_filtration(h, k)).algebra
+        gr = filtration.associated_graded(h, filtration.hopf_filtration(h, k))
         coinv = coinvariants.compute_R(gr)
         coinvariants.check_braiding_collapse(gr, coinv, findim_hopf.commutator_table(gr))
         run_pipeline(h, k, 2)

@@ -56,7 +56,7 @@ def test_trunc_grading_roundtrip(corpus):
     h = corpus["solvable_pair"]
     yidx = tuple(i for i, nm in enumerate(h.names)
                  if nm == "1" or (nm.startswith("y") and "x" not in nm))
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, yidx))).algebra
+    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, yidx)))
     doc = bialgebra_to_json(gr)
     assert "trunc_grading" in doc
     back = bialgebra_from_json(doc)
@@ -220,6 +220,11 @@ def test_cli_grk_coinv_pbw_chain(tmp_path, capsys):
     pdoc = json.loads(open(pbwpath).read())
     assert pdoc["verdict"] == "PBW_TYPE_FALSE"
     assert pdoc["first_failure_degree"] == 2
+    # one serializer: the pbw report is the pbw block of the pipeline report
+    pipepath = str(tmp_path / "pipeline.json")
+    assert main(["pipeline", "--input", hpath, "--sub", kpath, "--degree", "3",
+                 "--report", pipepath]) == 0
+    assert json.loads(open(pipepath).read())["pbw"] == pdoc
 
 
 def test_cli_word_commands(tmp_path, capsys):
@@ -322,6 +327,20 @@ def test_cli_corpus_empty_dir_exit_2(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
     assert main(["corpus", "--dir", str(empty)]) == 2
+
+
+def test_package_root_holds_only_the_error_classes():
+    import braidpbw
+    import braidpbw.reporting
+
+    assert braidpbw.BraidpbwError is braidpbw.reporting.BraidpbwError
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, braidpbw.scalars; print('braidpbw.pipeline' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_entry_point_runs():
@@ -541,7 +560,11 @@ ERROR_PATHS = {
     "coinv-ungraded": (
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(grading=None)),
                      "--out", str(tmp / "r.json")],
-        1, "error: input must be graded"),
+        2, "input error: input must be graded"),
+    "coinv-no-antipode": (
+        lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(antipode=None)),
+                     "--out", str(tmp / "r.json")],
+        2, "input error: the graded bialgebra needs an antipode"),
 }
 
 
