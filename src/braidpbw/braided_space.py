@@ -12,7 +12,7 @@ from functools import cached_property
 from math import gcd
 
 from .linalg import Subspace
-from .multilinear import lower, vec_equal
+from .multilinear import compile_table, integral, vec_equal
 from .reporting import InputError, ValidationReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -102,11 +102,11 @@ class GenericBraiding:
 
     @cached_property
     def lowered(self) -> tuple:
-        """(rows, one): the row table with int coefficients and the int 1 when
-        every coefficient is a rational integer, else the Scalar table itself
-        and ONE.  Derived once per braiding for the exhaustive checkers."""
-        rows = lower(self.rows)
-        return (self.rows, ONE) if rows is None else (rows, 1)
+        """(braid, one): the compiled rows braid[i][j] = ((x, y, s), ...) with
+        int coefficients and 1 when every coefficient is a rational integer,
+        else with Scalars and ONE.  Derived once, for the exhaustive checkers."""
+        ints = integral(self.rows)
+        return compile_table(self.rows, ints), 1 if ints else ONE
 
     @staticmethod
     def flip(dim: int) -> "GenericBraiding":
@@ -162,7 +162,7 @@ def diagonal_braiding(chi: Bicharacter, basis: GradedBasis) -> GenericBraiding:
 
 def braid_check(c: GenericBraiding) -> bool:
     """Exhaustive check of the braid equation on all basis triples."""
-    d = c.dim
+    d, dd = c.dim, c.dim ** 2
     rows = c.lowered[0]
     for i in range(d):
         ri = rows[i]
@@ -171,24 +171,24 @@ def braid_check(c: GenericBraiding) -> bool:
             for k in range(d):
                 # (c x id)(id x c)(c x id) on e_i x e_j x e_k
                 lhs: dict = {}
-                for (a, b), s in cij.items():
+                for a, b, s in cij:
                     ra = rows[a]
-                    for (x, y), t in rows[b][k].items():
+                    for x, y, t in rows[b][k]:
                         st = s * t
-                        for (p, q), u in ra[x].items():
-                            key, v = (p, q, y), st * u
+                        for p, q, u in ra[x]:
+                            key, v = p * dd + q * d + y, st * u
                             prev = lhs.get(key)
                             lhs[key] = v if prev is None else prev + v
                 # (id x c)(c x id)(id x c) on the same triple
                 rhs: dict = {}
-                for (a, b), s in rj[k].items():
-                    for (x, y), t in ri[a].items():
-                        st = s * t
-                        for (p, q), u in rows[y][b].items():
-                            key, v = (x, p, q), st * u
+                for a, b, s in rj[k]:
+                    for x, y, t in ri[a]:
+                        st, xdd = s * t, x * dd
+                        for p, q, u in rows[y][b]:
+                            key, v = xdd + p * d + q, st * u
                             prev = rhs.get(key)
                             rhs[key] = v if prev is None else prev + v
-                if not vec_equal(lhs, rhs):
+                if lhs != rhs and not vec_equal(lhs, rhs):
                     return False
     return True
 
@@ -200,12 +200,13 @@ def is_symmetric(c: GenericBraiding) -> bool:
     for i in range(d):
         for j in range(d):
             twice: dict = {}
-            for (a, b), s in rows[i][j].items():
-                for xy, t in rows[a][b].items():
-                    v = s * t
-                    prev = twice.get(xy)
-                    twice[xy] = v if prev is None else prev + v
-            if not vec_equal(twice, {(i, j): one}):
+            for a, b, s in rows[i][j]:
+                for x, y, t in rows[a][b]:
+                    key, v = x * d + y, s * t
+                    prev = twice.get(key)
+                    twice[key] = v if prev is None else prev + v
+            target = {i * d + j: one}
+            if twice != target and not vec_equal(twice, target):
                 return False
     return True
 

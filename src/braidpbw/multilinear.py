@@ -1,7 +1,7 @@
 """Sparse vectors, and the slot operations on tensor powers.
 
 The engine's one sparse vector type is a dict mapping keys to nonzero
-Scalars; the helpers before ``lift`` add, compare and lower such vectors.
+Scalars; the helpers before ``lift`` add, compare and compile such vectors.
 
 Elements of a k-fold tensor power are dicts mapping length-k tuples of
 "atoms" to nonzero scalars.  An atom is whatever indexes a basis of the
@@ -97,31 +97,38 @@ def vec_equal(a: Vec, b: Vec) -> bool:
     return True
 
 
-def lower(table):
-    """A structure table (nested tuples or lists of Scalars and of sparse
-    vectors of Scalars) as nested tuples with every coefficient a Python int,
-    or None when some coefficient is not a rational integer; the scan stops
-    at the first such coefficient."""
-    if type(table) is Scalar:
-        return table.num[0] if table.conductor == 1 and table.den == 1 else None
+def integral(table) -> bool:
+    """True when every coefficient of a structure table (a Scalar, a sparse
+    vector, or tuples and lists of them) is a rational integer."""
     if type(table) is dict:
-        out = {}
-        for k, c in table.items():
+        for c in table.values():
             if c.conductor != 1 or c.den != 1:
-                return None
-            out[k] = c.num[0]
-        return out
-    out = []
+                return False
+        return True
+    if type(table) is Scalar:
+        return table.conductor == 1 and table.den == 1
     for entry in table:
-        entry = lower(entry)
-        if entry is None:
-            return None
-        out.append(entry)
-    return tuple(out)
+        if not integral(entry):
+            return False
+    return True
+
+
+def compile_table(table, ints: bool):
+    """A structure table as nested tuples with each sparse vector a tuple of
+    terms: (k, c) for an atom key k and (a, b, c) for a pair key (a, b).  Each
+    coefficient c is a Python int when ints is set, else the Scalar itself."""
+    if type(table) is dict:
+        if ints:
+            return tuple([(*k, c.num[0]) if type(k) is tuple else (k, c.num[0])
+                          for k, c in table.items()])
+        return tuple([(*k, c) if type(k) is tuple else (k, c) for k, c in table.items()])
+    if type(table) is Scalar:
+        return table.num[0] if ints else table
+    return tuple([compile_table(entry, ints) for entry in table])
 
 
 def as_scalar(c) -> Scalar:
-    """A coefficient of a lowered table back as a Scalar."""
+    """A coefficient of a compiled table back as a Scalar."""
     return c if type(c) is Scalar else Scalar(1, (c,), 1)
 
 

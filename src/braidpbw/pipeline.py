@@ -57,7 +57,8 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
         raise PipelineError("axioms", "input bialgebra fails its axiom checks")
 
     comm_h = commutator_table(h)
-    report["commutator_coproduct"] = check_commutator_coproduct_all(h, comm_h).to_json()
+    report["commutator_coproduct"] = check_commutator_coproduct_all(
+        h, h.lowered.compile(comm_h)).to_json()
 
     ladder = _stage("filtration", hopf_filtration, h, k_sub)
     report["filtration"] = {

@@ -62,7 +62,7 @@ def test_axiom_suite_all_corpus_under_10s():
 def test_commutator_coproduct_identity_all_basis_pairs():
     for name in ALL_NAMES:
         h = build_cached(name)
-        report = check_commutator_coproduct_all(h, commutator_table(h))
+        report = check_commutator_coproduct_all(h, h.lowered.compile(commutator_table(h)))
         assert report.ok, f"{name}:\n{report.summary()}"
         assert report.checked > 0
     _announce("coproduct-of-commutator identity, exhaustive basis pairs")

@@ -17,12 +17,15 @@ from braidpbw.corpus import (
     primitively_generated,
     super_line,
     sweedler_h4,
+    symmetric_bialgebra,
     taft3,
 )
 from braidpbw.findim_hopf import Tables
+from braidpbw.multilinear import as_scalar
 from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
 from braidpbw.scalars import MINUS_ONE, ONE, Scalar, root_of_unity
 from test_findim_hopf import _mutate
+from test_symmetric_algebra import FOUR_POINT
 
 REPORTS = ("check_braided_algebra", "check_braided_coalgebra",
            "check_braided_bialgebra", "check_antipode", "check_commutator_coproduct_all")
@@ -36,7 +39,7 @@ def _fast_and_reference(h):
     for name in REPORTS:
         if name == "check_antipode" and h.antipode is None:
             continue
-        args = (h, comm) if name == "check_commutator_coproduct_all" else (h,)
+        args = (h, h.lowered.compile(comm)) if name == "check_commutator_coproduct_all" else (h,)
         out[name] = tuple((r.to_json(), r.note) for r in (getattr(findim_hopf, name)(*args),
                                                           getattr(ref, name)(h)))
     for name in ("braid_check", "is_symmetric"):
@@ -73,6 +76,25 @@ def _inputs():
             sub = [i for i in entry.sub_indices if i < h.dim]
             yield f"gr {entry.name}@T=2", associated_graded(h, hopf_filtration(
                 h, subspace_from_indices(h, sub)))
+    yield "four_point@T=2", four_point()
+
+
+def four_point(truncation: int = 2):
+    """S(V, c) of the four-point set-theoretic solution: a non-diagonal
+    braiding, whose rows map e_i x e_j to keys (x, y) other than (j, i)."""
+    return symmetric_bialgebra([f"x{i}" for i in range(FOUR_POINT.dim)], FOUR_POINT, truncation)
+
+
+def off_flip_mutant(seed: int = 0):
+    """The four-point S(V, c) at T=2 with one off-flip coefficient of its
+    braiding, at a key (x, y) != (j, i) of a row [i][j], perturbed."""
+    rng = random.Random(seed)
+    h = four_point()
+    rows = [list(row) for row in h.braiding.rows]
+    i, j, key = rng.choice([(i, j, key) for i in range(h.dim) for j in range(h.dim)
+                            for key in rows[i][j] if key != (j, i)])
+    rows[i][j] = _perturb(rng, rows[i][j], key)
+    return _mutate(h, braiding=GenericBraiding(rows))
 
 
 def test_checkers_match_reference_on_corpus():
@@ -130,8 +152,12 @@ def test_checkers_match_reference_on_mutants(seed):
     bases = [build_cached("sweedler_h4"), build_cached("taft3"), build_cached("kc2")]
     bases += [entry.build(2) for entry in corpus_entries()
               if entry.name in ("poly_plane", "super_line", "solvable_pair")]
+    # d >= 10, so that packed keys have more than one base-d digit per leg,
+    # and a non-diagonal braiding with and without an off-flip perturbation
+    bases += [poly_plane(3), four_point(), off_flip_mutant(seed)]
     failing = {name: 0 for name in REPORTS}
     lowered = Counter()
+    wide = 0
     for n in range(12):
         kind, h = _mutant(rng, bases[n % len(bases)])
         lowered[h.lowered.one is not ONE] += 1
@@ -141,10 +167,12 @@ def test_checkers_match_reference_on_mutants(seed):
         for name in REPORTS:
             if name in results and not results[name][0][0]["ok"]:
                 failing[name] += 1
+                wide += h.dim >= 10
     # the reports are compared with violations in them, witnesses and all,
-    # on tables lowered to ints and on Scalar tables
+    # on tables compiled to ints and to Scalars, and at d >= 10
     assert all(failing.values()), failing
     assert lowered[True] and lowered[False], lowered
+    assert wide, wide
 
 
 def _quantum_plane(n: int, truncation: int):
@@ -162,13 +190,15 @@ BRAID_DELTAS = (ONE, MINUS_ONE, Scalar.from_rational(2), Scalar.from_rational("1
 @pytest.mark.parametrize("seed", range(3))
 def test_braiding_kernels_match_reference_on_mutants(seed):
     """braid_check and is_symmetric against the slot-operation reference on
-    integral braidings (lowered to ints) and cyclotomic ones (kept as
-    Scalars), each unchanged and with one entry perturbed.  Half the mutants
-    rescale an existing coefficient, which keeps a diagonal braiding a
-    solution of the braid equation; the others perturb a random entry."""
+    integral braidings (compiled to ints) and cyclotomic ones (kept as
+    Scalars), diagonal and non-diagonal ones, each unchanged and with one
+    entry perturbed.  Half the mutants rescale an existing coefficient,
+    which keeps a diagonal braiding a solution of the braid equation; the
+    others perturb a random entry."""
     rng = random.Random(300 + seed)
     bases = [poly_plane(2).braiding, super_line(2).braiding, build_cached("taft3").braiding,
-             _quantum_plane(3, 2).braiding]
+             _quantum_plane(3, 2).braiding, four_point().braiding,
+             off_flip_mutant(seed).braiding]
     seen = Counter()
     for n in range(48):
         c = bases[n % len(bases)]
@@ -191,35 +221,59 @@ def test_braiding_kernels_match_reference_on_mutants(seed):
             assert seen[name, domain, True] and seen[name, domain, False], seen
 
 
+def _entries(compiled):
+    """A compiled sparse vector back as a dict of Scalars, keyed as the dict
+    tables are: by the atom for (k, s) terms and by (a, b) for (a, b, s)."""
+    return {t[0] if len(t) == 2 else t[:-1]: as_scalar(t[-1]) for t in compiled}
+
+
+def _view(g):
+    """(coefficient types, same entries as the dict tables) of g's view."""
+    low = g.lowered
+    vecs = [(low.unit, g.unit)]
+    vecs += [(low.mult[i][j], g.mult[i][j]) for i in range(g.dim) for j in range(g.dim)]
+    vecs += [(low.braid[i][j], g.braiding.rows[i][j]) for i in range(g.dim) for j in range(g.dim)]
+    vecs += list(zip(low.comult, g.comult)) + list(zip(low.antipode or (), g.antipode or ()))
+    types = {type(t[-1]) for compiled, _ in vecs for t in compiled}
+    types |= {type(v) for v in low.counit} | {type(low.zero), type(low.one)}
+    same = all(_entries(compiled) == vec for compiled, vec in vecs)
+    same &= [as_scalar(v) for v in low.counit] == list(g.counit)
+    return types, same and as_scalar(low.one) == ONE and not low.zero
+
+
 def test_lowering_rule():
-    """The checkers' tables are ints exactly when every coefficient of the
-    bialgebra and of its braiding is a rational integer; otherwise they are
-    the Scalar tables themselves.  The view is derived once per object."""
+    """The compiled view holds the dict tables' entries as tuples of terms,
+    with int coefficients exactly when every coefficient of the bialgebra and
+    of its braiding is a rational integer and Scalars otherwise.  It is
+    derived once per object, and the bialgebra and its braiding share one
+    braid table whenever their coefficients are of one type."""
     h = poly_plane(3)
     low = h.lowered
-    assert low.one == 1 and type(low.one) is int and low.zero == 0
-    assert all(type(v) is int for row in low.mult for vec in row for v in vec.values())
-    assert all(type(v) is int for row in low.braid for vec in row for v in vec.values())
+    assert _view(h) == ({int}, True)
     assert h.braiding.lowered[0] is low.braid
     assert h.lowered is low  # derived once, then cached on the object
-
-    def scalar_tables(g):
-        low = g.lowered
-        return (low.one is ONE and low.mult is g.mult and low.comult is g.comult
-                and low.counit is g.counit and low.antipode is g.antipode
-                and low.unit is g.unit and low.braid is g.braiding.rows)
-
-    assert scalar_tables(build_cached("taft3"))
-    # one product entry scaled by 1/2
+    # cyclotomic products under the flip: the braid table is compiled again
+    taft = build_cached("taft3")
+    assert _view(taft) == ({Scalar}, True)
+    assert type(taft.braiding.lowered[1]) is int
+    # one product entry scaled by 1/2, under an integral braiding
     mult = [list(row) for row in h.mult]
     i, j = next((i, j) for i in range(h.dim) for j in range(h.dim) if h.mult[i][j])
     mult[i][j] = {k: v * Scalar.from_rational("1/2") for k, v in mult[i][j].items()}
-    assert scalar_tables(_mutate(h, mult=tuple(tuple(row) for row in mult)))
+    assert _view(_mutate(h, mult=tuple(tuple(row) for row in mult))) == ({Scalar}, True)
     # an integral product with a cyclotomic braiding
-    assert scalar_tables(_mutate(h, braiding=GenericBraiding.diagonal(
+    mixed = _mutate(h, braiding=GenericBraiding.diagonal(
         [[root_of_unity(3) if (a, b) == (1, 2) else ONE for b in range(h.dim)]
-         for a in range(h.dim)])))
-    # a new object derives its own view
+         for a in range(h.dim)]))
+    assert _view(mixed) == ({Scalar}, True)
+    assert mixed.braiding.lowered[0] is mixed.lowered.braid
+    # a new object derives its own view, with the same terms
     again = _mutate(h).lowered
     assert again is not low
     assert [getattr(again, f) for f in Tables.__slots__] == [getattr(low, f) for f in Tables.__slots__]
+    # a further table is compiled in the view's coefficient type
+    for g, kind in ((h, int), (taft, Scalar)):
+        comm = findim_hopf.commutator_table(g)
+        compiled = g.lowered.compile(comm)
+        assert {type(t[-1]) for row in compiled for vec in row for t in vec} <= {kind}
+        assert [[_entries(vec) for vec in row] for row in compiled] == comm

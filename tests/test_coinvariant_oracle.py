@@ -19,7 +19,7 @@ from braidpbw.filtration import associated_graded, hopf_filtration, subspace_fro
 from braidpbw.linalg import Subspace
 from braidpbw.reporting import CoinvariantsError
 from braidpbw.scalars import ONE, Scalar
-from test_checker_oracle import _perturb
+from test_checker_oracle import _perturb, four_point
 from test_findim_hopf import _mutate
 
 
@@ -31,8 +31,9 @@ def _sub_indices(entry, truncation):
 
 def _inputs():
     """(label, bialgebra, subalgebra indices or None): every corpus entry,
-    the truncated ones also at T = 1..3, and the associated graded of every
-    entry with a subalgebra (at T = 1..3 for the truncated ones)."""
+    the truncated ones also at T = 1..3, the associated graded of every
+    entry with a subalgebra (at T = 1..3 for the truncated ones), and S(V, c)
+    of the four-point solution at T = 2, whose braiding is not diagonal."""
     for entry in corpus_entries():
         truncated = "truncation" in inspect.signature(entry.build).parameters
         for t in ((None, 1, 2, 3) if truncated else (None,)):
@@ -43,6 +44,7 @@ def _inputs():
             if sub is not None and (t is not None or not truncated):
                 gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, sub)))
                 yield f"gr {label}", gr, tuple(gr.degree_indices(0))
+    yield "four_point@T=2", four_point(), (0,)
 
 
 def _structure(r_alg) -> tuple:
