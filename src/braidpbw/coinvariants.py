@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided_space import GenericBraiding, braid_check
-from .filtration import coradical_filtration_connected, expand_products, transported_bialgebra
+from .filtration import expand_products, subspace_from_indices, transported_bialgebra, wedge_ladder
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
 from .multilinear import Vec, add_term, bilinear, vec_equal
@@ -184,17 +184,22 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     reps = basis.vectors
     rdim = len(reps)
     mult, comult, anti, c = gr.mult, gr.comult, gr.antipode, gr.braiding.rows
+    k_pos = {k: t for t, k in enumerate(k_indices)}
     comult_r = []
-    for a in range(rdim):
+    coaction = []
+    for a in range(rdim):  # R's coproduct and the coaction read one expansion of Delta(rep)
         w: dict = {}
-        for j, cj in reps[a].items():
-            for (x, y), s in comult[j].items():
-                cs = cj * s
-                for z, t in images[x].items():
-                    key, v = (z, y), cs * t
-                    prev = w.get(key)
-                    w[key] = v if prev is None else prev + v
+        by_left: dict = {}  # the comultiply output has no zero entries
+        for (x, y), s in gr.comultiply(reps[a]).items():
+            for z, t in images[x].items():
+                key, v = (z, y), s * t
+                prev = w.get(key)
+                w[key] = v if prev is None else prev + v
+            if gr.degree(x) == 0:
+                by_left.setdefault(x, {})[y] = s
         comult_r.append(basis.coords_pair(w))
+        coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
+                         for rr, cr in basis.coords(legvec).items()})
 
     acted: dict = {}  # (k, u) -> braided conjugation of e_u by e_k
 
@@ -232,15 +237,6 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
             row.append(basis.coords(out))
         action.append(tuple(row))
 
-    k_pos = {k: t for t, k in enumerate(k_indices)}
-    coaction = []
-    for a in range(rdim):
-        by_left: dict = {}  # the comultiply output has no zero entries
-        for (i, j), s in gr.comultiply(reps[a]).items():
-            if gr.degree(i) == 0:
-                by_left.setdefault(i, {})[j] = s
-        coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
-                         for rr, cr in basis.coords(legvec).items()})
     for a in range(rdim):
         acc: Vec = {}
         for (kt, rr), s in coaction[a].items():
@@ -279,18 +275,16 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
 
 
 def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
-    """The filtration induced by the grading of R is its coradical filtration."""
+    """The filtration induced by the grading of R is its coradical filtration:
+    step n of the wedge ladder of the unit line is the span of the basis
+    vectors of degree at most n; at step 0 this says that R is connected."""
     try:
-        ladder = coradical_filtration_connected(r_alg)
-    except FiltrationError:
+        ladder = wedge_ladder(r_alg, Subspace.span(r_alg.dim, [r_alg.unit]))
+    except FiltrationError:  # the unit line is not a subcoalgebra of R
         return False
-    if not ladder.exhaustive:
-        return False
-    for n, step in enumerate(ladder.steps):
-        expected = sorted(i for i in range(r_alg.dim) if r_alg.degree(i) <= n)
-        if step.coordinate_columns() is None or sorted(step.pivots) != expected:
-            return False
-    return True
+    return ladder.exhaustive and all(
+        step == subspace_from_indices(r_alg, [i for i in range(r_alg.dim) if r_alg.degree(i) <= n])
+        for n, step in enumerate(ladder.steps))
 
 
 def is_central(b: StructureBialgebra, f_rows: list[Vec], comm: list[list[Vec]]) -> bool:

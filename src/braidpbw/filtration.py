@@ -1,15 +1,19 @@
 """Subspace ladders inside a structure-constant bialgebra.
 
-Wedge preimages under the coproduct build two kinds of ladders: the
-filtration induced by a braided Hopf subalgebra, and the coradical
-filtration of a connected graded bialgebra.  An exhaustive ladder has an
-adapted basis, the new-pivot rows of its steps (canonical pivot
-complements), held as one :class:`~braidpbw.linalg.Coordinates`.  The
-associated graded expands H's unit, products, coproducts and antipode in
-that basis in one pass: the degrees of the expansions validate the ladder
-as a bialgebra filtration, and their degree-homogeneous parts, with the
-expanded braiding, are the structure of gr H, which
-:func:`associated_graded` returns as a :class:`StructureBialgebra`.
+One routine, :func:`wedge_ladder`, builds every ladder: the wedge powers
+of a subcoalgebra K, taken as coproduct preimages until they stop
+growing.  For a braided Hopf subalgebra K that :func:`hopf_filtration`
+has validated they are the filtration F_nH = wedge^{n+1} K; from the unit
+line of a connected graded bialgebra, its coradical filtration.  An
+exhaustive ladder has an adapted basis, the new-pivot rows of its steps
+(canonical pivot complements), held as one
+:class:`~braidpbw.linalg.Coordinates`.  The associated graded expands H's
+unit, products, coproducts and antipode in that basis in one pass: the
+degrees of the expansions, with the categoricity of the steps above K,
+validate the ladder as a bialgebra filtration, and their
+degree-homogeneous parts, with the expanded braiding, are the structure
+of gr H, which :func:`associated_graded` returns as a
+:class:`StructureBialgebra`.
 """
 from __future__ import annotations
 
@@ -28,13 +32,14 @@ from .scalars import ONE, ZERO
 class FiltrationLadder:
     bialgebra: StructureBialgebra
     steps: list[Subspace]
-    exhaustive: bool
-    categorical_steps: bool
-    antipode_stable: bool
 
     @property
     def dims(self) -> list[int]:
         return [s.dim for s in self.steps]
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.steps[-1].dim == self.bialgebra.dim
 
     @cached_property
     def adapted(self) -> tuple[Coordinates, list[int]]:
@@ -124,30 +129,13 @@ def hopf_filtration(h: StructureBialgebra, k: Subspace) -> FiltrationLadder:
     if not validation.ok:
         raise FiltrationError("K is not a categorical braided Hopf subalgebra:\n"
                               + validation.summary())
-    # validation has found K categorical, the first step of the ladder
-    return _wedge_ladder(h, k, k, start_categorical=True)
+    return wedge_ladder(h, k)
 
 
-def coradical_filtration_connected(h: StructureBialgebra) -> FiltrationLadder:
-    """Coradical filtration of a connected graded bialgebra: iterated wedge
-    powers of the span of the unit."""
-    if h.grading is None:
-        raise FiltrationError("coradical filtration needs a graded bialgebra")
-    zero_indices = h.degree_indices(0)
-    if len(zero_indices) != 1:
-        raise FiltrationError(
-            f"not connected: degree-0 component has dimension {len(zero_indices)}")
-    base = Subspace.span(h.dim, [h.unit])
-    if not base.contains_vector({zero_indices[0]: ONE}):
-        raise FiltrationError("not connected: degree-0 component differs from the unit line")
-    return _wedge_ladder(h, base, base)
-
-
-def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace,
-                  start_categorical: bool = False) -> FiltrationLadder:
-    """Wedge steps from ``start`` until they stop growing; ``start_categorical``
-    says the caller has already found ``start`` categorical."""
-    steps = [start]
+def wedge_ladder(h: StructureBialgebra, k: Subspace) -> FiltrationLadder:
+    """The wedge powers of a subcoalgebra K: K, then wedge(K, W) of each
+    step W, until they stop growing or fill H."""
+    steps = [k]
     while True:
         nxt = wedge(h, k, steps[-1])
         if not nxt.contains(steps[-1]):
@@ -157,21 +145,7 @@ def _wedge_ladder(h: StructureBialgebra, k: Subspace, start: Subspace,
         steps.append(nxt)
         if nxt.dim == h.dim:
             break
-    categorical = all(is_categorical(h.braiding, s)
-                      for s in (steps[1:] if start_categorical else steps))
-    stable = True
-    if h.antipode is not None:
-        for s in steps:
-            for r in s.rows:
-                if not s.contains_vector(h.apply_antipode(r)):
-                    stable = False
-    return FiltrationLadder(
-        bialgebra=h,
-        steps=steps,
-        exhaustive=steps[-1].dim == h.dim,
-        categorical_steps=categorical,
-        antipode_stable=stable,
-    )
+    return FiltrationLadder(h, steps)
 
 
 def expand_products(h: StructureBialgebra, basis: Coordinates) -> list[list[Vec | None]]:
@@ -239,7 +213,8 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Struct
     adapted basis.  Their degrees validate the ladder as a bialgebra
     filtration: the unit lies in the bottom step, products land in the
     summed step, coproducts respect the ladder degreewise, the antipode
-    preserves steps, and the steps are categorical.  Their
+    preserves steps, and the steps above the bottom one are categorical
+    (the bottom step is K, which :func:`hopf_filtration` validates).  Their
     degree-homogeneous parts, with those of the braided representative
     pairs, are gr's structure tensors.
     """
@@ -277,7 +252,7 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Struct
                 report.record("antipode-degree", (a,), "deg S", f"<= {n}")
             antipode.append({r: c for r, c in sv.items() if degrees[r] == n})
     report.checked += 1
-    if not ladder.categorical_steps:
+    if not all(is_categorical(h.braiding, s) for s in ladder.steps[1:]):
         report.record("categorical-steps", (), "steps", "categorical")
     if not report.ok:
         raise FiltrationError("not a bialgebra filtration:\n" + report.summary())

@@ -136,12 +136,6 @@ class Subspace:
                 at.setdefault(col, []).append((t, fv))
         return at
 
-    def coordinate_columns(self) -> set[int] | None:
-        """Pivot set when every basis row is a standard basis vector, else None."""
-        if all(len(row) == 1 for row in self.rows):
-            return set(self.pivots)
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented

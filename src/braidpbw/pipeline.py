@@ -24,7 +24,7 @@ from .findim_hopf import (
 from .braided_space import is_symmetric
 from .linalg import Subspace
 from .pbw import pbw_verdict
-from .reporting import BraidpbwError, PipelineError, require_degree
+from .reporting import BraidpbwError, InputError, PipelineError, require_degree
 from .scalars import ZERO
 
 
@@ -49,6 +49,8 @@ def _stage(stage: str, fn, *args):
 def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
     """Chain the relative-filtration analysis for a bialgebra and subalgebra."""
     require_degree(degree)
+    if h.antipode is None:
+        raise InputError("the pipeline needs a bialgebra with an antipode")
     report: dict = {}
 
     axioms = check_report(h)
@@ -61,22 +63,20 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
         h, h.lowered.compile(comm_h)).to_json()
 
     ladder = _stage("filtration", hopf_filtration, h, k_sub)
-    report["filtration"] = {
-        "dims": ladder.dims,
-        "exhaustive": ladder.exhaustive,
-        "categorical_steps": ladder.categorical_steps,
-        "antipode_stable": ladder.antipode_stable,
-    }
     if not ladder.exhaustive:
         raise PipelineError("filtration",
                             "ladder stabilised before exhausting the bialgebra "
                             "(the subalgebra misses part of the coradical)")
+    gr = _stage("associated-graded", associated_graded, h, ladder)
+    # associated_graded refuses a ladder whose steps are not categorical or
+    # not stable under the antipode, so a finished report holds both true
+    report["filtration"] = {"dims": ladder.dims, "exhaustive": True,
+                            "categorical_steps": True, "antipode_stable": True}
 
     commfil = check_commutator_filtration(h, ladder, comm_h)
     if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 
-    gr = _stage("associated-graded", associated_graded, h, ladder)
     gr_checks = check_report(gr)
     comm_gr = commutator_table(gr)
     report["gr"] = {

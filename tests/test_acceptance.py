@@ -17,7 +17,6 @@ from braidpbw.corpus import build_cached, solvable_pair
 from braidpbw.filtration import (
     associated_graded,
     check_commutator_filtration,
-    coradical_filtration_connected,
     hopf_filtration,
     subspace_from_indices,
 )
@@ -106,7 +105,7 @@ def test_commutator_filtration_and_commutative_gr_through_degree_6():
     for name in CONNECTED_SYMMETRIC:
         h = build_cached(name)
         assert is_symmetric(h.braiding), name
-        ladder = coradical_filtration_connected(h)
+        ladder = hopf_filtration(h, subspace_from_indices(h, (0,)))
         assert len(ladder.steps) - 1 == 6, name
         report = check_commutator_filtration(h, ladder, commutator_table(h))
         assert report.ok, f"{name}:\n{report.summary()}"
@@ -124,7 +123,7 @@ def test_commutator_filtration_and_commutative_gr_through_degree_6():
 ])
 def test_pbw_true_through_degree_6(name, dims):
     h = build_cached(name)
-    gr = associated_graded(h, coradical_filtration_connected(h))
+    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
     report = pbw_verdict(gr, 6)
     assert report.verdict == PBW_TYPE_TRUE
     assert [t for t, s in report.degreewise_dims] == dims

@@ -12,7 +12,6 @@ from braidpbw.coinvariants import (
 from braidpbw.corpus import solvable_pair
 from braidpbw.filtration import (
     associated_graded,
-    coradical_filtration_connected,
     hopf_filtration,
     subspace_from_indices,
 )
@@ -93,7 +92,7 @@ def test_compute_R_taft(coinv_taft):
 
 def test_R_is_whole_gr_for_trivial_K(corpus):
     h = corpus["poly_line"]
-    gr = associated_graded(h, coradical_filtration_connected(h))
+    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
     coinv = compute_R(gr)
     assert coinv.algebra.dim == gr.dim
     # the coproduct of R agrees with the one of gr
@@ -191,7 +190,7 @@ def test_identity_map_central_on_commutative(corpus):
 def test_collapse_trivial_K(corpus):
     for name in ("poly_line", "super_line", "color_plane", "solvable_pair"):
         h = corpus[name]
-        gr = associated_graded(h, coradical_filtration_connected(h))
+        gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
         coinv = compute_R(gr)
         report = check_braiding_collapse(gr, coinv, commutator_table(gr))
         assert report["status"] == "confirmed", name
@@ -227,7 +226,7 @@ def test_bosonization(coinv_h4, coinv_taft):
 
 def test_bosonization_trivial_K(corpus):
     h = corpus["super_line"]
-    gr = associated_graded(h, coradical_filtration_connected(h))
+    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
     ok, per = bosonization_check(compute_R(gr))
     assert ok
 
@@ -247,10 +246,10 @@ def test_compute_R_requires_antipode(coinv_h4):
 def test_coradical_check_lets_engine_errors_through(coinv_h4, monkeypatch):
     import braidpbw.coinvariants as coinvariants
 
-    def broken(r_alg):
+    def broken(h, k):
         raise RuntimeError("engine bug")
 
-    monkeypatch.setattr(coinvariants, "coradical_filtration_connected", broken)
+    monkeypatch.setattr(coinvariants, "wedge_ladder", broken)
     with pytest.raises(RuntimeError, match="engine bug"):
         coinvariants._degree_filtration_is_coradical(coinv_h4.algebra)
 
@@ -259,8 +258,17 @@ def test_coradical_check_is_false_on_filtration_error(coinv_h4, monkeypatch):
     import braidpbw.coinvariants as coinvariants
     from braidpbw.filtration import FiltrationError
 
-    def not_connected(r_alg):
-        raise FiltrationError("not connected")
+    def not_increasing(h, k):
+        raise FiltrationError("wedge step is not increasing")
 
-    monkeypatch.setattr(coinvariants, "coradical_filtration_connected", not_connected)
+    monkeypatch.setattr(coinvariants, "wedge_ladder", not_increasing)
     assert coinvariants._degree_filtration_is_coradical(coinv_h4.algebra) is False
+
+
+def test_coradical_check_is_false_when_degree_zero_exceeds_the_unit(gr_h4):
+    # gr of the Sweedler algebra has degree-zero part span(1, g): the wedge
+    # ladder of the unit line differs from the degree filtration at step 0
+    from braidpbw.coinvariants import _degree_filtration_is_coradical
+
+    assert len(gr_h4.degree_indices(0)) == 2
+    assert _degree_filtration_is_coradical(gr_h4) is False

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from braidpbw.corpus import poly_line
+from braidpbw.braided_space import is_categorical
+from braidpbw.corpus import color_plane, poly_line, super_line
 from braidpbw.filtration import (
     FiltrationError,
     FiltrationLadder,
     associated_graded,
     check_commutator_filtration,
-    coradical_filtration_connected,
     hopf_filtration,
     subspace_from_indices,
     validate_hopf_subalgebra,
@@ -27,6 +27,16 @@ def _dense(vec, n):
 
 def _sparse(row):
     return {i: c for i, c in enumerate(row) if not c.is_zero()}
+
+
+def _is_coordinate(sub):
+    return all(len(row) == 1 for row in sub.rows)
+
+
+def unit_ladder(h):
+    """The wedge ladder of the unit line: the coradical filtration of a
+    connected h."""
+    return hopf_filtration(h, subspace_from_indices(h, (0,)))
 
 
 def _kron_rows(rows_a, rows_b):
@@ -90,7 +100,7 @@ def test_hopf_filtration_trivial(h4):
 def test_hopf_filtration_h4(h4):
     ladder = hopf_filtration(h4, subspace_from_indices(h4, (0, 1)))
     assert ladder.dims == [2, 4]
-    assert ladder.exhaustive and ladder.categorical_steps and ladder.antipode_stable
+    assert ladder.exhaustive
 
 
 def test_hopf_filtration_taft(taft):
@@ -136,7 +146,7 @@ def test_wedge_non_coordinate_subspaces(corpus):
 
     h = corpus["kc2"]
     line = Subspace.span(2, [{0: ONE, 1: ONE}])
-    assert line.coordinate_columns() is None
+    assert not _is_coordinate(line)
     result = wedge(h, line, line)
     expected = Subspace.span(2, [{0: ONE, 1: MINUS_ONE}])
     assert result == expected
@@ -170,7 +180,7 @@ def test_wedge_random_subspaces_against_kron_oracle(corpus, name, conductor):
     non_coordinate = 0
     for _ in range(6):
         k, w = _random_subspace(rng, h, conductor), _random_subspace(rng, h, conductor)
-        non_coordinate += k.coordinate_columns() is None or w.coordinate_columns() is None
+        non_coordinate += not (_is_coordinate(k) and _is_coordinate(w))
         assert wedge(h, k, w) == kron_preimage(h, k, w)
     assert non_coordinate > 0
     # coordinate subspaces go through the same path
@@ -189,7 +199,7 @@ def test_hopf_filtration_rejects_non_subalgebra(h4):
 
 def test_coradical_filtration_poly(corpus):
     h = corpus["poly_line"]
-    ladder = coradical_filtration_connected(h)
+    ladder = unit_ladder(h)
     assert ladder.dims == list(range(1, 8))
     # step n is the span of 1, x, ..., x^n
     for n, step in enumerate(ladder.steps):
@@ -198,7 +208,7 @@ def test_coradical_filtration_poly(corpus):
 
 def test_coradical_filtration_super(corpus):
     h = corpus["super_line"]
-    ladder = coradical_filtration_connected(h)
+    ladder = unit_ladder(h)
     # degree-n slice of the super line has dimension 2 for n >= 1
     assert ladder.dims[:3] == [1, 3, 5]
 
@@ -212,29 +222,42 @@ def test_coradical_filtration_exterior_line():
     g = FiniteAbelianGroup((2,))
     ext = primitively_generated(["th"], g, ((MINUS_ONE,),), [(1,)], truncation=2)
     assert ext.dim == 2  # the square of the generator straightens to zero
-    ladder = coradical_filtration_connected(ext)
+    ladder = unit_ladder(ext)
     assert ladder.dims == [1, 2]
     assert ladder.exhaustive
 
 
 def test_coradical_rejects_non_connected(h4, taft):
+    # the group-likes lie outside the unit line: its ladder stops short of
+    # H, and the associated graded of a short ladder is refused
     for h in (h4, taft):
-        with pytest.raises(FiltrationError, match="connected"):
-            coradical_filtration_connected(h)
+        ladder = unit_ladder(h)
+        assert ladder.dims == [1] and not ladder.exhaustive
+        with pytest.raises(FiltrationError, match="exhaust"):
+            associated_graded(h, ladder)
 
 
 def test_coradical_equals_unit_wedge_ladder(corpus):
+    # these are primitively generated, so the coradical filtration is the
+    # degree filtration: step n is the span of the monomials of degree <= n
     for name in ("poly_line", "super_line", "color_plane", "solvable_pair"):
         h = corpus[name]
-        cor = coradical_filtration_connected(h)
-        rel = hopf_filtration(h, subspace_from_indices(h, (0,)))
-        assert cor.dims == rel.dims
-        assert all(a == b for a, b in zip(cor.steps, rel.steps)), name
+        ladder = unit_ladder(h)
+        assert ladder.exhaustive, name
+        for n, step in enumerate(ladder.steps):
+            low = [i for i in range(h.dim) if h.degree(i) <= n]
+            assert step == subspace_from_indices(h, low), (name, n)
+    # and each step is the exact coproduct preimage of the dense oracle
+    for h in (poly_line(3), super_line(2)):
+        unit = subspace_from_indices(h, (0,))
+        steps = unit_ladder(h).steps
+        for prev, step in zip(steps, steps[1:]):
+            assert step == kron_preimage(h, unit, prev)
 
 
 def test_associated_graded_idempotent_for_coradically_graded(corpus):
     h = corpus["poly_line"]
-    gr = associated_graded(h, coradical_filtration_connected(h))
+    gr = associated_graded(h, unit_ladder(h))
     assert gr.names == h.names
     for i in range(h.dim):
         for j in range(h.dim):
@@ -263,8 +286,8 @@ def test_associated_graded_passes_all_checkers(corpus, h4, taft):
     cases = [
         (h4, hopf_filtration(h4, subspace_from_indices(h4, (0, 1)))),
         (taft, hopf_filtration(taft, subspace_from_indices(taft, (0, 1, 2)))),
-        (corpus["super_line"], coradical_filtration_connected(corpus["super_line"])),
-        (corpus["solvable_pair"], coradical_filtration_connected(corpus["solvable_pair"])),
+        (corpus["super_line"], unit_ladder(corpus["super_line"])),
+        (corpus["solvable_pair"], unit_ladder(corpus["solvable_pair"])),
     ]
     for h, ladder in cases:
         gr = associated_graded(h, ladder)
@@ -273,18 +296,27 @@ def test_associated_graded_passes_all_checkers(corpus, h4, taft):
 
 
 NOT_BIALGEBRA_FILTRATIONS = [
-    # span(1, x^2) < span(1, x, x^2) < H, flagged non-categorical
-    (lambda h: [subspace_from_indices(h, (0, 2)), subspace_from_indices(h, (0, 1, 2)),
-                subspace_from_indices(h, range(h.dim))], False,
+    # span(1) < span(1, x + y) < H in color_plane(1): c((x + y) (x) x) is
+    # x (x) (x - y), outside H (x) span(1, x + y)
+    (lambda: color_plane(1),
+     lambda h: [subspace_from_indices(h, (0,)), Subspace.span(h.dim, [{0: ONE}, {1: ONE, 2: ONE}]),
+                subspace_from_indices(h, range(h.dim))],
      "not a bialgebra filtration:\n"
-     "bialgebra filtration: 4 violation(s) (20 checks, skipped 6 above degree cap)\n"
+     "bialgebra filtration: 1 violation(s) (13 checks, skipped 4 above degree cap)\n"
+     "  categorical-steps at (): steps != categorical"),
+    # span(1, x^2) < span(1, x, x^2) < H in poly_line(3)
+    (lambda: poly_line(3),
+     lambda h: [subspace_from_indices(h, (0, 2)), subspace_from_indices(h, (0, 1, 2)),
+                subspace_from_indices(h, range(h.dim))],
+     "not a bialgebra filtration:\n"
+     "bialgebra filtration: 3 violation(s) (20 checks, skipped 6 above degree cap)\n"
      "  product-degree at (1,2): deg product != <= 1\n"
      "  product-degree at (2,1): deg product != <= 1\n"
-     "  coproduct-degree at (1): split degrees != sum <= 0\n"
-     "  categorical-steps at (): steps != categorical"),
-    # span(1 + x) < span(1, x) < span(1, x, x^2) < H
-    (lambda h: [Subspace.span(h.dim, [{0: ONE, 1: ONE}]), subspace_from_indices(h, (0, 1)),
-                subspace_from_indices(h, (0, 1, 2)), subspace_from_indices(h, range(h.dim))], True,
+     "  coproduct-degree at (1): split degrees != sum <= 0"),
+    # span(1 + x) < span(1, x) < span(1, x, x^2) < H in poly_line(3)
+    (lambda: poly_line(3),
+     lambda h: [Subspace.span(h.dim, [{0: ONE, 1: ONE}]), subspace_from_indices(h, (0, 1)),
+                subspace_from_indices(h, (0, 1, 2)), subspace_from_indices(h, range(h.dim))],
      "not a bialgebra filtration:\n"
      "bialgebra filtration: 11 violation(s) (18 checks, skipped 8 above degree cap)\n"
      "  unit-degree at (): unit != in bottom step\n"
@@ -301,15 +333,15 @@ NOT_BIALGEBRA_FILTRATIONS = [
 ]
 
 
-@pytest.mark.parametrize("steps, categorical, message", NOT_BIALGEBRA_FILTRATIONS,
-                         ids=["non-categorical", "unit-above-bottom"])
-def test_associated_graded_rejects_non_bialgebra_filtrations(steps, categorical, message):
-    """Hand-built exhaustive ladders of poly_line(3) that break the product,
-    coproduct, antipode, unit and categorical conditions, with the exact
-    report of every violation."""
-    h = poly_line(3)
-    ladder = FiltrationLadder(h, steps(h), exhaustive=True, categorical_steps=categorical,
-                              antipode_stable=True)
+@pytest.mark.parametrize("build, steps, message", NOT_BIALGEBRA_FILTRATIONS,
+                         ids=["non-categorical", "degree-breaking", "unit-above-bottom"])
+def test_associated_graded_rejects_non_bialgebra_filtrations(build, steps, message):
+    """Hand-built exhaustive ladders that break the categorical, product,
+    coproduct, antipode and unit conditions, with the exact report of every
+    violation."""
+    h = build()
+    ladder = FiltrationLadder(h, steps(h))
+    assert ladder.exhaustive
     with pytest.raises(FiltrationError) as exc:
         associated_graded(h, ladder)
     assert str(exc.value) == message
@@ -317,16 +349,15 @@ def test_associated_graded_rejects_non_bialgebra_filtrations(steps, categorical,
 
 def test_associated_graded_needs_exhaustive(corpus):
     h = corpus["poly_line"]
-    ladder = coradical_filtration_connected(h)
-    ladder.steps = ladder.steps[:3]
-    ladder.exhaustive = False
+    ladder = FiltrationLadder(h, unit_ladder(h).steps[:3])
+    assert not ladder.exhaustive
     with pytest.raises(FiltrationError, match="exhaust"):
         associated_graded(h, ladder)
 
 
 def test_commutator_filtration_solvable(corpus):
     h = corpus["solvable_pair"]
-    ladder = coradical_filtration_connected(h)
+    ladder = unit_ladder(h)
     report = check_commutator_filtration(h, ladder, commutator_table(h))
     assert report.ok
     assert report.checked > 0
@@ -335,22 +366,25 @@ def test_commutator_filtration_solvable(corpus):
 def test_commutator_filtration_commutative_cases(corpus):
     for name in ("poly_line", "poly_plane", "super_line", "color_plane"):
         h = corpus[name]
-        ladder = coradical_filtration_connected(h)
+        ladder = unit_ladder(h)
         assert check_commutator_filtration(h, ladder, commutator_table(h)).ok, name
 
 
 def test_gr_c_commutative_for_connected_symmetric(corpus):
     for name in ("poly_line", "poly_plane", "super_line", "color_plane", "solvable_pair"):
         h = corpus[name]
-        gr = associated_graded(h, coradical_filtration_connected(h))
+        gr = associated_graded(h, unit_ladder(h))
         assert is_c_commutative(gr, commutator_table(gr)), name
 
 
 def test_ladder_steps_categorical_and_antipode_stable(corpus, h4, taft):
+    # what associated_graded decides from its expansions, checked step by step
     for h, sub in ((h4, (0, 1)), (taft, (0, 1, 2)), (corpus["super_line"], (0,))):
         ladder = hopf_filtration(h, subspace_from_indices(h, sub))
-        assert ladder.categorical_steps
-        assert ladder.antipode_stable
+        for step in ladder.steps:
+            assert is_categorical(h.braiding, step)
+            assert all(step.contains_vector(h.apply_antipode(r)) for r in step.rows)
+        associated_graded(h, ladder)
 
 
 def test_adapted_basis_expansion_roundtrip(h4):

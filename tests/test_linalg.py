@@ -260,8 +260,3 @@ def test_subspace_equality_and_sum():
     assert a == b
     c = Subspace.span(2, [*a.rows, *vecs([[1, 0]])])
     assert c.dim == 2
-
-
-def test_coordinate_columns():
-    assert Subspace.span(3, vecs([[0, 1, 0], [1, 0, 0]])).coordinate_columns() == {0, 1}
-    assert Subspace.span(3, vecs([[1, 1, 0]])).coordinate_columns() is None

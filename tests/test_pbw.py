@@ -17,7 +17,6 @@ from braidpbw.corpus import (
 )
 from braidpbw.filtration import (
     associated_graded,
-    coradical_filtration_connected,
     hopf_filtration,
     subspace_from_indices,
 )
@@ -40,7 +39,7 @@ from test_symmetric_algebra import SET_THEORETIC
 
 
 def gr_of(h):
-    return associated_graded(h, coradical_filtration_connected(h))
+    return associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
 
 
 def relative_R(h, sub):

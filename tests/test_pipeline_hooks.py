@@ -53,6 +53,37 @@ def test_subalgebra_categoricity_checked_once(monkeypatch):
     assert seen[id(k)] == 1
 
 
+def test_ladder_steps_checked_categorical_once(monkeypatch):
+    """K once, in its validation, and each step above K once, in
+    associated_graded; no other subspace, so no step of R's wedge ladder."""
+    original = braided_space.is_categorical
+    seen = Counter()
+    kept = []  # the checked subspaces stay alive, so their ids stay distinct
+
+    def counting(c, x):
+        seen[id(x)] += 1
+        kept.append(x)
+        return original(c, x)
+
+    ladders = []
+    original_filtration = filtration.hopf_filtration
+
+    def recording(h, k):
+        ladders.append(original_filtration(h, k))
+        return ladders[-1]
+
+    for module, name in _bindings(original):
+        monkeypatch.setattr(module, name, counting)
+    for module, name in _bindings(original_filtration):
+        monkeypatch.setattr(module, name, recording)
+    h = poly_plane(2)
+    k = subspace_from_indices(h, (0,))
+    run_pipeline(h, k, 2)
+    ladder, = ladders
+    assert ladder.steps[0] is k and len(ladder.steps) == 3
+    assert seen == Counter({id(s): 1 for s in ladder.steps})
+
+
 def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
     """Nor do the categorical-subspace test, the wedge, the coinvariants, the
     braiding-collapse diagnosis, or any other stage of a full pipeline run."""

@@ -144,6 +144,18 @@ def test_cli_pipeline_h4(tmp_path, capsys):
     assert report["pbw"]["verdict"] == "PBW_TYPE_TRUE"
 
 
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+def test_cli_format_json_prints_the_report(tmp_path, capsys, command):
+    argv = _h4_pipeline(tmp_path, "2")
+    if command == "check":
+        argv = ["check", *argv[1:3]]
+    rpath = tmp_path / "report.json"
+    assert main(argv + ["--format", "json", "--report", str(rpath)]) == 0
+    out = capsys.readouterr().out
+    assert out == rpath.read_text()
+    assert json.loads(out)["axioms" if command == "pipeline" else "all_ok"]
+
+
 def test_cli_degree_default_reads_the_cap_on_each_call(tmp_path, monkeypatch):
     h = sweedler_h4()
     hpath = _write(tmp_path, "h4.json", bialgebra_to_json(h))
@@ -561,6 +573,11 @@ ERROR_PATHS = {
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(grading=None)),
                      "--out", str(tmp / "r.json")],
         2, "input error: input must be graded"),
+    "pipeline-no-antipode": (
+        lambda tmp: ["pipeline", "--input", _write(tmp, "h4.json", _h4_doc(antipode=None)),
+                     "--sub", _write(tmp, "k.json", subspace_to_json(
+                         subspace_from_indices(sweedler_h4(), (0, 1)))), "--degree", "2"],
+        2, "input error: the pipeline needs a bialgebra with an antipode"),
     "coinv-no-antipode": (
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(antipode=None)),
                      "--out", str(tmp / "r.json")],
