@@ -29,7 +29,7 @@ from .coinvariants import compute_R
 from .filtration import associated_graded, hopf_filtration, subspace_from_indices
 from .multilinear import add_term
 from .pbw import pbw_verdict
-from .pipeline import check_report, compare_expectations, flat_summary, run_pipeline
+from .pipeline import check_report, compare_expectations, flat_summary, require_axioms, run_pipeline
 from .reporting import BraidpbwError, InputError, degree_cap_default, require_under_cap
 from .scalars import ONE
 from .serialize import (
@@ -221,6 +221,7 @@ def cmd_grk(args) -> int:
 
 def cmd_coinv(args) -> int:
     gr = bialgebra_from_json(load_json_file(args.input))
+    require_axioms(gr)
     coinv = compute_R(gr)
     write_canonical(args.out, coinvariants_to_json(coinv))
     print(f"coinvariant algebra written to {args.out} (dim {coinv.algebra.dim})")

@@ -8,10 +8,13 @@ induced coproduct, a K-action by braided conjugation, a K-coaction, and a
 braiding assembled from the three, which equals the ambient braiding when
 the inclusion of K is central or the projection is cocentral.
 :func:`compute_R` returns them as one :class:`CoinvariantAlgebra`, whose
-``action`` and ``coaction`` tables are read directly, and refuses an
-ungraded input or one without an antipode as an :class:`InputError`;
+``action`` and ``coaction`` tables are read directly and whose
+``inclusion`` rows are R's basis, and refuses an ungraded input or one
+without an antipode as an :class:`InputError`;
 :func:`check_braiding_collapse` returns the report's ``centrality``
-document.
+document.  K and the image of pi are spanned by the degree-zero basis
+vectors, so both travel as their indices, ``k_indices``, and
+:func:`is_central` and :func:`is_cocentral` take a set of basis indices.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .braided_space import GenericBraiding, braid_check
 from .filtration import expand_products, subspace_from_indices, transported_bialgebra, wedge_ladder
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
-from .multilinear import Vec, add_term, bilinear, vec_equal
+from .multilinear import Vec, add_term, bilinear, linear, vec_equal
 from .reporting import CoinvariantsError, FiltrationError, InputError, SpanError, ValidationReport
 from .scalars import ONE
 
@@ -51,7 +54,7 @@ def projection_pi(gr: StructureBialgebra) -> ValidationReport:
                 if degree_zero[i] and degree_zero[j] else {}
             if not vec_equal(lhs, rhs):
                 report.record("projection-product", (gr.names[i], gr.names[j]),
-                              gr.render(lhs), gr.render(rhs))
+                              render_tensor(gr, lhs), render_tensor(gr, rhs))
     for i in range(d):
         report.checked += 1
         # (pi x pi) Delta(e_i) against Delta(pi(e_i))
@@ -89,13 +92,12 @@ def _pi_images(gr: StructureBialgebra) -> list[Vec]:
     return images
 
 
-def coinvariance_defect(gr: StructureBialgebra, vec: Vec) -> dict:
-    """b_1 (x) pi(b_2) - b (x) 1; zero exactly on coinvariants."""
-    cop = gr.comultiply(vec)
-    out = {key: c for key, c in cop.items() if gr.degree(key[1]) == 0}
-    for i, c in vec.items():
-        for u, cu in gr.unit.items():
-            add_term(out, (i, u), -(c * cu))
+def coinvariance_defect(gr: StructureBialgebra, i: int) -> dict:
+    """b_1 (x) pi(b_2) - b (x) 1 at the basis vector b = e_i; a vector is
+    coinvariant exactly when its combination of these defects vanishes."""
+    out = {key: c for key, c in gr.comult[i].items() if gr.degree(key[1]) == 0}
+    for u, cu in gr.unit.items():
+        add_term(out, (i, u), -cu)
     return out
 
 
@@ -103,12 +105,11 @@ def coinvariance_defect(gr: StructureBialgebra, vec: Vec) -> dict:
 class CoinvariantAlgebra:
     parent: StructureBialgebra
     algebra: StructureBialgebra          # R with induced coproduct and braiding
-    inclusion: Subspace                  # R inside the parent, RREF rows aligned
-    reps: list[Vec]                      # parent coordinates, algebra basis order
+    inclusion: Subspace                  # R inside the parent: its RREF rows are R's basis
     k_indices: tuple[int, ...]
     action: tuple[tuple[Vec, ...], ...]  # ad[k][r] over R coordinates
     coaction: tuple[dict, ...]           # delta[r] over (K position, R index)
-    braided_reps: list[list[dict]]       # c(reps[a] (x) reps[b]) in parent coordinates
+    braided_reps: list[list[dict]]       # c(row a (x) row b) in parent coordinates
     kernel_is_left_ideal: bool
     coradical_matches_grading: bool
 
@@ -126,34 +127,31 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
     d = gr.dim
 
     images = _pi_images(gr)
-    r_image = Subspace.span(d, images)
-    r_kernel = kernel([coinvariance_defect(gr, gr.basis_vec(i)) for i in range(d)])
-
-    if r_image != r_kernel:
+    r_sub = Subspace.span(d, images)
+    r_kernel = kernel([coinvariance_defect(gr, i) for i in range(d)])
+    if r_sub != r_kernel:
         raise CoinvariantsError(
             "the two descriptions of the coinvariants disagree: "
-            f"image dim {r_image.dim}, kernel dim {r_kernel.dim}")
-    r_sub = r_image
+            f"image dim {r_sub.dim}, kernel dim {r_kernel.dim}")
 
     pi_kernel = kernel(images)
     k_indices = tuple(gr.degree_indices(0))
     kplus = kernel([{0: gr.counit[k]} for k in k_indices])
-    ideal_rows = [gr.multiply(gr.basis_vec(j), {k_indices[t]: c for t, c in kv.items()})
+    ideal_rows = [linear(gr.mult[j], {k_indices[t]: c for t, c in kv.items()})
                   for kv in kplus.rows for j in range(d)]
     kernel_is_left_ideal = pi_kernel == Subspace.span(d, ideal_rows)
 
     # the ambient basis is degree-sorted, so RREF rows are homogeneous and
     # pivot order is already (degree, pivot) order
-    reps: list[Vec] = list(r_sub.rows)
     degrees: list[int] = []
-    for vec in reps:
+    for vec in r_sub.rows:
         degs = {gr.degree(i) for i in vec}
         if len(degs) != 1:
             raise CoinvariantsError("coinvariant basis vector is not homogeneous")
         degrees.append(degs.pop())
     if degrees != sorted(degrees):
         raise CoinvariantsError("parent basis is not sorted by degree")
-    basis = Coordinates(d, reps)
+    basis = Coordinates(d, r_sub.rows)
     try:
         r_alg, action, coaction, braided = _induced_structure(gr, basis, degrees, k_indices, images)
     except SpanError as exc:
@@ -163,7 +161,6 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         parent=gr,
         algebra=r_alg,
         inclusion=r_sub,
-        reps=reps,
         k_indices=k_indices,
         action=action,
         coaction=coaction,
@@ -287,37 +284,23 @@ def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
         for n, step in enumerate(ladder.steps))
 
 
-def is_central(b: StructureBialgebra, f_rows: list[Vec], comm: list[list[Vec]]) -> bool:
-    """Multiplication through the map is invariant under the braiding, on
-    both sides: u e_j = m c(u x e_j) and e_j u = m c(e_j x u) for every
-    nonzero row u and every basis vector e_j below the truncation.  The
-    brackets are linear in u, so [u, e_j] and [e_j, u] are the sums of
-    c_i [e_i, e_j] and c_i [e_j, e_i] over the commutator table ``comm`` of b."""
+def is_central(b: StructureBialgebra, indices, comm: list[list[Vec]]) -> bool:
+    """The inclusion of the basis vectors e_u at ``indices`` is central:
+    multiplication by e_u is invariant under the braiding on both sides,
+    e_u e_j = m c(e_u x e_j) and e_j e_u = m c(e_j x e_u), for every basis
+    vector e_j below the truncation.  These are the entries [e_u, e_j] and
+    [e_j, e_u] of the commutator table ``comm`` of b, stored without zeros."""
     gates, cap = b.gates, b.cap
-    for u in f_rows:
-        if not u:
-            continue
-        gate_u = b.gate_of(u)
-        for j in range(b.dim):
-            if gate_u + gates[j] > cap:
-                continue
-            comm_j = comm[j]
-            for left in (True, False):
-                bracket: Vec = {}
-                for i, ci in u.items():
-                    for z, t in (comm[i][j] if left else comm_j[i]).items():
-                        v = ci * t
-                        prev = bracket.get(z)
-                        bracket[z] = v if prev is None else prev + v
-                if any(not v.is_zero() for v in bracket.values()):
-                    return False
-    return True
+    return not any(comm[u][j] or comm[j][u] for u in indices for j in range(b.dim)
+                   if gates[u] + gates[j] <= cap)
 
 
-def is_cocentral(a: StructureBialgebra, f_rows: list[Vec]) -> bool:
-    """Applying the map to either coproduct leg is invariant under
-    pre-composition with the braiding."""
+def is_cocentral(a: StructureBialgebra, indices) -> bool:
+    """The projection onto the basis vectors at ``indices``, along the
+    others, is cocentral: applying it to either coproduct leg is invariant
+    under pre-composition with the braiding."""
     comult, c = a.comult, a.braiding.rows
+    kept = set(indices)
     for i in range(a.dim):
         cop = comult[i]
         braided: dict = {}
@@ -327,15 +310,8 @@ def is_cocentral(a: StructureBialgebra, f_rows: list[Vec]) -> bool:
                 prev = braided.get(xy)
                 braided[xy] = v if prev is None else prev + v
         for slot in (0, 1):
-            lhs: dict = {}
-            rhs: dict = {}
-            for side, w in ((lhs, cop), (rhs, braided)):
-                for (x, y), s in w.items():
-                    for z, t in f_rows[y if slot else x].items():
-                        key, v = ((x, z) if slot else (z, y)), s * t
-                        prev = side.get(key)
-                        side[key] = v if prev is None else prev + v
-            if not vec_equal(lhs, rhs):
+            if not vec_equal({xy: s for xy, s in cop.items() if xy[slot] in kept},
+                             {xy: s for xy, s in braided.items() if xy[slot] in kept}):
                 return False
     return True
 
@@ -343,7 +319,7 @@ def is_cocentral(a: StructureBialgebra, f_rows: list[Vec]) -> bool:
 def braiding_matches_restriction(coinv: CoinvariantAlgebra) -> bool:
     """Compare the induced braiding on R with the ambient braiding restricted
     to R (x) R, exactly, in ambient coordinates."""
-    reps, r_alg = coinv.reps, coinv.algebra
+    reps, r_alg = coinv.inclusion.rows, coinv.algebra
     for a in range(r_alg.dim):
         for b in range(r_alg.dim):
             induced: dict = {}
@@ -380,11 +356,10 @@ def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra,
     """When the inclusion of K is central or the projection is cocentral, the
     induced braiding must equal the ambient one; the graded projection
     identity is verified unconditionally.  ``comm`` is the commutator table
-    of gr.  Returns the report's ``centrality`` document."""
-    k_rows: list[Vec] = [{i: ONE} for i in coinv.k_indices]
-    pi_rows: list[Vec] = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
-    central = is_central(gr, k_rows, comm)
-    cocentral = is_cocentral(gr, pi_rows)
+    of gr.  K and the image of pi are spanned by the basis vectors at
+    ``coinv.k_indices``.  Returns the report's ``centrality`` document."""
+    central = is_central(gr, coinv.k_indices, comm)
+    cocentral = is_cocentral(gr, coinv.k_indices)
     identity_ok = graded_projection_identity(gr)
     matches = braiding_matches_restriction(coinv)
     hypothesis = central or cocentral
@@ -410,8 +385,7 @@ def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:
     restricted to pairs whose truncation degrees fit under the cap, and
     those rows must exactly fill the corresponding graded slice.
     """
-    gr = coinv.parent
-    r_alg = coinv.algebra
+    gr, r_alg, reps = coinv.parent, coinv.algebra, coinv.inclusion.rows
     per_degree = []
     ok = True
     for n in range(gr.max_degree() + 1):
@@ -420,11 +394,9 @@ def bosonization_check(coinv: CoinvariantAlgebra) -> tuple[bool, list[dict]]:
         escaped = False
         for k in coinv.k_indices:
             for r in range(r_alg.dim):
-                if r_alg.degree(r) != n:
+                if r_alg.degree(r) != n or gr.gates[k] + gr.gate_of(reps[r]) > gr.cap:
                     continue
-                if gr.gates[k] + gr.gate_of(coinv.reps[r]) > gr.cap:
-                    continue
-                prod = gr.multiply(gr.basis_vec(k), coinv.reps[r])
+                prod = linear(gr.mult[k], reps[r])
                 escaped = escaped or any(gr.degree(i) != n for i in prod)
                 rows.append(prod)
         rk = len(echelon(rows)[0])

@@ -292,6 +292,6 @@ def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
             bracket = bilinear(comm, u, v)
             if any(degrees[r] > target for r in basis.coords(bracket)):
                 report.record("commutator-level", (m, n),
-                              render_tensor(h, {(k,): v for k, v in bracket.items()}),
+                              render_tensor(h, bracket),
                               f"inside step {target}")
     return report

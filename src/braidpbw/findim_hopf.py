@@ -30,7 +30,7 @@ from functools import cached_property
 from math import inf
 
 from .braided_space import GenericBraiding
-from .multilinear import (Vec, as_scalar, bilinear, compile_table, integral, lift, vadd_into,
+from .multilinear import (Vec, as_scalar, bilinear, compile_table, integral, linear, vadd_into,
                           vec_equal, vsum)
 from .reporting import ValidationReport
 from .scalars import ONE, ZERO, Scalar
@@ -111,30 +111,13 @@ class StructureBialgebra:
         return Tables(mult, comult, counit, None if self.antipode is None else anti, unit,
                       braid, 0 if ints else ZERO, one)
 
-    # -- pair interface -------------------------------------------------------
-
-    def unit_vec(self) -> Vec:
-        return dict(self.unit)
-
-    def mul_pair(self, i: int, j: int) -> Vec:
-        return self.mult[i][j]
-
-    def braid_pair(self, i: int, j: int):
-        return self.braiding.rows[i][j]
-
     # -- linear extensions ------------------------------------------------------
-
-    def basis_vec(self, i: int) -> Vec:
-        return {i: ONE}
 
     def multiply(self, a: Vec, b: Vec) -> Vec:
         return bilinear(self.mult, a, b)
 
     def comultiply(self, a: Vec):
-        out: Vec = {}
-        for i, c in a.items():
-            vadd_into(out, self.comult[i], c)
-        return out
+        return linear(self.comult, a)
 
     def counit_of(self, a: Vec) -> Scalar:
         s = ZERO
@@ -145,10 +128,7 @@ class StructureBialgebra:
     def apply_antipode(self, a: Vec) -> Vec:
         if self.antipode is None:
             raise ValueError("no antipode stored")
-        out: Vec = {}
-        for i, c in a.items():
-            vadd_into(out, self.antipode[i], c)
-        return out
+        return linear(self.antipode, a)
 
     def degree_indices(self, n: int) -> list[int]:
         return [i for i in range(self.dim) if self.degree(i) == n]
@@ -156,17 +136,16 @@ class StructureBialgebra:
     def max_degree(self) -> int:
         return max((self.degree(i) for i in range(self.dim)), default=0)
 
-    def render(self, vec: Vec) -> str:
-        return render_tensor(self, lift(vec))
-
 
 def render_tensor(h: StructureBialgebra, vec) -> str:
+    """A sparse vector keyed by basis indices, or a tensor keyed by tuples of
+    them, as text."""
     if not vec:
         return "0"
     parts = []
     for key in sorted(vec):
         c = vec[key]
-        word = "(x)".join(h.names[i] for i in key)
+        word = h.names[key] if type(key) is int else "(x)".join(h.names[i] for i in key)
         parts.append(word if c.is_one() else f"({c})*{word}")
     return " + ".join(parts)
 

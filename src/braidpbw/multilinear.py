@@ -1,23 +1,24 @@
 """Sparse vectors, and the slot operations on tensor powers.
 
 The engine's one sparse vector type is a dict mapping keys to nonzero
-Scalars; the helpers before ``lift`` add, compare and compile such vectors.
+Scalars; the helpers before ``slot_apply`` add, compare, extend linearly
+and compile such vectors.
 
 Elements of a k-fold tensor power are dicts mapping length-k tuples of
 "atoms" to nonzero scalars.  An atom is whatever indexes a basis of the
-underlying space: an integer for structure-constant algebras, a word
-tuple for the free algebra of the tests.  The slot operations below are
-generic over any object exposing the pair interface
+underlying space.  The slot operations below are generic over any object
+exposing the pair interface
 
-    mul_pair(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
-    braid_pair(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
+    mul(a, b)   -> dict[atom, Scalar]          (product of basis atoms)
+    braid(a, b) -> dict[(atom, atom), Scalar]  (braiding on basis atoms)
 
-No engine stage calls them: every stage composes structure rows (``mult``,
-``comult``, ``antipode`` and the braiding's row table) directly, and the
-tests keep slot-by-slot evaluation as an oracle.  They stay in the package
-only because the benchmark's tracer (``perfbench/tracing.py``) counts calls
-to ``slot_*``, ``mul_at`` and ``braid_at`` by these names and fails when one
-is missing.
+No engine stage calls them, and no engine object has the pair interface:
+every stage composes structure rows (``mult``, ``comult``, ``antipode`` and
+the braiding's row table) directly.  The tests' oracle supplies the pair
+interface and keeps slot-by-slot evaluation as its reference.  ``slot_*``,
+``mul_at`` and ``braid_at`` stay in the package only for the benchmark's
+tracer (``perfbench/tracing.py``), which counts calls to them by these
+names and fails when one is missing.
 """
 from __future__ import annotations
 
@@ -45,6 +46,15 @@ def vadd_into(acc: Vec, vec: Vec, factor: Scalar | None = None) -> Vec:
         else:
             acc[k] = s
     return acc
+
+
+def linear(rows, u: Vec) -> Vec:
+    """The linear extension sum u_i rows[i] of a table of values on basis
+    vectors (a coproduct or antipode table, or a row or column of products)."""
+    out: Vec = {}
+    for i, c in u.items():
+        vadd_into(out, rows[i], c)
+    return out
 
 
 def bilinear(rows, u: Vec, v: Vec) -> Vec:
@@ -132,11 +142,6 @@ def as_scalar(c) -> Scalar:
     return c if type(c) is Scalar else Scalar(1, (c,), 1)
 
 
-def lift(vec: Vec) -> Vec:
-    """Wrap an atom-keyed dict as a 1-slot tensor."""
-    return {(k,): c for k, c in vec.items()}
-
-
 def slot_apply(vec: Vec, i: int, fn) -> Vec:
     """Replace slot i through an atom -> Vec[atom] linear map."""
     out: Vec = {}
@@ -188,8 +193,8 @@ def slot_scalar(vec: Vec, i: int, fn) -> Vec:
 # ---------------------------------------------------------------------------
 
 def mul_at(ops, vec: Vec, i: int) -> Vec:
-    return slot_merge(vec, i, ops.mul_pair)
+    return slot_merge(vec, i, ops.mul)
 
 
 def braid_at(ops, vec: Vec, i: int) -> Vec:
-    return slot_pair(vec, i, ops.braid_pair)
+    return slot_pair(vec, i, ops.braid)

@@ -1,15 +1,19 @@
 """PBW verdicts for connected graded braided bialgebras.
 
-The indecomposables of the augmentation ideal carry an induced braiding;
-the canonical graded algebra map from the braided symmetric algebra on
+The indecomposables of the augmentation ideal carry an induced braiding.
+They are represented by the target's basis vectors at the non-pivot
+columns of the ideal's square, and :class:`QSpace` holds their indices.
+The canonical graded algebra map from the braided symmetric algebra on
 them into the target sends each standard monomial to the ordered product
-of representatives.  The verdict is positive exactly when that map is
-degreewise bijective, kills the braided symmetrising ideal, and
-intertwines the braidings on generators; the first degree where any of
-these fails is recorded.  A positive verdict makes each degree's matrix
-square and of full rank, so the standard monomials name a basis; it is
-emitted whenever the induced braiding is symmetric.  Every stage reads the
-target :class:`StructureBialgebra` (for coinvariants, their ``algebra``).
+of those basis vectors, read off the product table.  The verdict is
+positive exactly when that map is degreewise bijective, kills the braided
+symmetrising ideal, and intertwines the braidings on generators; the
+first degree where any of these fails is recorded.  A positive verdict
+makes each degree's matrix square and of full rank, so the standard
+monomials name a basis; it is emitted whenever the induced braiding is
+symmetric.  Every stage reads the target :class:`StructureBialgebra` (for
+coinvariants, their ``algebra``), which :func:`pbw_verdict` first
+requires to be graded and connected.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from .braided_space import GenericBraiding, braid_check, is_symmetric
 from .findim_hopf import StructureBialgebra
 from .linalg import Coordinates, Subspace, rank
-from .multilinear import Vec, vadd_into, vec_equal
+from .multilinear import Vec, linear, vadd_into, vec_equal
 from .reporting import BraidpbwError, InputError, require_degree
 from .scalars import ONE, ZERO
 from .symmetric_algebra import monomial_str, normal_forms
@@ -30,17 +34,16 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass
 class QSpace:
-    """Indecomposable generators: homogeneous representatives inside the
-    target with their degrees and the braiding induced on the quotient."""
+    """Indecomposable generators: the indices of the target's basis vectors
+    that represent them, and the braiding induced on the quotient.  Their
+    degrees and names are the target's."""
 
-    reps: list[Vec]
-    degrees: list[int]
-    names: list[str]
+    indices: list[int]
     braiding: GenericBraiding
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.indices)
 
 
 @dataclass
@@ -80,7 +83,7 @@ def _require_connected_graded(h: StructureBialgebra) -> None:
     if h.grading is None:
         raise InputError("PBW analysis needs a graded bialgebra")
     zero = h.degree_indices(0)
-    if len(zero) != 1 or not vec_equal(h.unit_vec(), {zero[0]: ONE}):
+    if len(zero) != 1 or not vec_equal(h.unit, {zero[0]: ONE}):
         raise InputError("PBW analysis needs a connected target "
                          "(degree-0 part spanned by the unit)")
 
@@ -90,33 +93,21 @@ def compute_Q(h: StructureBialgebra) -> QSpace:
 
     Degreewise canonical complement: standard basis vectors at the
     non-pivot columns of the span of products of positive-degree elements.
+    The target must be connected and graded (checked by :func:`pbw_verdict`).
     """
-    _require_connected_graded(h)
     d = h.dim
-    for i in range(d):
-        if h.degree(i) > 0 and not h.counit[i].is_zero():
-            raise InputError("counit does not vanish in positive degree")
     positive = [i for i in range(d) if h.degree(i) > 0]
-    gates = h.gates
-    square_rows = []
-    for i in positive:
-        for j in positive:
-            if gates[i] + gates[j] > h.cap:
-                continue
-            prod = h.multiply(h.basis_vec(i), h.basis_vec(j))
-            if prod:
-                square_rows.append(prod)
-    square = Subspace.span(d, square_rows)
+    if any(not h.counit[i].is_zero() for i in positive):
+        raise InputError("counit does not vanish in positive degree")
+    gates, mult = h.gates, h.mult
+    square = Subspace.span(d, [mult[i][j] for i in positive for j in positive
+                               if gates[i] + gates[j] <= h.cap])
     pivset = set(square.pivots)
     q_indices = [i for i in positive if i not in pivset]
     # coordinates over the square's RREF rows followed by e_q; the e_q part
     # is the class modulo the square
     basis = Coordinates(d, list(square.rows) + [{i: ONE} for i in q_indices])
     first_q = square.dim
-
-    reps = [h.basis_vec(i) for i in q_indices]
-    degrees = [h.degree(i) for i in q_indices]
-    names = [h.names[i] for i in q_indices]
 
     c = h.braiding.rows
     rows = []
@@ -132,7 +123,7 @@ def compute_Q(h: StructureBialgebra) -> QSpace:
     braiding = GenericBraiding(rows)
     if not braid_check(braiding):
         raise BraidpbwError("induced braiding on the generator space fails the braid equation")
-    return QSpace(reps=reps, degrees=degrees, names=names, braiding=braiding)
+    return QSpace(indices=q_indices, braiding=braiding)
 
 
 def canonical_map(q: QSpace, h: StructureBialgebra, n_max: int):
@@ -140,26 +131,25 @@ def canonical_map(q: QSpace, h: StructureBialgebra, n_max: int):
 
     For each degree: the standard monomials of that weight in the braided
     symmetric algebra (from :func:`normal_forms`, ascending), the matrix of
-    ordered products of representatives over the target's graded slice, and
+    ordered products of representatives over the target's graded slice, each
+    product formed by multiplying with the generators' product columns, and
     whether the symmetrising ideal maps to zero through that degree.  The map
     is an algebra map out of the free algebra, so it kills the ideal exactly
     when it kills the generating relations x_a x_b - c(x_a x_b).  Grouping
     the standard monomials by weight needs every relation to be homogeneous;
     a braiding that mixes weights is an engine error.
     """
-    _require_connected_graded(h)
-    deg, c = q.degrees, q.braiding.rows
+    deg, c = [h.degree(i) for i in q.indices], q.braiding.rows
     pairs = [(a, b) for a in range(q.dim) for b in range(q.dim)]
     if any(deg[k] + deg[l] != deg[a] + deg[b] for a, b in pairs for k, l in c[a][b]):
         raise BraidpbwError("induced braiding on the generator space does not preserve degree")
-    product_cache: dict[tuple[int, ...], Vec] = {(): h.unit_vec()}
+    columns = [[row[g] for row in h.mult] for g in q.indices]
+    product_cache: dict[tuple[int, ...], Vec] = {(): h.unit}
 
     def product_of(word: tuple[int, ...]) -> Vec:
-        if word in product_cache:
-            return product_cache[word]
-        head = product_of(word[:-1])
-        vec = h.multiply(head, q.reps[word[-1]])
-        product_cache[word] = vec
+        vec = product_cache.get(word)
+        if vec is None:
+            vec = product_cache[word] = linear(columns[word[-1]], product_of(word[:-1]))
         return vec
 
     def relation_fails(a: int, b: int) -> bool:
@@ -199,8 +189,7 @@ def _generators_intertwine(q: QSpace, h: StructureBialgebra) -> bool:
     the induced braiding expressed through representatives.  These are basis
     vectors e_i of the target, so the sides are the target's braiding rows at
     their indices and Q's rows relabelled to those indices."""
-    index = [i for rep in q.reps for i in rep]
-    c, cq = h.braiding.rows, q.braiding.rows
+    index, c, cq = q.indices, h.braiding.rows, q.braiding.rows
     for a, ia in enumerate(index):
         for b, ib in enumerate(index):
             induced = {(index[x], index[y]): s for (x, y), s in cq[a][b].items()}
@@ -214,6 +203,7 @@ def pbw_verdict(h: StructureBialgebra, n_max: int) -> PBWReport:
     symmetric algebra on its indecomposables?  Verified degree by degree
     through the canonical map."""
     require_degree(n_max)
+    _require_connected_graded(h)
     q = compute_Q(h)
     diag = q.braiding.diagonal_coefficients() is not None
     sym = is_symmetric(q.braiding)
@@ -251,7 +241,8 @@ def pbw_verdict(h: StructureBialgebra, n_max: int) -> PBWReport:
         verdict = PBW_TYPE_TRUE
     basis = None
     if verdict == PBW_TYPE_TRUE and sym:
-        basis = ["1"] + [monomial_str(q.names, w)
+        names = [h.names[i] for i in q.indices]
+        basis = ["1"] + [monomial_str(names, w)
                          for n in range(1, verified + 1) for w in data[n]["monomials"]]
     return PBWReport(
         verdict=verdict,

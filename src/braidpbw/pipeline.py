@@ -38,6 +38,15 @@ def check_report(h: StructureBialgebra) -> dict:
     return doc
 
 
+def require_axioms(h: StructureBialgebra) -> dict:
+    """The axiom report of an input bialgebra; an input that fails any of
+    its checks is refused as a failure of the ``axioms`` stage."""
+    axioms = check_report(h)
+    if not axioms["all_ok"]:
+        raise PipelineError("axioms", "input bialgebra fails its axiom checks")
+    return axioms
+
+
 def _stage(stage: str, fn, *args):
     """fn(*args), with a deliberate failure reported as a failure of the stage."""
     try:
@@ -53,10 +62,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
         raise InputError("the pipeline needs a bialgebra with an antipode")
     report: dict = {}
 
-    axioms = check_report(h)
-    report["axioms"] = axioms
-    if not axioms["all_ok"]:
-        raise PipelineError("axioms", "input bialgebra fails its axiom checks")
+    report["axioms"] = require_axioms(h)
 
     comm_h = commutator_table(h)
     report["commutator_coproduct"] = check_commutator_coproduct_all(

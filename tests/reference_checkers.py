@@ -6,10 +6,11 @@ structure map, through the generic ``multilinear`` slot operations
 (``braid_at``, ``mul_at``, ``slot_split``, ...), one basis tuple at a time.
 The engine composes the structure rows directly; the tests require both to
 give identical reports, counters, witnesses, verdicts and structure
-constants.  The atom maps, the opposite product and the braided commutator
-of a structure-constant bialgebra that the slot operations apply are
-defined here, as is the slot contraction ``contract``, since the engine
-does not use them.
+constants.  The pair interface of a structure-constant bialgebra
+(``pair_ops``, whose ``mul`` and ``braid`` read its product and braiding
+rows), the atom maps, the opposite product and the braided commutator that
+the slot operations apply are defined here, as is the slot contraction
+``contract``, since the engine does not use them.
 
 So are the tensor-square combinators (the square product, braiding and
 commutator, and the expansion of the square commutator) and
@@ -32,7 +33,6 @@ from braidpbw.linalg import Coordinates, Subspace, echelon, kernel
 from braidpbw.multilinear import (
     add_term,
     braid_at,
-    lift,
     mul_at,
     slot_apply,
     slot_scalar,
@@ -147,10 +147,10 @@ class FreeAlgebra:
         self.braiding = braiding
         self.dim = braiding.dim
 
-    def mul_pair(self, u: tuple, v: tuple) -> dict:
+    def mul(self, u: tuple, v: tuple) -> dict:
         return {u + v: ONE}
 
-    def braid_pair(self, u: tuple, v: tuple) -> dict:
+    def braid(self, u: tuple, v: tuple) -> dict:
         """Block-exchange braiding on a pair of words."""
         m = len(v)
         return {(w[:m], w[m:]): c
@@ -188,6 +188,11 @@ class FreeAlgebra:
 # ---------------------------------------------------------------------------
 # the slot-operation interface of a structure-constant bialgebra
 # ---------------------------------------------------------------------------
+
+def lift(vec) -> dict:
+    """Wrap an atom-keyed dict as a 1-slot tensor."""
+    return {(k,): c for k, c in vec.items()}
+
 
 def unlift(vec) -> dict:
     """A 1-slot tensor as an atom-keyed dict."""
@@ -228,9 +233,12 @@ def antipode_atom(h: StructureBialgebra):
     return h.antipode.__getitem__
 
 
-def pair_ops(c: GenericBraiding):
-    """The pair interface of a braiding table, for ``braid_at``."""
-    return SimpleNamespace(braid_pair=lambda i, j: c.rows[i][j])
+def pair_ops(x):
+    """The pair interface, for ``mul_at`` and ``braid_at``, of a braiding
+    table, or of a structure-constant bialgebra's product and braiding rows."""
+    if isinstance(x, GenericBraiding):
+        return SimpleNamespace(braid=lambda i, j: x.rows[i][j])
+    return SimpleNamespace(mul=lambda i, j: x.mult[i][j], braid=lambda i, j: x.braiding.rows[i][j])
 
 
 def gate_ok(h: StructureBialgebra, *indices: int) -> bool:
@@ -243,12 +251,12 @@ def gate_ok(h: StructureBialgebra, *indices: int) -> bool:
 
 def opposite_multiply(h: StructureBialgebra, a, b) -> dict:
     """m(c(a x b))."""
-    return unlift(opposite_mul_at(h, tensor(lift(a), lift(b)), 0))
+    return unlift(opposite_mul_at(pair_ops(h), tensor(lift(a), lift(b)), 0))
 
 
 def commutator(h: StructureBialgebra, a, b) -> dict:
     """The braided commutator [a, b] = ab - m(c(a x b))."""
-    return unlift(slot_commutator(h, lift(a), lift(b)))
+    return unlift(slot_commutator(pair_ops(h), lift(a), lift(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +298,36 @@ def _compare(h, report, axiom, witness, lhs, rhs):
 def check_braided_algebra(h: StructureBialgebra) -> ValidationReport:
     """Associativity, unit laws, and compatibility of product with braiding."""
     report = ValidationReport("braided algebra")
-    d = h.dim
-    unit = lift(h.unit_vec())
+    d, ops = h.dim, pair_ops(h)
+    unit = lift(h.unit)
     for i in range(d):
-        e = lift(h.basis_vec(i))
-        _compare(h, report, "unit-left", (i,), mul_at(h, tensor(unit, e), 0), e)
-        _compare(h, report, "unit-right", (i,), mul_at(h, tensor(e, unit), 0), e)
+        e = {(i,): ONE}
+        _compare(h, report, "unit-left", (i,), mul_at(ops, tensor(unit, e), 0), e)
+        _compare(h, report, "unit-right", (i,), mul_at(ops, tensor(e, unit), 0), e)
         _compare(h, report, "unit-braid-left", (i,),
-                 braid_at(h, tensor(unit, e), 0), tensor(e, unit))
+                 braid_at(ops, tensor(unit, e), 0), tensor(e, unit))
         _compare(h, report, "unit-braid-right", (i,),
-                 braid_at(h, tensor(e, unit), 0), tensor(unit, e))
+                 braid_at(ops, tensor(e, unit), 0), tensor(unit, e))
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 w = {(i, j, k): ONE}
                 if gate_ok(h, i, j, k):
                     _compare(h, report, "associativity", (i, j, k),
-                             mul_at(h, mul_at(h, w, 0), 0),
-                             mul_at(h, mul_at(h, w, 1), 0))
+                             mul_at(ops, mul_at(ops, w, 0), 0),
+                             mul_at(ops, mul_at(ops, w, 1), 0))
                 else:
                     report.skipped += 1
                 if gate_ok(h, i, j):
                     _compare(h, report, "braid-mult-left", (i, j, k),
-                             braid_at(h, mul_at(h, w, 0), 0),
-                             mul_at(h, braid_at(h, braid_at(h, w, 1), 0), 1))
+                             braid_at(ops, mul_at(ops, w, 0), 0),
+                             mul_at(ops, braid_at(ops, braid_at(ops, w, 1), 0), 1))
                 else:
                     report.skipped += 1
                 if gate_ok(h, j, k):
                     _compare(h, report, "braid-mult-right", (i, j, k),
-                             braid_at(h, mul_at(h, w, 1), 0),
-                             mul_at(h, braid_at(h, braid_at(h, w, 0), 1), 0))
+                             braid_at(ops, mul_at(ops, w, 1), 0),
+                             mul_at(ops, braid_at(ops, braid_at(ops, w, 0), 1), 0))
                 else:
                     report.skipped += 1
     if h.truncation is not None:
@@ -330,9 +338,9 @@ def check_braided_algebra(h: StructureBialgebra) -> ValidationReport:
 def check_braided_coalgebra(h: StructureBialgebra) -> ValidationReport:
     """Coassociativity, counit laws, and compatibility of coproduct with braiding."""
     report = ValidationReport("braided coalgebra")
-    d = h.dim
+    d, ops = h.dim, pair_ops(h)
     for i in range(d):
-        e = lift(h.basis_vec(i))
+        e = {(i,): ONE}
         de = slot_split(e, 0, comul_atom(h))
         _compare(h, report, "coassociativity", (i,),
                  slot_split(de, 0, comul_atom(h)), slot_split(de, 1, comul_atom(h)))
@@ -341,13 +349,13 @@ def check_braided_coalgebra(h: StructureBialgebra) -> ValidationReport:
     for i in range(d):
         for j in range(d):
             w = {(i, j): ONE}
-            cw = braid_at(h, w, 0)
+            cw = braid_at(ops, w, 0)
             _compare(h, report, "braid-comul-left", (i, j),
                      slot_split(cw, 0, comul_atom(h)),
-                     braid_at(h, braid_at(h, slot_split(w, 1, comul_atom(h)), 0), 1))
+                     braid_at(ops, braid_at(ops, slot_split(w, 1, comul_atom(h)), 0), 1))
             _compare(h, report, "braid-comul-right", (i, j),
                      slot_split(cw, 1, comul_atom(h)),
-                     braid_at(h, braid_at(h, slot_split(w, 0, comul_atom(h)), 1), 0))
+                     braid_at(ops, braid_at(ops, slot_split(w, 0, comul_atom(h)), 1), 0))
             _compare(h, report, "counit-braid-left", (i, j),
                      slot_scalar(cw, 0, counit_atom(h)),
                      vscale({(i,): ONE}, h.counit[j]))
@@ -360,23 +368,23 @@ def check_braided_coalgebra(h: StructureBialgebra) -> ValidationReport:
 def check_braided_bialgebra(h: StructureBialgebra) -> ValidationReport:
     """Coproduct and counit are morphisms onto the braided tensor-square algebra."""
     report = ValidationReport("braided bialgebra")
-    d = h.dim
-    unit = lift(h.unit_vec())
+    d, ops = h.dim, pair_ops(h)
+    unit = lift(h.unit)
     _compare(h, report, "comul-unit", (), slot_split(unit, 0, comul_atom(h)),
              tensor(unit, unit))
     report.checked += 1
-    if not h.counit_of(h.unit_vec()).is_one():
-        report.record("counit-unit", (), str(h.counit_of(h.unit_vec())), "1")
+    if not h.counit_of(h.unit).is_one():
+        report.record("counit-unit", (), str(h.counit_of(h.unit)), "1")
     for i in range(d):
         for j in range(d):
             if not gate_ok(h, i, j):
                 report.skipped += 1
                 continue
             w = {(i, j): ONE}
-            prod = mul_at(h, w, 0)
+            prod = mul_at(ops, w, 0)
             lhs = slot_split(prod, 0, comul_atom(h))
-            rhs = square_product(h, tensor(slot_split({(i,): ONE}, 0, comul_atom(h)),
-                                           slot_split({(j,): ONE}, 0, comul_atom(h))))
+            rhs = square_product(ops, tensor(slot_split({(i,): ONE}, 0, comul_atom(h)),
+                                             slot_split({(j,): ONE}, 0, comul_atom(h))))
             _compare(h, report, "comul-mult", (i, j), lhs, rhs)
             report.checked += 1
             eps_prod = h.counit_of(unlift(prod))
@@ -393,34 +401,34 @@ def check_antipode(h: StructureBialgebra) -> ValidationReport:
     if h.antipode is None:
         raise ValueError("no antipode stored")
     report = ValidationReport("antipode")
-    d = h.dim
-    unit = h.unit_vec()
+    d, ops = h.dim, pair_ops(h)
+    unit = h.unit
     for i in range(d):
-        e = lift(h.basis_vec(i))
+        e = {(i,): ONE}
         de = slot_split(e, 0, comul_atom(h))
-        lhs = mul_at(h, slot_apply(de, 0, antipode_atom(h)), 0)
-        rhs = mul_at(h, slot_apply(de, 1, antipode_atom(h)), 0)
+        lhs = mul_at(ops, slot_apply(de, 0, antipode_atom(h)), 0)
+        rhs = mul_at(ops, slot_apply(de, 1, antipode_atom(h)), 0)
         target = lift(vscale(unit, h.counit[i]))
         _compare(h, report, "antipode-left", (i,), lhs, target)
         _compare(h, report, "antipode-right", (i,), rhs, target)
         _compare(h, report, "antipode-comul", (i,),
-                 slot_apply(slot_apply(braid_at(h, de, 0), 0, antipode_atom(h)),
+                 slot_apply(slot_apply(braid_at(ops, de, 0), 0, antipode_atom(h)),
                             1, antipode_atom(h)),
                  slot_split(slot_apply(e, 0, antipode_atom(h)), 0, comul_atom(h)))
     for i in range(d):
         for j in range(d):
             w = {(i, j): ONE}
             _compare(h, report, "antipode-braid-left", (i, j),
-                     slot_apply(braid_at(h, w, 0), 0, antipode_atom(h)),
-                     braid_at(h, slot_apply(w, 1, antipode_atom(h)), 0))
+                     slot_apply(braid_at(ops, w, 0), 0, antipode_atom(h)),
+                     braid_at(ops, slot_apply(w, 1, antipode_atom(h)), 0))
             _compare(h, report, "antipode-braid-right", (i, j),
-                     slot_apply(braid_at(h, w, 0), 1, antipode_atom(h)),
-                     braid_at(h, slot_apply(w, 0, antipode_atom(h)), 0))
+                     slot_apply(braid_at(ops, w, 0), 1, antipode_atom(h)),
+                     braid_at(ops, slot_apply(w, 0, antipode_atom(h)), 0))
             if gate_ok(h, i, j):
                 _compare(h, report, "antipode-mult", (i, j),
-                         mul_at(h, braid_at(h, slot_apply(slot_apply(w, 0, antipode_atom(h)),
-                                                          1, antipode_atom(h)), 0), 0),
-                         slot_apply(mul_at(h, w, 0), 0, antipode_atom(h)))
+                         mul_at(ops, braid_at(ops, slot_apply(slot_apply(w, 0, antipode_atom(h)),
+                                                              1, antipode_atom(h)), 0), 0),
+                         slot_apply(mul_at(ops, w, 0), 0, antipode_atom(h)))
             else:
                 report.skipped += 1
     return report
@@ -430,7 +438,7 @@ def _commutator_coproduct_sides(h: StructureBialgebra, a, b):
     """The coproduct of the braided commutator [a, b], and the tensor-square
     commutator of the coproducts of a and b."""
     return (h.comultiply(commutator(h, a, b)),
-            square_commutator(h, h.comultiply(a), h.comultiply(b)))
+            square_commutator(pair_ops(h), h.comultiply(a), h.comultiply(b)))
 
 
 def check_commutator_coproduct(h: StructureBialgebra, a, b) -> bool:
@@ -447,7 +455,7 @@ def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
                 report.skipped += 1
                 continue
             _compare(h, report, "commutator-coproduct", (i, j),
-                     *_commutator_coproduct_sides(h, h.basis_vec(i), h.basis_vec(j)))
+                     *_commutator_coproduct_sides(h, {i: ONE}, {j: ONE}))
     return report
 
 
@@ -456,16 +464,16 @@ def is_c_commutative(h: StructureBialgebra) -> bool:
         for j in range(h.dim):
             if not gate_ok(h, i, j):
                 continue
-            if not vec_equal(h.multiply(h.basis_vec(i), h.basis_vec(j)),
-                             opposite_multiply(h, h.basis_vec(i), h.basis_vec(j))):
+            if not vec_equal(h.mult[i][j], opposite_multiply(h, {i: ONE}, {j: ONE})):
                 return False
     return True
 
 
 def is_c_cocommutative(h: StructureBialgebra) -> bool:
+    ops = pair_ops(h)
     for i in range(h.dim):
         de = slot_split({(i,): ONE}, 0, comul_atom(h))
-        if not vec_equal(de, braid_at(h, de, 0)):
+        if not vec_equal(de, braid_at(ops, de, 0)):
             return False
     return True
 
@@ -494,6 +502,7 @@ def projection_pi(gr: StructureBialgebra) -> ValidationReport:
     """The degree-zero projection pi against products, coproducts and the
     unit, with pi applied to each side through the slot operations."""
     report = ValidationReport("degree-zero projection morphism")
+    ops = pair_ops(gr)
     pi_rows = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
 
     def proj(w, slots):
@@ -508,14 +517,14 @@ def projection_pi(gr: StructureBialgebra) -> ValidationReport:
                 continue
             w = {(i, j): ONE}
             _compare(gr, report, "projection-product", (i, j),
-                     proj(mul_at(gr, w, 0), (0,)), mul_at(gr, proj(w, (0, 1)), 0))
+                     proj(mul_at(ops, w, 0), (0,)), mul_at(ops, proj(w, (0, 1)), 0))
     for i in range(gr.dim):
         w = {(i,): ONE}
         _compare(gr, report, "projection-coproduct", (i,),
                  proj(slot_split(w, 0, comul_atom(gr)), (0, 1)),
                  slot_split(proj(w, (0,)), 0, comul_atom(gr)))
     report.checked += 1
-    unit = lift(gr.unit_vec())
+    unit = lift(gr.unit)
     if not vec_equal(proj(unit, (0,)), unit):
         report.record("projection-unit", (), "pi(1)", "1")
     return report
@@ -527,18 +536,19 @@ def pi_map(gr: StructureBialgebra, vec) -> dict:
     w = slot_split(lift(vec), 0, comul_atom(gr))
     w = {key: c for key, c in w.items() if gr.degree(key[1]) == 0}
     w = slot_apply(w, 1, antipode_atom(gr))
-    return unlift(mul_at(gr, w, 0))
+    return unlift(mul_at(pair_ops(gr), w, 0))
 
 
 def ad_eval(gr: StructureBialgebra, kvec, rvec) -> dict:
     """Braided conjugation: multiply the first coproduct leg of k, braid the
     second past the argument, close with the antipode and multiply down."""
+    ops = pair_ops(gr)
     w = tensor(lift(kvec), lift(rvec))
     w = slot_split(w, 0, comul_atom(gr))
-    w = braid_at(gr, w, 1)
+    w = braid_at(ops, w, 1)
     w = slot_apply(w, 2, antipode_atom(gr))
-    w = mul_at(gr, w, 0)
-    w = mul_at(gr, w, 0)
+    w = mul_at(ops, w, 0)
+    w = mul_at(ops, w, 0)
     return unlift(w)
 
 
@@ -578,7 +588,7 @@ def compute_R(gr: StructureBialgebra) -> dict:
 
 
 def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
-    basis = Coordinates(gr.dim, reps)
+    basis, ops = Coordinates(gr.dim, reps), pair_ops(gr)
     rdim = len(reps)
     comult = []
     for a in range(rdim):
@@ -602,7 +612,7 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
             vadd_into(acc, {rr: c * gr.counit[k_indices[kt]]})
         if not vec_equal(acc, {a: ONE}):
             raise CoinvariantsError("coaction fails counitality")
-    braided = [[braid_at(gr, tensor(lift(reps[a]), lift(reps[b])), 0) for b in range(rdim)]
+    braided = [[braid_at(ops, tensor(lift(reps[a]), lift(reps[b])), 0) for b in range(rdim)]
                for a in range(rdim)]
     braid_rows = [[{} for _ in range(rdim)] for _ in range(rdim)]
     for a in range(rdim):
@@ -631,7 +641,7 @@ def is_central(b: StructureBialgebra, f_rows: list) -> bool:
         for j in range(b.dim):
             if not all(gate_ok(b, i, j) for i in u):
                 continue
-            ev = b.basis_vec(j)
+            ev = {j: ONE}
             if not vec_equal(b.multiply(u, ev), opposite_multiply(b, u, ev)):
                 return False
             if not vec_equal(b.multiply(ev, u), opposite_multiply(b, ev, u)):
@@ -643,8 +653,8 @@ def is_cocentral(a: StructureBialgebra, f_rows: list) -> bool:
     """Applying the map to either coproduct leg is invariant under
     pre-composition with the braiding."""
     for i in range(a.dim):
-        cop = a.comultiply(a.basis_vec(i))
-        braided = braid_at(a, cop, 0)
+        cop = a.comult[i]
+        braided = braid_at(pair_ops(a), cop, 0)
         for slot in (0, 1):
             lhs = slot_apply(cop, slot, lambda t: f_rows[t])
             rhs = slot_apply(braided, slot, lambda t: f_rows[t])
@@ -656,13 +666,13 @@ def is_cocentral(a: StructureBialgebra, f_rows: list) -> bool:
 def braiding_matches_restriction(coinv) -> bool:
     """The induced braiding on R against the ambient braiding restricted to
     R (x) R, in ambient coordinates."""
-    gr, r_alg = coinv.parent, coinv.algebra
+    ops, r_alg, reps = pair_ops(coinv.parent), coinv.algebra, coinv.inclusion.rows
     for a in range(r_alg.dim):
         for b in range(r_alg.dim):
-            ambient = braid_at(gr, tensor(lift(coinv.reps[a]), lift(coinv.reps[b])), 0)
+            ambient = braid_at(ops, tensor(lift(reps[a]), lift(reps[b])), 0)
             induced: dict = {}
-            for (ra, rb), c in r_alg.braid_pair(a, b).items():
-                vadd_into(induced, tensor(lift(coinv.reps[ra]), lift(coinv.reps[rb])), c)
+            for (ra, rb), c in r_alg.braiding.rows[a][b].items():
+                vadd_into(induced, tensor(lift(reps[ra]), lift(reps[rb])), c)
             if not vec_equal(ambient, induced):
                 return False
     return True
@@ -670,12 +680,13 @@ def braiding_matches_restriction(coinv) -> bool:
 
 def graded_projection_identity(gr: StructureBialgebra) -> bool:
     """(pi x id) c = c (id x pi) on every basis pair."""
+    ops = pair_ops(gr)
     pi_rows = [({i: ONE} if gr.degree(i) == 0 else {}) for i in range(gr.dim)]
     for i in range(gr.dim):
         for j in range(gr.dim):
             w = {(i, j): ONE}
-            lhs = slot_apply(braid_at(gr, w, 0), 0, lambda t: pi_rows[t])
-            rhs = braid_at(gr, slot_apply(w, 1, lambda t: pi_rows[t]), 0)
+            lhs = slot_apply(braid_at(ops, w, 0), 0, lambda t: pi_rows[t])
+            rhs = braid_at(ops, slot_apply(w, 1, lambda t: pi_rows[t]), 0)
             if not vec_equal(lhs, rhs):
                 return False
     return True
@@ -704,13 +715,13 @@ def generators_intertwine(q, h: StructureBialgebra) -> bool:
     """The braiding of the target restricted to representative pairs equals
     the induced braiding of the generator space Q expressed through the
     representatives, each side formed by the slot operations."""
-    qc = pair_ops(q.braiding)
+    ops, qc, reps = pair_ops(h), pair_ops(q.braiding), [{i: ONE} for i in q.indices]
     for a in range(q.dim):
         for b in range(q.dim):
-            ambient = braid_at(h, tensor(lift(q.reps[a]), lift(q.reps[b])), 0)
+            ambient = braid_at(ops, tensor(lift(reps[a]), lift(reps[b])), 0)
             induced: dict = {}
             for (x, y), s in braid_at(qc, {(a, b): ONE}, 0).items():
-                vadd_into(induced, tensor(lift(q.reps[x]), lift(q.reps[y])), s)
+                vadd_into(induced, tensor(lift(reps[x]), lift(reps[y])), s)
             if not vec_equal(ambient, induced):
                 return False
     return True
@@ -775,15 +786,16 @@ def canonical_map(q, h: StructureBialgebra, n_max: int) -> dict:
     elimination at each weight, with the symmetrising ideal checked on every
     word of that weight at every position."""
     out = {}
-    product_cache: dict = {(): h.unit_vec()}
+    degrees = [h.degree(i) for i in q.indices]
+    product_cache: dict = {(): h.unit}
 
     def product_of(word: tuple) -> dict:
         if word not in product_cache:
-            product_cache[word] = h.multiply(product_of(word[:-1]), q.reps[word[-1]])
+            product_cache[word] = h.multiply(product_of(word[:-1]), {q.indices[word[-1]]: ONE})
         return product_cache[word]
 
     for n in range(1, n_max + 1):
-        words, _, complement = tensor_ideal_complement(q.braiding, q.degrees, n)
+        words, _, complement = tensor_ideal_complement(q.braiding, degrees, n)
         cols = h.degree_indices(n)
         col_pos = {i: t for t, i in enumerate(cols)}
         matrix = []

@@ -136,8 +136,8 @@ def test_is_categorical_mixed_line_fails():
 
 def test_categorical_pair_exchange():
     # for categorical X, Y the braiding maps X (x) Y into Y (x) X
-    from braidpbw.multilinear import braid_at, lift
-    from reference_checkers import pair_ops, tensor
+    from braidpbw.multilinear import braid_at
+    from reference_checkers import lift, pair_ops, tensor
 
     q = [[ONE, MINUS_ONE, ONE], [MINUS_ONE, ONE, ONE], [ONE, ONE, MINUS_ONE]]
     c = GenericBraiding.diagonal(q)

@@ -85,6 +85,32 @@ def _subspaces(rng, h, sub):
     return out
 
 
+def _proper_subset(label, d) -> list[int]:
+    """A nonempty proper subset of range(d) (empty when d < 2), drawn from a
+    generator seeded by the label, so that the draws of the shared one stay
+    as they are."""
+    rng = random.Random(label)
+    return sorted(rng.sample(range(d), rng.randint(1, d - 1))) if d > 1 else []
+
+
+def _compare_index_sets(label, h, comm, seen: Counter):
+    """is_central and is_cocentral on all indices, on a random proper subset
+    and, for graded h, on the degree-zero indices.  The reference takes
+    general rows: e_i at each index of the set, zero elsewhere."""
+    subsets = {"all": range(h.dim), "subset": _proper_subset(label, h.dim)}
+    if h.grading is not None and h.antipode is not None:
+        subsets["degree zero"] = h.degree_indices(0)
+    for kind, indices in subsets.items():
+        kept = set(indices)
+        rows = [({i: ONE} if i in kept else {}) for i in range(h.dim)]
+        central = coinvariants.is_central(h, indices, comm)
+        cocentral = coinvariants.is_cocentral(h, indices)
+        assert central == ref.is_central(h, rows), f"{label}/{kind}/is_central"
+        assert cocentral == ref.is_cocentral(h, rows), f"{label}/{kind}/is_cocentral"
+        seen[f"{kind} central {central}"] += 1
+        seen[f"{kind} cocentral {cocentral}"] += 1
+
+
 def _compare(label, h, sub, rng, seen: Counter):
     """Assert engine and reference agree on h; tally what was exercised."""
     for x in _subspaces(rng, h, sub):
@@ -92,15 +118,9 @@ def _compare(label, h, sub, rng, seen: Counter):
         assert got == ref.is_categorical(h.braiding, x), f"{label}/is_categorical"
         seen[f"categorical {got}"] += 1
     comm = findim_hopf.commutator_table(h)
-    everything = [{i: ONE} for i in range(h.dim)]
-    assert coinvariants.is_central(h, everything, comm) == ref.is_central(h, everything), label
-    assert coinvariants.is_cocentral(h, everything) == ref.is_cocentral(h, everything), label
+    _compare_index_sets(label, h, comm, seen)
     if h.grading is None or h.antipode is None:
         return
-    pi_rows = [({i: ONE} if h.degree(i) == 0 else {}) for i in range(h.dim)]
-    k_rows = [{i: ONE} for i in h.degree_indices(0)]
-    assert coinvariants.is_central(h, k_rows, comm) == ref.is_central(h, k_rows), label
-    assert coinvariants.is_cocentral(h, pi_rows) == ref.is_cocentral(h, pi_rows), label
     identity = coinvariants.graded_projection_identity(h)
     assert identity == ref.graded_projection_identity(h), label
     seen[f"identity {identity}"] += 1
@@ -123,8 +143,11 @@ def test_coinvariant_stages_match_reference_on_corpus():
     seen = Counter()
     for label, h, sub in _inputs():
         _compare(label, h, sub, rng, seen)
-    # both answers of every predicate, and both collapse outcomes, were compared
+    # both answers of every predicate, on every kind of index set too, and
+    # both collapse outcomes, were compared
     assert seen["categorical True"] and seen["categorical False"], seen
+    assert all(seen[f"{kind} {pred} {answer}"] for kind in ("all", "subset", "degree zero")
+               for pred in ("central", "cocentral") for answer in (True, False)), seen
     assert seen["confirmed"] and seen["vacuous_differs"], seen
 
 

@@ -75,7 +75,7 @@ def test_compute_R_h4(coinv_h4):
     assert coinv_h4.kernel_is_left_ideal
     assert coinv_h4.coradical_matches_grading
     ix = r.names.index("x")
-    assert r.braid_pair(ix, ix) == {(ix, ix): MINUS_ONE}
+    assert r.braiding.rows[ix][ix] == {(ix, ix): MINUS_ONE}
     assert is_symmetric(r.braiding)
 
 
@@ -84,7 +84,7 @@ def test_compute_R_taft(coinv_taft):
     assert r.dim == 3
     assert r.names == ("1", "x", "x^2")
     ix = r.names.index("x")
-    assert r.braid_pair(ix, ix) == {(ix, ix): root_of_unity(3)}
+    assert r.braiding.rows[ix][ix] == {(ix, ix): root_of_unity(3)}
     assert not is_symmetric(r.braiding)
     assert coinv_taft.kernel_is_left_ideal
     assert coinv_taft.coradical_matches_grading
@@ -113,13 +113,13 @@ def test_q_lifts_generate_R_degreewise(h4, taft, corpus):
     def check(coinv):
         r = coinv.algebra
         q = compute_Q(coinv.algebra)
-        frontier = [r.unit_vec()]
+        frontier = [r.unit]
         maxdeg = r.max_degree()
         for n in range(1, maxdeg + 1):
             new = []
             for vec in frontier:
-                for t in range(q.dim):
-                    prod = r.multiply(vec, q.reps[t])
+                for g in q.indices:
+                    prod = r.multiply(vec, {g: ONE})
                     if prod:
                         new.append(prod)
             frontier = new
@@ -174,17 +174,14 @@ def test_coaction_values(coinv_h4, gr_h4):
 
 
 def test_centrality_flags(gr_h4, coinv_h4):
-    k_rows = [{i: ONE} for i in coinv_h4.k_indices]
-    assert not is_central(gr_h4, k_rows, commutator_table(gr_h4))
-    pi_rows = [({i: ONE} if gr_h4.degree(i) == 0 else {}) for i in range(gr_h4.dim)]
-    assert not is_cocentral(gr_h4, pi_rows)
+    assert not is_central(gr_h4, coinv_h4.k_indices, commutator_table(gr_h4))
+    assert not is_cocentral(gr_h4, coinv_h4.k_indices)
 
 
 def test_identity_map_central_on_commutative(corpus):
     h = corpus["poly_plane"]
-    rows = [{i: ONE} for i in range(h.dim)]
-    assert is_central(h, rows, commutator_table(h))
-    assert is_cocentral(h, rows)
+    assert is_central(h, range(h.dim), commutator_table(h))
+    assert is_cocentral(h, range(h.dim))
 
 
 def test_collapse_trivial_K(corpus):

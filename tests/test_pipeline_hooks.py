@@ -9,6 +9,7 @@ from braidpbw.corpus import poly_plane, taft3
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import ONE
+from reference_checkers import pair_ops
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -112,7 +113,7 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
         run_pipeline(h, k, 2)
     assert not calls
     # the counting wrappers are live: a slot-operation caller is seen
-    multilinear.mul_at(h, {(1, 1): ONE}, 0)
+    multilinear.mul_at(pair_ops(h), {(1, 1): ONE}, 0)
     assert calls
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -450,6 +451,21 @@ def _h4_entry(**fields):
     return dict({"name": "h4", "bialgebra": _h4_doc()}, **fields)
 
 
+def _broken_plane_gr():
+    """The associated graded of poly_plane(2) with an extra x (x) x term in
+    Delta(x), so that its coalgebra checks fail."""
+    from braidpbw.corpus import poly_plane
+    from braidpbw.filtration import associated_graded, hopf_filtration
+    from braidpbw.scalars import ONE
+
+    h = poly_plane(2)
+    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
+    x = gr.names.index("x")
+    comult = list(gr.comult)
+    comult[x] = {**comult[x], (x, x): ONE}
+    return bialgebra_to_json(dataclasses.replace(gr, comult=tuple(comult)))
+
+
 ERROR_PATHS = {
     # id: (argv from tmp_path, exit code, start of stderr with {tmp} for tmp_path)
     "commutator-over-degree-cap": (
@@ -578,6 +594,10 @@ ERROR_PATHS = {
                      "--sub", _write(tmp, "k.json", subspace_to_json(
                          subspace_from_indices(sweedler_h4(), (0, 1)))), "--degree", "2"],
         2, "input error: the pipeline needs a bialgebra with an antipode"),
+    "coinv-input-fails-axioms": (
+        lambda tmp: ["coinv", "--input", _write(tmp, "gr.json", _broken_plane_gr()),
+                     "--out", str(tmp / "r.json")],
+        1, "error: [axioms] input bialgebra fails its axiom checks"),
     "coinv-no-antipode": (
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(antipode=None)),
                      "--out", str(tmp / "r.json")],
@@ -592,11 +612,14 @@ MULTI_LINE = {"commutator-invalid-bicharacter", "hilbert-invalid-bicharacter", "
 @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
 def test_cli_error_paths(tmp_path, capsys, case):
     argv, code, head = ERROR_PATHS[case]
-    assert main(argv(tmp_path)) == code
+    args = argv(tmp_path)
+    assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(head.format(tmp=tmp_path))
     assert "Traceback" not in err
     assert case in MULTI_LINE or err.count("\n") == 1
+    # a refused command writes no output file
+    assert "--out" not in args or not os.path.exists(args[args.index("--out") + 1])
 
 
 def test_cli_braid_equation_failure_exits_1(tmp_path, capsys, monkeypatch):

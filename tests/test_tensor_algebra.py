@@ -9,11 +9,12 @@ from braidpbw.braided_space import (
     GradedBasis,
     diagonal_braiding,
 )
-from braidpbw.multilinear import braid_at, lift, mul_at, vec_equal
+from braidpbw.multilinear import braid_at, mul_at, vec_equal
 from braidpbw.scalars import MINUS_ONE, ONE, Scalar
 from reference_checkers import (
     FreeAlgebra,
     check_square_commutator_expansion,
+    lift,
     slot_commutator,
     square_commutator_expansion_sides,
     tensor,
