@@ -87,7 +87,12 @@ class GenericBraiding:
     """Rank-4 structure tensor stored as its row table, the same shape as the
     product rows ``h.mult[i][j]``: rows[i][j] is the image c(e_i x e_j), a
     sparse 2-tensor mapping (k, l) to the coefficient of e_k x e_l, and {}
-    where the image is zero.  The table is kept as a tuple of tuples."""
+    where the image is zero.  The table is kept as a tuple of tuples.
+
+    Its compiled rows and its two exhaustive verdicts, the braid equation
+    (:attr:`satisfies_braid_equation`) and symmetry (:attr:`symmetric`), are
+    derived on first use and kept, so a braiding shared by several objects
+    is compiled and decided once."""
 
     rows: tuple[tuple[PairVec, ...], ...]
 
@@ -107,6 +112,16 @@ class GenericBraiding:
         else with Scalars and ONE.  Derived once, for the exhaustive checkers."""
         ints = integral(self.rows)
         return compile_table(self.rows, ints), 1 if ints else ONE
+
+    @cached_property
+    def satisfies_braid_equation(self) -> bool:
+        """:func:`braid_check` of this braiding, decided once."""
+        return braid_check(self)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """:func:`is_symmetric` of this braiding, decided once."""
+        return is_symmetric(self)
 
     @staticmethod
     def flip(dim: int) -> "GenericBraiding":

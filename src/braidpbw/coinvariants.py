@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided_space import GenericBraiding, braid_check
+from .braided_space import GenericBraiding
 from .filtration import expand_products, subspace_from_indices, transported_bialgebra, wedge_ladder
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
@@ -263,7 +263,9 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
             row.append(basis.coords_pair(ambient))
         braid_rows.append(row)
     braiding_r = GenericBraiding(braid_rows)
-    if not braid_check(braiding_r):
+    if braiding_r.rows == c:  # R is all of gr: share its braiding and verdicts
+        braiding_r = gr.braiding
+    if not braiding_r.satisfies_braid_equation:
         raise CoinvariantsError("induced braiding fails the braid equation")
 
     r_alg = transported_bialgebra(gr, basis, degrees, "r", basis.coords(gr.unit),

@@ -293,6 +293,12 @@ class CorpusEntry:
 def corpus_entries() -> tuple[CorpusEntry, ...]:
     t = DEFAULT_TRUNCATION
     zeta_str = str(root_of_unity(3))
+    # shared by the S(V, c) and enveloping-algebra entries: R is of PBW type
+    # with c_R = c symmetric; over K = k1, gr H is c-commutative too
+    pbw_type = {"axioms": "pass", "exhaustive": True, "c_r_symmetric": True, "i_central": True,
+                "c_r_equals_c": True, "bosonization": True, "pbw_verdict": "PBW_TYPE_TRUE"}
+    commutative = {**pbw_type, "gr_c_commutative": True}
+    plane = {**commutative, "pbw_dims": [[n + 1, n + 1] for n in range(t + 1)]}
     return (
         CorpusEntry("kc2", group_algebra_c2, None, 0, {"axioms": "pass"}),
         CorpusEntry("sweedler_h4", sweedler_h4, (0, 1), 3, {  # K = span(1, g)
@@ -322,73 +328,16 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
             "pbw_verdict": "PBW_TYPE_FALSE",
             "first_failure_degree": 2,
         }),
-        CorpusEntry("poly_line", poly_line, (0,), t, {
-            "axioms": "pass",
-            "exhaustive": True,
-            "r_dim": t + 1,
-            "c_r_symmetric": True,
-            "i_central": True,
-            "c_r_equals_c": True,
-            "gr_c_commutative": True,
-            "bosonization": True,
-            "pbw_verdict": "PBW_TYPE_TRUE",
-            "pbw_dims": [[1, 1]] * (t + 1),
-        }),
-        CorpusEntry("poly_plane", poly_plane, (0,), t, {
-            "axioms": "pass",
-            "exhaustive": True,
-            "c_r_symmetric": True,
-            "i_central": True,
-            "c_r_equals_c": True,
-            "gr_c_commutative": True,
-            "bosonization": True,
-            "pbw_verdict": "PBW_TYPE_TRUE",
-            "pbw_dims": [[n + 1, n + 1] for n in range(t + 1)],
-        }),
-        CorpusEntry("solvable_pair", solvable_pair, (0,), t, {
-            "axioms": "pass",
-            "exhaustive": True,
-            "c_r_symmetric": True,
-            "i_central": True,
-            "c_r_equals_c": True,
-            "gr_c_commutative": True,
-            "bosonization": True,
-            "pbw_verdict": "PBW_TYPE_TRUE",
-            "pbw_dims": [[n + 1, n + 1] for n in range(t + 1)],
-        }),
+        CorpusEntry("poly_line", poly_line, (0,), t,
+                    {**commutative, "r_dim": t + 1, "pbw_dims": [[1, 1]] * (t + 1)}),
+        CorpusEntry("poly_plane", poly_plane, (0,), t, plane),
+        CorpusEntry("solvable_pair", solvable_pair, (0,), t, plane),
         CorpusEntry("solvable_pair_yline", solvable_pair,
-                    tuple(sorted(solvable_pair_y_indices(t))), t, {
-            "axioms": "pass",
-            "exhaustive": True,
-            "i_central": True,
-            "c_r_equals_c": True,
-            "c_r_symmetric": True,
-            "bosonization": True,
-            "pbw_verdict": "PBW_TYPE_TRUE",
-            "pbw_dims": [[1, 1]] * (t + 1),
-        }),
-        CorpusEntry("super_line", super_line, (0,), t, {
-            "axioms": "pass",
-            "exhaustive": True,
-            "c_r_symmetric": True,
-            "i_central": True,
-            "c_r_equals_c": True,
-            "gr_c_commutative": True,
-            "bosonization": True,
-            "pbw_verdict": "PBW_TYPE_TRUE",
-            "pbw_dims": [[1, 1], [2, 2]] + [[2, 2]] * (t - 1),
-        }),
-        CorpusEntry("color_plane", color_plane, (0,), t, {
-            "axioms": "pass",
-            "exhaustive": True,
-            "c_r_symmetric": True,
-            "i_central": True,
-            "c_r_equals_c": True,
-            "gr_c_commutative": True,
-            "bosonization": True,
-            "pbw_verdict": "PBW_TYPE_TRUE",
-            "pbw_dims": [[n + 1, n + 1] for n in range(t + 1)],
-        }),
+                    tuple(sorted(solvable_pair_y_indices(t))), t,
+                    {**pbw_type, "pbw_dims": [[1, 1]] * (t + 1)}),
+        CorpusEntry("super_line", super_line, (0,), t,
+                    {**commutative, "pbw_dims": [[1, 1], [2, 2]] + [[2, 2]] * (t - 1)}),
+        CorpusEntry("color_plane", color_plane, (0,), t, plane),
     )
 
 

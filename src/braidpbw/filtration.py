@@ -13,7 +13,9 @@ degrees of the expansions, with the categoricity of the steps above K,
 validate the ladder as a bialgebra filtration, and their
 degree-homogeneous parts, with the expanded braiding, are the structure
 of gr H, which :func:`associated_graded` returns as a
-:class:`StructureBialgebra`.
+:class:`StructureBialgebra`: H itself when H is already graded by its
+ladder and gr H equals it entry for entry, so that a run checks those
+tables once.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .findim_hopf import StructureBialgebra, render_tensor
-from .braided_space import GenericBraiding, is_categorical, is_symmetric
+from .braided_space import GenericBraiding, is_categorical
 from .linalg import Coordinates, Subspace, kernel
 from .multilinear import Vec, add_term, bilinear
 from .reporting import FiltrationError, ValidationReport
@@ -216,7 +218,9 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Struct
     preserves steps, and the steps above the bottom one are categorical
     (the bottom step is K, which :func:`hopf_filtration` validates).  Their
     degree-homogeneous parts, with those of the braided representative
-    pairs, are gr's structure tensors.
+    pairs, are gr's structure tensors.  When they equal H's, field for
+    field (:meth:`StructureBialgebra.same_structure`), gr H is H and h
+    itself is returned.
     """
     basis, degrees = ladder.adapted
     reps = basis.vectors
@@ -262,9 +266,10 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Struct
                     if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
                    for b, v in enumerate(reps)]
                   for a, u in enumerate(reps)]
-    return transported_bialgebra(h, basis, degrees, "f", unit, products, comult,
-                                 GenericBraiding(braid_rows),
-                                 None if antipode is None else tuple(antipode))
+    gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult,
+                               GenericBraiding(braid_rows),
+                               None if antipode is None else tuple(antipode))
+    return h if h.same_structure(gr) else gr
 
 
 def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
@@ -274,7 +279,7 @@ def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
     Each commutator [u, v] is expanded bilinearly from the commutator table
     ``comm`` of h.  None when the braiding is not symmetric and the statement
     does not apply."""
-    if not is_symmetric(h.braiding):
+    if not h.braiding.symmetric:
         return None
     report = ValidationReport("commutator filtration")
     basis, degrees = ladder.adapted

@@ -89,6 +89,14 @@ class StructureBialgebra:
     def dim(self) -> int:
         return len(self.names)
 
+    def same_structure(self, other: "StructureBialgebra") -> bool:
+        """True iff other has the same names, grading, truncation, unit,
+        counit, product, coproduct, antipode and braiding rows, entry for
+        entry under exact equality."""
+        return all(getattr(self, key) == getattr(other, key) for key in (
+            "names", "grading", "truncation", "trunc_grading", "unit", "counit",
+            "mult", "comult", "antipode")) and self.braiding.rows == other.braiding.rows
+
     def degree(self, i: int) -> int:
         return self.grading[i] if self.grading is not None else 0
 
@@ -586,11 +594,3 @@ def check_commutator_coproduct_all(h: StructureBialgebra, comm) -> ValidationRep
     report.checked, report.skipped = d * d - skipped, skipped
     return report
 
-
-def is_c_commutative(h: StructureBialgebra, comm: list[list[Vec]]) -> bool:
-    """True iff e_i e_j equals the opposite product m(c(e_i x e_j)) on every
-    basis pair below the truncation: the entries of the commutator table
-    ``comm`` of h at those pairs are empty."""
-    deg, cap = h.gates, h.cap
-    return not any(comm[i][j] for i in range(h.dim) for j in range(h.dim)
-                   if deg[i] + deg[j] <= cap)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braided_space import GenericBraiding, braid_check, is_symmetric
+from .braided_space import GenericBraiding
 from .findim_hopf import StructureBialgebra
 from .linalg import Coordinates, Subspace, rank
 from .multilinear import Vec, linear, vadd_into, vec_equal
@@ -121,7 +121,7 @@ def compute_Q(h: StructureBialgebra) -> QSpace:
                         if x >= first_q and y >= first_q})
         rows.append(row)
     braiding = GenericBraiding(rows)
-    if not braid_check(braiding):
+    if not braiding.satisfies_braid_equation:
         raise BraidpbwError("induced braiding on the generator space fails the braid equation")
     return QSpace(indices=q_indices, braiding=braiding)
 
@@ -206,7 +206,7 @@ def pbw_verdict(h: StructureBialgebra, n_max: int) -> PBWReport:
     _require_connected_graded(h)
     q = compute_Q(h)
     diag = q.braiding.diagonal_coefficients() is not None
-    sym = is_symmetric(q.braiding)
+    sym = q.braiding.symmetric
     verified = n_max
     notes = []
     if h.truncation is not None and h.truncation < n_max:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .braided_space import GenericBraiding, is_symmetric
+from .braided_space import GenericBraiding
 from .linalg import echelon
 from .multilinear import Vec, vadd_into
 from .reporting import InputError, require_degree
@@ -24,7 +24,7 @@ Word = tuple[int, ...]
 
 def require_symmetric(c: GenericBraiding) -> None:
     """The braided symmetric algebra S(V, c) is formed for a symmetric c only."""
-    if not is_symmetric(c):
+    if not c.symmetric:
         raise InputError("braiding is not symmetric: c c is not the identity on V (x) V")
 
 

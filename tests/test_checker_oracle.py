@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import reference_checkers as ref
-from braidpbw import braided_space, findim_hopf
+from braidpbw import braided_space, coinvariants, findim_hopf
 from braidpbw.braided_space import FiniteAbelianGroup, GenericBraiding
 from braidpbw.corpus import (
     build_cached,
@@ -44,7 +44,8 @@ def _fast_and_reference(h):
                                                           getattr(ref, name)(h)))
     for name in ("braid_check", "is_symmetric"):
         out[name] = (getattr(braided_space, name)(h.braiding), getattr(ref, name)(h.braiding))
-    out["is_c_commutative"] = (findim_hopf.is_c_commutative(h, comm), ref.is_c_commutative(h))
+    out["is_c_commutative"] = (coinvariants.is_central(h, range(h.dim), comm),
+                               ref.is_c_commutative(h))
     return out
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidpbw.braided_space import is_categorical
+from braidpbw.coinvariants import is_central
 from braidpbw.corpus import color_plane, poly_line, super_line
 from braidpbw.filtration import (
     FiltrationError,
@@ -15,7 +16,7 @@ from braidpbw.filtration import (
     validate_hopf_subalgebra,
     wedge,
 )
-from braidpbw.findim_hopf import commutator_table, is_c_commutative, run_all_checks
+from braidpbw.findim_hopf import commutator_table, run_all_checks
 from braidpbw.linalg import Subspace, rref
 from braidpbw.multilinear import vec_equal
 from braidpbw.scalars import ONE, ZERO, Scalar, euler_phi
@@ -374,7 +375,7 @@ def test_gr_c_commutative_for_connected_symmetric(corpus):
     for name in ("poly_line", "poly_plane", "super_line", "color_plane", "solvable_pair"):
         h = corpus[name]
         gr = associated_graded(h, unit_ladder(h))
-        assert is_c_commutative(gr, commutator_table(gr)), name
+        assert is_central(gr, range(gr.dim), commutator_table(gr)), name
 
 
 def test_ladder_steps_categorical_and_antipode_stable(corpus, h4, taft):

@@ -3,13 +3,13 @@ import re
 import pytest
 
 from braidpbw.braided_space import is_categorical
+from braidpbw.coinvariants import is_central
 from braidpbw.findim_hopf import (
     StructureBialgebra,
     check_antipode,
     check_braided_algebra,
     check_commutator_coproduct_all,
     commutator_table,
-    is_c_commutative,
     run_all_checks,
 )
 from braidpbw.linalg import kernel
@@ -91,7 +91,7 @@ def test_commutator_examples(h4, corpus):
 
 def test_c_commutativity_flags(corpus, h4):
     def c_commutative(h):
-        return is_c_commutative(h, commutator_table(h))
+        return is_central(h, range(h.dim), commutator_table(h))
 
     assert c_commutative(corpus["poly_plane"])
     assert is_c_cocommutative(corpus["poly_plane"])

@@ -3,9 +3,11 @@ import os
 import sys
 from collections import Counter
 
+import pytest
+
 from braidpbw import (  # noqa: F401
-    braided_space, cli, coinvariants, filtration, findim_hopf, linalg, multilinear)
-from braidpbw.corpus import poly_plane, taft3
+    braided_space, cli, coinvariants, filtration, findim_hopf, linalg, multilinear, pipeline)
+from braidpbw.corpus import poly_plane, solvable_pair, taft3
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import ONE
@@ -34,6 +36,58 @@ def test_symmetry_checked_once_per_braiding(monkeypatch):
     h = poly_plane(1)
     run_pipeline(h, subspace_from_indices(h, (0,)), 1)
     assert seen[id(h.braiding)] == 1
+    assert set(seen.values()) == {1}
+
+
+def _counting(monkeypatch, module, name):
+    """Replace every binding of module.name by a wrapper that counts its calls
+    by the id of the first argument; the arguments are kept alive, so their
+    ids stay distinct."""
+    original = getattr(module, name)
+    seen, kept = Counter(), []
+
+    def counting(first, *args):
+        seen[id(first)] += 1
+        kept.append(first)
+        return original(first, *args)
+
+    for owner, attr in _bindings(original):
+        monkeypatch.setattr(owner, attr, counting)
+    return seen
+
+
+@pytest.mark.parametrize("build, sub, runs", [
+    (lambda: poly_plane(3), (0,), 1),
+    (taft3, (0, 1, 2), 1),
+    (lambda: solvable_pair(2), (0,), 2),
+], ids=["poly_plane", "taft3", "solvable_pair"])
+def test_axioms_and_commutators_once_per_distinct_table(monkeypatch, build, sub, runs):
+    """gr H is H for poly_plane and taft3, so H's axiom check and commutator
+    table serve both; solvable_pair's gr H has other products and is checked
+    on its own."""
+    checks = _counting(monkeypatch, pipeline, "check_report")
+    tables = _counting(monkeypatch, findim_hopf, "commutator_table")
+    h = build()
+    run_pipeline(h, subspace_from_indices(h, sub), 2)
+    assert sum(checks.values()) == sum(tables.values()) == runs
+    assert set(checks.values()) == set(tables.values()) == {1}
+
+
+def test_r_shares_the_braiding_of_h_when_k_is_the_unit_line():
+    h = poly_plane(3)
+    gr = filtration.associated_graded(h, filtration.hopf_filtration(
+        h, subspace_from_indices(h, (0,))))
+    assert gr is h
+    assert coinvariants.compute_R(gr).algebra.braiding is h.braiding
+
+
+def test_braid_equation_decided_once_per_braiding(monkeypatch):
+    """R's braid check on poly_plane is the check of H's own braiding."""
+    seen = _counting(monkeypatch, braided_space, "braid_check")
+    plane = poly_plane(3)
+    for h, sub in ((plane, (0,)), (taft3(), (0, 1, 2)), (solvable_pair(2), (0,))):
+        run_pipeline(h, subspace_from_indices(h, sub), 2)
+    assert seen[id(plane.braiding)] == 1
     assert set(seen.values()) == {1}
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from braidpbw.braided_space import GenericBraiding
 from braidpbw.cli import main
 from braidpbw.corpus import sweedler_h4, taft3
 from braidpbw.filtration import subspace_from_indices
@@ -622,12 +623,18 @@ def test_cli_error_paths(tmp_path, capsys, case):
     assert "--out" not in args or not os.path.exists(args[args.index("--out") + 1])
 
 
+class _FailsBraidEquation(GenericBraiding):
+    """A braiding whose braid-equation verdict is False, whatever its rows."""
+    satisfies_braid_equation = False
+
+
 def test_cli_braid_equation_failure_exits_1(tmp_path, capsys, monkeypatch):
     import braidpbw.pbw as pbw
     from braidpbw.corpus import poly_line
 
     path = _write(tmp_path, "line.json", bialgebra_to_json(poly_line(2)))
-    monkeypatch.setattr(pbw, "braid_check", lambda c: False)
+    # the braiding induced on the generator space is built in pbw
+    monkeypatch.setattr(pbw, "GenericBraiding", _FailsBraidEquation)
     assert main(["pbw", "--input", path, "--degree", "2"]) == 1
     assert capsys.readouterr().err == (
         "error: induced braiding on the generator space fails the braid equation\n")
@@ -641,7 +648,7 @@ def test_pbw_stage_failure_names_the_stage(tmp_path, capsys, monkeypatch):
 
     h = poly_plane(2)
     k = subspace_from_indices(h, (0,))
-    monkeypatch.setattr(pbw, "braid_check", lambda c: False)
+    monkeypatch.setattr(pbw, "GenericBraiding", _FailsBraidEquation)
     with pytest.raises(PipelineError) as info:
         run_pipeline(h, k, 2)
     assert info.value.stage == "pbw"
