@@ -212,7 +212,7 @@ def cmd_hilbert(args) -> int:
 def cmd_grk(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     k = subspace_from_json(load_json_file(args.sub), h)
-    gr = associated_graded(h, hopf_filtration(h, k))
+    gr = associated_graded(hopf_filtration(h, k))
     write_canonical(args.out, bialgebra_to_json(gr))
     print(f"associated graded written to {args.out} "
           f"(dims {[len(gr.degree_indices(n)) for n in range(gr.max_degree() + 1)]})")

@@ -9,18 +9,19 @@ braiding assembled from the three, which equals the ambient braiding when
 the inclusion of K is central or the projection is cocentral.
 :func:`compute_R` returns them as one :class:`CoinvariantAlgebra`, whose
 ``action`` and ``coaction`` tables are read directly and whose
-``inclusion`` rows are R's basis, and refuses an ungraded input or one
-without an antipode as an :class:`InputError`;
-:func:`check_braiding_collapse` returns the report's ``centrality``
+``inclusion`` rows are R's basis (R carries gr's braiding object when
+their rows are equal), and refuses an ungraded input or one without an
+antipode as an :class:`InputError`; :func:`check_braiding_collapse`
+reads gr from ``coinv.parent`` and returns the report's ``centrality``
 document.  K and the image of pi are spanned by the degree-zero basis
 vectors, so both travel as their indices, ``k_indices``, and
-:func:`is_central` and :func:`is_cocentral` take a set of basis indices.
+:func:`is_central` and :func:`is_cocentral` take a set of basis indices;
+:func:`is_central` reads the bialgebra's cached ``commutators``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided_space import GenericBraiding
 from .filtration import expand_products, subspace_from_indices, transported_bialgebra, wedge_ladder
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
@@ -262,14 +263,10 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
                         ambient[key] = x if prev is None else prev + x
             row.append(basis.coords_pair(ambient))
         braid_rows.append(row)
-    braiding_r = GenericBraiding(braid_rows)
-    if braiding_r.rows == c:  # R is all of gr: share its braiding and verdicts
-        braiding_r = gr.braiding
-    if not braiding_r.satisfies_braid_equation:
-        raise CoinvariantsError("induced braiding fails the braid equation")
-
     r_alg = transported_bialgebra(gr, basis, degrees, "r", basis.coords(gr.unit),
-                                  expand_products(gr, basis), comult_r, braiding_r, None)
+                                  expand_products(gr, basis), comult_r, braid_rows, None)
+    if not r_alg.braiding.satisfies_braid_equation:
+        raise CoinvariantsError("induced braiding fails the braid equation")
     return r_alg, tuple(action), tuple(coaction), braided
 
 
@@ -286,13 +283,13 @@ def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
         for n, step in enumerate(ladder.steps))
 
 
-def is_central(b: StructureBialgebra, indices, comm: list[list[Vec]]) -> bool:
+def is_central(b: StructureBialgebra, indices) -> bool:
     """The inclusion of the basis vectors e_u at ``indices`` is central:
     multiplication by e_u is invariant under the braiding on both sides,
     e_u e_j = m c(e_u x e_j) and e_j e_u = m c(e_j x e_u), for every basis
     vector e_j below the truncation.  These are the entries [e_u, e_j] and
-    [e_j, e_u] of the commutator table ``comm`` of b, stored without zeros."""
-    gates, cap = b.gates, b.cap
+    [e_j, e_u] of ``b.commutators``, stored without zeros."""
+    gates, cap, comm = b.gates, b.cap, b.commutators
     return not any(comm[u][j] or comm[j][u] for u in indices for j in range(b.dim)
                    if gates[u] + gates[j] <= cap)
 
@@ -353,14 +350,14 @@ def graded_projection_identity(gr: StructureBialgebra) -> bool:
     return True
 
 
-def check_braiding_collapse(gr: StructureBialgebra, coinv: CoinvariantAlgebra,
-                            comm: list[list[Vec]]) -> dict:
+def check_braiding_collapse(coinv: CoinvariantAlgebra) -> dict:
     """When the inclusion of K is central or the projection is cocentral, the
-    induced braiding must equal the ambient one; the graded projection
-    identity is verified unconditionally.  ``comm`` is the commutator table
-    of gr.  K and the image of pi are spanned by the basis vectors at
-    ``coinv.k_indices``.  Returns the report's ``centrality`` document."""
-    central = is_central(gr, coinv.k_indices, comm)
+    induced braiding must equal the ambient one, that of the parent gr; the
+    graded projection identity is verified unconditionally.  K and the image
+    of pi are spanned by the basis vectors at ``coinv.k_indices``.  Returns
+    the report's ``centrality`` document."""
+    gr = coinv.parent
+    central = is_central(gr, coinv.k_indices)
     cocentral = is_cocentral(gr, coinv.k_indices)
     identity_ok = graded_projection_identity(gr)
     matches = braiding_matches_restriction(coinv)

@@ -78,22 +78,14 @@ def _primitives(words) -> tuple[dict, dict]:
 
 
 def group_algebra_c2() -> StructureBialgebra:
-    """Group algebra of the cyclic group of order 2; trivial braiding."""
-    names = ("1", "g")
-
-    def mult(i, j):
-        return {(i + j) % 2: ONE}
-
-    comult = ({(0, 0): ONE}, {(1, 1): ONE})
-    return StructureBialgebra(
-        names=names,
-        unit={0: ONE},
-        mult=_mult_table(2, mult),
-        counit=(ONE, ONE),
-        comult=comult,
-        braiding=GenericBraiding.flip(2),
-        antipode=({0: ONE}, {1: ONE}),
-    )
+    """Group algebra of the cyclic group of order 2; trivial braiding.  The
+    generator g is group-like and its own inverse."""
+    table = _mult_table(2, lambda i, j: {(i + j) % 2: ONE})
+    braiding = GenericBraiding.flip(2)
+    comult, antipode = _from_generators(((), (0,)), table, braiding,
+                                        {1: {(1, 1): ONE}}, {1: {1: ONE}})
+    return StructureBialgebra(names=("1", "g"), unit={0: ONE}, mult=table, counit=(ONE, ONE),
+                              comult=comult, braiding=braiding, antipode=antipode)
 
 
 def taft(n: int) -> StructureBialgebra:

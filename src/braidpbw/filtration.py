@@ -4,9 +4,11 @@ One routine, :func:`wedge_ladder`, builds every ladder: the wedge powers
 of a subcoalgebra K, taken as coproduct preimages until they stop
 growing.  For a braided Hopf subalgebra K that :func:`hopf_filtration`
 has validated they are the filtration F_nH = wedge^{n+1} K; from the unit
-line of a connected graded bialgebra, its coradical filtration.  An
-exhaustive ladder has an adapted basis, the new-pivot rows of its steps
-(canonical pivot complements), held as one
+line of a connected graded bialgebra, its coradical filtration.  A ladder
+carries its bialgebra, so the stages that read one,
+:func:`associated_graded` and :func:`check_commutator_filtration`, take
+the ladder alone.  An exhaustive ladder has an adapted basis, the
+new-pivot rows of its steps (canonical pivot complements), held as one
 :class:`~braidpbw.linalg.Coordinates`.  The associated graded expands H's
 unit, products, coproducts and antipode in that basis in one pass: the
 degrees of the expansions, with the categoricity of the steps above K,
@@ -15,7 +17,8 @@ degree-homogeneous parts, with the expanded braiding, are the structure
 of gr H, which :func:`associated_graded` returns as a
 :class:`StructureBialgebra`: H itself when H is already graded by its
 ladder and gr H equals it entry for entry, so that a run checks those
-tables once.
+tables once.  Otherwise gr H still carries H's braiding object when the
+expanded rows equal H's (:func:`transported_bialgebra`).
 """
 from __future__ import annotations
 
@@ -162,15 +165,16 @@ def expand_products(h: StructureBialgebra, basis: Coordinates) -> list[list[Vec 
 
 def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: list[int],
                           prefix: str, unit: Vec, products: list[list[Vec | None]],
-                          comult: list, braiding: GenericBraiding,
+                          comult: list, braid_rows: list,
                           antipode: tuple | None) -> StructureBialgebra:
     """The graded bialgebra on ``basis.vectors`` with the given unit,
-    coproduct, braiding and antipode.  The product keeps the
+    coproduct, braiding rows and antipode.  The product keeps the
     degree-homogeneous part of each expansion in ``products`` (from
     :func:`expand_products`; None stores zero).  Names and the counit are
     transported from h: a representative that is a basis vector of h keeps
     its name, the counit keeps its degree-zero part, and truncation degrees
-    are those of the representatives in h."""
+    are those of the representatives in h.  Braiding rows equal to h's give
+    h's braiding object itself, so its compiled rows and verdicts are shared."""
     reps = basis.vectors
     names: list[str] = []
     seen: dict[str, int] = {}
@@ -192,13 +196,14 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
                        for b, prod in enumerate(row))
                  for a, row in enumerate(products))
     gates = tuple(h.gate_of(v) for v in reps)
+    braiding = GenericBraiding(braid_rows)
     return StructureBialgebra(
         names=tuple(names),
         unit=unit,
         mult=mult,
         counit=tuple(h.counit_of(v) if degrees[r] == 0 else ZERO for r, v in enumerate(reps)),
         comult=tuple(comult),
-        braiding=braiding,
+        braiding=h.braiding if braiding.rows == h.braiding.rows else braiding,
         antipode=antipode,
         grading=tuple(degrees),
         truncation=h.truncation,
@@ -206,8 +211,9 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
     )
 
 
-def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> StructureBialgebra:
-    """The graded bialgebra on the ladder quotients, by structure constants.
+def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
+    """The graded bialgebra on the quotients of a ladder of its bialgebra H,
+    by structure constants.
 
     Representatives are the new-pivot rows of each step.  H's unit, the
     product of each pair of representatives below the truncation, and the
@@ -222,6 +228,7 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Struct
     field (:meth:`StructureBialgebra.same_structure`), gr H is H and h
     itself is returned.
     """
+    h = ladder.bialgebra
     basis, degrees = ladder.adapted
     reps = basis.vectors
     top = len(ladder.steps) - 1
@@ -266,26 +273,25 @@ def associated_graded(h: StructureBialgebra, ladder: FiltrationLadder) -> Struct
                     if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
                    for b, v in enumerate(reps)]
                   for a, u in enumerate(reps)]
-    gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult,
-                               GenericBraiding(braid_rows),
+    gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult, braid_rows,
                                None if antipode is None else tuple(antipode))
     return h if h.same_structure(gr) else gr
 
 
-def check_commutator_filtration(h: StructureBialgebra, ladder: FiltrationLadder,
-                                comm: list[list[Vec]]) -> ValidationReport | None:
+def check_commutator_filtration(ladder: FiltrationLadder) -> ValidationReport | None:
     """Commutators drop one filtration level: the bottom-step hypothesis and
     the general statement, verified on representative pairs by membership.
     Each commutator [u, v] is expanded bilinearly from the commutator table
-    ``comm`` of h.  None when the braiding is not symmetric and the statement
-    does not apply."""
+    of the ladder's bialgebra h.  None when the braiding is not symmetric and
+    the statement does not apply."""
+    h = ladder.bialgebra
     if not h.braiding.symmetric:
         return None
     report = ValidationReport("commutator filtration")
     basis, degrees = ladder.adapted
     reps = basis.vectors
     gates = [h.gate_of(v) for v in reps]
-    top = len(ladder.steps) - 1
+    top, comm = len(ladder.steps) - 1, h.commutators
     for a, u in enumerate(reps):
         for b, v in enumerate(reps):
             if gates[a] + gates[b] > h.cap:

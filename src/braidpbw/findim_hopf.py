@@ -119,6 +119,11 @@ class StructureBialgebra:
         return Tables(mult, comult, counit, None if self.antipode is None else anti, unit,
                       braid, 0 if ints else ZERO, one)
 
+    @cached_property
+    def commutators(self) -> list[list[Vec]]:
+        """:func:`commutator_table` of this bialgebra, derived once."""
+        return commutator_table(self)
+
     # -- linear extensions ------------------------------------------------------
 
     def multiply(self, a: Vec, b: Vec) -> Vec:
@@ -508,11 +513,11 @@ def commutator_table(h: StructureBialgebra) -> list[list[Vec]]:
     return table
 
 
-def check_commutator_coproduct_all(h: StructureBialgebra, comm) -> ValidationReport:
-    """The coproduct of each braided commutator [e_i, e_j], read from the
-    commutator table of h compiled into its view, ``h.lowered.compile(
-    commutator_table(h))``, against the commutator [Delta e_i, Delta e_j] of
-    the tensor-square algebra, on every basis pair below the truncation.
+def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
+    """The coproduct of each braided commutator [e_i, e_j], read from
+    ``h.commutators`` compiled into h's view, against the commutator
+    [Delta e_i, Delta e_j] of the tensor-square algebra, on every basis pair
+    below the truncation.
 
     The right side expands bilinearly over the coproduct terms; the bracket
     [e_a x e_b, e_p x e_q] of each quadruple is composed from the rows once
@@ -521,6 +526,7 @@ def check_commutator_coproduct_all(h: StructureBialgebra, comm) -> ValidationRep
     report = ValidationReport("commutator-coproduct compatibility")
     d, tab = h.dim, h.lowered
     mult, comult, c, deg, cap = tab.mult, tab.comult, tab.braid, h.gates, h.cap
+    comm = tab.compile(h.commutators)
     dd = d * d
     products: dict = {}  # packed (a, b, p, q) -> (e_a x e_b)(e_p x e_q)
     brackets: dict = {}  # packed (a, b, p, q) -> [e_a x e_b, e_p x e_q]

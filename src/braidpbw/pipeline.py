@@ -20,7 +20,6 @@ from .filtration import (
 from .findim_hopf import (
     StructureBialgebra,
     check_commutator_coproduct_all,
-    commutator_table,
     run_all_checks,
 )
 from .linalg import Subspace
@@ -65,34 +64,30 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
 
     report["axioms"] = require_axioms(h)
 
-    comm_h = commutator_table(h)
-    report["commutator_coproduct"] = check_commutator_coproduct_all(
-        h, h.lowered.compile(comm_h)).to_json()
+    report["commutator_coproduct"] = check_commutator_coproduct_all(h).to_json()
 
     ladder = _stage("filtration", hopf_filtration, h, k_sub)
     if not ladder.exhaustive:
         raise PipelineError("filtration",
                             "ladder stabilised before exhausting the bialgebra "
                             "(the subalgebra misses part of the coradical)")
-    gr = _stage("associated-graded", associated_graded, h, ladder)
+    gr = _stage("associated-graded", associated_graded, ladder)
     # associated_graded refuses a ladder whose steps are not categorical or
     # not stable under the antipode, so a finished report holds both true
     report["filtration"] = {"dims": ladder.dims, "exhaustive": True,
                             "categorical_steps": True, "antipode_stable": True}
 
-    commfil = check_commutator_filtration(h, ladder, comm_h)
+    commfil = check_commutator_filtration(ladder)
     if commfil is not None:
         report["commutator_filtration"] = commfil.to_json()
 
-    if gr is h:  # H is graded by its ladder: its tables are checked above
-        gr_checks, comm_gr = deepcopy(report["axioms"]), comm_h
-    else:
-        gr_checks, comm_gr = check_report(gr), commutator_table(gr)
+    # H graded by its ladder is its own gr H, whose tables are checked above
+    gr_checks = deepcopy(report["axioms"]) if gr is h else check_report(gr)
     report["gr"] = {
         "dim": gr.dim,
         "dims_by_degree": [len(gr.degree_indices(n)) for n in range(gr.max_degree() + 1)],
         "axioms": gr_checks,
-        "c_commutative": is_central(gr, range(gr.dim), comm_gr),
+        "c_commutative": is_central(gr, range(gr.dim)),
     }
     if not gr_checks["all_ok"]:
         raise PipelineError("associated-graded", "graded output fails axiom checks")
@@ -116,7 +111,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
         "coradical_matches_grading": coinv.coradical_matches_grading,
     }
 
-    report["centrality"] = check_braiding_collapse(gr, coinv, comm_gr)
+    report["centrality"] = check_braiding_collapse(coinv)
 
     bos_ok, bos_degrees = bosonization_check(coinv)
     report["bosonization"] = {"bijective": bos_ok, "degrees": bos_degrees}

@@ -114,6 +114,9 @@ def bialgebra_from_json(doc: dict) -> StructureBialgebra:
     with malformed("malformed bialgebra document"):
         d = _count(doc["dim"], "dim")
         names = tuple(_name(x, "basis name") for x in _entries(doc["basis"], d, "basis"))
+        if len(set(names)) < d:
+            repeated = next(x for i, x in enumerate(names) if x in names[:i])
+            raise InputError(f"basis name {repeated!r} is repeated")
         parsed = _ParsedScalars()
         unit = _sparse(doc["unit"], d, 0, 1, "unit", parsed)
         mult = _sparse(doc["mult"], d, 2, 1, "mult", parsed)

@@ -627,7 +627,7 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
     if not braid_check(braiding):
         raise CoinvariantsError("induced braiding fails the braid equation")
     r_alg = transported_bialgebra(gr, basis, degrees, "r", basis.coords(gr.unit),
-                                  expand_products(gr, basis), comult, braiding, None)
+                                  expand_products(gr, basis), comult, braid_rows, None)
     return {"inclusion": r_sub, "k_indices": k_indices, "algebra": r_alg,
             "action": action, "coaction": tuple(coaction), "braided_reps": braided}
 

@@ -32,19 +32,16 @@ REPORTS = ("check_braided_algebra", "check_braided_coalgebra",
 
 
 def _fast_and_reference(h):
-    """{checker name: (fast result, reference result)} for every checker; the
-    engine's commutator checkers read the commutator table of h."""
-    comm = findim_hopf.commutator_table(h)
+    """{checker name: (fast result, reference result)} for every checker."""
     out = {}
     for name in REPORTS:
         if name == "check_antipode" and h.antipode is None:
             continue
-        args = (h, h.lowered.compile(comm)) if name == "check_commutator_coproduct_all" else (h,)
-        out[name] = tuple((r.to_json(), r.note) for r in (getattr(findim_hopf, name)(*args),
+        out[name] = tuple((r.to_json(), r.note) for r in (getattr(findim_hopf, name)(h),
                                                           getattr(ref, name)(h)))
     for name in ("braid_check", "is_symmetric"):
         out[name] = (getattr(braided_space, name)(h.braiding), getattr(ref, name)(h.braiding))
-    out["is_c_commutative"] = (coinvariants.is_central(h, range(h.dim), comm),
+    out["is_c_commutative"] = (coinvariants.is_central(h, range(h.dim)),
                                ref.is_c_commutative(h))
     return out
 
@@ -69,13 +66,13 @@ def _inputs():
                 yield f"{entry.name}@T={t}", entry.build(t)
     for name, build, sub in (("sweedler_h4", sweedler_h4, (0, 1)), ("taft3", taft3, (0, 1, 2))):
         h = build()
-        yield f"gr {name}", associated_graded(h, hopf_filtration(
+        yield f"gr {name}", associated_graded(hopf_filtration(
             h, subspace_from_indices(h, sub)))
     for entry in corpus_entries():
         if entry.sub_indices and "truncation" in inspect.signature(entry.build).parameters:
             h = entry.build(2)
             sub = [i for i in entry.sub_indices if i < h.dim]
-            yield f"gr {entry.name}@T=2", associated_graded(h, hopf_filtration(
+            yield f"gr {entry.name}@T=2", associated_graded(hopf_filtration(
                 h, subspace_from_indices(h, sub)))
     yield "four_point@T=2", four_point()
 
@@ -274,7 +271,7 @@ def test_lowering_rule():
     assert [getattr(again, f) for f in Tables.__slots__] == [getattr(low, f) for f in Tables.__slots__]
     # a further table is compiled in the view's coefficient type
     for g, kind in ((h, int), (taft, Scalar)):
-        comm = findim_hopf.commutator_table(g)
+        comm = g.commutators
         compiled = g.lowered.compile(comm)
         assert {type(t[-1]) for row in compiled for vec in row for t in vec} <= {kind}
         assert [[_entries(vec) for vec in row] for row in compiled] == comm

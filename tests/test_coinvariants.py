@@ -15,7 +15,7 @@ from braidpbw.filtration import (
     hopf_filtration,
     subspace_from_indices,
 )
-from braidpbw.findim_hopf import commutator_table, run_all_checks
+from braidpbw.findim_hopf import run_all_checks
 from braidpbw.multilinear import vec_equal
 from braidpbw.reporting import InputError
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
@@ -24,12 +24,12 @@ from reference_checkers import ad_eval, pi_map
 
 @pytest.fixture(scope="module")
 def gr_h4(h4):
-    return associated_graded(h4, hopf_filtration(h4, subspace_from_indices(h4, (0, 1))))
+    return associated_graded(hopf_filtration(h4, subspace_from_indices(h4, (0, 1))))
 
 
 @pytest.fixture(scope="module")
 def gr_taft(taft):
-    return associated_graded(taft, hopf_filtration(taft, subspace_from_indices(taft, (0, 1, 2))))
+    return associated_graded(hopf_filtration(taft, subspace_from_indices(taft, (0, 1, 2))))
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def yline_indices(h):
 @pytest.fixture(scope="module")
 def gr_yline():
     h = solvable_pair()
-    return associated_graded(h, hopf_filtration(h, subspace_from_indices(h, yline_indices(h))))
+    return associated_graded(hopf_filtration(h, subspace_from_indices(h, yline_indices(h))))
 
 
 def test_projection_is_morphism(gr_h4, gr_taft):
@@ -92,7 +92,7 @@ def test_compute_R_taft(coinv_taft):
 
 def test_R_is_whole_gr_for_trivial_K(corpus):
     h = corpus["poly_line"]
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, (0,))))
     coinv = compute_R(gr)
     assert coinv.algebra.dim == gr.dim
     # the coproduct of R agrees with the one of gr
@@ -128,8 +128,8 @@ def test_q_lifts_generate_R_degreewise(h4, taft, corpus):
             assert span.dim == len(r.degree_indices(n)), n
 
     for coinv_source in (
-        compute_R(associated_graded(h4, hopf_filtration(h4, subspace_from_indices(h4, (0, 1))))),
-        compute_R(associated_graded(taft, hopf_filtration(taft, subspace_from_indices(taft, (0, 1, 2))))),
+        compute_R(associated_graded(hopf_filtration(h4, subspace_from_indices(h4, (0, 1))))),
+        compute_R(associated_graded(hopf_filtration(taft, subspace_from_indices(taft, (0, 1, 2))))),
     ):
         check(coinv_source)
 
@@ -174,29 +174,29 @@ def test_coaction_values(coinv_h4, gr_h4):
 
 
 def test_centrality_flags(gr_h4, coinv_h4):
-    assert not is_central(gr_h4, coinv_h4.k_indices, commutator_table(gr_h4))
+    assert not is_central(gr_h4, coinv_h4.k_indices)
     assert not is_cocentral(gr_h4, coinv_h4.k_indices)
 
 
 def test_identity_map_central_on_commutative(corpus):
     h = corpus["poly_plane"]
-    assert is_central(h, range(h.dim), commutator_table(h))
+    assert is_central(h, range(h.dim))
     assert is_cocentral(h, range(h.dim))
 
 
 def test_collapse_trivial_K(corpus):
     for name in ("poly_line", "super_line", "color_plane", "solvable_pair"):
         h = corpus[name]
-        gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
+        gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, (0,))))
         coinv = compute_R(gr)
-        report = check_braiding_collapse(gr, coinv, commutator_table(gr))
+        report = check_braiding_collapse(coinv)
         assert report["status"] == "confirmed", name
         assert report["c_r_equals_c"] and report["graded_morphism_identity"]
 
 
 def test_collapse_central_yline(gr_yline):
     coinv = compute_R(gr_yline)
-    report = check_braiding_collapse(gr_yline, coinv, commutator_table(gr_yline))
+    report = check_braiding_collapse(coinv)
     assert report["i_central"]
     assert report["status"] == "confirmed"
     assert report["c_r_equals_c"]
@@ -205,7 +205,7 @@ def test_collapse_central_yline(gr_yline):
 
 
 def test_collapse_h4_vacuous_and_different(gr_h4, coinv_h4):
-    report = check_braiding_collapse(gr_h4, coinv_h4, commutator_table(gr_h4))
+    report = check_braiding_collapse(coinv_h4)
     assert not report["hypothesis_holds"]
     assert not report["c_r_equals_c"]
     assert report["status"] == "vacuous_differs"
@@ -223,7 +223,7 @@ def test_bosonization(coinv_h4, coinv_taft):
 
 def test_bosonization_trivial_K(corpus):
     h = corpus["super_line"]
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, (0,))))
     ok, per = bosonization_check(compute_R(gr))
     assert ok
 

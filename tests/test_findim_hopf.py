@@ -91,7 +91,7 @@ def test_commutator_examples(h4, corpus):
 
 def test_c_commutativity_flags(corpus, h4):
     def c_commutative(h):
-        return is_central(h, range(h.dim), commutator_table(h))
+        return is_central(h, range(h.dim))
 
     assert c_commutative(corpus["poly_plane"])
     assert is_c_cocommutative(corpus["poly_plane"])
@@ -113,7 +113,7 @@ def test_c_commutative_iff_all_commutators_vanish(corpus):
 
 def test_commutator_coproduct_identity_exhaustive(corpus):
     for name, h in corpus.items():
-        report = check_commutator_coproduct_all(h, h.lowered.compile(commutator_table(h)))
+        report = check_commutator_coproduct_all(h)
         assert report.ok, f"{name}:\n{report.summary()}"
 
 
@@ -123,7 +123,7 @@ def test_commutator_coproduct_witnesses_name_basis_tensors(h4):
     i1, ig, ix = h4.names.index("1"), h4.names.index("g"), h4.names.index("x")
     comult[ix] = {(ix, ig): ONE, (i1, ix): ONE}
     bad = _mutate(h4, comult=tuple(comult))
-    report = check_commutator_coproduct_all(bad, bad.lowered.compile(commutator_table(bad)))
+    report = check_commutator_coproduct_all(bad)
     assert not report.ok
     term = re.compile(r"(\(-?\d+\)\*)?(\w+)\(x\)(\w+)")
     for v in report.violations:

@@ -39,11 +39,11 @@ from test_symmetric_algebra import SET_THEORETIC
 
 
 def gr_of(h):
-    return associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
+    return associated_graded(hopf_filtration(h, subspace_from_indices(h, (0,))))
 
 
 def relative_R(h, sub):
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, sub)))
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, sub)))
     return compute_R(gr)
 
 

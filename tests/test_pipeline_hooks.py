@@ -1,4 +1,5 @@
 """The pipeline's work per run, and the entry points the benchmark traces."""
+import dataclasses
 import os
 import sys
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 
 from braidpbw import (  # noqa: F401
     braided_space, cli, coinvariants, filtration, findim_hopf, linalg, multilinear, pipeline)
-from braidpbw.corpus import poly_plane, solvable_pair, taft3
+from braidpbw.corpus import poly_plane, solvable_pair, solvable_pair_y_indices, taft3
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import ONE
@@ -75,10 +76,77 @@ def test_axioms_and_commutators_once_per_distinct_table(monkeypatch, build, sub,
 
 def test_r_shares_the_braiding_of_h_when_k_is_the_unit_line():
     h = poly_plane(3)
-    gr = filtration.associated_graded(h, filtration.hopf_filtration(
+    gr = filtration.associated_graded(filtration.hopf_filtration(
         h, subspace_from_indices(h, (0,))))
     assert gr is h
     assert coinvariants.compute_R(gr).algebra.braiding is h.braiding
+
+
+SOLVABLE_PAIRS = pytest.mark.parametrize("sub", [(0,), solvable_pair_y_indices(2)],
+                                         ids=["solvable_pair", "solvable_pair_yline"])
+
+
+@SOLVABLE_PAIRS
+def test_gr_keeps_the_braiding_of_h_when_its_rows_are_h(monkeypatch, sub):
+    """solvable_pair's gr H differs from H in its products but not in its
+    braiding rows, so it carries H's braiding object: symmetry is decided
+    once per distinct braiding (H's, shared by gr H and, for K = k1, by R;
+    R's own on the y-line; Q's), and H's braid table is compiled once."""
+    symmetric = _counting(monkeypatch, braided_space, "is_symmetric")
+    original = multilinear.compile_table
+    compiled = []
+
+    def compiling(table, ints):
+        compiled.append(table)
+        return original(table, ints)
+
+    for owner, attr in _bindings(original):
+        monkeypatch.setattr(owner, attr, compiling)
+    h = solvable_pair(2)
+    k = subspace_from_indices(h, sub)
+    gr = filtration.associated_graded(filtration.hopf_filtration(h, k))
+    assert gr is not h and gr.braiding is h.braiding
+    symmetric.clear()
+    compiled.clear()
+    run_pipeline(h, k, 2)
+    assert symmetric[id(h.braiding)] == 1 and set(symmetric.values()) == {1}
+    assert sum(symmetric.values()) == (2 if sub == (0,) else 3)
+    assert sum(table == h.braiding.rows for table in compiled) == 1
+
+
+def test_transported_braiding_with_other_rows_keeps_its_own_object():
+    """Rows equal to h's give h's braiding; rows that differ in one entry
+    give a braiding of their own, whose violation the axiom check reports."""
+    h = poly_plane(2)
+    ladder = filtration.hopf_filtration(h, subspace_from_indices(h, (0,)))
+    basis, degrees = ladder.adapted
+
+    def transported(rows):
+        return filtration.transported_bialgebra(
+            h, basis, degrees, "f", basis.coords(h.unit), filtration.expand_products(h, basis),
+            list(h.comult), rows, h.antipode)
+
+    assert transported(h.braiding.rows).braiding is h.braiding
+    x = h.names.index("x")
+    rows = [list(row) for row in h.braiding.rows]
+    rows[x][x] = {key: s + ONE for key, s in rows[x][x].items()}
+    other = transported(rows)
+    assert other.braiding is not h.braiding and other.braiding.rows != h.braiding.rows
+    assert pipeline.check_report(h)["all_ok"]
+    assert not pipeline.check_report(other)["all_ok"]
+
+
+def test_a_mutant_derives_its_own_commutator_table():
+    h = poly_plane(2)
+    assert h.commutators is h.commutators  # derived once per object
+    assert h.commutators == findim_hopf.commutator_table(h)
+    x, y = h.names.index("x"), h.names.index("y")
+    mult = [list(row) for row in h.mult]
+    mult[x][y] = {**mult[x][y], x: ONE}  # xy = yx + x: no longer commutative
+    mutant = dataclasses.replace(h, mult=tuple(tuple(row) for row in mult))
+    assert mutant.commutators is not h.commutators
+    assert mutant.commutators == findim_hopf.commutator_table(mutant)
+    assert mutant.commutators[x][y] == {x: ONE} and h.commutators[x][y] == {}
 
 
 def test_braid_equation_decided_once_per_braiding(monkeypatch):
@@ -154,16 +222,15 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
             monkeypatch.setattr(module, attr, counting)
     for h, sub in ((poly_plane(2), (0,)), (taft3(), (0, 1, 2))):
         assert all(r.ok for r in findim_hopf.run_all_checks(h).values())
-        assert findim_hopf.check_commutator_coproduct_all(
-            h, h.lowered.compile(findim_hopf.commutator_table(h))).ok
+        assert findim_hopf.check_commutator_coproduct_all(h).ok
         assert braided_space.braid_check(h.braiding)
         braided_space.is_symmetric(h.braiding)
         k = subspace_from_indices(h, sub)
         assert braided_space.is_categorical(h.braiding, k)
         filtration.wedge(h, k, k)
-        gr = filtration.associated_graded(h, filtration.hopf_filtration(h, k))
+        gr = filtration.associated_graded(filtration.hopf_filtration(h, k))
         coinv = coinvariants.compute_R(gr)
-        coinvariants.check_braiding_collapse(gr, coinv, findim_hopf.commutator_table(gr))
+        coinvariants.check_braiding_collapse(coinv)
         run_pipeline(h, k, 2)
     assert not calls
     # the counting wrappers are live: a slot-operation caller is seen

@@ -58,7 +58,7 @@ def test_trunc_grading_roundtrip(corpus):
     h = corpus["solvable_pair"]
     yidx = tuple(i for i, nm in enumerate(h.names)
                  if nm == "1" or (nm.startswith("y") and "x" not in nm))
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, yidx)))
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, yidx)))
     doc = bialgebra_to_json(gr)
     assert "trunc_grading" in doc
     back = bialgebra_from_json(doc)
@@ -460,7 +460,7 @@ def _broken_plane_gr():
     from braidpbw.scalars import ONE
 
     h = poly_plane(2)
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, (0,))))
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, (0,))))
     x = gr.names.index("x")
     comult = list(gr.comult)
     comult[x] = {**comult[x], (x, x): ONE}
@@ -571,6 +571,13 @@ ERROR_PATHS = {
     "basis-name-is-not-a-string": (
         lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_doc(basis=[1, "g", "x", "gx"]))],
         2, "input error: basis name must be a string, got int"),
+    "check-repeated-basis-name": (
+        lambda tmp: ["check", "--input", _write(tmp, "h4.json", _h4_doc(basis=["1", "g", "g", "gx"]))],
+        2, "input error: basis name 'g' is repeated"),
+    "pipeline-repeated-basis-name": (
+        lambda tmp: ["pipeline", "--input", _write(tmp, "h.json", _h4_doc(basis=["1", "x", "x", "gx"]))]
+        + _h4_pipeline(tmp, "2")[3:],
+        2, "input error: basis name 'x' is repeated"),
     "subspace-ambient-dim-is-a-string": (
         lambda tmp: _h4_pipeline(tmp, "2")[:4] + [
             _write(tmp, "k.json", {"ambient_dim": "4", "rows": [["1", "0", "0", "0"]]}),

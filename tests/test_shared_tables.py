@@ -79,7 +79,7 @@ def test_inputs_that_differ_from_gr_take_the_full_path(case):
         h, sub = _solvable_pair_yline()
     else:
         h, sub = dataclasses.replace(taft3(), grading=None, trunc_grading=None), (0, 1, 2)
-    gr = associated_graded(h, hopf_filtration(h, subspace_from_indices(h, sub)))
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, sub)))
     assert gr is not h and not h.same_structure(gr)
     assert run_pipeline(h, subspace_from_indices(h, sub), 2)["gr"]["axioms"] == \
         check_report(_copy(gr))
@@ -109,7 +109,7 @@ def test_gr_axioms_match_a_fresh_check_of_a_distinct_copy():
     for label, h, sub, degree in cases:
         k = subspace_from_indices(h, sub)
         report = run_pipeline(h, k, degree)
-        gr = associated_graded(h, hopf_filtration(h, k))
+        gr = associated_graded(hopf_filtration(h, k))
         copy = _copy(gr)
         assert copy is not gr and copy is not h, label
         assert report["gr"]["axioms"] == check_report(copy), label
