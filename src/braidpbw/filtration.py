@@ -10,9 +10,11 @@ carries its bialgebra, so the stages that read one,
 the ladder alone.  An exhaustive ladder has an adapted basis, the
 new-pivot rows of its steps (canonical pivot complements), held as one
 :class:`~braidpbw.linalg.Coordinates`.  The associated graded expands H's
-unit, products, coproducts and antipode in that basis in one pass: the
-degrees of the expansions, with the categoricity of the steps above K,
-validate the ladder as a bialgebra filtration, and their
+unit, products, coproducts and antipode in that basis in one pass.  When
+the adapted basis is the standard basis, as for the ladder of a connected
+graded H from its unit line, the expansions over it are H's own rows, read
+as they stand.  The degrees of the expansions, with the categoricity of
+the steps above K, validate the ladder as a bialgebra filtration, and their
 degree-homogeneous parts, with the expanded braiding, are the structure
 of gr H, which :func:`associated_graded` returns as a
 :class:`StructureBialgebra`: H itself when H is already graded by its
@@ -155,12 +157,14 @@ def wedge_ladder(h: StructureBialgebra, k: Subspace) -> FiltrationLadder:
 
 def expand_products(h: StructureBialgebra, basis: Coordinates) -> list[list[Vec | None]]:
     """The product in h of each pair of basis vectors, in coordinates over
-    them; None for a pair whose truncation degrees sum above the cap."""
-    reps = basis.vectors
+    them; None for a pair whose truncation degrees sum above the cap.  On
+    the standard basis the products are h's rows."""
+    reps, std = basis.vectors, basis.standard
     gates = [h.gate_of(v) for v in reps]
-    return [[None if ga + gb > h.cap else basis.coords(h.multiply(u, v))
-             for v, gb in zip(reps, gates)]
-            for u, ga in zip(reps, gates)]
+    return [[None if ga + gb > h.cap else
+             basis.coords(h.mult[a][b] if std else h.multiply(u, v))
+             for b, (v, gb) in enumerate(zip(reps, gates))]
+            for a, (u, ga) in enumerate(zip(reps, gates))]
 
 
 def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: list[int],
@@ -247,18 +251,19 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
             target = min(degrees[a] + degrees[b], top)
             if any(degrees[r] > target for r in prod):
                 report.record("product-degree", (a, b), "deg product", f"<= {target}")
+    std = basis.standard  # expand H's rows themselves
     comult: list[dict] = []
     antipode: list[Vec] | None = None if h.antipode is None else []
     for a, u in enumerate(reps):
         report.checked += 1
         n = degrees[a]
-        cop = basis.coords_pair(h.comultiply(u))
+        cop = basis.coords_pair(h.comult[a] if std else h.comultiply(u))
         if any(degrees[r] + degrees[s] > n for (r, s) in cop):
             report.record("coproduct-degree", (a,), "split degrees", f"sum <= {n}")
         comult.append({(r, s): c for (r, s), c in cop.items() if degrees[r] + degrees[s] == n})
         if antipode is not None:
             report.checked += 1
-            sv = basis.coords(h.apply_antipode(u))
+            sv = basis.coords(h.antipode[a] if std else h.apply_antipode(u))
             if any(degrees[r] > n for r in sv):
                 report.record("antipode-degree", (a,), "deg S", f"<= {n}")
             antipode.append({r: c for r, c in sv.items() if degrees[r] == n})
@@ -269,7 +274,8 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
         raise FiltrationError("not a bialgebra filtration:\n" + report.summary())
 
     c = h.braiding.rows
-    braid_rows = [[{(r, s): x for (r, s), x in basis.coords_pair(bilinear(c, u, v)).items()
+    braid_rows = [[{(r, s): x for (r, s), x in
+                    basis.coords_pair(c[a][b] if std else bilinear(c, u, v)).items()
                     if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
                    for b, v in enumerate(reps)]
                   for a, u in enumerate(reps)]

@@ -12,7 +12,8 @@ vanished.  :func:`rref` is the adapter for callers holding a dense matrix.
 Every change of basis goes through one :class:`Coordinates` object: built
 from independent sparse vectors, it expresses a sparse vector, or a
 2-tensor leg by leg, over them, and raises :class:`SpanError` for a vector
-outside their span.  A monomial basis skips the elimination.
+outside their span.  A monomial basis skips the elimination; on the
+standard basis, coordinates are the entries.
 """
 from __future__ import annotations
 
@@ -169,17 +170,21 @@ def kernel(images: Sequence[Vec]) -> Subspace:
 class Coordinates:
     """Coordinates over a list of linearly independent sparse vectors.
 
-    A monomial basis, each vector a nonzero multiple of a distinct standard
-    basis vector, needs no elimination: coordinates are a relabel and a
-    scale.  Any other basis is reduced once, with the change of basis from
-    its canonical RREF rows back to the given vectors; a vector is then
+    On the standard basis, each vector r the unit vector e_r (also a prefix
+    e_0..e_{m-1} of a larger space), coordinates are the entries: a vector's
+    nonzero entries, as they stand (:attr:`standard`).  Another monomial
+    basis, each vector a nonzero multiple of a distinct standard basis
+    vector, needs no elimination: coordinates are a relabel and a scale.
+    Any other basis is reduced once, with the change of basis from its
+    canonical RREF rows back to the given vectors; a vector is then
     eliminated against the RREF rows and its coefficients carried back.
-    Both ways give the coefficients keyed in the same order.
+    Every way gives the same coefficients.
     """
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Vec]):
         self.vectors = list(vectors)
         self._monomial = _monomial_positions(self.vectors)
+        self.standard = all(v == {r: ONE} for r, v in enumerate(self.vectors))
         if self._monomial is not None:
             return
         n = ambient_dim
@@ -197,6 +202,8 @@ class Coordinates:
     def coords(self, vec: Vec) -> Vec:
         """Coefficients of a sparse vector over the basis; SpanError if it is
         outside the span."""
+        if self.standard:
+            return self._entries(vec, False)
         monomial = self._monomial
         if monomial is not None:
             out: Vec = {}
@@ -220,6 +227,8 @@ class Coordinates:
     def coords_pair(self, w: dict) -> dict:
         """Coefficients of a sparse 2-tensor over pairs of basis vectors,
         computed leg by leg."""
+        if self.standard:
+            return self._entries(w, True)
         by_right: dict[int, Vec] = {}
         for (i, j), c in w.items():
             by_right.setdefault(j, {})[i] = c
@@ -228,6 +237,14 @@ class Coordinates:
             for a, c in self.coords(leg).items():
                 by_left.setdefault(a, {})[j] = c
         return {(a, b): c for a, leg in by_left.items() for b, c in self.coords(leg).items()}
+
+    def _entries(self, vec: dict, pair: bool) -> dict:
+        """The nonzero entries of a vector, or of a 2-tensor when ``pair``, on
+        the standard basis; SpanError when one is keyed past the basis."""
+        out = {k: c for k, c in vec.items() if not c.is_zero()}
+        if max(map(max, out) if pair else out, default=-1) >= len(self.vectors):
+            raise SpanError("vector is outside the span of the coordinate basis")
+        return out
 
 
 def _monomial_positions(vectors: Sequence[Vec]) -> dict | None:

@@ -254,6 +254,77 @@ def test_coordinates_reject_dependent_basis():
         Coordinates(3, [{0: S(1), 1: S(2)}, {0: S(2), 1: S(4)}])
 
 
+@pytest.mark.parametrize("ambient, vectors, standard", [
+    (3, [{0: 1}, {1: 1}, {2: 1}], True),
+    (5, [{0: 1}, {1: 1}], True),
+    (3, [{1: 1}, {0: 1}, {2: 1}], False),
+    (3, [{0: 2}, {1: 2}, {2: 2}], False),
+    (3, [{0: 1}, {1: 1, 2: 0}], False),
+    (3, [{0: 1}, {0: 1}], None),
+], ids=["identity", "prefix", "permutation", "scaled-by-2", "explicit-zero", "repeated"])
+def test_standard_basis_truth_table(ambient, vectors, standard):
+    """Standard: vector r is e_r, also as a prefix of a larger space.  A
+    repeated vector is no basis at all."""
+    vectors = [{k: S(c) for k, c in v.items()} for v in vectors]
+    if standard is None:
+        with pytest.raises(SpanError):
+            Coordinates(ambient, vectors)
+    else:
+        assert Coordinates(ambient, vectors).standard is standard
+
+
+def test_prefix_basis_refuses_keys_past_it_as_the_monomial_path_does():
+    prefix = Coordinates(5, [{0: S(1)}, {1: S(1)}])
+    scaled = Coordinates(5, [{0: S(2)}, {1: S(2)}])  # monomial, not standard
+    assert prefix.standard and not scaled.standard
+    for bad in ({2: S(1)}, {0: S(1), 4: S(3)}):
+        messages = set()
+        for coords in (prefix, scaled):
+            with pytest.raises(SpanError) as err:
+                coords.coords(bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+    for bad in ({(0, 3): S(1)}, {(3, 0): S(1)}, {(1, 1): S(1), (4, 4): S(2)}):
+        messages = set()
+        for coords in (prefix, scaled):
+            with pytest.raises(SpanError) as err:
+                coords.coords_pair(bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+    # a zero coefficient past the basis is no entry, on either path
+    assert prefix.coords({0: S(3), 4: ZERO}) == {0: S(3)}
+    assert prefix.coords_pair({(0, 1): S(3), (4, 0): ZERO}) == {(0, 1): S(3)}
+
+
+def test_standard_coordinates_drop_zero_coefficients():
+    basis = Coordinates(3, [{i: S(1)} for i in range(3)])
+    out = basis.coords({2: S(5), 0: ZERO, 1: S(-1)})
+    assert out == {2: S(5), 1: S(-1)} and 0 not in out
+    pair = basis.coords_pair({(0, 1): ZERO, (1, 2): S(2)})
+    assert pair == {(1, 2): S(2)} and (0, 1) not in pair
+    assert basis.coords({1: ZERO}) == {} and basis.coords_pair({}) == {}
+
+
+@pytest.mark.parametrize("conductor", [1, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_standard_coordinates_match_the_monomial_path(conductor, seed):
+    """On the standard basis the entries are the coordinates: the same as
+    over the reversed basis (a monomial basis), relabelled r -> m-1-r."""
+    rng = random.Random(seed)
+    dim, m = 7, 5
+    fast = Coordinates(dim, [{r: S(1)} for r in range(m)])
+    rev = Coordinates(dim, [{r: S(1)} for r in reversed(range(m))])
+    assert fast.standard and not rev.standard
+    for _ in range(6):
+        v = random_vector(rng, conductor, m)
+        v.update({k: ZERO for k in rng.sample(range(dim), 2)})  # exact zeros are ignored
+        relabelled = {m - 1 - r: c for r, c in rev.coords(v).items()}
+        assert sorted(_exact(fast.coords(v))) == sorted(_exact(relabelled))
+        w = {(i, j): a * b for i, a in v.items() for j, b in reversed(list(v.items()))}
+        relabelled = {(m - 1 - r, m - 1 - s): c for (r, s), c in rev.coords_pair(w).items()}
+        assert sorted(_exact(fast.coords_pair(w))) == sorted(_exact(relabelled))
+
+
 def test_subspace_equality_and_sum():
     a = Subspace.span(2, vecs([[1, 1]]))
     b = Subspace.span(2, vecs([[2, 2]]))

@@ -13,6 +13,7 @@ from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import ONE
 from reference_checkers import pair_ops
+from test_shared_tables import _pipeline_inputs
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -236,6 +237,47 @@ def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
     # the counting wrappers are live: a slot-operation caller is seen
     multilinear.mul_at(pair_ops(h), {(1, 1): ONE}, 0)
     assert calls
+
+
+def test_expansions_over_the_standard_basis_read_the_rows(monkeypatch):
+    """On a standard adapted basis, associated_graded multiplies, comultiplies,
+    braids and applies the antipode to no vector, and expand_products, for
+    gr H and for R, makes no product; the y-line's adapted basis, which is
+    not the standard basis, still takes the elimination path."""
+    cases = []
+    for label, h, sub, _ in _pipeline_inputs():
+        ladder = filtration.hopf_filtration(h, subspace_from_indices(h, sub))
+        gr = filtration.associated_graded(ladder)
+        r_basis = linalg.Coordinates(gr.dim, coinvariants.compute_R(gr).inclusion.rows)
+        cases.append((label, ladder, gr, r_basis))
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for fn in (multilinear.bilinear, multilinear.linear):
+        for owner, attr in _bindings(fn):
+            monkeypatch.setattr(owner, attr, counting(fn.__name__, fn))
+    monkeypatch.setattr(findim_hopf.StructureBialgebra, "multiply",
+                        counting("multiply", findim_hopf.StructureBialgebra.multiply))
+    standard = 0
+    for label, ladder, gr, r_basis in cases:
+        calls.clear()
+        filtration.associated_graded(ladder)
+        if ladder.adapted[0].standard:
+            standard += 1
+            assert not calls, label
+        else:
+            assert label == "solvable_pair_yline"
+            assert calls["bilinear"] and calls["linear"] and calls["multiply"], label
+        calls.clear()
+        filtration.expand_products(gr, r_basis)
+        assert (calls["multiply"] == 0) == r_basis.standard, label
+    assert standard == len(cases) - 1
+    assert sum(r_basis.standard for *_, r_basis in cases) > 0
 
 
 def test_benchmark_tracer_records_linalg_entry_points():
