@@ -30,7 +30,8 @@ from .filtration import associated_graded, hopf_filtration, subspace_from_indice
 from .multilinear import add_term
 from .pbw import pbw_verdict
 from .pipeline import check_report, compare_expectations, flat_summary, require_axioms, run_pipeline
-from .reporting import BraidpbwError, InputError, degree_cap_default, require_under_cap
+from .reporting import (BraidpbwError, InputError, degree_cap_default, render_combination,
+                        require_degree, require_under_cap)
 from .scalars import ONE
 from .serialize import (
     bialgebra_from_json,
@@ -177,9 +178,8 @@ def _word(names, letters) -> tuple[int, ...]:
 def cmd_nf(args) -> int:
     letters = " ".join(args.word).split()
     names, word, (_, table) = _symmetric_forms(args, len(letters), letters)
-    parts = [monomial_str(names, w) if c.is_one() else f"({c})*{monomial_str(names, w)}"
-             for w, c in sorted(normal_form(table, word).items())]
-    print(" + ".join(parts) or "0")
+    print(render_combination((monomial_str(names, w), c)
+                             for w, c in sorted(normal_form(table, word).items())))
     return EXIT_OK
 
 
@@ -195,11 +195,8 @@ def cmd_commutator(args) -> int:
     q = math.prod((rows[a][b][(b, a)] for a in u for b in v), start=ONE)
     out = {u + v: ONE}
     add_term(out, v + u, -q)
-    parts = []
-    for w, c in sorted(out.items()):
-        word = "*".join(names[i] for i in w) or "1"
-        parts.append(word if c.is_one() else f"({c})*{word}")
-    print(" + ".join(parts) or "0")
+    print(render_combination(("*".join(names[i] for i in w) or "1", c)
+                             for w, c in sorted(out.items())))
     return EXIT_OK
 
 
@@ -212,6 +209,7 @@ def cmd_hilbert(args) -> int:
 def cmd_grk(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
     k = subspace_from_json(load_json_file(args.sub), h)
+    require_axioms(h)
     gr = associated_graded(hopf_filtration(h, k))
     write_canonical(args.out, bialgebra_to_json(gr))
     print(f"associated graded written to {args.out} "
@@ -230,6 +228,8 @@ def cmd_coinv(args) -> int:
 
 def cmd_pbw(args) -> int:
     h = bialgebra_from_json(load_json_file(args.input))
+    require_degree(args.degree)
+    require_axioms(h)
     report = pbw_verdict(h, args.degree)
     if args.report:
         write_canonical(args.report, report.to_json())

@@ -152,7 +152,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         degrees.append(degs.pop())
     if degrees != sorted(degrees):
         raise CoinvariantsError("parent basis is not sorted by degree")
-    basis = Coordinates(d, r_sub.rows)
+    basis = Coordinates(r_sub.rows)  # RREF rows: in echelon form
     try:
         r_alg, action, coaction, braided = _induced_structure(gr, basis, degrees, k_indices, images)
     except SpanError as exc:
@@ -171,6 +171,34 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
     )
 
 
+class _Conjugation(dict):
+    """u -> m(m x S)(id x c)(Delta e_k x e_u), the braided conjugation of e_u
+    by e_k, formed on first use: multiply the first coproduct leg of e_k,
+    braid the second past e_u, close with the antipode."""
+
+    def __init__(self, gr: StructureBialgebra, k: int):
+        super().__init__()
+        self.gr, self.k = gr, k
+
+    def __missing__(self, u: int) -> Vec:
+        mult, anti, c = self.gr.mult, self.gr.antipode, self.gr.braiding.rows
+        out: Vec = {}
+        for (a, b), s in self.gr.comult[self.k].items():
+            ma = mult[a]
+            for (x, y), t in c[b][u].items():
+                st, sy = s * t, anti[y]
+                for p, w in ma[x].items():
+                    stw, mp = st * w, mult[p]
+                    for z, v in sy.items():
+                        stwv = stw * v
+                        for q, g in mp[z].items():
+                            term = stwv * g
+                            prev = out.get(q)
+                            out[q] = term if prev is None else prev + term
+        value = self[u] = {q: v for q, v in out.items() if not v.is_zero()}
+        return value
+
+
 def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list[int],
                        k_indices: tuple[int, ...], images: list[Vec]):
     """R's coproduct (``images``, the a |-> a_1 S(pi(a_2)) image of each
@@ -181,14 +209,14 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     pairs of the representatives."""
     reps = basis.vectors
     rdim = len(reps)
-    mult, comult, anti, c = gr.mult, gr.comult, gr.antipode, gr.braiding.rows
+    comult, c = gr.comult, gr.braiding.rows
     k_pos = {k: t for t, k in enumerate(k_indices)}
     comult_r = []
     coaction = []
     for a in range(rdim):  # R's coproduct and the coaction read one expansion of Delta(rep)
         w: dict = {}
-        by_left: dict = {}  # the comultiply output has no zero entries
-        for (x, y), s in gr.comultiply(reps[a]).items():
+        by_left: dict = {}  # a zero entry, if any, drops out of the coordinates
+        for (x, y), s in basis.image(comult, a).items():
             for z, t in images[x].items():
                 key, v = (z, y), s * t
                 prev = w.get(key)
@@ -199,48 +227,14 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
         coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
                          for rr, cr in basis.coords(legvec).items()})
 
-    acted: dict = {}  # (k, u) -> braided conjugation of e_u by e_k
-
-    def ad(k: int, u: int) -> Vec:
-        """m(m x S)(id x c)(Delta e_k x e_u): multiply the first coproduct leg
-        of e_k, braid the second past e_u, close with the antipode."""
-        out = acted.get((k, u))
-        if out is None:
-            out = {}
-            for (a, b), s in comult[k].items():
-                ma = mult[a]
-                for (x, y), t in c[b][u].items():
-                    st, sy = s * t, anti[y]
-                    for p, w in ma[x].items():
-                        stw, mp = st * w, mult[p]
-                        for z, v in sy.items():
-                            stwv = stw * v
-                            for q, g in mp[z].items():
-                                term = stwv * g
-                                prev = out.get(q)
-                                out[q] = term if prev is None else prev + term
-            out = acted[(k, u)] = {q: v for q, v in out.items() if not v.is_zero()}
-        return out
-
-    action = []
-    for k in k_indices:
-        row = []
-        for b in range(rdim):
-            out: Vec = {}
-            for u, cu in reps[b].items():
-                for q, v in ad(k, u).items():
-                    v = cu * v
-                    prev = out.get(q)
-                    out[q] = v if prev is None else prev + v
-            row.append(basis.coords(out))
-        action.append(tuple(row))
+    ad = {k: _Conjugation(gr, k) for k in k_indices}
+    action = tuple(tuple(basis.coords(basis.image(ad[k], b)) for b in range(rdim))
+                   for k in k_indices)
 
     for a in range(rdim):
         acc: Vec = {}
         for (kt, rr), s in coaction[a].items():
-            v = s * gr.counit[k_indices[kt]]
-            prev = acc.get(rr)
-            acc[rr] = v if prev is None else prev + v
+            add_term(acc, rr, s * gr.counit[k_indices[kt]])
         if not vec_equal(acc, {a: ONE}):
             raise CoinvariantsError("coaction fails counitality")
 
@@ -257,7 +251,7 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
                 k = k_indices[kt]
                 for (u, v), t in braided[rr][b].items():
                     st = s * t
-                    for au, ca in ad(k, u).items():
+                    for au, ca in ad[k][u].items():
                         key, x = (au, v), st * ca
                         prev = ambient.get(key)
                         ambient[key] = x if prev is None else prev + x
@@ -267,7 +261,7 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
                                   expand_products(gr, basis), comult_r, braid_rows, None)
     if not r_alg.braiding.satisfies_braid_equation:
         raise CoinvariantsError("induced braiding fails the braid equation")
-    return r_alg, tuple(action), tuple(coaction), braided
+    return r_alg, action, tuple(coaction), braided
 
 
 def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:

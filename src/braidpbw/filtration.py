@@ -10,11 +10,12 @@ carries its bialgebra, so the stages that read one,
 the ladder alone.  An exhaustive ladder has an adapted basis, the
 new-pivot rows of its steps (canonical pivot complements), held as one
 :class:`~braidpbw.linalg.Coordinates`.  The associated graded expands H's
-unit, products, coproducts and antipode in that basis in one pass.  When
-the adapted basis is the standard basis, as for the ladder of a connected
-graded H from its unit line, the expansions over it are H's own rows, read
-as they stand.  The degrees of the expansions, with the categoricity of
-the steps above K, validate the ladder as a bialgebra filtration, and their
+unit, products, coproducts and antipode in that basis in one pass; the
+basis gives each value at a representative
+(:meth:`~braidpbw.linalg.Coordinates.image`), H's own row on the standard
+basis, as for the ladder of a connected graded H from its unit line.  The
+degrees of the expansions, with the categoricity of the steps above K,
+validate the ladder as a bialgebra filtration, and their
 degree-homogeneous parts, with the expanded braiding, are the structure
 of gr H, which :func:`associated_graded` returns as a
 :class:`StructureBialgebra`: H itself when H is already graded by its
@@ -30,7 +31,7 @@ from functools import cached_property
 from .findim_hopf import StructureBialgebra, render_tensor
 from .braided_space import GenericBraiding, is_categorical
 from .linalg import Coordinates, Subspace, kernel
-from .multilinear import Vec, add_term, bilinear
+from .multilinear import Vec, add_term
 from .reporting import FiltrationError, ValidationReport
 from .scalars import ONE, ZERO
 
@@ -52,8 +53,8 @@ class FiltrationLadder:
     def adapted(self) -> tuple[Coordinates, list[int]]:
         """Coordinates over the new-pivot rows of the steps of an exhaustive
         ladder, in (step, pivot) order, and the step of each row; built on
-        first use.  Steps come in order and RREF pivots ascend, so the rows
-        need no sorting."""
+        first use.  Each row's pivot is its least key and no other row's, so
+        the rows are in echelon form and need no second elimination."""
         if not self.exhaustive:
             raise FiltrationError("filtration does not exhaust the bialgebra; "
                                   "the associated graded object is not defined on all of H")
@@ -66,7 +67,7 @@ class FiltrationLadder:
                     seen.add(p)
                     reps.append(row)
                     degrees.append(n)
-        return Coordinates(self.bialgebra.dim, reps), degrees
+        return Coordinates(reps), degrees
 
 
 def subspace_from_indices(h: StructureBialgebra, indices) -> Subspace:
@@ -157,14 +158,11 @@ def wedge_ladder(h: StructureBialgebra, k: Subspace) -> FiltrationLadder:
 
 def expand_products(h: StructureBialgebra, basis: Coordinates) -> list[list[Vec | None]]:
     """The product in h of each pair of basis vectors, in coordinates over
-    them; None for a pair whose truncation degrees sum above the cap.  On
-    the standard basis the products are h's rows."""
-    reps, std = basis.vectors, basis.standard
-    gates = [h.gate_of(v) for v in reps]
-    return [[None if ga + gb > h.cap else
-             basis.coords(h.mult[a][b] if std else h.multiply(u, v))
-             for b, (v, gb) in enumerate(zip(reps, gates))]
-            for a, (u, ga) in enumerate(zip(reps, gates))]
+    them; None for a pair whose truncation degrees sum above the cap."""
+    gates = [h.gate_of(v) for v in basis.vectors]
+    return [[None if ga + gb > h.cap else basis.coords(basis.image_pair(h.mult, a, b))
+             for b, gb in enumerate(gates)]
+            for a, ga in enumerate(gates)]
 
 
 def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: list[int],
@@ -234,7 +232,6 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
     """
     h = ladder.bialgebra
     basis, degrees = ladder.adapted
-    reps = basis.vectors
     top = len(ladder.steps) - 1
     report = ValidationReport("bialgebra filtration")
     report.checked += 1
@@ -251,19 +248,17 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
             target = min(degrees[a] + degrees[b], top)
             if any(degrees[r] > target for r in prod):
                 report.record("product-degree", (a, b), "deg product", f"<= {target}")
-    std = basis.standard  # expand H's rows themselves
     comult: list[dict] = []
     antipode: list[Vec] | None = None if h.antipode is None else []
-    for a, u in enumerate(reps):
+    for a, n in enumerate(degrees):
         report.checked += 1
-        n = degrees[a]
-        cop = basis.coords_pair(h.comult[a] if std else h.comultiply(u))
+        cop = basis.coords_pair(basis.image(h.comult, a))
         if any(degrees[r] + degrees[s] > n for (r, s) in cop):
             report.record("coproduct-degree", (a,), "split degrees", f"sum <= {n}")
         comult.append({(r, s): c for (r, s), c in cop.items() if degrees[r] + degrees[s] == n})
         if antipode is not None:
             report.checked += 1
-            sv = basis.coords(h.antipode[a] if std else h.apply_antipode(u))
+            sv = basis.coords(basis.image(h.antipode, a))
             if any(degrees[r] > n for r in sv):
                 report.record("antipode-degree", (a,), "deg S", f"<= {n}")
             antipode.append({r: c for r, c in sv.items() if degrees[r] == n})
@@ -274,11 +269,9 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
         raise FiltrationError("not a bialgebra filtration:\n" + report.summary())
 
     c = h.braiding.rows
-    braid_rows = [[{(r, s): x for (r, s), x in
-                    basis.coords_pair(c[a][b] if std else bilinear(c, u, v)).items()
-                    if degrees[r] + degrees[s] == degrees[a] + degrees[b]}
-                   for b, v in enumerate(reps)]
-                  for a, u in enumerate(reps)]
+    braid_rows = [[{(r, s): x for (r, s), x in basis.coords_pair(basis.image_pair(c, a, b)).items()
+                    if degrees[r] + degrees[s] == m + n}
+                   for b, n in enumerate(degrees)] for a, m in enumerate(degrees)]
     gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult, braid_rows,
                                None if antipode is None else tuple(antipode))
     return h if h.same_structure(gr) else gr
@@ -287,26 +280,25 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
 def check_commutator_filtration(ladder: FiltrationLadder) -> ValidationReport | None:
     """Commutators drop one filtration level: the bottom-step hypothesis and
     the general statement, verified on representative pairs by membership.
-    Each commutator [u, v] is expanded bilinearly from the commutator table
-    of the ladder's bialgebra h.  None when the braiding is not symmetric and
-    the statement does not apply."""
+    Each commutator [u, v] is the value of the commutator table of the
+    ladder's bialgebra h at the pair, taken through the adapted basis.  None
+    when the braiding is not symmetric and the statement does not apply."""
     h = ladder.bialgebra
     if not h.braiding.symmetric:
         return None
     report = ValidationReport("commutator filtration")
     basis, degrees = ladder.adapted
-    reps = basis.vectors
-    gates = [h.gate_of(v) for v in reps]
+    gates = [h.gate_of(v) for v in basis.vectors]
     top, comm = len(ladder.steps) - 1, h.commutators
-    for a, u in enumerate(reps):
-        for b, v in enumerate(reps):
-            if gates[a] + gates[b] > h.cap:
+    for a, ga in enumerate(gates):
+        for b, gb in enumerate(gates):
+            if ga + gb > h.cap:
                 report.skipped += 1
                 continue
             report.checked += 1
             m, n = degrees[a], degrees[b]
             target = min(m + n - 1, top)
-            bracket = bilinear(comm, u, v)
+            bracket = basis.image_pair(comm, a, b)
             if any(degrees[r] > target for r in basis.coords(bracket)):
                 report.record("commutator-level", (m, n),
                               render_tensor(h, bracket),

@@ -32,7 +32,7 @@ from math import inf
 from .braided_space import GenericBraiding
 from .multilinear import (Vec, as_scalar, bilinear, compile_table, integral, linear, vadd_into,
                           vec_equal, vsum)
-from .reporting import ValidationReport
+from .reporting import ValidationReport, render_combination
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -153,14 +153,9 @@ class StructureBialgebra:
 def render_tensor(h: StructureBialgebra, vec) -> str:
     """A sparse vector keyed by basis indices, or a tensor keyed by tuples of
     them, as text."""
-    if not vec:
-        return "0"
-    parts = []
-    for key in sorted(vec):
-        c = vec[key]
-        word = h.names[key] if type(key) is int else "(x)".join(h.names[i] for i in key)
-        parts.append(word if c.is_one() else f"({c})*{word}")
-    return " + ".join(parts)
+    return render_combination(
+        (h.names[key] if type(key) is int else "(x)".join(h.names[i] for i in key), vec[key])
+        for key in sorted(vec))
 
 
 # ---------------------------------------------------------------------------

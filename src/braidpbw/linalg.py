@@ -9,19 +9,24 @@ one kernel routine, :func:`kernel`, eliminates the images of the basis
 vectors together with the identity and keeps the rows whose image part
 vanished.  :func:`rref` is the adapter for callers holding a dense matrix.
 
-Every change of basis goes through one :class:`Coordinates` object: built
-from independent sparse vectors, it expresses a sparse vector, or a
-2-tensor leg by leg, over them, and raises :class:`SpanError` for a vector
-outside their span.  A monomial basis skips the elimination; on the
-standard basis, coordinates are the entries.
+One triangular elimination, :func:`solve`, expresses a sparse vector over
+rows in echelon form, each with its own least key (:func:`lead_table`):
+a :class:`Subspace` solves over its RREF rows, a :class:`Coordinates`
+over its vectors.  Every change of basis goes through one Coordinates
+object, which alone decides whether its basis is the standard one: there
+coordinates are the entries, and the value of a structure table at a basis
+vector is the table's row; elsewhere the table is extended linearly and
+the result solved for.  It raises :class:`SpanError` for a vector outside
+the span.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .multilinear import Vec, vadd_into, vec_equal
+from .multilinear import Vec, bilinear, linear, vadd_into, vec_equal
 from .reporting import SpanError
 from .scalars import ONE, ZERO, Scalar
 
@@ -66,6 +71,47 @@ def rank(rows: Iterable[Sequence[Scalar]]) -> int:
     return len(rref(rows)[0])
 
 
+def lead_table(rows: Sequence[Vec]) -> dict:
+    """Rows in echelon form, each with its own least key (its lead), as
+    {lead: (position, the row's tail past its lead, inverse of the lead
+    coefficient or None when it is 1, the leads in that tail)}; SpanError
+    for a zero row or a repeated lead."""
+    rows = [{k: c for k, c in row.items() if not c.is_zero()} for row in rows]
+    leads = [min(row, default=None) for row in rows]
+    if None in leads or len(set(leads)) < len(rows):
+        raise SpanError("vectors not in echelon form: a zero vector or a repeated lead")
+    at = set(leads)
+    return {p: (j, {k: c for k, c in row.items() if k != p},
+                None if row[p].is_one() else row[p].inverse(),
+                tuple(k for k in row if k != p and k in at))
+            for j, (p, row) in enumerate(zip(leads, rows))}
+
+
+def solve(leads: dict, vector: Vec) -> tuple[Vec, Vec]:
+    """(coefficients over the rows of a :func:`lead_table`, residual) of a
+    sparse vector, by triangular elimination in ascending lead order.  A row
+    changes keys at and after its lead only, so each lead is eliminated once,
+    also one that an earlier row's tail brings in; the lead's own entry
+    cancels exactly, so only the tail is subtracted.  The residual has no
+    entry at any lead; it is empty exactly when the vector lies in the rows'
+    span."""
+    v = {k: c for k, c in vector.items() if not c.is_zero()}
+    out: Vec = {}
+    todo = [k for k in v if k in leads]
+    heapify(todo)
+    while todo:
+        p = heappop(todo)
+        c = v.pop(p, None)
+        if c is not None:  # else cancelled, or already eliminated
+            j, tail, inv, later = leads[p]
+            out[j] = c = c if inv is None else c * inv
+            if tail:
+                vadd_into(v, tail, -c)
+                for k in later:
+                    heappush(todo, k)
+    return out, v
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Row space with its canonical RREF basis as sparse rows."""
@@ -86,31 +132,20 @@ class Subspace:
         return len(self.rows)
 
     @cached_property
-    def _row_at(self) -> dict[int, int]:
-        return {p: j for j, p in enumerate(self.pivots)}
-
-    def _eliminate(self, vector: Vec) -> tuple[Vec, Vec]:
-        """(coefficients over the rows, residual) of a sparse vector."""
-        v = {k: c for k, c in vector.items() if not c.is_zero()}
-        out: Vec = {}
-        for p in sorted(k for k in v if k in self._row_at):
-            j = self._row_at[p]
-            c = v[p]
-            out[j] = c
-            vadd_into(v, self.rows[j], -c)
-        return out, v
+    def _leads(self) -> dict:
+        return lead_table(self.rows)
 
     def reduce(self, vector: Vec) -> Vec:
         """Residual of a vector after eliminating all pivot coordinates."""
-        return self._eliminate(vector)[1]
+        return solve(self._leads, vector)[1]
 
     def contains_vector(self, vector: Vec) -> bool:
-        return not self._eliminate(vector)[1]
+        return not solve(self._leads, vector)[1]
 
     def coords(self, vector: Vec) -> Vec | None:
         """Nonzero coefficients of a sparse vector over the RREF rows, or None
         if the vector is outside."""
-        out, residual = self._eliminate(vector)
+        out, residual = solve(self._leads, vector)
         return None if residual else out
 
     def contains(self, other: "Subspace") -> bool:
@@ -121,7 +156,7 @@ class Subspace:
         per free column): e_c minus the column c of the rows at their pivots."""
         out: list[Vec] = []
         for c in range(self.ambient_dim):
-            if c in self._row_at:
+            if c in self._leads:
                 continue
             f = {p: -row[c] for p, row in zip(self.pivots, self.rows) if c in row}
             f[c] = ONE
@@ -168,61 +203,49 @@ def kernel(images: Sequence[Vec]) -> Subspace:
 
 
 class Coordinates:
-    """Coordinates over a list of linearly independent sparse vectors.
+    """Coordinates over linearly independent sparse vectors.
 
-    On the standard basis, each vector r the unit vector e_r (also a prefix
-    e_0..e_{m-1} of a larger space), coordinates are the entries: a vector's
-    nonzero entries, as they stand (:attr:`standard`).  Another monomial
-    basis, each vector a nonzero multiple of a distinct standard basis
-    vector, needs no elimination: coordinates are a relabel and a scale.
-    Any other basis is reduced once, with the change of basis from its
-    canonical RREF rows back to the given vectors; a vector is then
-    eliminated against the RREF rows and its coefficients carried back.
-    Every way gives the same coefficients.
+    On the standard basis (:attr:`standard`: vector r is e_r, also as a
+    prefix of a larger space), coordinates are a vector's nonzero entries as
+    they stand, and the value of a table at basis vector r is its row r.
+    Other vectors are solved for by :func:`solve`: directly when they are in
+    echelon form, as every basis the engine builds is, else over their RREF
+    rows, reached once with the change of basis back to the vectors.
     """
 
-    def __init__(self, ambient_dim: int, vectors: Sequence[Vec]):
+    def __init__(self, vectors: Sequence[Vec]):
         self.vectors = list(vectors)
-        self._monomial = _monomial_positions(self.vectors)
         self.standard = all(v == {r: ONE} for r, v in enumerate(self.vectors))
-        if self._monomial is not None:
-            return
-        n = ambient_dim
-        red, pivots = echelon({**v, n + i: ONE} for i, v in enumerate(self.vectors))
-        if pivots and pivots[-1] >= n:
-            raise SpanError("coordinate basis vectors are linearly dependent")
-        self.span = Subspace(n, tuple({k: c for k, c in r.items() if k < n} for r in red),
-                             tuple(pivots))
-        self._back = [{k - n: c for k, c in r.items() if k >= n} for r in red]
+        try:
+            self._leads, self._back = lead_table(self.vectors), None
+        except SpanError:  # not in echelon form: reduce once, with the change of basis
+            red, pivots = echelon({**{(0, k): c for k, c in v.items()}, (1, i): ONE}
+                                  for i, v in enumerate(self.vectors))
+            if pivots and pivots[-1][0]:
+                raise SpanError("coordinate basis vectors are linearly dependent") from None
+            self._leads = lead_table([{k: c for (t, k), c in r.items() if not t} for r in red])
+            self._back = [{i: c for (t, i), c in r.items() if t} for r in red]
 
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
+    def image(self, table, r: int):
+        """The value at basis vector r of a map given by its values on the
+        standard basis (a coproduct or antipode table)."""
+        return table[r] if self.standard else linear(table, self.vectors[r])
+
+    def image_pair(self, table, r: int, s: int):
+        """The value at the pair (r, s) of basis vectors of a map given by its
+        values on standard basis pairs (a product, braiding or commutator
+        table)."""
+        return table[r][s] if self.standard else bilinear(table, self.vectors[r], self.vectors[s])
 
     def coords(self, vec: Vec) -> Vec:
         """Coefficients of a sparse vector over the basis; SpanError if it is
         outside the span."""
         if self.standard:
             return self._entries(vec, False)
-        monomial = self._monomial
-        if monomial is not None:
-            out: Vec = {}
-            for k in sorted(vec):
-                c = vec[k]
-                if c.is_zero():
-                    continue
-                at = monomial.get(k)
-                if at is None:
-                    raise SpanError("vector is outside the span of the coordinate basis")
-                out[at[0]] = c * at[1]
-            return out
-        over_rref = self.span.coords(vec)
-        if over_rref is None:
+        out, residual = solve(self._leads, vec)
+        if residual:
             raise SpanError("vector is outside the span of the coordinate basis")
-        out = {}
-        for j, c in over_rref.items():
-            vadd_into(out, self._back[j], c)
-        return out
+        return out if self._back is None else linear(self._back, out)
 
     def coords_pair(self, w: dict) -> dict:
         """Coefficients of a sparse 2-tensor over pairs of basis vectors,
@@ -245,17 +268,3 @@ class Coordinates:
         if max(map(max, out) if pair else out, default=-1) >= len(self.vectors):
             raise SpanError("vector is outside the span of the coordinate basis")
         return out
-
-
-def _monomial_positions(vectors: Sequence[Vec]) -> dict | None:
-    """{key: (position, inverse coefficient)} when each vector is a nonzero
-    multiple of a distinct standard basis vector, else None."""
-    out: dict = {}
-    for r, v in enumerate(vectors):
-        if len(v) != 1:
-            return None
-        (k, c), = v.items()
-        if c.is_zero() or k in out:
-            return None
-        out[k] = (r, c.inverse())
-    return out

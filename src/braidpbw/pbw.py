@@ -104,9 +104,9 @@ def compute_Q(h: StructureBialgebra) -> QSpace:
                                if gates[i] + gates[j] <= h.cap])
     pivset = set(square.pivots)
     q_indices = [i for i in positive if i not in pivset]
-    # coordinates over the square's RREF rows followed by e_q; the e_q part
-    # is the class modulo the square
-    basis = Coordinates(d, list(square.rows) + [{i: ONE} for i in q_indices])
+    # coordinates over the square's RREF rows followed by e_q, in echelon form
+    # since no q is a pivot; the e_q part is the class modulo the square
+    basis = Coordinates(list(square.rows) + [{i: ONE} for i in q_indices])
     first_q = square.dim
 
     c = h.braiding.rows

@@ -1,9 +1,10 @@
-"""The package's error classes, and the violation records shared by the
-axiom checkers and validators.  Every deliberate failure raises a
-:class:`BraidpbwError`, whose ``exit_code`` the command line returns; any
-other exception is an engine bug.  The degree limits that raise them live
-here too: the degree cap, read from ``BRAIDPBW_DEGREE_CAP``, and the check
-of a requested top degree."""
+"""The package's error classes, the violation records shared by the axiom
+checkers and validators, and the one text form of a linear combination of
+words, which their witnesses and the word commands print.  Every
+deliberate failure raises a :class:`BraidpbwError`, whose ``exit_code``
+the command line returns; any other exception is an engine bug.  The
+degree limits that raise them live here too: the degree cap, read from
+``BRAIDPBW_DEGREE_CAP``, and the check of a requested top degree."""
 from __future__ import annotations
 
 import os
@@ -71,6 +72,13 @@ def require_degree(n: int) -> None:
     """A requested top degree is a count of degrees: negative is malformed."""
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")
+
+
+def render_combination(terms) -> str:
+    """A linear combination of words, given as (word, coefficient) pairs, as
+    text: ``w`` for a coefficient 1, ``(c)*w`` otherwise, joined by
+    ``" + "``; ``0`` for no terms."""
+    return " + ".join(w if c.is_one() else f"({c})*{w}" for w, c in terms) or "0"
 
 
 @dataclass

@@ -588,7 +588,7 @@ def compute_R(gr: StructureBialgebra) -> dict:
 
 
 def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
-    basis, ops = Coordinates(gr.dim, reps), pair_ops(gr)
+    basis, ops = Coordinates(reps), pair_ops(gr)
     rdim = len(reps)
     comult = []
     for a in range(rdim):

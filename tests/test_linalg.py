@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidpbw import linalg
 from braidpbw.linalg import (
     Coordinates,
     SpanError,
     Subspace,
     echelon,
     kernel,
+    lead_table,
     rank,
     rref,
 )
@@ -189,7 +191,7 @@ def test_coordinates_against_rebuild_oracle(conductor, seed):
     rng = random.Random(seed)
     dim, size = 6, 4
     basis = independent_basis(rng, conductor, dim, size)
-    coords = Coordinates(dim, basis)
+    coords = Coordinates(basis)
     for _ in range(5):
         v = combine([(random_scalar(rng, conductor), b) for b in basis], dim)
         c = coords.coords(v)
@@ -219,11 +221,31 @@ def _exact(vec):
     return [(k, c.conductor, c.num, c.den) for k, c in vec.items()]
 
 
+def _through_reduction(monkeypatch, vectors):
+    """Coordinates over the vectors built as for a basis not in echelon form:
+    reduced once to RREF rows, with the change of basis."""
+    real = linalg.lead_table
+    refused = []
+
+    def refusing_once(rows):
+        if not refused:
+            refused.append(rows)
+            raise SpanError("not in echelon form")
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "lead_table", refusing_once)
+    coords = Coordinates(vectors)
+    monkeypatch.setattr(linalg, "lead_table", real)
+    assert refused and coords._back is not None
+    return coords
+
+
 @pytest.mark.parametrize("conductor", [1, 12])
 @pytest.mark.parametrize("seed", range(3))
-def test_monomial_coordinates_match_elimination(conductor, seed):
-    """A monomial basis is relabelled and scaled; the same basis written with
-    an explicit zero in each vector goes through the elimination path."""
+def test_monomial_coordinates_match_elimination(conductor, seed, monkeypatch):
+    """A monomial basis is an echelon basis with empty tails: the one solve
+    gives a relabel and a scale, key order kept, and the same coefficients
+    as the reduction path over the same vectors."""
     rng = random.Random(seed)
     dim = 7
     keys = rng.sample(range(dim), 5)  # shuffled, so positions and keys disagree
@@ -234,48 +256,138 @@ def test_monomial_coordinates_match_elimination(conductor, seed):
             c = random_scalar(rng, conductor)
         basis.append({k: c})
     outside_keys = [k for k in range(dim) if k not in keys]
-    fast = Coordinates(dim, basis)
-    slow = Coordinates(dim, [{**v, outside_keys[0]: ZERO} for v in basis])
-    assert fast._monomial is not None and slow._monomial is None
+    fast = Coordinates(basis)
+    slow = _through_reduction(monkeypatch, basis)
+    assert fast._back is None
     for _ in range(6):
         v = {k: random_scalar(rng, conductor) for k in rng.sample(keys, rng.randint(0, 5))}
         v.update({k: ZERO for k in rng.sample(range(dim), 2)})  # exact zeros are ignored
-        assert _exact(fast.coords(v)) == _exact(slow.coords(v))
+        scaled = [(keys.index(k), v[k] * basis[keys.index(k)][k].inverse())
+                  for k in sorted(v) if not v[k].is_zero()]
+        assert _exact(fast.coords(v)) == _exact(dict(scaled))
+        assert sorted(_exact(slow.coords(v))) == sorted(_exact(fast.coords(v)))
         w = {(i, j): a * b for i, a in v.items() for j, b in reversed(list(v.items()))}
-        assert _exact(fast.coords_pair(w)) == _exact(slow.coords_pair(w))
+        assert sorted(_exact(fast.coords_pair(w))) == sorted(_exact(slow.coords_pair(w)))
     outside = {keys[0]: S(1), outside_keys[1]: S(2)}
     for coords in (fast, slow):
         with pytest.raises(SpanError):
             coords.coords(outside)
 
 
+def _later_leads_basis(rng, conductor):
+    """An echelon basis over keys 0..6 whose tails hold later leads: row r
+    leads at key 2r with a nonzero lead coefficient, and its tail reaches the
+    leads of the rows after it and the free odd keys."""
+    basis = []
+    for r in range(3):
+        row = {2 * r: S(rng.choice([1, 2, -3]))}
+        for k in range(2 * r + 1, 7):
+            c = random_scalar(rng, conductor)
+            if not c.is_zero():
+                row[k] = c
+        row[2 * r + 2] = S(1)  # the next row's lead, or the free key 6
+        basis.append(row)
+    return basis
+
+
+def _non_echelon_basis(rng, conductor):
+    """Three independent vectors, the first two with the same least key."""
+    while True:
+        basis = [random_vector(rng, conductor, 6) for _ in range(3)]
+        for vec in basis[:2]:
+            vec[0] = S(rng.choice([1, 2, -3]))
+        if len(echelon(basis)[0]) == 3:
+            return basis
+
+
+def _explicit_zero_basis(rng, conductor):
+    """An echelon basis with an exact zero written before each lead."""
+    basis = _later_leads_basis(rng, conductor)
+    return [{**({2 * r - 1: ZERO} if r else {}), **row, 5: row.get(5, ZERO)}
+            for r, row in enumerate(basis)]
+
+
+@pytest.mark.parametrize("kind", ["later_leads", "non_echelon", "explicit_zeros"])
+@pytest.mark.parametrize("conductor", [1, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_against_rebuild_oracle(kind, conductor, seed):
+    """Coordinates rebuild the vector on every kind of basis; over the later-
+    leads basis a vector without the lead 2 still gets a coefficient there,
+    brought in by the tail of row 0."""
+    rng = random.Random(seed)
+    basis = {"later_leads": _later_leads_basis, "non_echelon": _non_echelon_basis,
+             "explicit_zeros": _explicit_zero_basis}[kind](rng, conductor)
+    coords = Coordinates(basis)
+    assert (coords._back is None) == (kind != "non_echelon")
+    nonzero = [{k: c for k, c in b.items() if not c.is_zero()} for b in basis]
+    for _ in range(5):
+        want = {r: random_scalar(rng, conductor) for r in range(3)}
+        v = combine([(c, nonzero[r]) for r, c in want.items()], 7)
+        got = coords.coords(v)
+        assert vec_equal(got, {r: c for r, c in want.items() if not c.is_zero()})
+        assert vec_equal(combine([(c, nonzero[r]) for r, c in got.items()], 7), v)
+    if kind == "later_leads":
+        # row 0 minus row 1 over its lead coefficient has no entry at row 1's
+        # lead, 2; eliminating row 0 brings it in
+        b = -basis[1][2].inverse()
+        v = combine([(S(1), basis[0]), (b, basis[1])], 7)
+        assert 2 not in v
+        assert vec_equal(coords.coords(v), {0: S(1), 1: b})
+
+
+def test_lead_table_refuses_a_repeated_lead_or_a_zero_vector():
+    for rows in ([{0: S(1)}, {0: S(2), 1: S(1)}], [{1: S(1)}, {}], [{0: S(1)}, {2: ZERO}]):
+        with pytest.raises(SpanError):
+            lead_table(rows)
+    for vectors in ([{0: S(1)}, {}], [{0: S(1)}, {1: ZERO}], [{0: S(1), 1: S(1)}, {0: S(2), 1: S(2)}]):
+        with pytest.raises(SpanError):
+            Coordinates(vectors)
+
+
+def test_subspace_and_coordinates_share_one_solve(monkeypatch):
+    calls = []
+    real = linalg.solve
+
+    def counting(leads, vector):
+        calls.append(vector)
+        return real(leads, vector)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    sub = Subspace.span(3, vecs([[1, 2, 0], [0, 0, 3]]))
+    v = {0: S(2), 1: S(4), 2: S(6)}
+    assert sub.coords(v) == {0: S(2), 1: S(6)}
+    assert sub.contains_vector(v) and sub.reduce({1: S(1)}) == {1: S(1)}
+    assert Coordinates(list(sub.rows)).coords(v) == {0: S(2), 1: S(6)}
+    assert len(calls) == 4
+
+
 def test_coordinates_reject_dependent_basis():
     with pytest.raises(SpanError):
-        Coordinates(3, [{0: S(1), 1: S(2)}, {0: S(2), 1: S(4)}])
+        Coordinates([{0: S(1), 1: S(2)}, {0: S(2), 1: S(4)}])
 
 
-@pytest.mark.parametrize("ambient, vectors, standard", [
-    (3, [{0: 1}, {1: 1}, {2: 1}], True),
-    (5, [{0: 1}, {1: 1}], True),
-    (3, [{1: 1}, {0: 1}, {2: 1}], False),
-    (3, [{0: 2}, {1: 2}, {2: 2}], False),
-    (3, [{0: 1}, {1: 1, 2: 0}], False),
-    (3, [{0: 1}, {0: 1}], None),
+@pytest.mark.parametrize("vectors, standard", [
+    ([{0: 1}, {1: 1}, {2: 1}], True),
+    ([{0: 1}, {1: 1}], True),
+    ([{1: 1}, {0: 1}, {2: 1}], False),
+    ([{0: 2}, {1: 2}, {2: 2}], False),
+    ([{0: 1}, {1: 1, 2: 0}], False),
+    ([{0: 1}, {0: 1}], None),
 ], ids=["identity", "prefix", "permutation", "scaled-by-2", "explicit-zero", "repeated"])
-def test_standard_basis_truth_table(ambient, vectors, standard):
+def test_standard_basis_truth_table(vectors, standard):
     """Standard: vector r is e_r, also as a prefix of a larger space.  A
     repeated vector is no basis at all."""
     vectors = [{k: S(c) for k, c in v.items()} for v in vectors]
     if standard is None:
         with pytest.raises(SpanError):
-            Coordinates(ambient, vectors)
+            Coordinates(vectors)
     else:
-        assert Coordinates(ambient, vectors).standard is standard
+        assert Coordinates(vectors).standard is standard
 
 
 def test_prefix_basis_refuses_keys_past_it_as_the_monomial_path_does():
-    prefix = Coordinates(5, [{0: S(1)}, {1: S(1)}])
-    scaled = Coordinates(5, [{0: S(2)}, {1: S(2)}])  # monomial, not standard
+    prefix = Coordinates([{0: S(1)}, {1: S(1)}])
+    scaled = Coordinates([{0: S(2)}, {1: S(2)}])  # monomial, not standard
     assert prefix.standard and not scaled.standard
     for bad in ({2: S(1)}, {0: S(1), 4: S(3)}):
         messages = set()
@@ -297,7 +409,7 @@ def test_prefix_basis_refuses_keys_past_it_as_the_monomial_path_does():
 
 
 def test_standard_coordinates_drop_zero_coefficients():
-    basis = Coordinates(3, [{i: S(1)} for i in range(3)])
+    basis = Coordinates([{i: S(1)} for i in range(3)])
     out = basis.coords({2: S(5), 0: ZERO, 1: S(-1)})
     assert out == {2: S(5), 1: S(-1)} and 0 not in out
     pair = basis.coords_pair({(0, 1): ZERO, (1, 2): S(2)})
@@ -312,8 +424,8 @@ def test_standard_coordinates_match_the_monomial_path(conductor, seed):
     over the reversed basis (a monomial basis), relabelled r -> m-1-r."""
     rng = random.Random(seed)
     dim, m = 7, 5
-    fast = Coordinates(dim, [{r: S(1)} for r in range(m)])
-    rev = Coordinates(dim, [{r: S(1)} for r in reversed(range(m))])
+    fast = Coordinates([{r: S(1)} for r in range(m)])
+    rev = Coordinates([{r: S(1)} for r in reversed(range(m))])
     assert fast.standard and not rev.standard
     for _ in range(6):
         v = random_vector(rng, conductor, m)

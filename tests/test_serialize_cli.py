@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from braidpbw.filtration import subspace_from_indices
 from braidpbw.findim_hopf import run_all_checks
 from braidpbw.multilinear import vec_equal
 from braidpbw.reporting import degree_cap_default
+from braidpbw.scalars import ONE, Scalar
 from braidpbw.serialize import (
     InputError,
     bialgebra_from_json,
@@ -241,6 +243,39 @@ def test_cli_grk_coinv_pbw_chain(tmp_path, capsys):
     assert json.loads(open(pipepath).read())["pbw"] == pdoc
 
 
+# sha256 of the documents the grk -> coinv -> pbw chain writes: grk --out,
+# coinv --out and pbw --report on coinv's algebra, at the given degree
+CLI_CHAIN_SHA256 = {
+    "taft3": {
+        "grk": "7a176c9f181dad8e205fc8b6b91a9193de12f9e5f676f4f681f4528b7985a1e9",
+        "coinv": "24c428524c1b9539b79ad68109c9338749eedf7b3f309e04405eb98052162ad8",
+        "pbw": "77a45087aa52c59eb5787e5b871bec01ce63474218de5e93da44154b9391113d",
+    },
+    "poly_plane_3": {
+        "grk": "e7bc965ca37c58bf0331fcbee984c5d3a275ff5d7a2924bfa87d867a4f082195",
+        "coinv": "25e21ceadd135bc086a230c2289ade30fe227f9d13da7a71b624e78cbebc9726",
+        "pbw": "cdb3f46409cb84a55d35ba48d51cbd8018f1c82c73d66ed6e76b57d4dad964dc",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CHAIN_SHA256))
+def test_cli_chain_document_digests(tmp_path, capsys, name):
+    from braidpbw.corpus import poly_plane
+
+    h, sub = {"taft3": (taft3(), (0, 1, 2)), "poly_plane_3": (poly_plane(3), (0,))}[name]
+    hpath = _write(tmp_path, "h.json", bialgebra_to_json(h))
+    kpath = _write(tmp_path, "k.json", subspace_to_json(subspace_from_indices(h, sub)))
+    paths = {key: str(tmp_path / f"{key}.json") for key in ("grk", "coinv", "pbw")}
+    assert main(["grk", "--input", hpath, "--sub", kpath, "--out", paths["grk"]]) == 0
+    assert main(["coinv", "--input", paths["grk"], "--out", paths["coinv"]]) == 0
+    ralg = _write(tmp_path, "ralg.json", json.loads(open(paths["coinv"]).read())["algebra"])
+    assert main(["pbw", "--input", ralg, "--degree", "3", "--report", paths["pbw"]]) == 0
+    for key, path in paths.items():
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == CLI_CHAIN_SHA256[name][key], key
+
+
 def test_cli_word_commands(tmp_path, capsys):
     path = _write(tmp_path, "basis.json", SUPER_BASIS)
     assert main(["nf", "--input", path, "th", "x", "th"]) == 0
@@ -452,12 +487,31 @@ def _h4_entry(**fields):
     return dict({"name": "h4", "bialgebra": _h4_doc()}, **fields)
 
 
+def _h4_idempotent_g():
+    """Sweedler's H4 with g.g = g instead of 1, so that its checks fail."""
+    h = sweedler_h4()
+    g = h.names.index("g")
+    mult = [list(row) for row in h.mult]
+    mult[g][g] = {g: ONE}
+    return bialgebra_to_json(dataclasses.replace(h, mult=tuple(map(tuple, mult))))
+
+
+def _plane_coproduct_5():
+    """poly_plane(2) with the coefficient of 1 (x) x in Delta(x) set to 5."""
+    from braidpbw.corpus import poly_plane
+
+    h = poly_plane(2)
+    x = h.names.index("x")
+    comult = list(h.comult)
+    comult[x] = {**comult[x], (0, x): Scalar.from_rational(5)}
+    return bialgebra_to_json(dataclasses.replace(h, comult=tuple(comult)))
+
+
 def _broken_plane_gr():
     """The associated graded of poly_plane(2) with an extra x (x) x term in
     Delta(x), so that its coalgebra checks fail."""
     from braidpbw.corpus import poly_plane
     from braidpbw.filtration import associated_graded, hopf_filtration
-    from braidpbw.scalars import ONE
 
     h = poly_plane(2)
     gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, (0,))))
@@ -605,6 +659,16 @@ ERROR_PATHS = {
     "coinv-input-fails-axioms": (
         lambda tmp: ["coinv", "--input", _write(tmp, "gr.json", _broken_plane_gr()),
                      "--out", str(tmp / "r.json")],
+        1, "error: [axioms] input bialgebra fails its axiom checks"),
+    "grk-input-fails-axioms": (
+        lambda tmp: ["grk", "--input", _write(tmp, "h4.json", _h4_idempotent_g()),
+                     "--sub", _write(tmp, "k.json", subspace_to_json(
+                         subspace_from_indices(sweedler_h4(), (0, 1)))),
+                     "--out", str(tmp / "gr.json")],
+        1, "error: [axioms] input bialgebra fails its axiom checks"),
+    "pbw-input-fails-axioms": (
+        lambda tmp: ["pbw", "--input", _write(tmp, "plane.json", _plane_coproduct_5()),
+                     "--degree", "2", "--report", str(tmp / "pbw.json")],
         1, "error: [axioms] input bialgebra fails its axiom checks"),
     "coinv-no-antipode": (
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(antipode=None)),

@@ -3,8 +3,8 @@
 When a change of basis is over the standard basis e_0..e_{m-1}, the
 expansions that ``expand_products``, ``associated_graded`` and
 ``compute_R`` make are the rows the bialgebra already holds.  These tests
-hold those expansions to the elimination path, entry for entry: the
-reference multiplies, comultiplies, applies the antipode and braids the
+hold those expansions to the solve path, entry for entry: the reference
+multiplies, comultiplies, applies the antipode and braids the
 representatives, and takes coordinates over the same vectors in reverse
 order (a monomial basis that is not the standard one), relabelled back.
 """
@@ -28,11 +28,11 @@ def _fields(b):
     return {**{key: getattr(b, key) for key in FIELDS}, "braiding": b.braiding.rows}
 
 
-def _reverse_coordinates(dim, basis):
+def _reverse_coordinates(basis):
     """(coords, coords_pair) over basis.vectors, taken through a Coordinates
     over the vectors in reverse order and relabelled r -> n-1-r."""
-    n = basis.dim
-    rev = Coordinates(dim, basis.vectors[::-1])
+    n = len(basis.vectors)
+    rev = Coordinates(basis.vectors[::-1])
     assert n < 2 or not rev.standard
 
     def coords(vec):
@@ -45,7 +45,7 @@ def _reverse_coordinates(dim, basis):
 
 
 def _reference_products(h, basis):
-    coords, _ = _reverse_coordinates(h.dim, basis)
+    coords, _ = _reverse_coordinates(basis)
     reps = basis.vectors
     return [[None if h.gate_of(u) + h.gate_of(v) > h.cap else coords(h.multiply(u, v))
              for v in reps] for u in reps]
@@ -56,7 +56,7 @@ def _reference_gr(ladder):
     their coordinates; the filtration checks are not repeated."""
     h = ladder.bialgebra
     basis, degrees = ladder.adapted
-    coords, coords_pair = _reverse_coordinates(h.dim, basis)
+    coords, coords_pair = _reverse_coordinates(basis)
     reps, c = basis.vectors, h.braiding.rows
     comult = [{(r, s): x for (r, s), x in coords_pair(h.comultiply(u)).items()
                if degrees[r] + degrees[s] == degrees[a]} for a, u in enumerate(reps)]
@@ -91,7 +91,7 @@ def test_expansions_equal_the_elimination_path():
             standard.append(label)
         assert expand_products(h, basis) == _reference_products(h, basis), label
         gr = _assert_gr_matches_reference(label, ladder)
-        r_basis = Coordinates(gr.dim, compute_R(gr).inclusion.rows)
+        r_basis = Coordinates(compute_R(gr).inclusion.rows)
         assert expand_products(gr, r_basis) == _reference_products(gr, r_basis), label
     # the y-line's adapted basis is the only one that is not the standard basis
     assert len(standard) == len(_pipeline_inputs()) - 1
@@ -99,8 +99,8 @@ def test_expansions_equal_the_elimination_path():
 
 
 def _on_the_monomial_path(monkeypatch):
-    """Make every Coordinates built from here on take the monomial path (or
-    the elimination) even over the standard basis."""
+    """Make every Coordinates built from here on extend tables linearly and
+    solve for coordinates, even over the standard basis."""
     init = Coordinates.__init__
 
     def monomial(self, *args):
