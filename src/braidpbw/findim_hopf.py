@@ -22,6 +22,15 @@ every table as tuples of terms, with Python int coefficients when every
 coefficient of the bialgebra and of its braiding is a rational integer and
 Scalars otherwise.  Both are exact, so the reports are the same on either.
 Multi-leg sides are keyed by packed ints, x*d + y or p*d^2 + q*d + y.
+
+The commutator-coproduct check composes each bracket [e_a x e_b, e_p x e_q]
+of the braided tensor square through (id x c x id)(c x c)(id x c x id) for
+an arbitrary braiding.  When c c = id, decided exactly on every basis pair by
+``braiding.symmetric``, two adjacent (id x c x id) cancel, and with
+c(e_b x e_p) = sum u e_x x e_y the bracket is
+sum u ([e_a, e_x] (x) e_y e_q + mc(e_a x e_x) (x) [e_y, e_q]), read from the
+commutator table and mc = mult - commutators; both sides, the counts and the
+witnesses are the same on either path.
 """
 from __future__ import annotations
 
@@ -514,20 +523,56 @@ def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
     [Delta e_i, Delta e_j] of the tensor-square algebra, on every basis pair
     below the truncation.
 
-    The right side expands bilinearly over the coproduct terms; the bracket
-    [e_a x e_b, e_p x e_q] of each quadruple is composed from the rows once
-    per call, memoised under the packed index of (a, b, p, q), and shared by
-    every pair whose coproducts contain it."""
+    The right side expands bilinearly over the coproduct terms into
+    brackets [e_a x e_b, e_p x e_q].  For an arbitrary braiding each goes
+    through the tensor-square braiding (:func:`_square_commutator`).  When
+    c c = id, decided exactly on every basis pair by ``h.braiding.symmetric``,
+    it is read from the commutator table and mc = mult - commutators
+    (:func:`_symmetric_square_commutator`): with c(e_b x e_p) = sum u e_x x e_y,
+
+        [e_a x e_b, e_p x e_q] = sum u ([e_a, e_x] (x) e_y e_q
+                                        + mc(e_a x e_x) (x) [e_y, e_q]).
+
+    Either path gives the same sides, counts and witnesses on every pair."""
     report = ValidationReport("commutator-coproduct compatibility")
     d, tab = h.dim, h.lowered
-    mult, comult, c, deg, cap = tab.mult, tab.comult, tab.braid, h.gates, h.cap
+    comult, deg, cap = tab.comult, h.gates, h.cap
     comm = tab.compile(h.commutators)
-    dd = d * d
+    commutator = (_symmetric_square_commutator(d, tab, comm) if h.braiding.symmetric
+                  else _square_commutator(d, tab))
+    skipped = 0
+    for i in range(d):
+        di = comult[i]
+        for j in range(d):
+            if deg[i] + deg[j] > cap:
+                skipped += 1
+                continue
+            lhs: Vec = {}
+            for z, s in comm[i][j]:
+                for x, y, t in comult[z]:
+                    key, v = x * d + y, s * t
+                    prev = lhs.get(key)
+                    lhs[key] = v if prev is None else prev + v
+            rhs = commutator(di, comult[j])
+            if lhs != rhs and not vec_equal(lhs, rhs):
+                _check(h, report, (i, j), ("commutator-coproduct", 2, lhs, rhs))
+    report.checked, report.skipped = d * d - skipped, skipped
+    return report
+
+
+def _square_commutator(d: int, tab: Tables):
+    """commutator(di, dj): the commutator in the braided tensor square of two
+    compiled 2-tensors, keyed by z*d + r, for any braiding.  The bracket
+    [e_a x e_b, e_p x e_q] of each quadruple is the product
+    (m x m)(id x c x id) minus the product after the tensor-square braiding
+    (id x c x id)(c x c)(id x c x id); brackets and products are memoised
+    per call under the packed index of (a, b, p, q) and shared by every
+    pair whose coproducts contain them."""
+    mult, c, dd = tab.mult, tab.braid, d * d
     products: dict = {}  # packed (a, b, p, q) -> (e_a x e_b)(e_p x e_q)
     brackets: dict = {}  # packed (a, b, p, q) -> [e_a x e_b, e_p x e_q]
 
     def product(a, b, p, q) -> Vec:
-        """(m x m)(id x c x id) on e_a x e_b x e_p x e_q."""
         key = (a * d + b) * dd + p * d + q
         out = products.get(key)
         if out is None:
@@ -545,8 +590,6 @@ def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
         return out
 
     def bracket(a, b, p, q) -> Vec:
-        """The product minus the product after the tensor-square braiding
-        (id x c x id)(c x c)(id x c x id)."""
         key = (a * d + b) * dd + p * d + q
         out = brackets.get(key)
         if out is None:
@@ -568,30 +611,68 @@ def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:
             brackets[key] = out
         return out
 
-    skipped = 0
-    for i in range(d):
-        di = comult[i]
-        for j in range(d):
-            if deg[i] + deg[j] > cap:
-                skipped += 1
-                continue
-            lhs: Vec = {}
-            for z, s in comm[i][j]:
-                for x, y, t in comult[z]:
-                    key, v = x * d + y, s * t
-                    prev = lhs.get(key)
-                    lhs[key] = v if prev is None else prev + v
-            rhs: Vec = {}
-            dj = comult[j]
-            for a, b, s in di:
-                for p, q, t in dj:
-                    st = s * t
-                    for zr, u in bracket(a, b, p, q).items():
-                        v = st * u
-                        prev = rhs.get(zr)
-                        rhs[zr] = v if prev is None else prev + v
-            if lhs != rhs and not vec_equal(lhs, rhs):
-                _check(h, report, (i, j), ("commutator-coproduct", 2, lhs, rhs))
-    report.checked, report.skipped = d * d - skipped, skipped
-    return report
+    def commutator(di, dj) -> Vec:
+        out: Vec = {}
+        for a, b, s in di:
+            for p, q, t in dj:
+                st = s * t
+                for zr, u in bracket(a, b, p, q).items():
+                    v = st * u
+                    prev = out.get(zr)
+                    out[zr] = v if prev is None else prev + v
+        return out
 
+    return commutator
+
+
+def _symmetric_square_commutator(d: int, tab: Tables, comm):
+    """commutator(di, dj) as :func:`_square_commutator` gives it, for a
+    braiding with c c = id, from the commutator table comm: the braided term
+    (m x m)(id x c x id)(id x c x id)(c x c)(id x c x id) of a bracket loses
+    its adjacent pair (id x c x id)(id x c x id) = id, which leaves the
+    identity of :func:`check_commutator_coproduct_all`.  It holds on the
+    exact tables, truncated products included, since comm is mult - mc on
+    them.  mc = mult - comm is derived per call; it is mult wherever the
+    commutator is zero."""
+    mult, c = tab.mult, tab.braid
+    mc = []
+    for mi, ci in zip(mult, comm):
+        row = []
+        for mij, cij in zip(mi, ci):
+            if cij:
+                out = dict(mij)
+                for k, s in cij:
+                    prev = out.get(k)
+                    out[k] = -s if prev is None else prev - s
+                mij = tuple((k, s) for k, s in out.items() if s)
+            row.append(mij)
+        mc.append(row)
+
+    def commutator(di, dj) -> Vec:
+        out: Vec = {}
+        for a, b, s in di:
+            ca, mca, cb = comm[a], mc[a], c[b]
+            for p, q, t in dj:
+                for x, y, u in cb[p]:
+                    cax, cyq = ca[x], comm[y][q]
+                    if not (cax or cyq):
+                        continue
+                    stu = s * t * u
+                    if cax:
+                        myq = mult[y][q]
+                        for z, w in cax:
+                            f, zd = stu * w, z * d
+                            for r, g in myq:
+                                zr, v = zd + r, f * g
+                                prev = out.get(zr)
+                                out[zr] = v if prev is None else prev + v
+                    if cyq:
+                        for z, w in mca[x]:
+                            f, zd = stu * w, z * d
+                            for r, g in cyq:
+                                zr, v = zd + r, f * g
+                                prev = out.get(zr)
+                                out[zr] = v if prev is None else prev + v
+        return out
+
+    return commutator

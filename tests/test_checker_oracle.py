@@ -155,7 +155,7 @@ def test_checkers_match_reference_on_mutants(seed):
     bases += [poly_plane(3), four_point(), off_flip_mutant(seed)]
     failing = {name: 0 for name in REPORTS}
     lowered = Counter()
-    wide = 0
+    wide = symmetric_failing = 0
     for n in range(12):
         kind, h = _mutant(rng, bases[n % len(bases)])
         lowered[h.lowered.one is not ONE] += 1
@@ -166,11 +166,16 @@ def test_checkers_match_reference_on_mutants(seed):
             if name in results and not results[name][0][0]["ok"]:
                 failing[name] += 1
                 wide += h.dim >= 10
+        symmetric_failing += (h.braiding.symmetric
+                              and not results["check_commutator_coproduct_all"][0][0]["ok"])
     # the reports are compared with violations in them, witnesses and all,
-    # on tables compiled to ints and to Scalars, and at d >= 10
+    # on tables compiled to ints and to Scalars, and at d >= 10, and the
+    # commutator-coproduct check's on a symmetric braiding, whose sides it
+    # reads from the commutator table
     assert all(failing.values()), failing
     assert lowered[True] and lowered[False], lowered
     assert wide, wide
+    assert symmetric_failing, symmetric_failing
 
 
 def _quantum_plane(n: int, truncation: int):

@@ -12,7 +12,9 @@ from braidpbw.corpus import poly_plane, solvable_pair, solvable_pair_y_indices, 
 from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import ONE
+import reference_checkers
 from reference_checkers import pair_ops
+from test_checker_oracle import _quantum_plane, four_point, off_flip_mutant
 from test_shared_tables import _pipeline_inputs
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -158,6 +160,33 @@ def test_braid_equation_decided_once_per_braiding(monkeypatch):
         run_pipeline(h, subspace_from_indices(h, sub), 2)
     assert seen[id(plane.braiding)] == 1
     assert set(seen.values()) == {1}
+
+
+def test_commutator_coproduct_reads_the_commutator_table_when_c_c_is_id(monkeypatch):
+    """A symmetric braiding, diagonal or not, takes the commutator-table path
+    and never enters the tensor-square braiding; the off-flip mutant of the
+    four-point S(V, c), whose braiding is not symmetric, takes the general
+    path.  Either way the report is the slot-operation reference's."""
+    calls = Counter()
+    for name in ("_square_commutator", "_symmetric_square_commutator"):
+        original = getattr(findim_hopf, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(findim_hopf, name, counting)
+    cases = [(taft3(), True), (_quantum_plane(3, 2), True), (poly_plane(3), True),
+             (four_point(), True), (off_flip_mutant(2), False)]
+    for h, symmetric in cases:
+        calls.clear()
+        report = findim_hopf.check_commutator_coproduct_all(h)
+        assert report.to_json() == reference_checkers.check_commutator_coproduct_all(h).to_json()
+        assert h.braiding.symmetric is symmetric
+        path = "_symmetric_square_commutator" if symmetric else "_square_commutator"
+        assert calls == Counter({path: 1})
+    # the general path's witnesses are compared too
+    assert report.violations
 
 
 def test_subalgebra_categoricity_checked_once(monkeypatch):
