@@ -17,12 +17,15 @@ document.  K and the image of pi are spanned by the degree-zero basis
 vectors, so both travel as their indices, ``k_indices``, and
 :func:`is_central` and :func:`is_cocentral` take a set of basis indices;
 :func:`is_central` reads the bialgebra's cached ``commutators``.
+R's coradical test reads the steps of a wedge ladder handed to
+:func:`compute_R`, the run's filtration of H, only when they are provably
+R's own ladder, as whenever K = k1; otherwise it builds R's ladder.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .filtration import expand_products, subspace_from_indices, transported_bialgebra, wedge_ladder
+from .filtration import FiltrationLadder, expand_products, transported_bialgebra, wedge_ladder
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
 from .multilinear import Vec, add_term, bilinear, linear, vec_equal
@@ -115,12 +118,13 @@ class CoinvariantAlgebra:
     coradical_matches_grading: bool
 
 
-def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
+def compute_R(gr: StructureBialgebra, known: FiltrationLadder | None = None) -> CoinvariantAlgebra:
     """Coinvariants with all induced structure, cross-validated.
 
     Hard errors signal upstream bugs: the two descriptions must coincide,
     induced operations must stay inside R tensor powers, and the assembled
-    braiding must satisfy the braid equation.
+    braiding must satisfy the braid equation.  ``known``, a wedge ladder
+    built earlier in the run, goes to :func:`_degree_filtration_is_coradical`.
     """
     _require_graded(gr)
     if gr.antipode is None:
@@ -167,7 +171,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         coaction=coaction,
         braided_reps=braided,
         kernel_is_left_ideal=kernel_is_left_ideal,
-        coradical_matches_grading=_degree_filtration_is_coradical(r_alg),
+        coradical_matches_grading=_degree_filtration_is_coradical(r_alg, known),
     )
 
 
@@ -264,16 +268,29 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     return r_alg, action, tuple(coaction), braided
 
 
-def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
+def _degree_filtration_is_coradical(r_alg: StructureBialgebra,
+                                    known: FiltrationLadder | None = None) -> bool:
     """The filtration induced by the grading of R is its coradical filtration:
     step n of the wedge ladder of the unit line is the span of the basis
-    vectors of degree at most n; at step 0 this says that R is connected."""
-    try:
-        ladder = wedge_ladder(r_alg, Subspace.span(r_alg.dim, [r_alg.unit]))
-    except FiltrationError:  # the unit line is not a subcoalgebra of R
-        return False
+    vectors of degree at most n; at step 0 this says that R is connected.
+
+    The wedge ladder reads only a bialgebra's dimension and coproduct and its
+    bottom step, so a ``known`` ladder whose bialgebra has R's dimension and,
+    entry for entry, R's coproduct, and whose bottom step is R's unit line,
+    has exactly the steps that R's own ladder would have; its steps are read
+    in place of building them.  Any other ladder is not used.  A step is the
+    span of the basis vectors of degree at most n exactly when its canonical
+    RREF rows are those unit vectors."""
+    unit_line, ladder = Subspace.span(r_alg.dim, [r_alg.unit]), known
+    if (ladder is None or ladder.bialgebra.dim != r_alg.dim
+            or ladder.bialgebra.comult != r_alg.comult or ladder.steps[0] != unit_line):
+        try:
+            ladder = wedge_ladder(r_alg, unit_line)
+        except FiltrationError:  # the unit line is not a subcoalgebra of R
+            return False
     return ladder.exhaustive and all(
-        step == subspace_from_indices(r_alg, [i for i in range(r_alg.dim) if r_alg.degree(i) <= n])
+        step.pivots == tuple(i for i in range(r_alg.dim) if r_alg.degree(i) <= n)
+        and all(vec_equal(row, {p: ONE}) for p, row in zip(step.pivots, step.rows))
         for n, step in enumerate(ladder.steps))
 
 
