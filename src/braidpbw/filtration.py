@@ -18,10 +18,11 @@ degrees of the expansions, with the categoricity of the steps above K,
 validate the ladder as a bialgebra filtration, and their
 degree-homogeneous parts, with the expanded braiding, are the structure
 of gr H, which :func:`associated_graded` returns as a
-:class:`StructureBialgebra`: H itself when H is already graded by its
-ladder and gr H equals it entry for entry, so that a run checks those
-tables once.  Otherwise gr H still carries H's braiding object when the
-expanded rows equal H's (:func:`transported_bialgebra`).
+:class:`StructureBialgebra`.  When H is graded by its ladder on the
+standard basis, gr H is H: H's rows are read in place, no expansion is
+built, and H itself is returned, so that a run checks those tables once.
+Otherwise gr H still carries H's braiding object when the expanded rows
+equal H's (:func:`transported_bialgebra`).
 """
 from __future__ import annotations
 
@@ -213,6 +214,37 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
     )
 
 
+def _is_own_graded(h: StructureBialgebra, degrees: list[int]) -> bool:
+    """Whether gr H on the standard basis equals H field for field, read from
+    H's rows in place: the degrees are H's grading, the names are distinct,
+    the truncation degrees are those gr H takes, the counit vanishes in
+    positive degree, every product past the cap is empty, and every stored
+    coefficient is nonzero and sits at its slot's degree (0 in the unit,
+    deg a + deg b in products and braid rows, deg a in coproducts and the
+    antipode).  Such a term is within its target step, so no filtration
+    check fails on H."""
+    deg, gates, rows, anti = tuple(degrees), h.gates, h.braiding.rows, h.antipode
+    if (h.grading != deg or len(set(h.names)) < h.dim
+            or h.trunc_grading != (gates if h.truncation is not None else deg)
+            or any(deg[i] and not c.is_zero() for i, c in enumerate(h.counit))):
+        return False
+
+    def one(vec, n):
+        return all(deg[r] == n and not c.is_zero() for r, c in vec.items())
+
+    def two(w, n):
+        return all(deg[r] + deg[s] == n and not c.is_zero() for (r, s), c in w.items())
+
+    try:
+        return one(h.unit, 0) and all(
+            two(h.comult[a], m) and (anti is None or one(anti[a], m)) and all(
+                (not h.mult[a][b] if gates[a] + gates[b] > h.cap else one(h.mult[a][b], m + n))
+                and two(rows[a][b], m + n) for b, n in enumerate(deg))
+            for a, m in enumerate(deg))
+    except IndexError:  # a key past the basis, which the build path refuses
+        return False
+
+
 def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
     """The graded bialgebra on the quotients of a ladder of its bialgebra H,
     by structure constants.
@@ -226,12 +258,17 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
     preserves steps, and the steps above the bottom one are categorical
     (the bottom step is K, which :func:`hopf_filtration` validates).  Their
     degree-homogeneous parts, with those of the braided representative
-    pairs, are gr's structure tensors.  When they equal H's, field for
-    field (:meth:`StructureBialgebra.same_structure`), gr H is H and h
-    itself is returned.
+    pairs, are gr's structure tensors.  On the standard basis H's rows are
+    first read in place: when they are gr's (:func:`_is_own_graded`), h
+    itself is returned and nothing is expanded.  Otherwise gr is built, and
+    h is still returned when gr equals it field for field
+    (:meth:`StructureBialgebra.same_structure`).
     """
     h = ladder.bialgebra
     basis, degrees = ladder.adapted
+    categorical = all(is_categorical(h.braiding, s) for s in ladder.steps[1:])
+    if categorical and basis.standard and _is_own_graded(h, degrees):
+        return h
     top = len(ladder.steps) - 1
     report = ValidationReport("bialgebra filtration")
     report.checked += 1
@@ -263,7 +300,7 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
                 report.record("antipode-degree", (a,), "deg S", f"<= {n}")
             antipode.append({r: c for r, c in sv.items() if degrees[r] == n})
     report.checked += 1
-    if not all(is_categorical(h.braiding, s) for s in ladder.steps[1:]):
+    if not categorical:
         report.record("categorical-steps", (), "steps", "categorical")
     if not report.ok:
         raise FiltrationError("not a bialgebra filtration:\n" + report.summary())

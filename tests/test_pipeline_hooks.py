@@ -415,6 +415,38 @@ def test_expansions_over_the_standard_basis_read_the_rows(monkeypatch):
     assert sum(r_basis.standard for *_, r_basis in cases) > 0
 
 
+def test_gr_is_h_is_read_from_the_rows_in_place(monkeypatch):
+    """Where gr H is H, associated_graded takes no coordinates, expands no
+    product, transports no bialgebra and builds no braiding; the two
+    solvable_pair entries, whose gr H differs from H, still do all four."""
+    ladders = [(label, filtration.hopf_filtration(h, subspace_from_indices(h, sub)))
+               for label, h, sub, _ in _pipeline_inputs()]
+    for _, ladder in ladders:
+        ladder.adapted  # built before counting
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for owner, attr in ((filtration, "transported_bialgebra"), (filtration, "expand_products"),
+                        (filtration, "GenericBraiding"), (linalg.Coordinates, "coords"),
+                        (linalg.Coordinates, "coords_pair")):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    differ = []
+    for label, ladder in ladders:
+        calls.clear()
+        if filtration.associated_graded(ladder) is ladder.bialgebra:
+            assert not calls, label
+        else:
+            differ.append(label)
+            assert set(calls) == {"transported_bialgebra", "expand_products",
+                                  "GenericBraiding", "coords", "coords_pair"}, label
+    assert differ == ["solvable_pair", "solvable_pair_yline"]
+
+
 def test_benchmark_tracer_records_linalg_entry_points():
     saved_path = list(sys.path)
     sys.path.insert(0, PERFBENCH)

@@ -17,15 +17,7 @@ from braidpbw.filtration import (associated_graded, expand_products, hopf_filtra
 from braidpbw.linalg import Coordinates
 from braidpbw.multilinear import bilinear
 from braidpbw.scalars import ZERO
-from test_shared_tables import _pipeline_inputs
-
-FIELDS = ("names", "unit", "mult", "counit", "comult", "antipode", "grading", "truncation",
-          "trunc_grading", "gates", "cap")
-
-
-def _fields(b):
-    """Every field of a bialgebra, with its braiding's rows."""
-    return {**{key: getattr(b, key) for key in FIELDS}, "braiding": b.braiding.rows}
+from test_shared_tables import _fields, _pipeline_inputs
 
 
 def _reverse_coordinates(basis):
