@@ -17,19 +17,19 @@ document.  K and the image of pi are spanned by the degree-zero basis
 vectors, so both travel as their indices, ``k_indices``, and
 :func:`is_central` and :func:`is_cocentral` take a set of basis indices;
 :func:`is_central` reads the bialgebra's cached ``commutators``.
-R's coradical test reads the steps of a wedge ladder handed to
-:func:`compute_R`, the run's filtration of H, only when they are provably
-R's own ladder, as whenever K = k1; otherwise it builds R's ladder.
+Whether R's grading is its coradical filtration is decided from R's unit,
+grading and coproduct rows alone, by one rank test; this stage reads
+nothing of the run's filtration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .filtration import FiltrationLadder, expand_products, transported_bialgebra, wedge_ladder
+from .filtration import expand_products, transported_bialgebra
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
 from .multilinear import Vec, add_term, bilinear, linear, vec_equal
-from .reporting import CoinvariantsError, FiltrationError, InputError, SpanError, ValidationReport
+from .reporting import CoinvariantsError, InputError, SpanError, ValidationReport
 from .scalars import ONE
 
 
@@ -118,13 +118,14 @@ class CoinvariantAlgebra:
     coradical_matches_grading: bool
 
 
-def compute_R(gr: StructureBialgebra, known: FiltrationLadder | None = None) -> CoinvariantAlgebra:
+def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
     """Coinvariants with all induced structure, cross-validated.
 
     Hard errors signal upstream bugs: the two descriptions must coincide,
     induced operations must stay inside R tensor powers, and the assembled
-    braiding must satisfy the braid equation.  ``known``, a wedge ladder
-    built earlier in the run, goes to :func:`_degree_filtration_is_coradical`.
+    braiding must satisfy the braid equation.  Whether R's grading is its
+    coradical filtration is read from R's own coproduct rows
+    (:func:`_degree_filtration_is_coradical`).
     """
     _require_graded(gr)
     if gr.antipode is None:
@@ -171,7 +172,7 @@ def compute_R(gr: StructureBialgebra, known: FiltrationLadder | None = None) -> 
         coaction=coaction,
         braided_reps=braided,
         kernel_is_left_ideal=kernel_is_left_ideal,
-        coradical_matches_grading=_degree_filtration_is_coradical(r_alg, known),
+        coradical_matches_grading=_degree_filtration_is_coradical(r_alg),
     )
 
 
@@ -268,30 +269,43 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
     return r_alg, action, tuple(coaction), braided
 
 
-def _degree_filtration_is_coradical(r_alg: StructureBialgebra,
-                                    known: FiltrationLadder | None = None) -> bool:
-    """The filtration induced by the grading of R is its coradical filtration:
-    step n of the wedge ladder of the unit line is the span of the basis
-    vectors of degree at most n; at step 0 this says that R is connected.
+def _degree_filtration_is_coradical(r_alg: StructureBialgebra) -> bool:
+    """R's grading is its coradical filtration: F_n = span{e_i : deg i <= n}
+    is the wedge ladder L_0 = k1, L_n = Delta^-1(L_0 (x) R + R (x) L_{n-1}),
+    decided from R's unit, grading and coproduct rows.  L = F exactly when
+    (a) e_p alone has degree 0 and the unit is a nonzero multiple of it,
+    (b) every term e_a (x) e_b of Delta(e_i) has deg a + deg b <= deg i, and
+    (c) the top reduced coproducts t_i (the terms with deg a, deg b >= 1 and
+    deg a + deg b = deg i) of the e_i with deg i >= 2 are independent.
 
-    The wedge ladder reads only a bialgebra's dimension and coproduct and its
-    bottom step, so a ``known`` ladder whose bialgebra has R's dimension and,
-    entry for entry, R's coproduct, and whose bottom step is R's unit line,
-    has exactly the steps that R's own ladder would have; its steps are read
-    in place of building them.  Any other ladder is not used.  A step is the
-    span of the basis vectors of degree at most n exactly when its canonical
-    RREF rows are those unit vectors."""
-    unit_line, ladder = Subspace.span(r_alg.dim, [r_alg.unit]), known
-    if (ladder is None or ladder.bialgebra.dim != r_alg.dim
-            or ladder.bialgebra.comult != r_alg.comult or ladder.steps[0] != unit_line):
-        try:
-            ladder = wedge_ladder(r_alg, unit_line)
-        except FiltrationError:  # the unit line is not a subcoalgebra of R
-            return False
-    return ladder.exhaustive and all(
-        step.pivots == tuple(i for i in range(r_alg.dim) if r_alg.degree(i) <= n)
-        and all(vec_equal(row, {p: ONE}) for p, row in zip(step.pivots, step.rows))
-        for n, step in enumerate(ladder.steps))
+    If: by (a) and (b) F is a coalgebra filtration with F_0 = L_0, so F_n
+    lies in L_n.  Let x in L_n have degree m > n, and L_i = F_i for i < n.
+    As L_0 is a subcoalgebra, Delta(L_n) lies in sum_i L_i (x) L_{n-i}, whose
+    terms with both degrees >= 1 have total degree <= n; by (b) the terms of
+    Delta(x) of total degree m are sum c_i t_i over x's degree-m
+    coefficients, not all zero, which (c) forbids to vanish.  Only if:
+    L_0 = F_0 is (a), and Delta(F_n) in sum_i F_i (x) F_{n-i} is (b); if
+    sum c_i t_i = 0 in one degree m >= 2, x = sum c_i e_i has Delta(x) in
+    L_0 (x) R + R (x) F_{m-2} by (b), so x lies in L_{m-1} = F_{m-1} and
+    every c_i is 0.  Only the coalgebra axioms are used, so a filtered
+    coproduct that is not homogeneous is decided too."""
+    deg = r_alg.grading
+    bottom = [i for i, n in enumerate(deg) if n == 0]
+    if len(bottom) != 1 or [i for i, c in r_alg.unit.items() if not c.is_zero()] != bottom:
+        return False
+    tops = []
+    for i, n in enumerate(deg):
+        top = {}
+        for (a, b), c in r_alg.comult[i].items():
+            if c.is_zero():
+                continue
+            if deg[a] + deg[b] > n:
+                return False
+            if deg[a] and deg[b] and deg[a] + deg[b] == n:
+                top[(a, b)] = c
+        if n >= 2:
+            tops.append(top)
+    return len(echelon(tops)[0]) == len(tops)
 
 
 def is_central(b: StructureBialgebra, indices) -> bool:

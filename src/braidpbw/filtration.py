@@ -260,9 +260,7 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
     degree-homogeneous parts, with those of the braided representative
     pairs, are gr's structure tensors.  On the standard basis H's rows are
     first read in place: when they are gr's (:func:`_is_own_graded`), h
-    itself is returned and nothing is expanded.  Otherwise gr is built, and
-    h is still returned when gr equals it field for field
-    (:meth:`StructureBialgebra.same_structure`).
+    itself is returned and nothing is expanded.  Otherwise gr is built.
     """
     h = ladder.bialgebra
     basis, degrees = ladder.adapted
@@ -309,9 +307,8 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
     braid_rows = [[{(r, s): x for (r, s), x in basis.coords_pair(basis.image_pair(c, a, b)).items()
                     if degrees[r] + degrees[s] == m + n}
                    for b, n in enumerate(degrees)] for a, m in enumerate(degrees)]
-    gr = transported_bialgebra(h, basis, degrees, "f", unit, products, comult, braid_rows,
-                               None if antipode is None else tuple(antipode))
-    return h if h.same_structure(gr) else gr
+    return transported_bialgebra(h, basis, degrees, "f", unit, products, comult, braid_rows,
+                                 None if antipode is None else tuple(antipode))
 
 
 def check_commutator_filtration(ladder: FiltrationLadder) -> ValidationReport | None:

@@ -98,14 +98,6 @@ class StructureBialgebra:
     def dim(self) -> int:
         return len(self.names)
 
-    def same_structure(self, other: "StructureBialgebra") -> bool:
-        """True iff other has the same names, grading, truncation, unit,
-        counit, product, coproduct, antipode and braiding rows, entry for
-        entry under exact equality."""
-        return all(getattr(self, key) == getattr(other, key) for key in (
-            "names", "grading", "truncation", "trunc_grading", "unit", "counit",
-            "mult", "comult", "antipode")) and self.braiding.rows == other.braiding.rows
-
     def degree(self, i: int) -> int:
         return self.grading[i] if self.grading is not None else 0
 

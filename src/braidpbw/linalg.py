@@ -12,12 +12,12 @@ vanished.  :func:`rref` is the adapter for callers holding a dense matrix.
 One triangular elimination, :func:`solve`, expresses a sparse vector over
 rows in echelon form, each with its own least key (:func:`lead_table`):
 a :class:`Subspace` solves over its RREF rows, a :class:`Coordinates`
-over its vectors.  Every change of basis goes through one Coordinates
-object, which alone decides whether its basis is the standard one: there
-coordinates are the entries, and the value of a structure table at a basis
-vector is the table's row; elsewhere the table is extended linearly and
-the result solved for.  It raises :class:`SpanError` for a vector outside
-the span.
+over its vectors, which must be in echelon form.  Every change of basis
+goes through one Coordinates object, which alone decides whether its
+basis is the standard one: there coordinates are the entries, and the
+value of a structure table at a basis vector is the table's row; elsewhere
+the table is extended linearly and the result solved for.  It raises
+:class:`SpanError` for a vector outside the span.
 """
 from __future__ import annotations
 
@@ -208,23 +208,15 @@ class Coordinates:
     On the standard basis (:attr:`standard`: vector r is e_r, also as a
     prefix of a larger space), coordinates are a vector's nonzero entries as
     they stand, and the value of a table at basis vector r is its row r.
-    Other vectors are solved for by :func:`solve`: directly when they are in
-    echelon form, as every basis the engine builds is, else over their RREF
-    rows, reached once with the change of basis back to the vectors.
+    Other vectors are solved for by :func:`solve`.  The vectors must be in
+    echelon form, each with its own least key, as every basis the engine
+    builds is; any others raise :class:`SpanError` (:func:`lead_table`).
     """
 
     def __init__(self, vectors: Sequence[Vec]):
         self.vectors = list(vectors)
         self.standard = all(v == {r: ONE} for r, v in enumerate(self.vectors))
-        try:
-            self._leads, self._back = lead_table(self.vectors), None
-        except SpanError:  # not in echelon form: reduce once, with the change of basis
-            red, pivots = echelon({**{(0, k): c for k, c in v.items()}, (1, i): ONE}
-                                  for i, v in enumerate(self.vectors))
-            if pivots and pivots[-1][0]:
-                raise SpanError("coordinate basis vectors are linearly dependent") from None
-            self._leads = lead_table([{k: c for (t, k), c in r.items() if not t} for r in red])
-            self._back = [{i: c for (t, i), c in r.items() if t} for r in red]
+        self._leads = lead_table(self.vectors)
 
     def image(self, table, r: int):
         """The value at basis vector r of a map given by its values on the
@@ -245,7 +237,7 @@ class Coordinates:
         out, residual = solve(self._leads, vec)
         if residual:
             raise SpanError("vector is outside the span of the coordinate basis")
-        return out if self._back is None else linear(self._back, out)
+        return out
 
     def coords_pair(self, w: dict) -> dict:
         """Coefficients of a sparse 2-tensor over pairs of basis vectors,

@@ -94,7 +94,7 @@ def run_pipeline(h: StructureBialgebra, k_sub: Subspace, degree: int) -> dict:
 
     report["projection"] = projection_pi(gr).to_json()
 
-    coinv = _stage("coinvariants", compute_R, gr, ladder)
+    coinv = _stage("coinvariants", compute_R, gr)
     r_alg = coinv.algebra
     first_positive = next((r for r in range(r_alg.dim) if r_alg.degree(r) > 0), None)
     c_r_first = "0"

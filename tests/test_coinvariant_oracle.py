@@ -4,7 +4,10 @@ categorical-subspace test against the slot-operation reference in
 constants, K-actions, K-coactions, braided pairs, collapse reports and
 verdicts, or the same error, on the corpus entries, on truncated and
 associated-graded inputs, and on mutants with one entry of the braiding or
-of the coproduct perturbed."""
+of the coproduct perturbed.  R's coradical criterion against the wedge
+ladder of the unit line, built by the dense oracle, on R and gr H of every
+pipeline input, on seeded regradings and on hand-built coalgebras."""
+import dataclasses
 import inspect
 import random
 from collections import Counter
@@ -16,11 +19,14 @@ from braidpbw import braided_space, coinvariants
 from braidpbw.braided_space import GenericBraiding
 from braidpbw.corpus import build_cached, corpus_entries, solvable_pair_y_indices
 from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
+from braidpbw.findim_hopf import StructureBialgebra
 from braidpbw.linalg import Subspace
 from braidpbw.reporting import CoinvariantsError
-from braidpbw.scalars import ONE, Scalar
+from braidpbw.scalars import ONE, ZERO, Scalar
 from test_checker_oracle import _perturb, four_point
+from test_filtration import kron_preimage
 from test_findim_hopf import _mutate
+from test_shared_tables import _pipeline_inputs
 
 
 def _sub_indices(entry, truncation):
@@ -211,3 +217,94 @@ def test_projection_pi_matches_reference_on_graded_inputs_and_mutants():
     # every law of the projection was seen to fail, witnesses compared
     assert failed["projection-product"] and failed["projection-coproduct"], failed
     assert failed["projection-unit"], failed
+
+
+def _oracle_ladder(b):
+    """The wedge ladder of b's unit line, each step from the dense oracle;
+    it reads b's unit and coproduct, not its grading."""
+    unit = Subspace.span(b.dim, [b.unit])
+    steps = [unit]
+    while steps[-1].dim < b.dim:
+        nxt = kron_preimage(b, unit, steps[-1])
+        if nxt.dim == steps[-1].dim:
+            break
+        steps.append(nxt)
+    return steps
+
+
+def _ladder_verdict(b, steps):
+    """The reference for the coradical criterion: the unit-line ladder fills
+    b, and its step n is the span of the basis vectors of degree <= n."""
+    return steps[-1].dim == b.dim and all(
+        step == subspace_from_indices(b, [i for i in range(b.dim) if b.degree(i) <= n])
+        for n, step in enumerate(steps))
+
+
+@pytest.mark.parametrize("label", [label for label, *_ in _pipeline_inputs()])
+def test_coradical_criterion_matches_ladder_oracle(label):
+    """R's coradical_matches_grading, and the criterion on gr H, are the
+    verdicts of the dense unit-line ladder; R and gr H are compared once
+    when they are one coalgebra, as whenever K = k1."""
+    _, h, sub, _ = next(case for case in _pipeline_inputs() if case[0] == label)
+    gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, sub)))
+    coinv = coinvariants.compute_R(gr)
+    r_alg = coinv.algebra
+    assert coinv.coradical_matches_grading is _ladder_verdict(r_alg, _oracle_ladder(r_alg))
+    # the criterion and the ladder read only the unit, grading and coproduct
+    if (gr.unit, gr.grading, gr.comult) != (r_alg.unit, r_alg.grading, r_alg.comult):
+        assert coinvariants._degree_filtration_is_coradical(gr) is \
+            _ladder_verdict(gr, _oracle_ladder(gr))
+
+
+def _hand_built(degrees, reduced):
+    """A coalgebra on e_0 = 1, e_1, ... with the given degrees: e_0 is
+    grouplike, and Delta(e_i) = e_i (x) 1 + 1 (x) e_i + the pairs in
+    reduced[i], each with coefficient 1; zero product, flip braiding."""
+    d = len(degrees)
+    comult = tuple({(0, 0): ONE} if i == 0 else
+                   {(i, 0): ONE, (0, i): ONE, **{ab: ONE for ab in reduced.get(i, ())}}
+                   for i in range(d))
+    return StructureBialgebra(
+        names=tuple(f"e{i}" for i in range(d)), unit={0: ONE},
+        mult=tuple(tuple({} for _ in range(d)) for _ in range(d)),
+        counit=(ONE,) + (ZERO,) * (d - 1), comult=comult,
+        braiding=GenericBraiding([[{(j, i): ONE} for j in range(d)] for i in range(d)]),
+        grading=tuple(degrees))
+
+
+def test_coradical_criterion_matches_ladder_oracle_off_pipeline(h4):
+    """gr H4, whose degree-zero part is span(1, g), is not coradically
+    graded.  Seeded regradings of eight coalgebras give both verdicts.  The
+    coalgebra x primitive, Delta-bar z = x (x) x, Delta-bar y = x (x) z +
+    z (x) x + x (x) x in degrees 0, 1, 2, 3 is filtered but not homogeneous
+    and coradically graded; Delta-bar y = x (x) x in degrees 0, 1, 3 is
+    not."""
+    gr_h4 = associated_graded(hopf_filtration(h4, subspace_from_indices(h4, (0, 1))))
+    assert coinvariants._degree_filtration_is_coradical(gr_h4) is False
+    assert _ladder_verdict(gr_h4, _oracle_ladder(gr_h4)) is False
+
+    grs = {label: associated_graded(hopf_filtration(h, subspace_from_indices(h, sub)))
+           for label, h, sub, _ in _pipeline_inputs()
+           if label in ("sweedler_h4", "taft3", "poly_line", "poly_plane_T2", "poly_plane_T3",
+                        "quantum_plane_N3")}
+    bases = list(grs.values()) + [coinvariants.compute_R(grs[label]).algebra
+                                  for label in ("sweedler_h4", "taft3")]
+    rng = random.Random(30)
+    seen = Counter()
+    for b in bases:
+        steps = _oracle_ladder(b)
+        for _ in range(50):
+            degrees = list(b.grading)
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                degrees[rng.randrange(b.dim)] = rng.randrange(max(degrees) + 2)
+            regraded = dataclasses.replace(b, grading=tuple(degrees))
+            verdict = coinvariants._degree_filtration_is_coradical(regraded)
+            assert verdict is _ladder_verdict(regraded, steps), (b.names, degrees)
+            seen[verdict] += 1
+    assert seen[True] and seen[False], seen
+
+    filtered = _hand_built((0, 1, 2, 3), {2: [(1, 1)], 3: [(1, 2), (2, 1), (1, 1)]})
+    gapped = _hand_built((0, 1, 3), {2: [(1, 1)]})
+    for b, want in ((filtered, True), (gapped, False)):
+        assert coinvariants._degree_filtration_is_coradical(b) is want
+        assert _ladder_verdict(b, _oracle_ladder(b)) is want

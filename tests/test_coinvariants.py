@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from braidpbw.braided_space import is_symmetric
@@ -14,10 +16,12 @@ from braidpbw.filtration import (
     associated_graded,
     hopf_filtration,
     subspace_from_indices,
+    wedge_ladder,
 )
 from braidpbw.findim_hopf import run_all_checks
+from braidpbw.linalg import Subspace
 from braidpbw.multilinear import vec_equal
-from braidpbw.reporting import InputError
+from braidpbw.reporting import FiltrationError, InputError
 from braidpbw.scalars import MINUS_ONE, ONE, root_of_unity
 from reference_checkers import ad_eval, pi_map
 
@@ -243,23 +247,25 @@ def test_compute_R_requires_antipode(coinv_h4):
 def test_coradical_check_lets_engine_errors_through(coinv_h4, monkeypatch):
     import braidpbw.coinvariants as coinvariants
 
-    def broken(h, k):
+    def broken(rows):
         raise RuntimeError("engine bug")
 
-    monkeypatch.setattr(coinvariants, "wedge_ladder", broken)
+    monkeypatch.setattr(coinvariants, "echelon", broken)
     with pytest.raises(RuntimeError, match="engine bug"):
         coinvariants._degree_filtration_is_coradical(coinv_h4.algebra)
 
 
-def test_coradical_check_is_false_on_filtration_error(coinv_h4, monkeypatch):
-    import braidpbw.coinvariants as coinvariants
-    from braidpbw.filtration import FiltrationError
+def test_coradical_check_is_false_on_filtration_error(coinv_h4):
+    # with 1 + x as its unit, R's unit line is no subcoalgebra: the wedge
+    # ladder from it refuses its first step, and the criterion fails at (a)
+    from braidpbw.coinvariants import _degree_filtration_is_coradical
 
-    def not_increasing(h, k):
-        raise FiltrationError("wedge step is not increasing")
-
-    monkeypatch.setattr(coinvariants, "wedge_ladder", not_increasing)
-    assert coinvariants._degree_filtration_is_coradical(coinv_h4.algebra) is False
+    r = coinv_h4.algebra
+    assert _degree_filtration_is_coradical(r) is True
+    bent = dataclasses.replace(r, unit={r.names.index("1"): ONE, r.names.index("x"): ONE})
+    with pytest.raises(FiltrationError, match="not increasing"):
+        wedge_ladder(bent, Subspace.span(bent.dim, [bent.unit]))
+    assert _degree_filtration_is_coradical(bent) is False
 
 
 def test_coradical_check_is_false_when_degree_zero_exceeds_the_unit(gr_h4):

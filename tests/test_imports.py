@@ -1,4 +1,6 @@
-"""Every module-level import of a project module is used in that module.
+"""Every module-level import of a project module is used in that module,
+and every private module-level function or class of the package is read in
+its own module.
 
 No linter ships with the project, so this scan stands in for one: each
 ``src/braidpbw/*.py``, ``tests/*.py`` and ``scripts/*.py`` is parsed with
@@ -6,7 +8,10 @@ No linter ships with the project, so this scan stands in for one: each
 must be read somewhere in the module, in code or in a quoted annotation.
 ``__init__.py`` is exempt: its re-exports of the error classes are the
 package's public names.  An import statement marked ``# noqa: F401`` is
-deliberate (a module imported for its side effects) and is skipped.
+deliberate (a module imported for its side effects) and is skipped.  In
+``src/braidpbw``, a module-level ``def`` or ``class`` whose name starts
+with one underscore must be read outside its own body, so that a helper
+whose last caller is gone does not stay behind.
 """
 import ast
 from pathlib import Path
@@ -42,6 +47,19 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def orphaned_private(source: str) -> list[str]:
+    """The module-level private functions and classes of the source that no
+    other statement of the module reads; reads inside their own body, such
+    as a recursive call, do not count."""
+    tree = ast.parse(source)
+    private = [node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    return [node.name for node in private
+            if not any(isinstance(n, ast.Name) and n.id == node.name
+                       for other in tree.body if other is not node for n in ast.walk(other))]
+
+
 def test_the_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os.path\n"
@@ -62,3 +80,22 @@ def test_no_unused_module_imports(module):
 @pytest.mark.parametrize("path", SCRIPTS)
 def test_no_unused_imports_in_tests_and_scripts(path):
     assert unused_imports((ROOT / path).read_text()) == [], path
+
+
+def test_the_scan_finds_an_orphaned_private_helper():
+    source = ("def _used():\n"
+              "    return 1\n"
+              "def _recursive(n):\n"
+              "    return _recursive(n - 1) if n else _used()\n"
+              "class _Orphan:\n"
+              "    pass\n"
+              "def __getattr__(name):\n"
+              "    raise AttributeError(name)\n"
+              "def public():\n"
+              "    return 2\n")
+    assert orphaned_private(source) == ["_recursive", "_Orphan"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_orphaned_private_helpers(module):
+    assert orphaned_private((PACKAGE / module).read_text()) == [], module

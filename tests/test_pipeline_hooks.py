@@ -8,15 +8,13 @@ import pytest
 
 from braidpbw import (  # noqa: F401
     braided_space, cli, coinvariants, filtration, findim_hopf, linalg, multilinear, pipeline)
-from braidpbw.corpus import poly_plane, solvable_pair, solvable_pair_y_indices, sweedler_h4, taft3
-from braidpbw.filtration import FiltrationLadder, subspace_from_indices
-from braidpbw.linalg import Subspace
+from braidpbw.corpus import poly_plane, solvable_pair, solvable_pair_y_indices, taft3
+from braidpbw.filtration import subspace_from_indices
 from braidpbw.pipeline import run_pipeline
 from braidpbw.scalars import ONE
 import reference_checkers
 from reference_checkers import pair_ops
 from test_checker_oracle import _quantum_plane, four_point, off_flip_mutant
-from test_filtration import kron_preimage
 from test_shared_tables import _pipeline_inputs
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -239,110 +237,16 @@ def test_ladder_steps_checked_categorical_once(monkeypatch):
     assert seen == Counter({id(s): 1 for s in ladder.steps})
 
 
-# inputs whose K is larger than the unit line: R is smaller than H, so the
-# coradical test builds R's own ladder
-BUILDS_R_LADDER = ("sweedler_h4", "taft3", "taft3_d3", "solvable_pair_yline")
-
-
-def _counting_r_ladders(monkeypatch):
-    """Count the wedge ladders that the coinvariant stage builds; the
-    filtration stage's binding is left alone."""
-    calls = []
-    original = coinvariants.wedge_ladder
-
-    def counting(h, k):
-        calls.append(h)
-        return original(h, k)
-
-    monkeypatch.setattr(coinvariants, "wedge_ladder", counting)
-    return calls
-
-
-def _oracle_ladder(r_alg):
-    """The wedge ladder of R's unit line, each step from the dense oracle."""
-    unit = Subspace.span(r_alg.dim, [r_alg.unit])
-    steps = [unit]
-    while steps[-1].dim < r_alg.dim:
-        nxt = kron_preimage(r_alg, unit, steps[-1])
-        if nxt.dim == steps[-1].dim:
-            break
-        steps.append(nxt)
-    return steps
-
-
-@pytest.mark.parametrize("label", [label for label, *_ in _pipeline_inputs()])
-def test_coradical_test_reads_the_run_ladder_when_it_is_rs(monkeypatch, label):
-    """For K = k1, R's dimension, coproduct and unit line are H's, so the
-    filtration's ladder is R's unit-line ladder and none is built again;
-    those steps are the dense oracle's.  Where K is larger, R's own ladder is
-    built.  Either way the verdict is the one from a ladder built afresh."""
-    _, h, sub, degree = next(case for case in _pipeline_inputs() if case[0] == label)
-    runs = []
-    original = coinvariants.compute_R
-
-    def recording(gr, known=None):
-        runs.append((known, original(gr, known)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(pipeline, "compute_R", recording)
-    built = _counting_r_ladders(monkeypatch)
-    report = run_pipeline(h, subspace_from_indices(h, sub), degree)
-    (known, coinv), = runs
-    r_alg = coinv.algebra
-    assert len(built) == (label in BUILDS_R_LADDER)
-    assert known.bialgebra is h
-    if not built:
-        assert known.steps == _oracle_ladder(r_alg)
-    fresh = coinvariants._degree_filtration_is_coradical(r_alg)
-    assert report["R"]["coradical_matches_grading"] is fresh
-
-
-def _ladder(h, sub):
-    return filtration.hopf_filtration(h, subspace_from_indices(h, sub))
-
-
-def _refused_ladder(case):
-    """(R, a ladder that the coradical test must refuse).  Each ladder fails
-    exactly one condition of reuse, and its steps would change the verdict
-    if they were read."""
-    if case == "mutant_coproduct":
-        plane = poly_plane(2)
-        ladder = _ladder(plane, (0,))
-        r_alg = coinvariants.compute_R(filtration.associated_graded(ladder)).algebra
-        x = plane.names.index("x")
-        comult = list(plane.comult)
-        comult[x] = {key: s + ONE if key == (x, 0) else s for key, s in comult[x].items()}
-        mutant = dataclasses.replace(plane, comult=tuple(comult))
-        # the ladder stops at the unit line, so it is not exhaustive
-        return r_alg, FiltrationLadder(mutant, ladder.steps[:1])
-    if case == "bottom_step":
-        # K = span(1, g) is the degree-zero part of gr H4, so its steps read
-        # as the degree filtration; the unit line's ladder stops short of it
-        ladder = _ladder(sweedler_h4(), (0, 1))
-        return filtration.associated_graded(ladder), ladder
-    # taft3's ladder, dimension 9, against a quantum plane's R, dimension 6
-    r_alg = coinvariants.compute_R(filtration.associated_graded(
-        _ladder(_quantum_plane(3, 2), (0,)))).algebra
-    return r_alg, _ladder(taft3(), (0, 1, 2))
-
-
-@pytest.mark.parametrize("case", ["mutant_coproduct", "bottom_step", "dimension"])
-def test_coradical_test_refuses_a_ladder_that_is_not_rs(monkeypatch, case):
-    r_alg, known = _refused_ladder(case)
-    same_dim = known.bialgebra.dim == r_alg.dim
-    failed = {"dimension": not same_dim,
-              "mutant_coproduct": same_dim and known.bialgebra.comult != r_alg.comult,
-              "bottom_step": same_dim and known.steps[0] != Subspace.span(r_alg.dim, [r_alg.unit])}
-    assert [name for name, fails in failed.items() if fails] == [case]
-    fresh = coinvariants._degree_filtration_is_coradical(r_alg)
-    built = _counting_r_ladders(monkeypatch)
-    assert coinvariants._degree_filtration_is_coradical(r_alg, known) is fresh
-    assert built == [r_alg]
-    if same_dim:  # read as R's ladder, these steps would give the other verdict
-        steps_read = known.exhaustive and all(
-            step == subspace_from_indices(r_alg, [i for i in range(r_alg.dim) if r_alg.degree(i) <= n])
-            for n, step in enumerate(known.steps))
-        assert steps_read is not fresh
+def test_one_wedge_ladder_per_run(monkeypatch):
+    """A full run builds one wedge ladder, the filtration's, on every input:
+    R's coradical test reads R's coproduct rows and builds no ladder."""
+    ladders = _counting(monkeypatch, filtration, "wedge_ladder")
+    built = {}
+    for label, h, sub, degree in _pipeline_inputs():
+        ladders.clear()
+        run_pipeline(h, subspace_from_indices(h, sub), degree)
+        built[label] = sum(ladders.values())
+    assert built == {label: 1 for label in built}
 
 
 def test_axiom_checkers_make_no_slot_operation_calls(monkeypatch):
