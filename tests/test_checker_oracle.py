@@ -18,11 +18,13 @@ from braidpbw.corpus import (
     super_line,
     sweedler_h4,
     symmetric_bialgebra,
+    taft,
     taft3,
 )
 from braidpbw.findim_hopf import Tables
 from braidpbw.multilinear import as_scalar
 from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
+from braidpbw.pipeline import check_report
 from braidpbw.scalars import MINUS_ONE, ONE, Scalar, root_of_unity
 from test_findim_hopf import _mutate
 from test_symmetric_algebra import FOUR_POINT
@@ -54,7 +56,10 @@ def _assert_same(h, label):
 def _inputs():
     """The corpus entries, the truncated ones also at T = 1..3, and the
     associated graded of the entries with a subalgebra at T = 2.  Entries
-    that share a bialgebra (and differ in the subalgebra) give it once."""
+    that share a bialgebra (and differ in the subalgebra) give it once.
+    Then R of taft(n), n = 3, 4, 5, over K = span(g^a): a valid bialgebra
+    with c(x x x) = zeta_n x x x, so c c - id is nonzero on every pair of
+    positive-degree basis vectors."""
     builds = set()
     for entry in corpus_entries():
         if entry.build in builds:
@@ -75,6 +80,10 @@ def _inputs():
             yield f"gr {entry.name}@T=2", associated_graded(hopf_filtration(
                 h, subspace_from_indices(h, sub)))
     yield "four_point@T=2", four_point()
+    for n in (3, 4, 5):
+        h = taft(n)
+        gr = associated_graded(hopf_filtration(h, subspace_from_indices(h, range(n))))
+        yield f"R taft({n})", coinvariants.compute_R(gr).algebra
 
 
 def four_point(truncation: int = 2):
@@ -95,10 +104,21 @@ def off_flip_mutant(seed: int = 0):
     return _mutate(h, braiding=GenericBraiding(rows))
 
 
+def _keeps_truncation_degree(h) -> bool:
+    """Whether every term e_x x e_y of c(e_i x e_j), at each pair below the
+    truncation, has g_x + g_y <= g_i + g_j: the hypothesis under which the
+    commutator-coproduct identity follows from the axioms on a truncated
+    input (see check_commutator_coproduct_all)."""
+    g = h.gates
+    return all(g[x] + g[y] <= g[i] + g[j] for i in range(h.dim) for j in range(h.dim)
+               if g[i] + g[j] <= h.cap for x, y in h.braiding.rows[i][j])
+
+
 def test_checkers_match_reference_on_corpus():
     seen_skips = False
     for label, h in _inputs():
         _assert_same(h, label)
+        assert _keeps_truncation_degree(h), label
         seen_skips |= findim_hopf.check_braided_algebra(h).skipped > 0
     assert seen_skips
 
@@ -144,15 +164,20 @@ def _mutant(rng, h):
     return kind, _mutate(h, antipode=tuple(antipode))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_checkers_match_reference_on_mutants(seed):
-    rng = random.Random(seed)
+def _mutant_bases(seed: int):
+    """The bialgebras that the mutant streams perturb, in turn."""
     bases = [build_cached("sweedler_h4"), build_cached("taft3"), build_cached("kc2")]
     bases += [entry.build(2) for entry in corpus_entries()
               if entry.name in ("poly_plane", "super_line", "solvable_pair")]
     # d >= 10, so that packed keys have more than one base-d digit per leg,
     # and a non-diagonal braiding with and without an off-flip perturbation
-    bases += [poly_plane(3), four_point(), off_flip_mutant(seed)]
+    return bases + [poly_plane(3), four_point(), off_flip_mutant(seed)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_checkers_match_reference_on_mutants(seed):
+    rng = random.Random(seed)
+    bases = _mutant_bases(seed)
     failing = {name: 0 for name in REPORTS}
     lowered = Counter()
     wide = symmetric_failing = 0
@@ -176,6 +201,27 @@ def test_checkers_match_reference_on_mutants(seed):
     assert lowered[True] and lowered[False], lowered
     assert wide, wide
     assert symmetric_failing, symmetric_failing
+
+
+def test_commutator_coproduct_failure_implies_axiom_failure():
+    """The identity of check_commutator_coproduct_all follows from the
+    braid-comul and comul-mult laws (its docstring has the proof), so on the
+    mutant stream of test_checkers_match_reference_on_mutants, 40 seeds of
+    12 mutants, every commutator-coproduct failure comes with a failing
+    axiom report.  A bialgebra or coalgebra checker that wrongly passed a
+    bad table would show here as a commutator failure under all_ok."""
+    seen = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        bases = _mutant_bases(seed)
+        for n in range(12):
+            kind, h = _mutant(rng, bases[n % len(bases)])
+            commutator_ok = findim_hopf.check_commutator_coproduct_all(h).ok
+            axioms_ok = check_report(h)["all_ok"]
+            assert commutator_ok or not axioms_ok, f"seed {seed} mutant {n} ({kind})"
+            seen[commutator_ok, axioms_ok] += 1
+    # both checks fail on some mutants, and some mutants pass the axioms
+    assert seen[False, False] and seen[True, True], seen
 
 
 def _quantum_plane(n: int, truncation: int):

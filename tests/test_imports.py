@@ -11,9 +11,13 @@ package's public names.  An import statement marked ``# noqa: F401`` is
 deliberate (a module imported for its side effects) and is skipped.  In
 ``src/braidpbw``, a module-level ``def`` or ``class`` whose name starts
 with one underscore must be read outside its own body, so that a helper
-whose last caller is gone does not stay behind.
+whose last caller is gone does not stay behind.  Every ``:func:``,
+``:class:``, ``:data:``, ``:meth:`` and ``:attr:`` role in a docstring of
+``src/braidpbw`` must name something that exists, so that a reference to a
+removed name does not stay behind either.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -99,3 +103,89 @@ def test_the_scan_finds_an_orphaned_private_helper():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_orphaned_private_helpers(module):
     assert orphaned_private((PACKAGE / module).read_text()) == [], module
+
+
+ROLE = re.compile(r":(func|class|data|meth|attr):`~?([^`]+)`")
+
+
+def _namespace(tree) -> tuple[set, dict]:
+    """(module-level names, {class name: attribute names}) of a module: the
+    names bound by its top-level imports, defs, classes and assignments, and
+    for each top-level class the names bound in its body and the attributes
+    of self assigned in its __init__."""
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n for n in ast.walk(t) if isinstance(n, (ast.Name, ast.Attribute)))
+
+    names, classes = set(), {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        names |= {t.id for t in targets(node) if isinstance(t, ast.Name)}
+        if isinstance(node, ast.ClassDef):
+            attrs = classes[node.name] = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    attrs.add(item.name)
+                attrs |= {t.id for t in targets(item) if isinstance(t, ast.Name)}
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    attrs |= {t.attr for stmt in ast.walk(item) for t in targets(stmt)
+                              if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                              and t.value.id == "self"}
+    return names, classes
+
+
+def _resolves(role: str, target: str, tree) -> bool:
+    """Whether a role's target names something in the module of tree, or,
+    as a braidpbw.<module>... path, in that module of the package."""
+    parts = target.split(".")
+    if parts[0] == "braidpbw":
+        path = PACKAGE / f"{parts[1]}.py" if len(parts) > 1 else PACKAGE / "__init__.py"
+        if not path.exists():
+            return False
+        if len(parts) <= 2:
+            return True
+        return _resolves(role, ".".join(parts[2:]), ast.parse(path.read_text()))
+    names, classes = _namespace(tree)
+    if len(parts) == 1:
+        return target in names or (role in ("meth", "attr")
+                                   and any(target in attrs for attrs in classes.values()))
+    return len(parts) == 2 and parts[1] in classes.get(parts[0], ())
+
+
+def dangling_references(source: str) -> list[str]:
+    """The docstring roles of the source whose target does not resolve."""
+    tree = ast.parse(source)
+    docs = [ast.get_docstring(node) for node in ast.walk(tree) if isinstance(
+        node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [f":{role}:`{target}`" for doc in docs if doc
+            for role, target in ROLE.findall(doc) if not _resolves(role, target, tree)]
+
+
+def test_the_scan_finds_a_dangling_docstring_reference():
+    source = ('"""See :func:`helper`, :class:`Box`, :data:`LIMIT`, :func:`os`,\n'
+              ':meth:`Box.put`, :attr:`Box.size`, :attr:`size`, :meth:`~Box.put`,\n'
+              ':class:`~braidpbw.linalg.Coordinates`,\n'
+              ':attr:`braidpbw.linalg.Coordinates.standard`\n'
+              'and :func:`_gone`, :attr:`Box.gone`, :meth:`gone`, :func:`size`,\n'
+              ':func:`braidpbw.nowhere.f`, :func:`braidpbw.linalg.gone`."""\n'
+              "import os\n"
+              "LIMIT = 3\n"
+              "def helper():\n"
+              '    """Not :func:`Box.put.inner`."""\n'
+              "class Box:\n"
+              "    def __init__(self):\n"
+              "        self.size = 0\n"
+              "    def put(self):\n"
+              "        pass\n")
+    assert dangling_references(source) == [
+        ":func:`_gone`", ":attr:`Box.gone`", ":meth:`gone`", ":func:`size`",
+        ":func:`braidpbw.nowhere.f`", ":func:`braidpbw.linalg.gone`", ":func:`Box.put.inner`"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_docstring_references_resolve(module):
+    assert dangling_references((PACKAGE / module).read_text()) == [], module

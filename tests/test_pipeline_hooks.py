@@ -162,20 +162,20 @@ def test_braid_equation_decided_once_per_braiding(monkeypatch):
     assert set(seen.values()) == {1}
 
 
-def test_commutator_coproduct_reads_the_commutator_table_when_c_c_is_id(monkeypatch):
-    """A symmetric braiding, diagonal or not, takes the commutator-table path
-    and never enters the tensor-square braiding; the off-flip mutant of the
-    four-point S(V, c), whose braiding is not symmetric, takes the general
-    path.  Either way the report is the slot-operation reference's."""
+def test_commutator_coproduct_forms_c_c_minus_id_only_when_not_symmetric(monkeypatch):
+    """Every braiding takes the one commutator-table bracket; its
+    c c - id term is formed, once per call, only for the off-flip mutant of
+    the four-point S(V, c), whose braiding is not symmetric, and never for
+    a symmetric braiding, diagonal or not.  Either way the report is the
+    slot-operation reference's."""
     calls = Counter()
-    for name in ("_square_commutator", "_symmetric_square_commutator"):
-        original = getattr(findim_hopf, name)
+    original = findim_hopf._braid_defect
 
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(*args):
+        calls["_braid_defect"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(findim_hopf, name, counting)
+    monkeypatch.setattr(findim_hopf, "_braid_defect", counting)
     cases = [(taft3(), True), (_quantum_plane(3, 2), True), (poly_plane(3), True),
              (four_point(), True), (off_flip_mutant(2), False)]
     for h, symmetric in cases:
@@ -183,9 +183,8 @@ def test_commutator_coproduct_reads_the_commutator_table_when_c_c_is_id(monkeypa
         report = findim_hopf.check_commutator_coproduct_all(h)
         assert report.to_json() == reference_checkers.check_commutator_coproduct_all(h).to_json()
         assert h.braiding.symmetric is symmetric
-        path = "_symmetric_square_commutator" if symmetric else "_square_commutator"
-        assert calls == Counter({path: 1})
-    # the general path's witnesses are compared too
+        assert calls == (Counter() if symmetric else Counter({"_braid_defect": 1}))
+    # the witnesses of the c c - id term are compared too
     assert report.violations
 
 
