@@ -19,13 +19,17 @@ vectors, so both travel as their indices, ``k_indices``, and
 :func:`is_central` reads the bialgebra's cached ``commutators``.
 Whether R's grading is its coradical filtration is decided from R's unit,
 grading and coproduct rows alone, by one rank test; this stage reads
-nothing of the run's filtration.
+nothing of the run's filtration.  When pi is the counit, as for K = k1, R
+is gr without its antipode: this is decided from the images, gr's rows
+and the conjugation by K's basis vector, after every cross-check that the
+build path makes, and R is then read from gr's rows, with gr's braiding
+object, so that the collapse comparison reads one set of rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .filtration import expand_products, transported_bialgebra
+from .filtration import expand_products, is_own_graded, transported_bialgebra
 from .findim_hopf import StructureBialgebra, render_tensor
 from .linalg import Coordinates, Subspace, echelon, kernel
 from .multilinear import Vec, add_term, bilinear, linear, vec_equal
@@ -123,9 +127,35 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
 
     Hard errors signal upstream bugs: the two descriptions must coincide,
     induced operations must stay inside R tensor powers, and the assembled
-    braiding must satisfy the braid equation.  Whether R's grading is its
-    coradical filtration is read from R's own coproduct rows
+    braiding must satisfy the braid equation.  A basis that is not sorted
+    by degree is refused as an :class:`InputError`.  Whether R's grading is
+    its coradical filtration is read from R's own coproduct rows
     (:func:`_degree_filtration_is_coradical`).
+
+    R is gr when pi is the counit, as for K = k1.  Suppose that (i) the
+    image of every e_i is e_i, (ii) gr's rows are its own graded tables
+    (:func:`~braidpbw.filtration.is_own_graded`: distinct names, no stored
+    zero, every term at its slot's degree, nothing past the cap, the
+    counit zero in positive degree, the truncation degrees gr's), (iii) the
+    terms of Delta(e_a) with a left leg of degree 0 are e_k (x) e_a alone,
+    for k the first degree-zero index, and (iv) the conjugation by e_k
+    fixes every e_u (:func:`_r_is_gr`).  By (i) R's RREF rows are the e_i,
+    so a coordinate is an entry, the value of a table at a basis vector is
+    its row, and the degrees are gr's grading.  Field by field, the build
+    path then gives gr's: each name is gr's, distinct by (ii); the unit and
+    each product are the nonzero entries of gr's, all of them of the
+    homogeneous degree by (ii), and a product past the cap is empty in
+    both; the counit is gr's in degree 0 and zero above, as is gr's by (ii);
+    the coproduct (pi-image (x) id) Delta(e_a) is Delta(e_a) by (i),
+    without zeros by (ii); the coaction is e_k (x) e_a by (iii); each braid
+    row, the sum of ad(e_k, u) (x) v over the terms u (x) v of
+    c(e_a (x) e_b), is c(e_a (x) e_b) by (iii) and (iv), without zeros by
+    (ii), so R takes gr's braiding object; the grading is gr's, and the
+    truncation and truncation degrees are gr's by (ii).  The braided pairs
+    are gr's braid rows and the action the conjugation rows.  So R is gr
+    without its antipode, and is read from gr's rows: no product is
+    expanded, no coordinates are taken and no braiding is built.  The
+    coaction's counitality and the braid equation are checked either way.
     """
     _require_graded(gr)
     if gr.antipode is None:
@@ -156,12 +186,23 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
             raise CoinvariantsError("coinvariant basis vector is not homogeneous")
         degrees.append(degs.pop())
     if degrees != sorted(degrees):
-        raise CoinvariantsError("parent basis is not sorted by degree")
-    basis = Coordinates(r_sub.rows)  # RREF rows: in echelon form
-    try:
-        r_alg, action, coaction, braided = _induced_structure(gr, basis, degrees, k_indices, images)
-    except SpanError as exc:
-        raise CoinvariantsError("induced operation left the coinvariant subspace") from exc
+        raise InputError("parent basis is not sorted by degree")
+    ad = {k: _Conjugation(gr, k) for k in k_indices}
+    if _r_is_gr(gr, images, degrees, k_indices, ad):
+        r_alg = replace(gr, antipode=None)
+        action = tuple(tuple(ad[k][u] for u in range(d)) for k in k_indices)
+        coaction = tuple({(0, a): ONE} for a in range(d))
+        _require_counital(gr, k_indices, coaction)
+        braided = [list(row) for row in gr.braiding.rows]
+    else:
+        basis = Coordinates(r_sub.rows)  # RREF rows: in echelon form
+        try:
+            r_alg, action, coaction, braided = _induced_structure(gr, basis, degrees, k_indices,
+                                                                  images, ad)
+        except SpanError as exc:
+            raise CoinvariantsError("induced operation left the coinvariant subspace") from exc
+    if not r_alg.braiding.satisfies_braid_equation:
+        raise CoinvariantsError("induced braiding fails the braid equation")
 
     return CoinvariantAlgebra(
         parent=gr,
@@ -174,6 +215,29 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         kernel_is_left_ideal=kernel_is_left_ideal,
         coradical_matches_grading=_degree_filtration_is_coradical(r_alg),
     )
+
+
+def _r_is_gr(gr: StructureBialgebra, images: list[Vec], degrees: list[int],
+             k_indices: tuple[int, ...], ad: dict) -> bool:
+    """The conditions (i)-(iv) of :func:`compute_R` under which R is gr,
+    read from gr's rows, the images and the conjugation table ``ad``."""
+    if not k_indices or any(img != {i: ONE} for i, img in enumerate(images)) \
+            or not is_own_graded(gr, degrees):
+        return False
+    k, zero = k_indices[0], [n == 0 for n in gr.grading]
+    return all({(x, y): s for (x, y), s in cop.items() if zero[x]} == {(k, a): ONE}
+               for a, cop in enumerate(gr.comult)) \
+        and all(ad[k][u] == {u: ONE} for u in range(gr.dim))
+
+
+def _require_counital(gr: StructureBialgebra, k_indices: tuple[int, ...],
+                      coaction) -> None:
+    for a, row in enumerate(coaction):
+        acc: Vec = {}
+        for (kt, rr), s in row.items():
+            add_term(acc, rr, s * gr.counit[k_indices[kt]])
+        if not vec_equal(acc, {a: ONE}):
+            raise CoinvariantsError("coaction fails counitality")
 
 
 class _Conjugation(dict):
@@ -205,11 +269,12 @@ class _Conjugation(dict):
 
 
 def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list[int],
-                       k_indices: tuple[int, ...], images: list[Vec]):
+                       k_indices: tuple[int, ...], images: list[Vec], ad: dict):
     """R's coproduct (``images``, the a |-> a_1 S(pi(a_2)) image of each
     basis vector, applied to the first coproduct leg), its K-action and
     K-coaction, and the braiding assembled from the three, over the
-    coinvariant basis, all composed from the structure rows.  Returns the
+    coinvariant basis, all composed from the structure rows and the
+    conjugation tables ``ad``.  Returns the
     transported algebra R with the action, the coaction and the braided
     pairs of the representatives."""
     reps = basis.vectors
@@ -232,16 +297,10 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
         coaction.append({(k_pos[i], rr): cr for i, legvec in by_left.items()
                          for rr, cr in basis.coords(legvec).items()})
 
-    ad = {k: _Conjugation(gr, k) for k in k_indices}
     action = tuple(tuple(basis.coords(basis.image(ad[k], b)) for b in range(rdim))
                    for k in k_indices)
 
-    for a in range(rdim):
-        acc: Vec = {}
-        for (kt, rr), s in coaction[a].items():
-            add_term(acc, rr, s * gr.counit[k_indices[kt]])
-        if not vec_equal(acc, {a: ONE}):
-            raise CoinvariantsError("coaction fails counitality")
+    _require_counital(gr, k_indices, coaction)
 
     # every representative occurs in its own coaction (counitality), so each
     # braided pair is used; each is formed once
@@ -264,8 +323,6 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
         braid_rows.append(row)
     r_alg = transported_bialgebra(gr, basis, degrees, "r", basis.coords(gr.unit),
                                   expand_products(gr, basis), comult_r, braid_rows, None)
-    if not r_alg.braiding.satisfies_braid_equation:
-        raise CoinvariantsError("induced braiding fails the braid equation")
     return r_alg, action, tuple(coaction), braided
 
 
@@ -342,8 +399,14 @@ def is_cocentral(a: StructureBialgebra, indices) -> bool:
 
 def braiding_matches_restriction(coinv: CoinvariantAlgebra) -> bool:
     """Compare the induced braiding on R with the ambient braiding restricted
-    to R (x) R, exactly, in ambient coordinates."""
+    to R (x) R, exactly, in ambient coordinates.  When R carries the
+    parent's braiding object on the standard inclusion, as when R is gr,
+    both sides are the parent's rows c(e_a (x) e_b), the braided pairs
+    being formed from the inclusion rows, and they are equal unread."""
     reps, r_alg = coinv.inclusion.rows, coinv.algebra
+    if r_alg.braiding is coinv.parent.braiding and all(
+            row == {r: ONE} for r, row in enumerate(reps)):
+        return True
     for a in range(r_alg.dim):
         for b in range(r_alg.dim):
             induced: dict = {}

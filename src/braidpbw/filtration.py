@@ -214,7 +214,7 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
     )
 
 
-def _is_own_graded(h: StructureBialgebra, degrees: list[int]) -> bool:
+def is_own_graded(h: StructureBialgebra, degrees: list[int]) -> bool:
     """Whether gr H on the standard basis equals H field for field, read from
     H's rows in place: the degrees are H's grading, the names are distinct,
     the truncation degrees are those gr H takes, the counit vanishes in
@@ -259,13 +259,13 @@ def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:
     (the bottom step is K, which :func:`hopf_filtration` validates).  Their
     degree-homogeneous parts, with those of the braided representative
     pairs, are gr's structure tensors.  On the standard basis H's rows are
-    first read in place: when they are gr's (:func:`_is_own_graded`), h
+    first read in place: when they are gr's (:func:`is_own_graded`), h
     itself is returned and nothing is expanded.  Otherwise gr is built.
     """
     h = ladder.bialgebra
     basis, degrees = ladder.adapted
     categorical = all(is_categorical(h.braiding, s) for s in ladder.steps[1:])
-    if categorical and basis.standard and _is_own_graded(h, degrees):
+    if categorical and basis.standard and is_own_graded(h, degrees):
         return h
     top = len(ladder.steps) - 1
     report = ValidationReport("bialgebra filtration")

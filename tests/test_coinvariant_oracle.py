@@ -6,7 +6,10 @@ verdicts, or the same error, on the corpus entries, on truncated and
 associated-graded inputs, and on mutants with one entry of the braiding or
 of the coproduct perturbed.  R's coradical criterion against the wedge
 ladder of the unit line, built by the dense oracle, on R and gr H of every
-pipeline input, on seeded regradings and on hand-built coalgebras."""
+pipeline input, on seeded regradings and on hand-built coalgebras.  R read
+from gr's rows, where pi is the counit, against R built by compute_R's
+general path, on every input and on mutants that each break one condition
+of the first."""
 import dataclasses
 import inspect
 import random
@@ -17,13 +20,14 @@ import pytest
 import reference_checkers as ref
 from braidpbw import braided_space, coinvariants
 from braidpbw.braided_space import GenericBraiding
-from braidpbw.corpus import build_cached, corpus_entries, solvable_pair_y_indices
-from braidpbw.filtration import associated_graded, hopf_filtration, subspace_from_indices
+from braidpbw.corpus import build_cached, corpus_entries, poly_plane, solvable_pair_y_indices
+from braidpbw.filtration import (associated_graded, hopf_filtration, is_own_graded,
+                                 subspace_from_indices)
 from braidpbw.findim_hopf import StructureBialgebra
 from braidpbw.linalg import Subspace
 from braidpbw.reporting import CoinvariantsError
 from braidpbw.scalars import ONE, ZERO, Scalar
-from test_checker_oracle import _perturb, four_point
+from test_checker_oracle import _perturb, _quantum_plane, four_point
 from test_filtration import kron_preimage
 from test_findim_hopf import _mutate
 from test_shared_tables import _pipeline_inputs
@@ -308,3 +312,124 @@ def test_coradical_criterion_matches_ladder_oracle_off_pipeline(h4):
     for b, want in ((filtered, True), (gapped, False)):
         assert coinvariants._degree_filtration_is_coradical(b) is want
         assert _ladder_verdict(b, _oracle_ladder(b)) is want
+
+
+def _both_paths(monkeypatch, gr):
+    """compute_R on gr as it runs, and with reading R from gr's rows refused:
+    for each, ("read" or "built", everything it returns but the parent), or
+    ("error", the CoinvariantsError text)."""
+    original = coinvariants._r_is_gr
+    read = []
+
+    def spying(*args):
+        read.append(original(*args))
+        return read[-1]
+
+    def outcome():
+        read.clear()
+        try:
+            coinv = coinvariants.compute_R(gr)
+        except CoinvariantsError as exc:
+            return "error", str(exc)
+        r_alg = coinv.algebra
+        return ("read" if read == [True] else "built",
+                (coinv.inclusion.rows, coinv.k_indices, _structure(r_alg), r_alg.antipode is None,
+                 coinv.action, coinv.coaction, coinv.braided_reps, coinv.kernel_is_left_ideal,
+                 coinv.coradical_matches_grading))
+
+    with monkeypatch.context() as m:
+        m.setattr(coinvariants, "_r_is_gr", spying)
+        ours = outcome()
+        m.setattr(coinvariants, "_r_is_gr", lambda *args: False)
+        built = outcome()
+    return ours, built
+
+
+def test_r_read_from_gr_rows_is_the_built_r(monkeypatch):
+    """On gr H of every pipeline input and on every graded input with an
+    antipode of the corpus comparison, R read from gr's rows is R built,
+    field for field, or both give the same error; it is read on every
+    K = k1 pipeline input and on no other."""
+    k1 = []
+    cases = []
+    for label, h, sub, _ in _pipeline_inputs():
+        cases.append((label, associated_graded(hopf_filtration(h, subspace_from_indices(h, sub)))))
+        if len(sub) == 1:
+            k1.append(label)
+    cases += [(label, h) for label, h, _ in _inputs()
+              if h.grading is not None and h.antipode is not None]
+    read = set()
+    for label, gr in cases:
+        ours, built = _both_paths(monkeypatch, gr)
+        assert built[0] != "read" and built[1] == ours[1], label
+        assert (ours[0] == "error") == (built[0] == "error"), label
+        if ours[0] == "read":
+            read.add(label)
+    pipeline_labels = {label for label, *_ in _pipeline_inputs()}
+    assert read & pipeline_labels == set(k1)
+    assert k1 and read - pipeline_labels
+
+
+CONDITIONS = ("images", "own_graded", "coaction", "conjugation")
+
+
+def _conditions(gr) -> dict:
+    """The four conditions under which compute_R reads R from gr's rows,
+    each decided on its own: every pi-image is its basis vector, gr's rows
+    are its own graded tables, the degree-0-left coproduct terms of each
+    e_a are e_k (x) e_a, and the conjugation by e_k fixes every e_u, for e_k
+    the degree-zero basis vector."""
+    k = gr.degree_indices(0)[0]
+    ad = coinvariants._Conjugation(gr, k)
+    return {
+        "images": all(img == {i: ONE} for i, img in enumerate(coinvariants._pi_images(gr))),
+        "own_graded": is_own_graded(gr, list(gr.grading)),
+        "coaction": all({(x, y): s for (x, y), s in cop.items() if gr.degree(x) == 0}
+                        == {(k, a): ONE} for a, cop in enumerate(gr.comult)),
+        "conjugation": all(ad[u] == {u: ONE} for u in range(gr.dim)),
+    }
+
+
+def _r_is_gr_mutants(h) -> list:
+    """(broken condition, mutant): h, whose unit is e_0 and whose R is h,
+    with one of the four conditions broken.  Right multiplication by 1 is
+    not the identity on e_x while the conjugation by 1 still is (e_x 1 =
+    x + y, 1 e_x = x - y); a product with a term of lower degree; a product
+    with a stored zero; Delta(e_x) with a second degree-0-left term; and
+    1 e_x = x + y, which the conjugation by 1 then gives too."""
+    x, y = [i for i in range(h.dim) if h.grading[i] == 1][:2]
+    unused = next(i for i in range(h.dim) if h.grading[i] == 2 and i not in h.mult[x][y])
+
+    def mult(*changes):
+        rows = [list(row) for row in h.mult]
+        for a, b, vec in changes:
+            rows[a][b] = vec
+        return _mutate(h, mult=tuple(tuple(row) for row in rows))
+
+    comult = list(h.comult)
+    comult[x] = {**comult[x], (0, y): ONE}
+    return [
+        ("images", mult((x, 0, {x: ONE, y: ONE}), (0, x, {x: ONE, y: -ONE}))),
+        ("own_graded", mult((x, y, {**h.mult[x][y], 0: ONE}))),
+        ("own_graded", mult((x, y, {**h.mult[x][y], unused: ZERO}))),
+        ("coaction", _mutate(h, comult=tuple(comult))),
+        ("conjugation", mult((0, x, {x: ONE, y: ONE}))),
+    ]
+
+
+@pytest.mark.parametrize("build", [lambda: poly_plane(2), lambda: _quantum_plane(3, 2)],
+                         ids=["poly_plane_2", "quantum_plane_N3"])
+def test_r_read_from_gr_rows_agrees_with_the_build_path_on_mutants(monkeypatch, build):
+    """R of h is read from its rows; each mutant breaks exactly its named
+    condition, so R is built, and the build path refused the reading gives
+    the same R or the same error text."""
+    h = build()
+    assert _conditions(h) == dict.fromkeys(CONDITIONS, True)
+    assert _both_paths(monkeypatch, h)[0][0] == "read"
+    kinds = Counter()
+    for broken, mutant in _r_is_gr_mutants(h):
+        assert _conditions(mutant) == {c: c != broken for c in CONDITIONS}, broken
+        ours, built = _both_paths(monkeypatch, mutant)
+        assert ours == built, broken
+        kinds[ours[0]] += 1
+    assert set(kinds) == {"built", "error"}, kinds

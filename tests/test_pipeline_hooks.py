@@ -15,6 +15,7 @@ from braidpbw.scalars import ONE
 import reference_checkers
 from reference_checkers import pair_ops
 from test_checker_oracle import _quantum_plane, four_point, off_flip_mutant
+from test_coinvariant_oracle import _r_is_gr_mutants
 from test_shared_tables import _pipeline_inputs
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -348,6 +349,55 @@ def test_gr_is_h_is_read_from_the_rows_in_place(monkeypatch):
             assert set(calls) == {"transported_bialgebra", "expand_products",
                                   "GenericBraiding", "coords", "coords_pair"}, label
     assert differ == ["solvable_pair", "solvable_pair_yline"]
+
+
+def test_r_is_gr_is_read_from_the_rows(monkeypatch):
+    """Where K = k1, compute_R transports no bialgebra, expands no product
+    and takes no pair coordinates: R is gr H without its antipode, read
+    from gr's rows.  On the other pipeline inputs it makes all three calls.
+    braiding_matches_restriction compares no rows exactly where R carries
+    gr's braiding on the standard inclusion, which the image mutant of
+    poly_plane(2), whose R is built, does too."""
+    cases = [(label, len(sub) == 1,
+              filtration.associated_graded(filtration.hopf_filtration(
+                  h, subspace_from_indices(h, sub))))
+             for label, h, sub, _ in _pipeline_inputs()]
+    (broken, mutant), = [m for m in _r_is_gr_mutants(poly_plane(2)) if m[0] == "images"]
+    cases.append(("poly_plane_2 " + broken, False, mutant))
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for owner, attr in ((coinvariants, "transported_bialgebra"),
+                        (coinvariants, "expand_products"), (linalg.Coordinates, "coords_pair"),
+                        (coinvariants, "vec_equal")):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    built, shared = [], []
+    for label, k1, gr in cases:
+        calls.clear()
+        coinv = coinvariants.compute_R(gr)
+        if k1:
+            assert not calls.keys() & {"transported_bialgebra", "expand_products",
+                                       "coords_pair"}, label
+            assert coinv.algebra.braiding is gr.braiding, label
+        else:
+            built.append(label)
+            assert calls["transported_bialgebra"] and calls["expand_products"] \
+                and calls["coords_pair"], label
+        calls.clear()
+        coinvariants.braiding_matches_restriction(coinv)
+        standard = all(row == {r: ONE} for r, row in enumerate(coinv.inclusion.rows))
+        identity = coinv.algebra.braiding is gr.braiding and standard
+        assert (calls["vec_equal"] == 0) == identity, label
+        if identity:
+            shared.append(label)
+    assert built == ["sweedler_h4", "taft3", "solvable_pair_yline", "taft3_d3",
+                     "poly_plane_2 images"]
+    assert shared == [label for label, k1, _ in cases if k1] + ["poly_plane_2 images"]
 
 
 def test_benchmark_tracer_records_linalg_entry_points():

@@ -521,6 +521,14 @@ def _broken_plane_gr():
     return bialgebra_to_json(dataclasses.replace(gr, comult=tuple(comult)))
 
 
+def _reversed_plane():
+    """poly_plane(2) on its basis in reverse order, so that degrees fall."""
+    from braidpbw.corpus import poly_plane
+    from test_shared_tables import _reversed_basis
+
+    return bialgebra_to_json(_reversed_basis(poly_plane(2)))
+
+
 ERROR_PATHS = {
     # id: (argv from tmp_path, exit code, start of stderr with {tmp} for tmp_path)
     "commutator-over-degree-cap": (
@@ -670,6 +678,10 @@ ERROR_PATHS = {
         lambda tmp: ["pbw", "--input", _write(tmp, "plane.json", _plane_coproduct_5()),
                      "--degree", "2", "--report", str(tmp / "pbw.json")],
         1, "error: [axioms] input bialgebra fails its axiom checks"),
+    "coinv-unsorted-basis": (
+        lambda tmp: ["coinv", "--input", _write(tmp, "plane.json", _reversed_plane()),
+                     "--out", str(tmp / "r.json")],
+        2, "input error: parent basis is not sorted by degree"),
     "coinv-no-antipode": (
         lambda tmp: ["coinv", "--input", _write(tmp, "h4.json", _h4_doc(antipode=None)),
                      "--out", str(tmp / "r.json")],

@@ -150,7 +150,7 @@ def _built(monkeypatch, ladder):
     """associated_graded on the build path, which expands every table and
     returns the gr H it transports."""
     with monkeypatch.context() as m:
-        m.setattr(filtration, "_is_own_graded", lambda h, degrees: False)
+        m.setattr(filtration, "is_own_graded", lambda h, degrees: False)
         return associated_graded(ladder)
 
 
@@ -166,7 +166,7 @@ def test_rows_read_in_place_decide_gr_is_h_as_the_built_gr_does(monkeypatch):
         assert (ours is h) == same_structure(h, built), label
         assert _fields(ours) == _fields(built), label
         if basis.standard:
-            assert filtration._is_own_graded(h, degrees) == same_structure(h, built), label
+            assert filtration.is_own_graded(h, degrees) == same_structure(h, built), label
         else:
             assert label == "solvable_pair_yline" and ours is not h
 
@@ -258,12 +258,12 @@ def test_rows_read_in_place_agree_with_the_build_path_on_mutants(monkeypatch, bu
         ladder = wedge_ladder(mutant, subspace_from_indices(mutant, k))
         ours = _outcome(ladder)
         with monkeypatch.context() as m:
-            m.setattr(filtration, "_is_own_graded", lambda h, degrees: False)
+            m.setattr(filtration, "is_own_graded", lambda h, degrees: False)
             built = _outcome(ladder)
         assert built[0] != "h" and built[1] == ours[1], name
         basis, degrees = ladder.adapted
         if ours[0] != "error" and basis.standard:
-            assert filtration._is_own_graded(mutant, degrees) == (built[1] == _fields(mutant)), name
+            assert filtration.is_own_graded(mutant, degrees) == (built[1] == _fields(mutant)), name
         assert (ours[0] == "h") == (built[1] == _fields(mutant)), name
         kinds.add(ours[0])
         if name == "permuted":
