@@ -8,7 +8,7 @@ Usage:
 
 Each tree is a source checkout with ``perfbench/run.py``.  Pair i runs the
 parent first when i is even and the change first when i is odd, both with
-seed ``--first-seed + i``; the workloads are run one after the other, in
+seed ``FIRST_SEED + i``; the workloads are run one after the other, in
 the order given.  The output holds, for each workload and end-to-end
 metric, every run's value pair by pair, the quartiles of each side and a
 ``summary`` block: the two medians, the relative change of the median,
@@ -24,6 +24,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+FIRST_SEED = 901
 
 
 def quartiles(values: list[float]) -> dict:
@@ -73,9 +75,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_workload(trees: dict, workload: str, pairs: int, seconds: float,
-                 first_seed: int) -> dict:
-    seeds = [first_seed + i for i in range(pairs)]
+def run_workload(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
+    seeds = [FIRST_SEED + i for i in range(pairs)]
     runs: dict = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -108,17 +109,14 @@ def parse_args(argv=None):
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=35)
-    p.add_argument("--first-seed", type=int, default=901)
     p.add_argument("--out", required=True)
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.pairs < 2:
-        sys.exit("bench_pairs: --pairs must be at least 2")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    workloads = {w: run_workload(trees, w, args.pairs, args.seconds, args.first_seed)
+    workloads = {w: run_workload(trees, w, args.pairs, args.seconds)
                  for w in args.workload}
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
@@ -128,7 +126,7 @@ def main(argv=None) -> int:
                 "the runs of one pair go one after the other",
         "order": "pair i runs the parent first when i is even, the change first when i is odd; "
                  f"workloads in the order {', '.join(args.workload)}",
-        "seeds": f"{args.first_seed}..{args.first_seed + args.pairs - 1} for pairs "
+        "seeds": f"{FIRST_SEED}..{FIRST_SEED + args.pairs - 1} for pairs "
                  f"0-{args.pairs - 1}, one per pair",
         "summary": {w: {name: summary(m) for name, m in data["metrics"].items()}
                     for w, data in workloads.items()},

@@ -117,7 +117,7 @@ class CoinvariantAlgebra:
     k_indices: tuple[int, ...]
     action: tuple[tuple[Vec, ...], ...]  # ad[k][r] over R coordinates
     coaction: tuple[dict, ...]           # delta[r] over (K position, R index)
-    braided_reps: list[list[dict]]       # c(row a (x) row b) in parent coordinates
+    braided_reps: tuple[tuple[dict, ...], ...]  # c(row a (x) row b) in parent coordinates
     kernel_is_left_ideal: bool
     coradical_matches_grading: bool
 
@@ -193,7 +193,7 @@ def compute_R(gr: StructureBialgebra) -> CoinvariantAlgebra:
         action = tuple(tuple(ad[k][u] for u in range(d)) for k in k_indices)
         coaction = tuple({(0, a): ONE} for a in range(d))
         _require_counital(gr, k_indices, coaction)
-        braided = [list(row) for row in gr.braiding.rows]
+        braided = gr.braiding.rows
     else:
         basis = Coordinates(r_sub.rows)  # RREF rows: in echelon form
         try:
@@ -304,7 +304,7 @@ def _induced_structure(gr: StructureBialgebra, basis: Coordinates, degrees: list
 
     # every representative occurs in its own coaction (counitality), so each
     # braided pair is used; each is formed once
-    braided = [[bilinear(c, u, v) for v in reps] for u in reps]
+    braided = tuple(tuple(bilinear(c, u, v) for v in reps) for u in reps)
 
     braid_rows = []
     for a in range(rdim):

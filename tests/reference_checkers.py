@@ -612,8 +612,8 @@ def _induced_structure(gr, r_sub, reps, degrees, k_indices) -> dict:
             vadd_into(acc, {rr: c * gr.counit[k_indices[kt]]})
         if not vec_equal(acc, {a: ONE}):
             raise CoinvariantsError("coaction fails counitality")
-    braided = [[braid_at(ops, tensor(lift(reps[a]), lift(reps[b])), 0) for b in range(rdim)]
-               for a in range(rdim)]
+    braided = tuple(tuple(braid_at(ops, tensor(lift(reps[a]), lift(reps[b])), 0)
+                          for b in range(rdim)) for a in range(rdim))
     braid_rows = [[{} for _ in range(rdim)] for _ in range(rdim)]
     for a in range(rdim):
         for b in range(rdim):
