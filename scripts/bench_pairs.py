@@ -13,7 +13,12 @@ the order given.  The output holds, for each workload and end-to-end
 metric, every run's value pair by pair, the quartiles of each side and a
 ``summary`` block: the two medians, the relative change of the median,
 the number of pairs in which the change is lower, and the parent's
-interquartile range relative to its median.
+interquartile range relative to its median.  A ``verdicts`` block applies
+the acceptance rules to each metric, with the metric's bound read from the
+parent tree's ``BENCHMARK.json``: the gain rule (the change is lower in at
+least nine tenths of the pairs, and its median falls by more than the
+parent's interquartile range) and the bound rule (the change's median is
+worse than the parent's by at most the bound, relative).
 """
 from __future__ import annotations
 
@@ -60,6 +65,29 @@ def summary(record: dict) -> dict:
         "median_change_ratio": round(record["median_change_ratio"], 4),
         "change_lower_in_pairs": record["change_lower_in_pairs"],
         "parent_iqr_ratio": round(record["parent_iqr"] / median, 4),
+    }
+
+
+def end_to_end_bounds(path: str) -> dict[str, float]:
+    """The relative bound of each end-to-end metric in a BENCHMARK.json;
+    every one of them is better when lower."""
+    with open(path, encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics):
+        raise ValueError("an end-to-end metric is not better when lower")
+    return {m["name"]: m["bound"] for m in metrics}
+
+
+def verdicts(record: dict, bound: float) -> dict:
+    """The acceptance rules on one metric record: ``gain``, the change is
+    lower in at least nine tenths of the pairs and its median falls by more
+    than the parent's IQR; ``within_bound``, its median is above the
+    parent's by at most ``bound``, relative."""
+    pairs = len(record["parent_runs"])
+    fall = record["parent"]["median"] - record["change"]["median"]
+    return {
+        "gain": 10 * record["change_lower_in_pairs"] >= 9 * pairs and fall > record["parent_iqr"],
+        "within_bound": record["median_change_ratio"] <= bound,
     }
 
 
@@ -116,6 +144,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    bounds = end_to_end_bounds(os.path.join(trees["parent"], "BENCHMARK.json"))
     workloads = {w: run_workload(trees, w, args.pairs, args.seconds)
                  for w in args.workload}
     doc = {
@@ -130,6 +159,8 @@ def main(argv=None) -> int:
                  f"0-{args.pairs - 1}, one per pair",
         "summary": {w: {name: summary(m) for name, m in data["metrics"].items()}
                     for w, data in workloads.items()},
+        "verdicts": {w: {name: verdicts(m, bounds[name]) for name, m in data["metrics"].items()}
+                     for w, data in workloads.items()},
         "workloads": workloads,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -215,34 +215,12 @@ def transported_bialgebra(h: StructureBialgebra, basis: Coordinates, degrees: li
 
 
 def is_own_graded(h: StructureBialgebra, degrees: list[int]) -> bool:
-    """Whether gr H on the standard basis equals H field for field, read from
-    H's rows in place: the degrees are H's grading, the names are distinct,
-    the truncation degrees are those gr H takes, the counit vanishes in
-    positive degree, every product past the cap is empty, and every stored
-    coefficient is nonzero and sits at its slot's degree (0 in the unit,
-    deg a + deg b in products and braid rows, deg a in coproducts and the
-    antipode).  Such a term is within its target step, so no filtration
-    check fails on H."""
-    deg, gates, rows, anti = tuple(degrees), h.gates, h.braiding.rows, h.antipode
-    if (h.grading != deg or len(set(h.names)) < h.dim
-            or h.trunc_grading != (gates if h.truncation is not None else deg)
-            or any(deg[i] and not c.is_zero() for i, c in enumerate(h.counit))):
-        return False
-
-    def one(vec, n):
-        return all(deg[r] == n and not c.is_zero() for r, c in vec.items())
-
-    def two(w, n):
-        return all(deg[r] + deg[s] == n and not c.is_zero() for (r, s), c in w.items())
-
-    try:
-        return one(h.unit, 0) and all(
-            two(h.comult[a], m) and (anti is None or one(anti[a], m)) and all(
-                (not h.mult[a][b] if gates[a] + gates[b] > h.cap else one(h.mult[a][b], m + n))
-                and two(rows[a][b], m + n) for b, n in enumerate(deg))
-            for a, m in enumerate(deg))
-    except IndexError:  # a key past the basis, which the build path refuses
-        return False
+    """Whether gr H on the standard basis equals H field for field: the
+    degrees are H's grading and H's rows, read in place, are graded by it
+    (:attr:`~braidpbw.findim_hopf.StructureBialgebra.own_graded`, decided
+    once per bialgebra).  Every term of such rows is within its target
+    step, so no filtration check fails on H."""
+    return h.grading == tuple(degrees) and h.own_graded
 
 
 def associated_graded(ladder: FiltrationLadder) -> StructureBialgebra:

@@ -124,6 +124,11 @@ class StructureBialgebra:
         """:func:`commutator_table` of this bialgebra, derived once."""
         return commutator_table(self)
 
+    @cached_property
+    def own_graded(self) -> bool:
+        """:func:`rows_are_graded` of this bialgebra, decided once."""
+        return rows_are_graded(self)
+
     # -- linear extensions ------------------------------------------------------
 
     def multiply(self, a: Vec, b: Vec) -> Vec:
@@ -506,6 +511,36 @@ def commutator_table(h: StructureBialgebra) -> list[list[Vec]]:
             row.append(out)
         table.append(row)
     return table
+
+
+def rows_are_graded(h: StructureBialgebra) -> bool:
+    """Whether h's rows, read in place, are graded by h's grading: the names
+    are distinct, the truncation degrees are those of the grading (the
+    gates, when h is truncated), the counit vanishes in positive degree,
+    every product past the cap is empty, and every stored coefficient is
+    nonzero and sits at its slot's degree (0 in the unit, deg a + deg b in
+    products and braid rows, deg a in coproducts and the antipode).  False
+    when h has no grading or a row holds a key past the basis."""
+    deg, gates, rows, anti = h.grading, h.gates, h.braiding.rows, h.antipode
+    if (deg is None or len(set(h.names)) < h.dim
+            or h.trunc_grading != (gates if h.truncation is not None else deg)
+            or any(deg[i] and not c.is_zero() for i, c in enumerate(h.counit))):
+        return False
+
+    def one(vec, n):
+        return all(deg[r] == n and not c.is_zero() for r, c in vec.items())
+
+    def two(w, n):
+        return all(deg[r] + deg[s] == n and not c.is_zero() for (r, s), c in w.items())
+
+    try:
+        return one(h.unit, 0) and all(
+            two(h.comult[a], m) and (anti is None or one(anti[a], m)) and all(
+                (not h.mult[a][b] if gates[a] + gates[b] > h.cap else one(h.mult[a][b], m + n))
+                and two(rows[a][b], m + n) for b, n in enumerate(deg))
+            for a, m in enumerate(deg))
+    except IndexError:  # a key past the basis
+        return False
 
 
 def check_commutator_coproduct_all(h: StructureBialgebra) -> ValidationReport:

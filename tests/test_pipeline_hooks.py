@@ -400,6 +400,35 @@ def test_r_is_gr_is_read_from_the_rows(monkeypatch):
     assert shared == [label for label, k1, _ in cases if k1] + ["poly_plane_2 images"]
 
 
+def test_rows_read_in_place_once_per_run(monkeypatch):
+    """Where K = k1, associated_graded reads H's rows in place and compute_R
+    reads gr's: each bialgebra's rows are scanned once per run, on a fresh
+    copy of each such pipeline input, so once in all where gr H is H.
+    solvable_pair's gr H is built, and its rows and H's are two scans."""
+    scans = _counting(monkeypatch, findim_hopf, "rows_are_graded")
+    two = []
+    for label, h, sub, degree in _pipeline_inputs():
+        if len(sub) != 1:
+            continue
+        h = dataclasses.replace(h)  # nothing derived yet
+        scans.clear()
+        run_pipeline(h, subspace_from_indices(h, sub), degree)
+        assert set(scans.values()) == {1}, (label, scans)
+        assert scans[id(h)] == 1, label
+        if len(scans) > 1:
+            two.append(label)
+    assert two == ["solvable_pair"]
+    h = poly_plane(2)
+    assert h.own_graded is h.own_graded  # decided once per object
+    assert filtration.is_own_graded(h, list(h.grading))
+    assert not filtration.is_own_graded(h, [0] * h.dim)  # not H's grading
+    x, y = h.names.index("x"), h.names.index("y")
+    mult = [list(row) for row in h.mult]
+    mult[x][y] = {**mult[x][y], h.dim: ONE}  # a key past the basis
+    mutant = dataclasses.replace(h, mult=tuple(tuple(row) for row in mult))
+    assert not filtration.is_own_graded(mutant, list(h.grading))
+
+
 def test_benchmark_tracer_records_linalg_entry_points():
     saved_path = list(sys.path)
     sys.path.insert(0, PERFBENCH)

@@ -11,6 +11,7 @@ from braidpbw.scalars import (
     ONE,
     ZERO,
     Scalar,
+    _cyclotomic_product,
     _poly_str,
     cyclotomic_polynomial,
     euler_phi,
@@ -409,3 +410,66 @@ def test_unit_factor_products_against_fraction_oracle(pa, unit, left):
     for c in want:
         den = den * c.denominator // gcd(den, c.denominator)
     assert (got.conductor, got.num, got.den) == (n, tuple(int(c * den) for c in want), den)
+
+
+# ---------------------------------------------------------------------------
+# The product memo: every product equals the kernel's, field for field.
+# ---------------------------------------------------------------------------
+
+_kernel = _cyclotomic_product.__wrapped__
+
+
+def _fields(s):
+    return s.conductor, s.num, s.den
+
+
+def _kernel_fields(a, b):
+    return _fields(_kernel(*_fields(a), *_fields(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_operands(), poly_operands())
+def test_products_equal_the_uncached_kernel(pa, pb):
+    a, b = Scalar.from_poly(*pa), Scalar.from_poly(*pb)
+    want = _kernel_fields(a, b)
+    first = a * b
+    hits = _cyclotomic_product.cache_info().hits
+    again = a * b
+    assert _fields(first) == _fields(again) == want
+    if a.conductor > 1 and b.conductor > 1:  # the repeat is read from the memo
+        assert again is first
+        assert _cyclotomic_product.cache_info().hits == hits + 1
+
+
+def test_one_value_at_two_conductors_gets_its_own_product():
+    z3 = root_of_unity(3)
+    z3_at_12 = z3.in_conductor(12)
+    assert z3_at_12 == z3 and z3_at_12.conductor == 12
+    for order in ((z3, z3_at_12), (z3_at_12, z3)):
+        _cyclotomic_product.cache_clear()
+        for x in order:
+            assert _fields(x * z3) == _kernel_fields(x, z3)
+            assert _fields(z3 * x) == _kernel_fields(z3, x)
+    assert (z3 * z3).conductor == 3 and (z3_at_12 * z3).conductor == 12
+    assert z3_at_12 * z3 == z3 * z3
+    # equal coefficients at other conductors: zeta_3, zeta_4 and zeta_6
+    roots = [Scalar.from_poly(n, [0, 1]) for n in (3, 4, 6)]
+    assert len({x.num for x in roots}) == 1
+    assert [str(x * x) for x in roots] == ['{N:3, poly:"-1-z"}', "-1", '{N:3, poly:"z"}']
+    for x in roots:
+        assert _fields(x * x) == _kernel_fields(x, x)
+
+
+def test_product_memo_stays_within_its_bound():
+    bound = _cyclotomic_product.cache_info().maxsize
+    # a + b zeta_3 with small a, b: 72 operands, 5184 distinct products
+    values = [Scalar.from_poly(3, [a, b]) for a in range(-4, 5) for b in range(1, 9)]
+    assert len(values) ** 2 > bound
+    _cyclotomic_product.cache_clear()
+    for x in values:
+        for y in values:
+            x * y
+    info = _cyclotomic_product.cache_info()
+    assert info.misses == len(values) ** 2 and info.currsize <= bound
+    x, y = values[0], values[-1]
+    assert _fields(x * y) == _kernel_fields(x, y)
