@@ -17,8 +17,11 @@ interquartile range relative to its median.  A ``verdicts`` block applies
 the acceptance rules to each metric, with the metric's bound read from the
 parent tree's ``BENCHMARK.json``: the gain rule (the change is lower in at
 least nine tenths of the pairs, and its median falls by more than the
-parent's interquartile range) and the bound rule (the change's median is
-worse than the parent's by at most the bound, relative).
+parent's interquartile range), the bound rule (the change's median is
+worse than the parent's by at most the bound, relative) and the spread
+rule (a metric is unresolved when the parent's interquartile range,
+relative to its median, exceeds the bound, unless every change run is
+below every parent run).
 """
 from __future__ import annotations
 
@@ -82,12 +85,17 @@ def verdicts(record: dict, bound: float) -> dict:
     """The acceptance rules on one metric record: ``gain``, the change is
     lower in at least nine tenths of the pairs and its median falls by more
     than the parent's IQR; ``within_bound``, its median is above the
-    parent's by at most ``bound``, relative."""
+    parent's by at most ``bound``, relative; ``unresolved``, the parent's
+    IQR relative to its median exceeds ``bound``, so the runs spread too
+    widely to tell, unless every change run is below every parent run."""
     pairs = len(record["parent_runs"])
-    fall = record["parent"]["median"] - record["change"]["median"]
+    median = record["parent"]["median"]
+    fall = median - record["change"]["median"]
+    disjoint = max(record["change_runs"]) < min(record["parent_runs"])
     return {
         "gain": 10 * record["change_lower_in_pairs"] >= 9 * pairs and fall > record["parent_iqr"],
         "within_bound": record["median_change_ratio"] <= bound,
+        "unresolved": record["parent_iqr"] / median > bound and not disjoint,
     }
 
 

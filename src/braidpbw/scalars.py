@@ -5,14 +5,16 @@ Q(zeta_N) in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), stored as
 integer coefficients ``num`` over one positive denominator ``den`` with
 gcd(den, *num) == 1.  Since Z[zeta_N] is the ring of integers of Q(zeta_N),
 ``den`` is the least positive D with D*x in Z[zeta], whatever the field.
-Products reduce modulo the monic N-th cyclotomic polynomial through integer
-reduction rows, and an inverse is the product of the other Galois conjugates
-over the integer norm, so the arithmetic builds no Fraction.  Equality is
-exact and decidable; scalars whose value is rational are renormalised to
-conductor 1 so they print as plain fractions.  Mixed-conductor arithmetic goes through
-the compositum Q(zeta_lcm).  A product of two non-rational scalars comes from a
-bounded memo keyed on the factors' canonical fields (conductor, num, den),
-since the engine's tables repeat a few distinct products many times.
+One routine, ``_reduce``, writes every sum of integer multiples of powers of
+zeta_N in the power basis, reading zeta_N^e as row e mod N of N integer rows
+(x^k modulo the monic N-th cyclotomic polynomial, 0 <= k < N).  An inverse is
+the product of the other Galois conjugates over the integer norm, so the
+arithmetic builds no Fraction.  Equality is exact and decidable; scalars whose
+value is rational are renormalised to conductor 1 so they print as plain
+fractions.  Mixed-conductor arithmetic goes through the compositum
+Q(zeta_lcm).  A product of two non-rational scalars comes from a bounded memo
+keyed on the factors' canonical fields (conductor, num, den), since the
+engine's tables repeat a few distinct products many times.
 """
 from __future__ import annotations
 
@@ -88,17 +90,28 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row k is x^k reduced modulo Phi_n, for 0 <= k <= max(n, 2 phi(n) - 2),
-    as the (index, coefficient) pairs of its nonzero integer coefficients."""
+    """Row k is x^k reduced modulo Phi_n, for 0 <= k < n (one period, as
+    zeta_n^n = 1), as the (index, coefficient) pairs of its nonzero entries."""
     phi = euler_phi(n)
-    top = max(n, 2 * phi - 2)
     phin = cyclotomic_polynomial(n)
     dense = [[1 if i == k else 0 for i in range(phi)] for k in range(phi)]
-    for k in range(phi, top + 1):
+    for k in range(phi, n):
         prev = dense[k - 1]
         lead = prev[-1]
         dense.append([(prev[i - 1] if i else 0) - lead * phin[i] for i in range(phi)])
     return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in dense)
+
+
+def _reduce(n: int, terms) -> list[int]:
+    """sum c * zeta_n^e over the (e, c) pairs of terms, e >= 0, c an int, as
+    phi(n) integer coefficients in the power basis; zeta_n^e is row e % n."""
+    rows = _reduction_rows(n)
+    out = [0] * euler_phi(n)
+    for e, c in terms:
+        if c:
+            for t, r in rows[e % n]:
+                out[t] += c * r
+    return out
 
 
 def _canonical(n: int, num, den: int) -> "Scalar":
@@ -115,17 +128,12 @@ def _canonical(n: int, num, den: int) -> "Scalar":
 
 @lru_cache(maxsize=None)
 def _subfield_basis(n: int, m: int):
-    """For m | n: the power basis of Q(zeta_m) in Q(zeta_n), as dense integer
-    rows E, with pivot columns P such that E restricted to P is invertible,
-    and that inverse (Fraction rows)."""
+    """For m | n: pivot columns P such that the power basis of Q(zeta_m) in
+    Q(zeta_n), as dense integer rows E, restricted to P is invertible, and
+    that inverse (Fraction rows)."""
     phi, k = euler_phi(n), euler_phi(m)
-    rows = _reduction_rows(n)
-    emb = [[0] * phi for _ in range(k)]
-    for i in range(k):
-        for t, c in rows[i * (n // m)]:  # i * (n // m) < n
-            emb[i][t] = c
-    red = [[Fraction(c) for c in r] + [_F1 if j == i else _F0 for j in range(k)]
-           for i, r in enumerate(emb)]
+    red = [[Fraction(c) for c in _reduce(n, ((i * (n // m), 1),))]
+           + [_F1 if j == i else _F0 for j in range(k)] for i in range(k)]
     pivots: list[int] = []
     for col in range(phi):
         top = len(pivots)
@@ -142,25 +150,21 @@ def _subfield_basis(n: int, m: int):
         pivots.append(col)
         if len(pivots) == k:
             break
-    return emb, tuple(pivots), [r[phi:] for r in red]
+    return tuple(pivots), [r[phi:] for r in red]
 
 
 def _subfield_coordinates(n: int, m: int, num: tuple[int, ...]) -> list[int] | None:
     """Integer coordinates in Q(zeta_m) of the element of Q(zeta_n) with
     integer coefficients num, or None when it is not in Q(zeta_m).  They are
     integers because Z[zeta_n] meets Q(zeta_m) in Z[zeta_m]."""
-    emb, pivots, inv = _subfield_basis(n, m)
+    pivots, inv = _subfield_basis(n, m)
     coeffs = []
-    for i in range(len(emb)):
+    for i in range(len(inv)):
         a = sum((num[p] * inv[r][i] for r, p in enumerate(pivots)), _F0)
         if a.denominator != 1:
             return None
         coeffs.append(a.numerator)
-    back = [0] * len(num)
-    for a, row in zip(coeffs, emb):
-        if a:
-            for t, c in enumerate(row):
-                back[t] += a * c
+    back = _reduce(n, ((i * (n // m), a) for i, a in enumerate(coeffs)))
     return coeffs if tuple(back) == num else None
 
 
@@ -179,26 +183,13 @@ def _zmul(n: int, a, b) -> list[int]:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    out = prod[:phi]
-    rows = _reduction_rows(n)
-    for k in range(phi, 2 * phi - 1):
-        c = prod[k]
-        if c:
-            for t, r in rows[k]:
-                out[t] += c * r
-    return out
+    return _reduce(n, enumerate(prod))
 
 
 def _conjugate(n: int, k: int, num) -> list[int]:
     """sigma_k(num): the Galois automorphism zeta_n -> zeta_n^k, gcd(k, n) = 1,
-    applied to an element of Z[zeta_n] through the reduction rows."""
-    rows = _reduction_rows(n)
-    out = [0] * len(num)
-    for i, c in enumerate(num):
-        if c:
-            for t, r in rows[i * k % n]:
-                out[t] += c * r
-    return out
+    applied to an element of Z[zeta_n]."""
+    return _reduce(n, ((i * k, c) for i, c in enumerate(num)))
 
 
 class Scalar:
@@ -234,14 +225,8 @@ class Scalar:
         den = 1
         for c in coeffs:
             den = lcm(den, c.denominator)
-        rows = _reduction_rows(n)
-        out = [0] * euler_phi(n)
-        for k, c in enumerate(coeffs):
-            if c:
-                c = c.numerator * (den // c.denominator)
-                for t, r in rows[k] if k < len(rows) else rows[k % n]:
-                    out[t] += c * r
-        return _canonical(n, out, den)
+        return _canonical(n, _reduce(n, ((k, c.numerator * (den // c.denominator))
+                                         for k, c in enumerate(coeffs))), den)
 
     def _num_in(self, m: int) -> tuple[int, ...]:
         """Integer coefficients of den*self in the power basis of Q(zeta_m)."""
@@ -250,13 +235,7 @@ class Scalar:
         if m % self.conductor:
             raise ValueError(f"no embedding of Q(zeta_{self.conductor}) into Q(zeta_{m})")
         step = m // self.conductor
-        rows = _reduction_rows(m)
-        out = [0] * euler_phi(m)
-        for i, c in enumerate(self.num):
-            if c:
-                for t, r in rows[i * step]:  # i * step < m <= len(rows) - 1
-                    out[t] += c * r
-        return tuple(out)
+        return tuple(_reduce(m, ((i * step, c) for i, c in enumerate(self.num))))
 
     def in_conductor(self, m: int) -> "Scalar":
         """Embed into Q(zeta_m); requires conductor | m."""

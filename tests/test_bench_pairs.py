@@ -57,16 +57,19 @@ def test_verdicts_of_a_recorded_benchmark():
     assert bounds["pass_s.p50"] == bounds["pass_s.tail"] == 0.12
     p50, tail = _bench_33("plane_ladder", "pass_s.p50"), _bench_33("plane_ladder", "pass_s.tail")
     assert p50["change_lower_in_pairs"] == 10 and tail["change_lower_in_pairs"] == 8
-    assert bench_pairs.verdicts(p50, 0.12) == {"gain": True, "within_bound": True}
-    assert bench_pairs.verdicts(tail, 0.12) == {"gain": False, "within_bound": True}
+    assert bench_pairs.verdicts(p50, 0.12) == {
+        "gain": True, "within_bound": True, "unresolved": False}
+    assert bench_pairs.verdicts(tail, 0.12) == {
+        "gain": False, "within_bound": True, "unresolved": False}
 
 
 def test_verdicts_on_hand_made_pairs():
     parent = [10.0, 12.0, 11.0, 13.0, 14.0, 10.0, 12.0, 11.0, 13.0, 14.0]
     # 9 of 10 lower, median falls 1.5 against a parent IQR of 2: no gain
     nine = [p - 1.5 for p in parent[:9]] + [parent[9] + 1]
+    # the parent's IQR is 2 / 12 = 16.7% of its median, wider than the bound
     assert bench_pairs.verdicts(bench_pairs.metric_record(parent, nine), 0.12) == {
-        "gain": False, "within_bound": True}
+        "gain": False, "within_bound": True, "unresolved": True}
     # falls by 2.5, more than the IQR, in 9 of 10 pairs
     nine = [p - 2.5 for p in parent[:9]] + [parent[9] + 1]
     assert bench_pairs.verdicts(bench_pairs.metric_record(parent, nine), 0.12)["gain"]
@@ -76,4 +79,26 @@ def test_verdicts_on_hand_made_pairs():
     # the bound is on the median's relative rise: 11% passes, 13% does not
     for rise, ok in ((1.11, True), (1.13, False)):
         record = bench_pairs.metric_record(parent, [p * rise for p in parent])
-        assert bench_pairs.verdicts(record, 0.12) == {"gain": False, "within_bound": ok}
+        assert bench_pairs.verdicts(record, 0.12) == {
+            "gain": False, "within_bound": ok, "unresolved": True}
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    tight = [10.0, 10.1, 10.2, 10.0, 10.1, 10.2, 10.0, 10.1, 10.2, 10.1]
+    wide = [8.0, 10.0, 12.0, 9.0, 11.0, 13.0, 8.5, 10.5, 12.5, 10.0]
+    # IQR 0.15 of a median 10.1, 1.5%: resolved, whatever the change reads
+    record = bench_pairs.metric_record(tight, [t * 1.05 for t in tight])
+    assert bench_pairs.verdicts(record, 0.12)["unresolved"] is False
+    # IQR 2.5 of a median 10.25, 24% > 12%: unresolved, even with no change
+    record = bench_pairs.metric_record(wide, list(wide))
+    assert record["parent_iqr"] / record["parent"]["median"] > 0.12
+    assert bench_pairs.verdicts(record, 0.12)["unresolved"] is True
+    # every change run below every parent run: resolved despite the spread
+    disjoint = [w - 6.0 for w in wide]
+    assert max(disjoint) < min(wide)
+    record = bench_pairs.metric_record(wide, disjoint)
+    assert bench_pairs.verdicts(record, 0.12) == {
+        "gain": True, "within_bound": True, "unresolved": False}
+    # one change run level with the parent's least run is not below every one
+    record = bench_pairs.metric_record(wide, disjoint[:9] + [min(wide)])
+    assert bench_pairs.verdicts(record, 0.12)["unresolved"] is True

@@ -11,8 +11,10 @@ from braidpbw.scalars import (
     ONE,
     ZERO,
     Scalar,
+    _conjugate,
     _cyclotomic_product,
     _poly_str,
+    _reduction_rows,
     cyclotomic_polynomial,
     euler_phi,
     parse_scalar,
@@ -276,6 +278,29 @@ def test_inverse_against_fraction_oracle(n, xs):
     k = x.conductor
     prod = _ref_mul(_coeffs_at(x, k), _coeffs_at(inv, k), k)
     assert prod == [1] + [0] * (len(prod) - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_powers_past_two_periods_against_fraction_oracle(n):
+    """zeta_n^e for e < 3n, each a single term read from one period of rows."""
+    assert len(_reduction_rows(n)) == n
+    for e in range(3 * n):
+        x = Scalar.from_poly(n, [0] * e + [1])
+        assert _coeffs_at(x, n) == _ref_reduce([0] * e + [1], n), e
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_conjugation_against_fraction_oracle(n):
+    """sigma_k maps zeta_n^i to zeta_n^(i k); the oracle divides the whole
+    polynomial sum num[i] x^(i k) by Phi_n."""
+    phi = euler_phi(n)
+    num = [(-1) ** i * (i + 1) for i in range(phi)]
+    for k in range(1, n + 1):
+        if gcd(k, n) == 1:
+            poly = [0] * ((phi - 1) * k + 1)
+            for i, c in enumerate(num):
+                poly[i * k] = c
+            assert _conjugate(n, k, num) == _ref_reduce(poly, n), k
 
 
 def _assert_canonical(s):
